@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import KostlanPolynomial, RationalPair, rotate_pair
+from .ensemble import KostlanPolynomial, RationalPair, mobius_polynomials, rotate_pair
 from .field import chart_jets, newton_correct
 from .sphere import (
     INF,
@@ -98,21 +98,6 @@ def _chart(verts: np.ndarray) -> np.ndarray:
     return (verts[:, 0] + 1j * verts[:, 1]) / (1.0 - t)
 
 
-def _mobius_poly(coeffs: np.ndarray, a, b, c, d) -> np.ndarray:
-    """Coefficients of sum_k coeffs[k] (a z + b)^k (c z + d)^(n-k)."""
-    n = len(coeffs) - 1
-    top = [np.array([1.0 + 0j])]
-    bot = [np.array([1.0 + 0j])]
-    for _ in range(n):
-        top.append(np.convolve(top[-1], np.array([b, a], dtype=complex)))
-        bot.append(np.convolve(bot[-1], np.array([d, c], dtype=complex)))
-    out = np.zeros(n + 1, dtype=complex)
-    for k in range(n + 1):
-        term = coeffs[k] * np.convolve(top[k], bot[n - k])
-        out[: len(term)] += term
-    return out
-
-
 class _Frame:
     """The pair plus everything that must ride along under Mobius moves."""
 
@@ -157,8 +142,9 @@ class _Frame:
         m = complex(m_root)
         if self.rp is not None:
             n = self.rp.degree
-            pc = _mobius_poly(self.rp.p.coeffs, m, 0.0, 1.0, 1.0)
-            qc = _mobius_poly(self.rp.q.coeffs, m, 0.0, 1.0, 1.0)
+            pc, qc = mobius_polynomials(
+                [self.rp.p.coeffs, self.rp.q.coeffs], n, m, 0.0, 1.0, 1.0
+            )
             s = max(np.abs(pc).max(), np.abs(qc).max())
             self.rp = RationalPair(
                 KostlanPolynomial(n, pc / s), KostlanPolynomial(n, qc / s)

@@ -179,21 +179,30 @@ def _linear_powers(a: complex, b: complex, n: int) -> list[np.ndarray]:
     return powers
 
 
-def rotate_polynomials(
-    coeff_rows: list[np.ndarray], n: int, r: Rotation
+def mobius_polynomials(
+    coeff_rows: list[np.ndarray], n: int, a: complex, b: complex, c: complex, d: complex
 ) -> list[np.ndarray]:
-    """Compose homogenizations with the SU(2) action of r, de-homogenized.
+    """Pull degree-n polynomials back by the Mobius map (a z + b)/(c z + d).
 
-    Each input row (a_0..a_n) maps to the coefficients of
-    sum_k a_k (lam z + mu)^k (-conj(mu) z + conj(lam))^(n-k).
+    Each input row maps to the coefficients of
+    sum_k row[k] (a z + b)^k (c z + d)^(n-k).
     """
-    lam, mu = r.lam, r.mu
-    u_pows = _linear_powers(lam, mu, n)
-    v_pows = _linear_powers(-np.conj(mu), np.conj(lam), n)
+    u_pows = _linear_powers(a, b, n)
+    v_pows = _linear_powers(c, d, n)
     basis = np.zeros((n + 1, n + 1), dtype=complex)
     for k in range(n + 1):
         basis[k] = np.convolve(u_pows[k], v_pows[n - k])
     return [np.asarray(row, dtype=complex) @ basis for row in coeff_rows]
+
+
+def rotate_polynomials(
+    coeff_rows: list[np.ndarray], n: int, r: Rotation
+) -> list[np.ndarray]:
+    """Compose homogenizations with the SU(2) action of r, de-homogenized:
+    the Mobius pull-back by (lam z + mu)/(-conj(mu) z + conj(lam)).
+    """
+    lam, mu = r.lam, r.mu
+    return mobius_polynomials(coeff_rows, n, lam, mu, -np.conj(mu), np.conj(lam))
 
 
 def rotate_pair(rp: RationalPair, r: Rotation) -> RationalPair:

@@ -24,6 +24,7 @@ from .ensemble import (
     sample_rational_pair,
     sample_real_kostlan,
 )
+from .field import as_field
 from .geomstats import (
     AxisTooClose,
     TangencySuspected,
@@ -36,7 +37,7 @@ from .topology import (
     InconsistentTopology,
     local_arrangement_probability,
 )
-from .tracer import DegenerateLemniscate, TraceOptions, _as_field, trace
+from .tracer import DegenerateLemniscate, TraceOptions, trace
 
 
 class ConfigError(ValueError):
@@ -151,7 +152,7 @@ def run_trial(experiment: str, n: int, seed: int, trial: int,
         else:
             curve = sample_rational_pair(n, stream)
         t = trace(curve, opts)
-        nu, loops = _axis_stats(t, _as_field(curve), stream)
+        nu, loops = _axis_stats(t, as_field(curve), stream)
         row.update(length=t.total_length, nu=nu, loops=loops,
                    b0=len(t.components))
         if experiment == "length":
@@ -203,7 +204,8 @@ def _theory(experiment: str, n: int) -> tuple:
     if experiment == "tangents":
         return "mean_nu", kacrice.meridian_expectation(n)
     if experiment == "components":
-        return "mean_b0", kacrice.component_upper_constant() * n
+        # no closed-form mean; component_upper_constant() bounds it only
+        return "mean_b0", math.nan
     if experiment == "kostlan-compare":
         return "mean_nu", kacrice.kostlan_meridian_expectation(n)
     return "mean", math.nan
@@ -447,9 +449,7 @@ def compare_table(output_dir: str) -> ResultsTable:
              lemniscate_empirical=ln["estimate"],
              lemniscate_theory=kacrice.expected_length(ln["n"]),
              kostlan_empirical=math.nan,
-             # reference constant only: stated without proof alongside the
-             # comparison table it reproduces
-             kostlan_theory=2.0 * math.pi * math.sqrt(ln["n"])),
+             kostlan_theory=kacrice.kostlan_expected_length(ln["n"])),
         dict(statistic="meridian_tangents", n=tg["n"],
              lemniscate_empirical=tg["estimate"],
              lemniscate_theory=kacrice.meridian_expectation(tg["n"]),
@@ -457,7 +457,7 @@ def compare_table(output_dir: str) -> ResultsTable:
              kostlan_theory=kacrice.kostlan_meridian_expectation(ko["n"])),
         dict(statistic="components", n=cp["n"],
              lemniscate_empirical=cp["estimate"],
-             lemniscate_theory=kacrice.component_upper_constant() * cp["n"],
+             lemniscate_theory=math.nan,
              kostlan_empirical=math.nan, kostlan_theory=math.nan),
     ]
     table = ResultsTable(rows, dict(source=output_dir))

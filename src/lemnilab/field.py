@@ -4,27 +4,16 @@ Values are computed projectively: a sphere point is lifted to a unit-norm
 homogeneous representative (z_h, w_h) and the homogenized polynomials are
 evaluated there, so f is finite everywhere (including infinity) and its
 magnitude stays of order the coefficient magnitudes for degrees in the
-hundreds.  First and second derivatives are taken in an affine chart, with
-the chart switched at |z| = 1.
+hundreds.  First derivatives are taken in an affine chart, with the chart
+switched at |z| = 1.  PairField and RealField (see as_field) give the
+tracer and the tangent counter one interface to either kind of curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ensemble import KostlanPolynomial, RationalPair, RealKostlanPolynomial
-
-
-@dataclass(frozen=True)
-class FieldJet:
-    """Value, chart gradient and second x-derivative of f at a point."""
-
-    value: float
-    grad: np.ndarray  # (df/dx, df/dy) in the chart
-    hess_xx: float
-    chart: str  # "z" or "w"
+from .ensemble import RationalPair, RealKostlanPolynomial
 
 
 def homogeneous_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -41,41 +30,6 @@ def homogeneous_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     wh = np.where(south, 1.0 - t + 0j, x - 1j * y)
     norm = np.sqrt(np.abs(zh) ** 2 + np.abs(wh) ** 2)
     return zh / norm, wh / norm
-
-
-def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Evaluate sum c_k z^k by Horner's rule (vectorized in z)."""
-    acc = np.zeros_like(z, dtype=complex)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def horner_jet(coeffs: np.ndarray, z: np.ndarray, order: int = 2):
-    """p(z) and its first `order` derivatives in one Horner pass."""
-    p0 = np.zeros_like(z, dtype=complex)
-    p1 = np.zeros_like(z, dtype=complex)
-    p2 = np.zeros_like(z, dtype=complex)
-    for c in coeffs[::-1]:
-        if order >= 2:
-            p2 = p2 * z + p1
-        if order >= 1:
-            p1 = p1 * z + p0
-        p0 = p0 * z + c
-    out = [p0]
-    if order >= 1:
-        out.append(p1)
-    if order >= 2:
-        out.append(2.0 * p2)
-    return out
-
-
-def eval_polynomial_and_derivs(poly: KostlanPolynomial, z, order: int = 2):
-    """p(z), p'(z), p''(z) up to the requested order."""
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    vals = horner_jet(poly.coeffs, np.asarray(z, dtype=complex), order)
-    return [complex(v) for v in vals] if np.isscalar(z) else vals
 
 
 _CHUNK = 8192
@@ -100,12 +54,13 @@ def _power_matrix(z: np.ndarray, n: int) -> np.ndarray:
 
 
 def poly_jets_many(coeff_rows, z: np.ndarray, order: int = 0):
-    """Values and derivatives of several equal-degree polynomials at z.
+    """Values (order 0) or values and first derivatives (order 1) of several
+    equal-degree polynomials at z.
 
-    Returns a list (one entry per coefficient row) of lists
-    [p, p', ..., p^(order)].  Work is done in chunks through one shared
-    power matrix and BLAS products, which beats coefficient-at-a-time
-    Horner by a wide margin for degrees in the hundreds.
+    Returns a list (one entry per coefficient row) of lists [p] or
+    [p, p'].  Work is done in chunks through one shared power matrix and
+    BLAS products, which beats a coefficient-at-a-time recurrence by a
+    wide margin for degrees in the hundreds.
     """
     z = np.asarray(z, dtype=complex).ravel()
     n = len(coeff_rows[0]) - 1
@@ -119,32 +74,8 @@ def poly_jets_many(coeff_rows, z: np.ndarray, order: int = 0):
         V = _power_matrix(z[sl], n)
         for i, c in enumerate(coeff_rows):
             out[i][0][sl] = V @ c
-            if order >= 1 and n >= 1:
+            if order and n >= 1:
                 out[i][1][sl] = V[:, :n] @ (c[1:] * k)
-            if order >= 2 and n >= 2:
-                out[i][2][sl] = V[:, : n - 1] @ (c[2:] * k[1:] * k[:-1])
-    return out
-
-
-def homogeneous_poly_values(coeffs: np.ndarray, zh: np.ndarray, wh: np.ndarray) -> np.ndarray:
-    """sum a_k z_h^k w_h^(n-k) for unit-norm (z_h, w_h).
-
-    Factorizes through the chart with the larger modulus so the Horner
-    argument stays inside the unit disk; the extracted power is applied
-    through a complex log, which stays in range for degrees up to ~1000.
-    """
-    zh = np.asarray(zh, dtype=complex)
-    wh = np.asarray(wh, dtype=complex)
-    n = len(coeffs) - 1
-    out = np.empty_like(zh)
-    south = np.abs(zh) <= np.abs(wh)
-    if np.any(south):
-        z = zh[south] / wh[south]
-        out[south] = np.exp(n * np.log(wh[south])) * poly_jets_many([coeffs], z)[0][0]
-    north = ~south
-    if np.any(north):
-        z = wh[north] / zh[north]
-        out[north] = np.exp(n * np.log(zh[north])) * poly_jets_many([coeffs[::-1]], z)[0][0]
     return out
 
 
@@ -178,39 +109,13 @@ def eval_f_many(rp: RationalPair, points: np.ndarray, with_scale: bool = False):
     return ap - aq
 
 
-def eval_f(rp: RationalPair, point) -> float:
-    return float(eval_f_many(rp, np.asarray(point, dtype=float)[None, :])[0])
-
-
-def _pair_chart_jet(p_coeffs, q_coeffs, z, order: int = 2):
-    """(f, fx, fy, fxx, scale) of f = |p|^2 - |q|^2 at affine points z.
-
-    With order=1 the fxx slot is None (skips the second-derivative BLAS
-    pass, the hot path in Newton correction).
-    """
-    pj, qj = poly_jets_many([p_coeffs, q_coeffs], z, order=order)
-    p0, p1 = pj[0], pj[1]
-    q0, q1 = qj[0], qj[1]
+def _pair_chart_jet(p_coeffs, q_coeffs, z):
+    """(f, fx, fy, scale) of f = |p|^2 - |q|^2 at affine points z."""
+    (p0, p1), (q0, q1) = poly_jets_many([p_coeffs, q_coeffs], z, order=1)
     a = p1 * np.conj(p0) - q1 * np.conj(q0)
     f = np.abs(p0) ** 2 - np.abs(q0) ** 2
-    fx = 2.0 * a.real
-    fy = -2.0 * a.imag
-    fxx = None
-    if order >= 2:
-        fxx = 2.0 * (pj[2] * np.conj(p0) - qj[2] * np.conj(q0)).real + 2.0 * (
-            np.abs(p1) ** 2 - np.abs(q1) ** 2
-        )
     scale = np.abs(p0) ** 2 + np.abs(q0) ** 2
-    return f, fx, fy, fxx, scale
-
-
-def eval_jet(rp: RationalPair, z: complex) -> FieldJet:
-    """Chart jet of f at a point of the closed unit disk (z-chart)."""
-    z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
-        raise ValueError("eval_jet requires |z| <= 1; use the w-chart outside")
-    f, fx, fy, fxx, _ = _pair_chart_jet(rp.p.coeffs, rp.q.coeffs, np.array([z]))
-    return FieldJet(float(f[0]), np.array([fx[0], fy[0]]), float(fxx[0]), "z")
+    return f, 2.0 * a.real, -2.0 * a.imag, scale
 
 
 def _chart_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +140,8 @@ def _lift_chart(coord: np.ndarray, north: np.ndarray) -> np.ndarray:
 
 
 def chart_jets(rp: RationalPair, points: np.ndarray):
-    """(f, fx, fy, scale) of f in the per-point chart of _chart_coords.
+    """(f, fx, fy, scale, coord, north) of f in the per-point chart of
+    _chart_coords.
 
     In the northern chart the values are those of the reversed-coefficient
     pair, which rescales f by |u|^(2n) > 0: same zero set, same sign.
@@ -247,13 +153,13 @@ def chart_jets(rp: RationalPair, points: np.ndarray):
     sc = np.empty(coord.shape)
     south = ~north
     if np.any(south):
-        f0, fx, fy, _, s = _pair_chart_jet(rp.p.coeffs, rp.q.coeffs, coord[south], order=1)
-        f[south], gx[south], gy[south], sc[south] = f0, fx, fy, s
-    if np.any(north):
-        f0, fx, fy, _, s = _pair_chart_jet(
-            rp.p.coeffs[::-1], rp.q.coeffs[::-1], coord[north], order=1
+        f[south], gx[south], gy[south], sc[south] = _pair_chart_jet(
+            rp.p.coeffs, rp.q.coeffs, coord[south]
         )
-        f[north], gx[north], gy[north], sc[north] = f0, fx, fy, s
+    if np.any(north):
+        f[north], gx[north], gy[north], sc[north] = _pair_chart_jet(
+            rp.p.coeffs[::-1], rp.q.coeffs[::-1], coord[north]
+        )
     return f, gx, gy, sc, coord, north
 
 
@@ -403,3 +309,51 @@ def newton_correct(
         pts[upd] = moved[pending]
         active = upd
     return pts, rel, relgrad, rel <= tol_rel
+
+
+# Relative residual and iteration limit of the Newton projections made by
+# the tracer and the tangent counter.
+TRACE_NEWTON = (1e-9, 12)
+
+
+class PairField:
+    """f = |p|^2 - |q|^2 of a rational pair."""
+
+    def __init__(self, rp: RationalPair):
+        self.rp = rp
+        self.degree = rp.degree
+
+    def values(self, pts):
+        return eval_f_many(self.rp, pts)
+
+    def newton(self, pts):
+        return newton_correct(self.rp, pts, *TRACE_NEWTON)
+
+    def tangents(self, pts):
+        return curve_tangents(self.rp, pts)
+
+
+class RealField:
+    """A homogeneous real polynomial restricted to S^2."""
+
+    def __init__(self, poly: RealKostlanPolynomial):
+        self.poly = poly
+        self.degree = poly.degree
+
+    def values(self, pts):
+        return eval_real_many(self.poly, pts)[0]
+
+    def newton(self, pts):
+        return real_newton_correct(self.poly, pts, *TRACE_NEWTON)
+
+    def tangents(self, pts):
+        return real_curve_tangents(self.poly, pts)
+
+
+def as_field(curve):
+    """The field object of a RationalPair or a RealKostlanPolynomial."""
+    if isinstance(curve, RationalPair):
+        return PairField(curve)
+    if isinstance(curve, RealKostlanPolynomial):
+        return RealField(curve)
+    raise TypeError(f"cannot trace a {type(curve).__name__}")

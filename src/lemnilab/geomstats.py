@@ -1,16 +1,16 @@
 """Geometric observables of a traced lemniscate.
 
-Spherical length (direct and by integral geometry), meridian-tangent
-counts and axis-looping components.  Tangents are counted as sign
-changes of the meridian derivative G = T . (axis x P) read at curve
-points, never from differences of polyline positions, so noise in the
-vertex positions cannot fake or hide a tangency (see _tangent_count).
+Meridian-tangent counts, axis-looping components and great-circle
+crossings (pi times their mean is the length, by integral geometry).
+Tangents are counted as sign changes of the meridian derivative
+G = T . (axis x P) read at curve points, never from differences of
+polyline positions, so noise in the vertex positions cannot fake or hide
+a tangency (see _tangent_count).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,23 +26,6 @@ class AxisTooClose(ValueError):
 
 class TangencySuspected(RuntimeError):
     """A great-circle crossing looks non-transversal; trial is flagged."""
-
-
-@dataclass(frozen=True)
-class LengthEstimate:
-    value: float
-    method: str  # "direct-polyline" or "integral-geometry"
-    stderr: float | None = None
-
-
-@dataclass(frozen=True)
-class TangentCount:
-    count: int
-    axis: np.ndarray
-
-
-def polyline_length(t: TracedLemniscate) -> LengthEstimate:
-    return LengthEstimate(t.total_length, "direct-polyline")
 
 
 def _longitudes(vertices: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -83,13 +66,9 @@ def _refine_near_axis(P: np.ndarray, axis: np.ndarray, field) -> np.ndarray:
         bad = step > 0.2 * dn
         if not bad.any():
             return P
-        if field is None:
-            raise AxisTooClose(
-                "curve too close to the axis for the traced arc-step"
-            )
         mids = P[bad] + np.roll(P, -1, axis=0)[bad]
         mids /= np.linalg.norm(mids, axis=1)[:, None]
-        corrected, rel, relgrad, conv = field.newton(mids, 1e-9, 12)
+        corrected, rel, relgrad, conv = field.newton(mids)
         if not conv.all():
             raise AxisTooClose("refinement near the axis failed to converge")
         P = np.insert(P, np.flatnonzero(bad) + 1, corrected, axis=0)
@@ -180,7 +159,7 @@ def walk(field, starts, targets, dirs, steps, min_steps, caps):
             break
         pred = cur[active] + steps[active, None] * T
         pred /= np.linalg.norm(pred, axis=1)[:, None]
-        nxt, _, _, conv = field.newton(pred, 1e-9, 12)
+        nxt, _, _, conv = field.newton(pred)
         failed[active[~conv]] = True
         active, nxt = active[conv], nxt[conv]
         last[active] = nxt - cur[active]
@@ -342,10 +321,10 @@ def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int
 def meridian_stats(t: TracedLemniscate, axis, field):
     """(tangent count, looping components, windings) about one axis.
 
-    Components are first subdivided near the axis so longitude increments
-    are trustworthy; the windings come from those increments and the
-    tangents from sign changes of the meridian derivative G (see
-    _tangent_count).
+    field is the traced curve's field object (field.as_field).  Components
+    are first subdivided near the axis so longitude increments are
+    trustworthy; the windings come from those increments and the tangents
+    from sign changes of the meridian derivative G (see _tangent_count).
     """
     axis = unit_vector(axis)
     e1, e2 = orthonormal_frame(axis)
@@ -356,23 +335,6 @@ def meridian_stats(t: TracedLemniscate, axis, field):
     edge = math.sqrt(16.0 * math.pi / (20.0 * math.sqrt(3.0))) / t.grid_resolution
     nu, _ = _tangent_count(loops, axis, field, _SMALL_LOOP_EDGES * edge, windings)
     return nu, int(np.count_nonzero(windings)), windings
-
-
-def count_meridian_tangents(t: TracedLemniscate, axis, field) -> TangentCount:
-    """Number of critical points of the longitude about axis along Gamma."""
-    nu, _, _ = meridian_stats(t, axis, field)
-    return TangentCount(nu, unit_vector(axis))
-
-
-def components_looping_axis(t: TracedLemniscate, axis, field) -> int:
-    """Components whose longitude about axis has nonzero total winding."""
-    _, loops, _ = meridian_stats(t, axis, field)
-    return loops
-
-
-def component_windings(t: TracedLemniscate, axis, field) -> np.ndarray:
-    _, _, w = meridian_stats(t, axis, field)
-    return w
 
 
 def great_circle_intersections(
@@ -418,14 +380,3 @@ def great_circle_intersections(
     if np.any(deriv < tangency_tol):
         raise TangencySuspected("near-tangential crossing")
     return len(change)
-
-
-def integral_geometry_length(rp_samples, circles) -> LengthEstimate:
-    """pi times the mean crossing count over paired (pair, circle) draws."""
-    counts = []
-    for rp, g in zip(rp_samples, circles):
-        counts.append(great_circle_intersections(rp, g))
-    counts = np.array(counts, dtype=float)
-    mean = math.pi * counts.mean()
-    stderr = math.pi * counts.std(ddof=1) / math.sqrt(len(counts))
-    return LengthEstimate(mean, "integral-geometry", stderr)

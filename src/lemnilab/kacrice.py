@@ -452,6 +452,16 @@ def markov_bound(m: float, delta: float) -> float:
     return 1.0 - 2.0 * m / delta
 
 
+def kostlan_expected_length(n: int) -> float:
+    """E length of the real Kostlan zero set on S^2: 2 pi sqrt(n).
+
+    Kac-Rice: f(x) ~ N(0, 1) is independent of its tangential gradient
+    ~ N(0, n I_2), so the length per unit area is
+    E|grad f| p_f(0) = sqrt(n pi/2) / sqrt(2 pi) = sqrt(n)/2, times 4 pi.
+    """
+    return 2.0 * math.pi * math.sqrt(n)
+
+
 def kostlan_meridian_expectation(n: int) -> float:
     """E nu_K = (4 sqrt2 / pi) sqrt(n(n-1)) for the real plane ensemble."""
     if n < 2:

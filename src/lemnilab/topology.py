@@ -22,11 +22,11 @@ from .field import eval_f_many
 from .icogrid import icosphere
 from .sphere import unit_vector
 from .tracer import (
+    GRID_JITTER,
     DegenerateLemniscate,
     TraceOptions,
     TracedLemniscate,
     default_options,
-    jitter_rotation,
     trace,
 )
 
@@ -107,7 +107,6 @@ class NestingTree:
     _face_of_vertex: np.ndarray = field(default=None, repr=False, compare=False)
     _rp: object = field(default=None, repr=False, compare=False)
     _grid_resolution: int = field(default=0, repr=False, compare=False)
-    _jitter_index: int = field(default=0, repr=False, compare=False)
 
     @property
     def n_components(self) -> int:
@@ -187,7 +186,6 @@ def _try_nesting_tree(
         labels,
         rp,
         t.grid_resolution,
-        t.jitter_index,
     )
 
 
@@ -204,8 +202,7 @@ def nesting_tree(rp: RationalPair, t: TracedLemniscate) -> NestingTree:
         # audit pass: double the resolution; a face that is tiny but
         # structurally consistent at the audited resolution is accepted
         # (small ovals are real), a structural mismatch is not
-        t2 = trace(rp, TraceOptions(grid_resolution=2 * t.grid_resolution,
-                                    jitter_index=t.jitter_index))
+        t2 = trace(rp, TraceOptions(grid_resolution=2 * t.grid_resolution))
         return _try_nesting_tree(rp, t2, strict_size=False)
 
 
@@ -217,7 +214,7 @@ def face_of_point(tree: NestingTree, point) -> int:
         raise PointOnCurve("point lies on the lemniscate")
     want = f[0] > 0
     grid = icosphere(tree._grid_resolution)
-    verts = jitter_rotation(tree._jitter_index).apply(grid.verts)
+    verts = GRID_JITTER.apply(grid.verts)
     # nearest grid vertex on the same side of the curve
     d = verts @ point
     order = np.argpartition(-d, min(64, len(d) - 1))[:64]
@@ -383,49 +380,3 @@ def local_arrangement_probability(
     p = hits / used
     stderr = math.sqrt(max(p * (1.0 - p), 1.0 / used) / used)
     return ArrangementEstimate(p, stderr, hits, used, rejected)
-
-
-@dataclass(frozen=True)
-class ComponentCountStats:
-    n: int
-    mean_b0: float
-    stderr: float
-    mean_over_n: float
-    upper_constant: float  # cited asymptotic upper bound on E b0 / n
-    trials_used: int
-    rejected: int
-    max_b0: int
-
-
-def component_count_experiment(
-    n: int, trials: int, rng: RandomStream
-) -> ComponentCountStats:
-    """Mean component count over fresh samples at degree n."""
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    counts = []
-    rejected = 0
-    for i in range(trials):
-        rp = sample_rational_pair(n, rng.substream(i))
-        try:
-            t = trace(rp)
-        except DegenerateLemniscate:
-            rejected += 1
-            continue
-        b0 = len(t.components)
-        if b0 > n:
-            raise InconsistentTopology("component count %d exceeds degree" % b0)
-        counts.append(b0)
-    counts = np.array(counts, dtype=float)
-    mean = float(counts.mean())
-    stderr = float(counts.std(ddof=1) / math.sqrt(len(counts)))
-    return ComponentCountStats(
-        n,
-        mean,
-        stderr,
-        mean / n,
-        (32.0 - math.sqrt(2.0)) / 56.0,
-        len(counts),
-        rejected,
-        int(counts.max()),
-    )

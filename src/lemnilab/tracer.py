@@ -3,40 +3,31 @@
 The tracer samples f on an icosahedral geodesic grid, detects sign changes
 on grid edges, links crossing edges into cycles (each sign-split triangle
 contributes exactly one pass of the curve between two of its edges), then
-refines every crossing by bisection plus Newton and densifies to a target
-arc-step.  A fixed jitter rotation of the grid, derived from an integer
-index, removes the measure-zero event of a vertex landing exactly on the
-curve.
+refines every crossing by bisection plus Newton and densifies to an
+arc-step of 0.6 grid edges.  A fixed jitter rotation of the grid removes
+the measure-zero event of a vertex landing exactly on the curve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import RandomStream, RationalPair, RealKostlanPolynomial
-from .field import (
-    curve_tangents,
-    eval_f_many,
-    eval_real_many,
-    newton_correct,
-    real_curve_tangents,
-    real_newton_correct,
-)
+from .ensemble import RandomStream
+from .field import as_field
 from .icogrid import icosphere
 from .sphere import Rotation, spherical_distance, spherical_distance_many
 
-_JITTER_SEED = 0x1CE5_9E0D
+# the grid rotation every trace uses (tie-breaking, see the module doc)
+GRID_JITTER = Rotation.random(RandomStream(0x1CE5_9E0D, 0).generator())
+# polyline arc-step, as a share of the mean grid edge
+_ARC_STEP = 0.6
 
 
 class DegenerateLemniscate(RuntimeError):
     """Newton refinement failed to converge: near-singular level set."""
-
-
-class NoConvergence(RuntimeError):
-    """A single crossing refinement ran out of iterations."""
 
 
 class _StubbornSegment(Exception):
@@ -47,22 +38,16 @@ class _StubbornSegment(Exception):
 @dataclass(frozen=True)
 class TraceOptions:
     grid_resolution: int = 64
-    target_arc_step: float | None = None  # default: 0.6 x mean grid edge
-    value_tolerance: float = 1e-9
-    max_newton_iters: int = 12
-    jitter_index: int = 0
 
     def __post_init__(self):
         if self.grid_resolution < 64:
             raise ValueError("grid_resolution must be >= 64")
-        if self.target_arc_step is not None and self.target_arc_step <= 0:
-            raise ValueError("target_arc_step must be positive")
 
 
-def default_options(n: int, **overrides) -> TraceOptions:
+def default_options(n: int) -> TraceOptions:
     """Resolution scaled so cell diameter tracks the feature scale 1/sqrt(n)."""
     nu = max(64, math.ceil(5.5 * math.sqrt(max(n, 1))))
-    return TraceOptions(grid_resolution=nu, **overrides)
+    return TraceOptions(grid_resolution=nu)
 
 
 @dataclass(frozen=True)
@@ -76,14 +61,11 @@ class ClosedPolyline:
         v = np.asarray(self.vertices, dtype=float)
         object.__setattr__(self, "vertices", v)
         if self.length is None:
-            object.__setattr__(self, "length", polyline_length(v))
+            length = float(spherical_distance_many(v[:-1], v[1:]).sum())
+            object.__setattr__(self, "length", length)
 
     def __len__(self):
         return len(self.vertices)
-
-
-def polyline_length(vertices: np.ndarray) -> float:
-    return float(spherical_distance_many(vertices[:-1], vertices[1:]).sum())
 
 
 @dataclass(frozen=True)
@@ -94,8 +76,6 @@ class TracedLemniscate:
     # combinatorial payload consumed by the topology module
     vertex_signs: np.ndarray = field(default=None, repr=False, compare=False)
     loop_edges: list = field(default=None, repr=False, compare=False)
-    base_vertex: int = field(default=-1, repr=False, compare=False)
-    jitter_index: int = field(default=0, repr=False, compare=False)
 
     @property
     def lengths(self) -> np.ndarray:
@@ -104,66 +84,6 @@ class TracedLemniscate:
     @property
     def total_length(self) -> float:
         return float(self.lengths.sum()) if self.components else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "grid_resolution": self.grid_resolution,
-            "min_gradient_seen": self.min_gradient_seen,
-            "components": [
-                {"length": c.length, "vertices": c.vertices.tolist()}
-                for c in self.components
-            ],
-        }
-
-
-class _PairField:
-    """f = |p|^2 - |q|^2 of a rational pair."""
-
-    def __init__(self, rp: RationalPair):
-        self.rp = rp
-        self.degree = rp.degree
-
-    def values(self, pts):
-        return eval_f_many(self.rp, pts)
-
-    def newton(self, pts, tol, iters):
-        return newton_correct(self.rp, pts, tol_rel=tol, max_iters=iters)
-
-    def tangents(self, pts):
-        return curve_tangents(self.rp, pts)
-
-
-class _RealField:
-    """A homogeneous real polynomial restricted to S^2."""
-
-    def __init__(self, poly: RealKostlanPolynomial):
-        self.poly = poly
-        self.degree = poly.degree
-
-    def values(self, pts):
-        return eval_real_many(self.poly, pts)[0]
-
-    def newton(self, pts, tol, iters):
-        return real_newton_correct(self.poly, pts, tol_rel=tol, max_iters=iters)
-
-    def tangents(self, pts):
-        return real_curve_tangents(self.poly, pts)
-
-
-def _as_field(obj):
-    if isinstance(obj, RationalPair):
-        return _PairField(obj)
-    if isinstance(obj, RealKostlanPolynomial):
-        return _RealField(obj)
-    if hasattr(obj, "values") and hasattr(obj, "newton"):
-        return obj
-    raise TypeError(f"cannot trace a {type(obj).__name__}")
-
-
-def jitter_rotation(index: int) -> Rotation:
-    """Fixed pseudo-random grid rotation for tie-breaking, keyed by index."""
-    rng = RandomStream(_JITTER_SEED, index).generator()
-    return Rotation.random(rng)
 
 
 def _slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -191,7 +111,7 @@ def _bisect(fieldobj, a, b, iters=45):
     return _slerp(a, b, 0.5 * (lo + hi))
 
 
-def _refine_crossings(fieldobj, a, b, fa, fb, opts):
+def _edge_roots(fieldobj, a, b, fa, fb):
     """Roots of f on the geodesic edges (a, b), with sign(fa) != sign(fb).
 
     Linear interpolation seeds a Newton polish; the handful of points where
@@ -200,9 +120,7 @@ def _refine_crossings(fieldobj, a, b, fa, fb, opts):
     """
     t0 = np.clip(fa / (fa - fb), 0.02, 0.98)
     start = _slerp(a, b, t0)
-    pts, rel, relgrad, conv = fieldobj.newton(
-        start, opts.value_tolerance, opts.max_newton_iters
-    )
+    pts, rel, relgrad, conv = fieldobj.newton(start)
     min_grad = float(relgrad.min()) if len(relgrad) else math.inf
     if not conv.all():
         bad = ~conv
@@ -210,9 +128,7 @@ def _refine_crossings(fieldobj, a, b, fa, fb, opts):
         aa = np.where(neg[:, None], a[bad], b[bad])
         bb = np.where(neg[:, None], b[bad], a[bad])
         retry = _bisect(fieldobj, aa, bb)
-        pts2, rel2, relgrad2, conv2 = fieldobj.newton(
-            retry, opts.value_tolerance, opts.max_newton_iters
-        )
+        pts2, rel2, relgrad2, conv2 = fieldobj.newton(retry)
         if not conv2.all():
             raise DegenerateLemniscate(
                 f"{int((~conv2).sum())} crossing(s) failed to converge"
@@ -220,23 +136,6 @@ def _refine_crossings(fieldobj, a, b, fa, fb, opts):
         pts[bad] = pts2
         min_grad = min(min_grad, float(relgrad2.min()))
     return pts, min_grad
-
-
-def refine_crossing(rp: RationalPair, a, b, value_tolerance: float = 1e-9):
-    """Root of f on the geodesic arc from a to b (f changes sign across it)."""
-    fieldobj = _as_field(rp)
-    a = np.asarray(a, dtype=float)[None, :]
-    b = np.asarray(b, dtype=float)[None, :]
-    fa = fieldobj.values(a)
-    fb = fieldobj.values(b)
-    if not (fa[0] * fb[0] < 0):
-        raise ValueError("f must change sign between a and b")
-    opts = TraceOptions(value_tolerance=value_tolerance)
-    try:
-        pts, _ = _refine_crossings(fieldobj, a, b, fa, fb, opts)
-    except DegenerateLemniscate as exc:
-        raise NoConvergence(str(exc)) from exc
-    return pts[0]
 
 
 def _link_cycles(pair_rows: np.ndarray, n_nodes: int) -> list:
@@ -263,7 +162,7 @@ def _link_cycles(pair_rows: np.ndarray, n_nodes: int) -> list:
     return cycles
 
 
-def _densify(fieldobj, loops, target, opts):
+def _densify(fieldobj, loops, target):
     """Split over-long segments at geodesic midpoints until none exceed
     roughly twice the target arc-step; inserted points are Newton-projected
     back onto the curve."""
@@ -282,9 +181,7 @@ def _densify(fieldobj, loops, target, opts):
                 s = P[m] + np.roll(P, -1, axis=0)[m]
                 mids.append(s / np.linalg.norm(s, axis=1)[:, None])
         allmids = np.concatenate(mids)
-        corrected, rel, relgrad, conv = fieldobj.newton(
-            allmids, opts.value_tolerance, opts.max_newton_iters
-        )
+        corrected, rel, relgrad, conv = fieldobj.newton(allmids)
         min_grad = min(min_grad, float(relgrad.min()))
         out = []
         pos = 0
@@ -316,7 +213,7 @@ def _densify(fieldobj, loops, target, opts):
         prev_cut = 0
         for i in bad:
             pieces.append(P[prev_cut : i + 1])
-            walked, wg = _walk_segment(fieldobj, P, int(i), 0.45 * target, opts)
+            walked, wg = _walk_segment(fieldobj, P, int(i), 0.45 * target)
             min_grad = min(min_grad, wg)
             if walked:
                 pieces.append(np.array(walked))
@@ -326,7 +223,7 @@ def _densify(fieldobj, loops, target, opts):
     return out, min_grad
 
 
-def _walk_segment(fieldobj, loop, i, step, opts):
+def _walk_segment(fieldobj, loop, i, step):
     """Bridge loop[i] -> loop[i+1] by tangent-predictor continuation."""
     a = loop[i]
     b = loop[(i + 1) % len(loop)]
@@ -348,9 +245,7 @@ def _walk_segment(fieldobj, loop, i, step, opts):
             t = -t
         pred = cur + step * t
         pred /= np.linalg.norm(pred)
-        nxt, rel, relgrad, conv = fieldobj.newton(
-            pred[None, :], opts.value_tolerance, opts.max_newton_iters
-        )
+        nxt, rel, relgrad, conv = fieldobj.newton(pred[None, :])
         if not conv.all():
             raise DegenerateLemniscate("continuation step failed to converge")
         min_grad = min(min_grad, float(relgrad[0]))
@@ -370,37 +265,29 @@ def trace(rp, opts: TraceOptions | None = None) -> TracedLemniscate:
     DegenerateLemniscate when refinement fails to converge or the retries
     are exhausted.
     """
-    fieldobj = _as_field(rp)
+    fieldobj = as_field(rp)
     if opts is None:
         opts = default_options(fieldobj.degree)
+    nu = opts.grid_resolution
     for attempt in range(3):
         try:
-            return _trace_once(fieldobj, opts)
+            return _trace_once(fieldobj, nu)
         except _StubbornSegment:
-            opts = replace(opts, grid_resolution=2 * opts.grid_resolution)
+            nu *= 2
     raise DegenerateLemniscate("close strands unresolved after resolution doubling")
 
 
-def _trace_once(fieldobj, opts: TraceOptions) -> TracedLemniscate:
-    grid = icosphere(opts.grid_resolution)
-    rot = jitter_rotation(opts.jitter_index)
-    verts = rot.apply(grid.verts)
-    target = (
-        opts.target_arc_step
-        if opts.target_arc_step is not None
-        else 0.6 * grid.mean_edge_length
-    )
+def _trace_once(fieldobj, nu: int) -> TracedLemniscate:
+    grid = icosphere(nu)
+    verts = GRID_JITTER.apply(grid.verts)
 
     F = fieldobj.values(verts)
     pos = F > 0.0  # exact zeros count as positive; jitter makes them moot
-    base_vertex = int(np.argmax(verts[:, 2]))
 
     e0, e1 = grid.edges[:, 0], grid.edges[:, 1]
     cross = pos[e0] != pos[e1]
     if not cross.any():
-        return TracedLemniscate(
-            [], opts.grid_resolution, math.inf, pos, [], base_vertex, opts.jitter_index
-        )
+        return TracedLemniscate([], nu, math.inf, pos, [])
 
     ce = cross[grid.tri_edges]
     split = ce.sum(axis=1) == 2
@@ -413,22 +300,14 @@ def _trace_once(fieldobj, opts: TraceOptions) -> TracedLemniscate:
 
     a = verts[e0[cids]]
     b = verts[e1[cids]]
-    refined, min_grad = _refine_crossings(fieldobj, a, b, F[e0[cids]], F[e1[cids]], opts)
+    refined, min_grad = _edge_roots(fieldobj, a, b, F[e0[cids]], F[e1[cids]])
 
     loops = [refined[c] for c in cycles]
-    loops, g2 = _densify(fieldobj, loops, target, opts)
+    loops, g2 = _densify(fieldobj, loops, _ARC_STEP * grid.mean_edge_length)
     min_grad = min(min_grad, g2)
 
     components = [
         ClosedPolyline(np.concatenate([P, P[:1]], axis=0)) for P in loops
     ]
     loop_edges = [cids[c] for c in cycles]
-    return TracedLemniscate(
-        components,
-        opts.grid_resolution,
-        min_grad,
-        pos,
-        loop_edges,
-        base_vertex,
-        opts.jitter_index,
-    )
+    return TracedLemniscate(components, nu, min_grad, pos, loop_edges)

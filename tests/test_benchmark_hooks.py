@@ -1,0 +1,42 @@
+"""The benchmark's tracer (perfbench/spans.py) wraps lemnilab functions by
+module and name from outside the package; a rename or a call that bypasses
+the module-level function would silently drop a layer from its report."""
+
+import os
+import sys
+
+import lemnilab.constructor  # noqa: F401  (loads every traced module)
+import lemnilab.experiments  # noqa: F401
+from lemnilab.ensemble import RandomStream, sample_rational_pair
+from lemnilab.field import as_field
+from lemnilab.geomstats import meridian_stats
+from lemnilab.tracer import trace
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+import spans  # noqa: E402
+
+sys.path.pop(0)
+
+
+def test_traced_targets_exist():
+    for home, attr, _, _ in spans.full_targets():
+        assert callable(getattr(sys.modules[home], attr)), (home, attr)
+
+
+def test_traced_layers_see_the_pipeline():
+    rp = sample_rational_pair(8, RandomStream(3))
+    rec = spans.Recorder()
+    with rec.installed(spans.full_targets()):
+        from lemnilab import geomstats, tracer
+
+        t = tracer.trace(rp)
+        geomstats.meridian_stats(t, (0.0, 0.0, 1.0), as_field(rp))
+    names = [s[0] for s in rec.spans]
+    parents = {(s[0], rec.spans[s[3]][0]) for s in rec.spans if s[3] >= 0}
+    assert "tracer.trace" in names and "geomstats.meridian_stats" in names
+    assert ("icogrid.icosphere", "tracer.trace") in parents
+    assert ("field.eval_f_many", "tracer.trace") in parents
+    assert ("field.newton_correct", "tracer.trace") in parents
+    assert ("field.curve_tangents", "geomstats.meridian_stats") in parents
+    # the recorder restores the originals on exit
+    assert tracer.trace is trace and geomstats.meridian_stats is meridian_stats

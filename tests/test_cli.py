@@ -39,6 +39,15 @@ def test_run_and_render(tmp_path, capsys):
     assert "<svg" in open(svg).read()
 
 
+def test_run_check_components(tmp_path):
+    # components have no closed-form mean, so --check has nothing to fail on
+    out = str(tmp_path / "res")
+    assert main([
+        "run", "--experiment", "components", "--n", "12", "--trials", "20",
+        "--seed", "7", "--out", out, "--check",
+    ]) == 0
+
+
 def test_run_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

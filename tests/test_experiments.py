@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -85,6 +86,16 @@ def test_summary_contents(tmp_path):
     assert abs(z - row["z_score"]) < 1e-9
 
 
+def test_components_run_within_degree(tmp_path):
+    table = run(ExperimentConfig("components", [12], trials=100, seed=7,
+                                 output_dir=str(tmp_path)))
+    row = table.rows[0]
+    assert row["b0_over_degree"] == 0
+    assert row["trials_used"] == 100 and row["estimate"] > 0
+    # no closed-form mean: nothing to score the estimate against
+    assert math.isnan(row["theory"]) and math.isnan(row["z_score"])
+
+
 def test_resume_skips_existing(tmp_path):
     out = run_tiny(tmp_path, "a")
     path = os.path.join(out, "length_n4_trials.csv")
@@ -120,7 +131,7 @@ def test_compare_table_missing_results(tmp_path):
 
 
 def test_compare_constants():
-    import math
+    from scipy import integrate
 
     from lemnilab import kacrice
 
@@ -129,4 +140,9 @@ def test_compare_constants():
     assert abs(ratio - 0.6066) < 5e-4
     # theory columns at n=16: (pi^2/2) sqrt(16) vs 2 pi sqrt(16)
     assert abs(kacrice.expected_length(16) - 2 * math.pi**2) < 1e-12
-    assert abs(2 * math.pi * math.sqrt(16) - 8 * math.pi) < 1e-12
+    # Kostlan length: 4 pi E|grad f| p_f(0) with grad f ~ N(0, n I_2) and
+    # f ~ N(0, 1), E|grad f| integrated over the radial density
+    n = 16
+    e_grad, _ = integrate.quad(lambda r: r * r / n * math.exp(-r * r / (2 * n)), 0, math.inf)
+    kac_rice = 4 * math.pi * e_grad / math.sqrt(2 * math.pi)
+    assert abs(kacrice.kostlan_expected_length(n) - kac_rice) < 1e-9 * kac_rice

@@ -2,13 +2,11 @@ import numpy as np
 
 from lemnilab.ensemble import RandomStream, sample_rational_pair
 from lemnilab.field import (
-    eval_f,
-    eval_f_many,
-    eval_jet,
-    horner,
-    horner_jet,
-    newton_correct,
+    chart_jets,
     curve_tangents,
+    eval_f_many,
+    newton_correct,
+    poly_jets_many,
 )
 from lemnilab.ensemble import rotate_pair
 from lemnilab.sphere import Rotation, inverse_stereographic_many
@@ -21,28 +19,24 @@ def random_sphere(k):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def test_horner_matches_polyval():
-    c = rng.normal(size=7) + 1j * rng.normal(size=7)
+def test_poly_jets_many_matches_polyval():
+    rows = [rng.normal(size=7) + 1j * rng.normal(size=7) for _ in range(2)]
     z = rng.normal(size=20) + 1j * rng.normal(size=20)
-    ref = np.polyval(c[::-1], z)
-    assert np.max(np.abs(horner(c, z) - ref)) < 1e-10 * np.max(np.abs(ref))
-
-
-def test_horner_jet_derivatives():
-    c = rng.normal(size=6) + 1j * rng.normal(size=6)
-    z = rng.normal(size=10) + 1j * rng.normal(size=10)
-    v, d1, d2 = horner_jet(c, z, order=2)
-    dc = c[1:] * np.arange(1, 6)
-    ddc = dc[1:] * np.arange(1, 5)
-    assert np.max(np.abs(d1 - horner(dc, z))) < 1e-9
-    assert np.max(np.abs(d2 - horner(ddc, z))) < 1e-9
+    vals = poly_jets_many(rows, z)
+    jets = poly_jets_many(rows, z, order=1)
+    for c, (v,), (v1, d1) in zip(rows, vals, jets):
+        ref = np.polyval(c[::-1], z)
+        dref = np.polyval((c[1:] * np.arange(1, 7))[::-1], z)
+        assert np.max(np.abs(v - ref)) < 1e-10 * np.max(np.abs(ref))
+        assert np.array_equal(v1, v)
+        assert np.max(np.abs(d1 - dref)) < 1e-10 * np.max(np.abs(dref))
 
 
 def test_eval_f_single_vs_many():
     rp = sample_rational_pair(8, RandomStream(2))
     pts = random_sphere(40)
     many = eval_f_many(rp, pts)
-    singles = np.array([eval_f(rp, p) for p in pts])
+    singles = np.array([eval_f_many(rp, p[None, :])[0] for p in pts])
     assert np.max(np.abs(many - singles)) < 1e-12 * max(1.0, np.max(np.abs(many)))
 
 
@@ -57,19 +51,30 @@ def test_rotation_equivariance():
 
 
 def test_jet_finite_difference_oracle():
+    # chart_jets against central differences of |p|^2 - |q|^2 by np.polyval,
+    # in the southern chart z and the northern chart u = 1/z, where f is
+    # that of the reversed-coefficient pair
     rp = sample_rational_pair(6, RandomStream(21))
+    f, gx, gy, sc, coord, north = chart_jets(rp, random_sphere(40))
+    assert north.any() and (~north).any()
     h = 1e-5
-    for z in (0.3 + 0.2j, -0.1 - 0.4j, 0.05j):
-        jet = eval_jet(rp, z)
-        fx = (eval_jet(rp, z + h).value - eval_jet(rp, z - h).value) / (2 * h)
-        fy = (eval_jet(rp, z + 1j * h).value - eval_jet(rp, z - 1j * h).value) / (2 * h)
-        fxx = (
-            eval_jet(rp, z + h).value - 2 * jet.value + eval_jet(rp, z - h).value
-        ) / h**2
-        scale = max(1.0, abs(jet.grad[0]), abs(jet.grad[1]))
-        assert abs(jet.grad[0] - fx) < 1e-4 * scale
-        assert abs(jet.grad[1] - fy) < 1e-4 * scale
-        assert abs(jet.hess_xx - fxx) < 1e-3 * max(1.0, abs(jet.hess_xx))
+    for is_north in (False, True):
+        # np.polyval takes the highest degree first
+        p, q = rp.p.coeffs, rp.q.coeffs
+        if not is_north:
+            p, q = p[::-1], q[::-1]
+
+        def F(w):
+            return np.abs(np.polyval(p, w)) ** 2 - np.abs(np.polyval(q, w)) ** 2
+
+        m = north == is_north
+        w = coord[m]
+        fx = (F(w + h) - F(w - h)) / (2 * h)
+        fy = (F(w + 1j * h) - F(w - 1j * h)) / (2 * h)
+        scale = np.maximum(1.0, np.hypot(gx[m], gy[m]))
+        assert np.max(np.abs(f[m] - F(w)) / sc[m]) < 1e-12
+        assert np.max(np.abs(gx[m] - fx) / scale) < 1e-6
+        assert np.max(np.abs(gy[m] - fy) / scale) < 1e-6
 
 
 def test_newton_correct_projects_onto_curve():

@@ -12,7 +12,6 @@ from lemnilab.ensemble import (
 from lemnilab.topology import (
     Arrangement,
     PointOnCurve,
-    component_count_experiment,
     local_arrangement_probability,
     nesting_tree,
     rooted_canonical_form,
@@ -123,11 +122,3 @@ def test_local_arrangement_single_circle_positive():
     assert 0 < est.estimate <= 1
     assert est.stderr > 0
 
-
-def test_component_count_experiment():
-    stats = component_count_experiment(12, 100, RandomStream(7))
-    assert stats.max_b0 <= 12
-    assert stats.mean_b0 > 0
-    assert abs(stats.mean_over_n - stats.mean_b0 / 12) < 1e-12
-    with pytest.raises(ValueError):
-        component_count_experiment(12, 50, RandomStream(7))

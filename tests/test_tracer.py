@@ -13,7 +13,6 @@ from lemnilab.ensemble import (
 from lemnilab.tracer import (
     TraceOptions,
     default_options,
-    refine_crossing,
     trace,
 )
 
@@ -44,8 +43,6 @@ def test_empty_lemniscate():
 def test_options_validation():
     with pytest.raises(ValueError):
         TraceOptions(grid_resolution=10)
-    with pytest.raises(ValueError):
-        TraceOptions(target_arc_step=-1.0)
     assert default_options(100).grid_resolution >= 55
 
 
@@ -87,12 +84,10 @@ def test_real_kostlan_traceable():
         assert np.allclose(np.linalg.norm(c.vertices, axis=1), 1.0, atol=1e-12)
 
 
-def test_refine_crossing_lands_on_curve():
-    rp = unit_circle_pair()
-    a = np.array([0.1, 0.0, 0.9])
-    b = np.array([0.1, 0.0, -0.9])
-    p = refine_crossing(rp, a / np.linalg.norm(a), b / np.linalg.norm(b))
-    assert abs(p[2]) < 1e-8  # equator
+def test_unit_circle_trace_on_equator():
+    t = trace(unit_circle_pair())
+    v = t.components[0].vertices
+    assert np.max(np.abs(v[:, 2])) < 1e-8
 
 
 def test_jitter_determinism():
