@@ -19,17 +19,28 @@ def random_sphere(k):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def test_poly_jets_many_matches_polyval():
+def test_horner_matches_polyval():
+    # poly_jets_many values (order 0) against np.polyval, two rows at once
     rows = [rng.normal(size=7) + 1j * rng.normal(size=7) for _ in range(2)]
     z = rng.normal(size=20) + 1j * rng.normal(size=20)
-    vals = poly_jets_many(rows, z)
-    jets = poly_jets_many(rows, z, order=1)
-    for c, (v,), (v1, d1) in zip(rows, vals, jets):
+    for c, (v,) in zip(rows, poly_jets_many(rows, z)):
         ref = np.polyval(c[::-1], z)
-        dref = np.polyval((c[1:] * np.arange(1, 7))[::-1], z)
         assert np.max(np.abs(v - ref)) < 1e-10 * np.max(np.abs(ref))
-        assert np.array_equal(v1, v)
-        assert np.max(np.abs(d1 - dref)) < 1e-10 * np.max(np.abs(dref))
+
+
+def test_horner_jet_derivatives():
+    # order-1 jets against np.polyval of the derivative rows; the second
+    # derivative is the first derivative of the derivative row
+    c = rng.normal(size=6) + 1j * rng.normal(size=6)
+    z = rng.normal(size=10) + 1j * rng.normal(size=10)
+    dc = c[1:] * np.arange(1, 6)
+    ddc = dc[1:] * np.arange(1, 5)
+    (v0,), = poly_jets_many([c], z)
+    (v, d1), = poly_jets_many([c], z, order=1)
+    (_, d2), = poly_jets_many([dc], z, order=1)
+    assert np.array_equal(v, v0)
+    assert np.max(np.abs(d1 - np.polyval(dc[::-1], z))) < 1e-9
+    assert np.max(np.abs(d2 - np.polyval(ddc[::-1], z))) < 1e-9
 
 
 def test_eval_f_single_vs_many():
