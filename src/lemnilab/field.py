@@ -213,28 +213,20 @@ def eval_real_many(
     return vals, scale
 
 
-def real_newton_correct(
-    poly: RealKostlanPolynomial,
-    points: np.ndarray,
-    tol_rel: float = 1e-11,
-    max_iters: int = 12,
-):
-    """Project sphere points onto {poly = 0} by tangential Newton steps.
+def _project(jet, points, tol_rel, max_iters):
+    """Newton projection onto {f = 0}, shared by both fields.
 
-    Same return convention as :func:`newton_correct`; the gradient is the
-    ambient gradient projected to the tangent plane, and residuals are
-    measured against the root-sum-square of the monomial terms.
+    jet(v) returns (f, |grad f|^2, scale, move) at the points v, where
+    move(step) gives the points moved by step * grad f back on the sphere.
+    Only the points still above tol_rel are evaluated again.  Returns
+    (points, relative residual, relative gradient norm, converged mask).
     """
     pts = np.array(points, dtype=float)
     rel = np.full(len(pts), np.inf)
     relgrad = np.full(len(pts), np.inf)
     active = np.arange(len(pts))
     for _ in range(max_iters):
-        v = pts[active]
-        f, g, sc = eval_real_many(poly, v, with_grad=True)
-        sc = np.maximum(sc, 1e-300)
-        gt = g - np.einsum("ij,ij->i", g, v)[:, None] * v
-        g2 = np.einsum("ij,ij->i", gt, gt)
+        f, g2, sc, move = jet(pts[active])
         r = np.abs(f) / sc
         rel[active] = r
         relgrad[active] = np.sqrt(g2) / sc
@@ -243,37 +235,10 @@ def real_newton_correct(
             break
         ok = g2 > 0
         step = np.where(ok, f / np.where(ok, g2, 1.0), 0.0)
-        moved = v - step[:, None] * gt
-        moved /= np.linalg.norm(moved, axis=1)[:, None]
         upd = active[pending]
-        pts[upd] = moved[pending]
+        pts[upd] = move(step)[pending]
         active = upd
     return pts, rel, relgrad, rel <= tol_rel
-
-
-def curve_tangents(rp: RationalPair, points: np.ndarray) -> np.ndarray:
-    """Unit 3-vectors tangent to {f = 0} at points assumed on the curve.
-
-    The chart gradient is pushed forward to R^3 through the chart lift and
-    rotated by 90 degrees in the tangent plane; the overall sign is
-    arbitrary.
-    """
-    f, gx, gy, sc, coord, north = chart_jets(rp, points)
-    h = 1e-7
-    e1 = (_lift_chart(coord + h, north) - _lift_chart(coord - h, north)) / (2 * h)
-    e2 = (_lift_chart(coord + 1j * h, north) - _lift_chart(coord - 1j * h, north)) / (2 * h)
-    g3 = gx[:, None] * e1 + gy[:, None] * e2
-    t = np.cross(np.asarray(points, dtype=float), g3)
-    nrm = np.linalg.norm(t, axis=1)
-    return t / np.where(nrm > 0, nrm, 1.0)[:, None]
-
-
-def real_curve_tangents(poly: RealKostlanPolynomial, points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    _, g, _ = eval_real_many(poly, pts, with_grad=True)
-    t = np.cross(pts, g)
-    nrm = np.linalg.norm(t, axis=1)
-    return t / np.where(nrm > 0, nrm, 1.0)[:, None]
 
 
 def newton_correct(
@@ -288,27 +253,64 @@ def newton_correct(
     converged mask).  Residuals and gradients are measured against the
     local field scale |p|^2 + |q|^2.
     """
-    pts = np.array(points, dtype=float)
-    rel = np.full(len(pts), np.inf)
-    relgrad = np.full(len(pts), np.inf)
-    active = np.arange(len(pts))
-    for _ in range(max_iters):
-        f, gx, gy, sc, coord, north = chart_jets(rp, pts[active])
-        g2 = gx * gx + gy * gy
-        r = np.abs(f) / sc
-        rel[active] = r
-        relgrad[active] = np.sqrt(g2) / sc
-        pending = r > tol_rel
-        if not np.any(pending):
-            break
-        ok = g2 > 0
-        step = np.where(ok, f / np.where(ok, g2, 1.0), 0.0)
-        znew = coord - step * (gx + 1j * gy)
-        moved = _lift_chart(znew, north)
-        upd = active[pending]
-        pts[upd] = moved[pending]
-        active = upd
-    return pts, rel, relgrad, rel <= tol_rel
+
+    def jet(v):
+        f, gx, gy, sc, coord, north = chart_jets(rp, v)
+        return f, gx * gx + gy * gy, sc, lambda s: _lift_chart(coord - s * (gx + 1j * gy), north)
+
+    return _project(jet, points, tol_rel, max_iters)
+
+
+def real_newton_correct(
+    poly: RealKostlanPolynomial,
+    points: np.ndarray,
+    tol_rel: float = 1e-11,
+    max_iters: int = 12,
+):
+    """Project sphere points onto {poly = 0} by tangential Newton steps.
+
+    Same return convention as :func:`newton_correct`; the gradient is the
+    ambient gradient projected to the tangent plane, and residuals are
+    measured against the root-sum-square of the monomial terms.
+    """
+
+    def jet(v):
+        f, g, sc = eval_real_many(poly, v, with_grad=True)
+        gt = g - np.einsum("ij,ij->i", g, v)[:, None] * v
+
+        def move(step):
+            moved = v - step[:, None] * gt
+            return moved / np.linalg.norm(moved, axis=1)[:, None]
+
+        return f, np.einsum("ij,ij->i", gt, gt), np.maximum(sc, 1e-300), move
+
+    return _project(jet, points, tol_rel, max_iters)
+
+
+def _unit_cross(points, g3) -> np.ndarray:
+    """points x g3, normalized; zero rows stay zero."""
+    t = np.cross(np.asarray(points, dtype=float), g3)
+    nrm = np.linalg.norm(t, axis=1)
+    return t / np.where(nrm > 0, nrm, 1.0)[:, None]
+
+
+def curve_tangents(rp: RationalPair, points: np.ndarray) -> np.ndarray:
+    """Unit 3-vectors tangent to {f = 0} at points assumed on the curve.
+
+    The chart gradient is pushed forward to R^3 through the chart lift and
+    rotated by 90 degrees in the tangent plane; the overall sign is
+    arbitrary.
+    """
+    f, gx, gy, sc, coord, north = chart_jets(rp, points)
+    h = 1e-7
+    e1 = (_lift_chart(coord + h, north) - _lift_chart(coord - h, north)) / (2 * h)
+    e2 = (_lift_chart(coord + 1j * h, north) - _lift_chart(coord - 1j * h, north)) / (2 * h)
+    return _unit_cross(points, gx[:, None] * e1 + gy[:, None] * e2)
+
+
+def real_curve_tangents(poly: RealKostlanPolynomial, points: np.ndarray) -> np.ndarray:
+    _, g, _ = eval_real_many(poly, points, with_grad=True)
+    return _unit_cross(points, g)
 
 
 # Relative residual and iteration limit of the Newton projections made by

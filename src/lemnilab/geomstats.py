@@ -17,7 +17,7 @@ import numpy as np
 from .ensemble import RationalPair
 from .field import eval_f_many
 from .sphere import GreatCircle, orthonormal_frame, unit_vector
-from .tracer import TracedLemniscate, default_options
+from .tracer import TracedLemniscate, default_options, ring, walk
 
 
 class AxisTooClose(ValueError):
@@ -28,22 +28,7 @@ class TangencySuspected(RuntimeError):
     """A great-circle crossing looks non-transversal; trial is flagged."""
 
 
-def _longitudes(vertices: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    return np.arctan2(vertices @ e2, vertices @ e1)
-
-
-def _wrapped_increments(theta: np.ndarray) -> np.ndarray:
-    """theta[i+1] - theta[i] wrapped to (-pi, pi], for the open vertex list."""
-    d = np.diff(theta)
-    return (d + math.pi) % (2.0 * math.pi) - math.pi
-
-
 _POLE_FLOOR = 1e-5
-
-
-def _pole_distance(P: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Spherical distance to the nearer of axis / antipode."""
-    return np.arccos(np.clip(np.abs(P @ axis), -1.0, 1.0))
 
 
 def _refine_near_axis(P: np.ndarray, axis: np.ndarray, field) -> np.ndarray:
@@ -56,7 +41,7 @@ def _refine_near_axis(P: np.ndarray, axis: np.ndarray, field) -> np.ndarray:
     _POLE_FLOOR of a pole.
     """
     for _ in range(40):
-        d = _pole_distance(P, axis)
+        d = np.arccos(np.clip(np.abs(P @ axis), -1.0, 1.0))  # to the nearer pole
         if d.min() < _POLE_FLOOR:
             raise AxisTooClose("curve passes through the axis neighborhood")
         dn = np.minimum(d, np.roll(d, -1))
@@ -94,8 +79,10 @@ def _east(P: np.ndarray, axis: np.ndarray) -> np.ndarray:
 
 
 def _winding(P, e1, e2) -> int:
-    theta = _longitudes(P, e1, e2)
-    d = _wrapped_increments(np.append(theta, theta[0]))
+    """Turns of the closed loop P in longitude about the frame's axis."""
+    theta = np.arctan2(P @ e2, P @ e1)
+    d = np.diff(np.append(theta, theta[0]))
+    d = (d + math.pi) % (2.0 * math.pi) - math.pi  # wrapped to (-pi, pi]
     return round(float(d.sum()) / (2.0 * math.pi))
 
 
@@ -121,59 +108,6 @@ def _may_hide_pair(a0, c, a1) -> np.ndarray:
     t = np.where(C > 0.0, np.clip(-B / (2.0 * np.where(C > 0.0, C, 1.0)), 0.0, 1.0), 0.0)
     low = np.minimum(np.minimum(a0, a1), a0 + B * t + C * t * t)
     return low < 0.25 * np.abs(C) + _PAIR_MARGIN
-
-
-def walk(field, starts, targets, dirs, steps, min_steps, caps):
-    """Tangent continuation from each start point to its target, in lockstep.
-
-    Each walk steps `steps[k]` along the field tangent oriented by its
-    previous step (`dirs[k]` for the first) and Newton-projects back onto
-    the curve, so its points are ordered along the arc.  A walk ends at the
-    first point past `min_steps[k]` steps within 1.2 steps of its target.
-    Returns per walk the (points, oriented unit tangents) it visited after
-    the start, or None for a walk whose projection stalled or that took
-    `caps[k]` steps without arriving.
-    """
-    m = len(starts)
-    if not m:
-        return []
-    cur = np.array(starts, dtype=float)
-    last = np.array(dirs, dtype=float)
-    k = np.zeros(m, dtype=np.int64)
-    failed = np.zeros(m, dtype=bool)
-    who, pts, tans = [], [], []
-    active = np.arange(m)
-    while len(active):
-        T = field.tangents(cur[active])
-        T *= np.where(_dot(T, last[active]) < 0.0, -1.0, 1.0)[:, None]
-        moved = k[active] > 0
-        who.append(active[moved])
-        pts.append(cur[active[moved]])
-        tans.append(T[moved])
-        gap = np.linalg.norm(cur[active] - targets[active], axis=1)
-        done = (k[active] >= min_steps[active]) & (gap < 1.2 * steps[active])
-        over = ~done & (k[active] >= caps[active])
-        failed[active[over]] = True
-        active, T = active[~done & ~over], T[~done & ~over]
-        if not len(active):
-            break
-        pred = cur[active] + steps[active, None] * T
-        pred /= np.linalg.norm(pred, axis=1)[:, None]
-        nxt, _, _, conv = field.newton(pred)
-        failed[active[~conv]] = True
-        active, nxt = active[conv], nxt[conv]
-        last[active] = nxt - cur[active]
-        cur[active] = nxt
-        k[active] += 1
-    who = np.concatenate(who)
-    order = np.argsort(who, kind="stable")
-    pts = np.concatenate(pts)[order]
-    tans = np.concatenate(tans)[order]
-    cut = np.searchsorted(who[order], np.arange(m + 1))
-    return [
-        None if failed[i] else (pts[cut[i] : cut[i + 1]], tans[cut[i] : cut[i + 1]])
-        for i in range(m)
-    ]
 
 
 def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int]:
@@ -209,11 +143,9 @@ def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int
     sizes = np.array([len(P) for P in loops])
     P = np.concatenate(loops)
     N = len(P)
-    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    first, nxt = ring(sizes)
     idx = np.arange(N)
-    nxt = first + (idx - first + 1) % np.repeat(sizes, sizes)
-    prv = np.empty(N, dtype=np.int64)
-    prv[nxt] = idx
+    prv = np.argsort(nxt)  # the inverse permutation
     E = _east(P, axis)
 
     d = P[nxt] - P
@@ -285,8 +217,8 @@ def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int
     lost = 0
     seg = np.flatnonzero(pair)
     if len(seg):
-        out = walk(field, P[seg], P[nxt[seg]], u[seg], _WALK_SHARE * h[seg],
-                   np.full(len(seg), 2.0), np.full(len(seg), 20.0))
+        out, _, _ = walk(field, P[seg], P[nxt[seg]], u[seg], _WALK_SHARE * h[seg],
+                         np.full(len(seg), 2.0), np.full(len(seg), 20.0))
         for i, res in zip(seg, out):
             if res is None:
                 lost += 1
@@ -301,8 +233,8 @@ def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int
     heads = first[last][small]
     if len(heads):
         step = length[small] / 24.0
-        out = walk(field, P[heads], P[heads], T[heads], step,
-                   np.full(len(heads), 12.0), np.full(len(heads), 80.0))
+        out, _, _ = walk(field, P[heads], P[heads], T[heads], step,
+                         np.full(len(heads), 12.0), np.full(len(heads), 80.0))
         for j, a, res in zip(np.flatnonzero(small), heads, out):
             if res is None:
                 # the walk left along a strand the trace did not close:

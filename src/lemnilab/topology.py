@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from .ensemble import RandomStream, RationalPair, sample_rational_pair
 from .field import eval_f_many
 from .icogrid import icosphere
-from .sphere import unit_vector
+from .sphere import orthonormal_frame, unit_vector
 from .tracer import (
     GRID_JITTER,
     DegenerateLemniscate,
@@ -101,8 +101,6 @@ class NestingTree:
 
     n_faces: int
     edges: np.ndarray  # (b0, 2) face ids joined by component i
-    face_sizes: np.ndarray  # grid vertices per face
-    root: int = -1
     # lookup payload for rooting at a point
     _face_of_vertex: np.ndarray = field(default=None, repr=False, compare=False)
     _rp: object = field(default=None, repr=False, compare=False)
@@ -181,8 +179,6 @@ def _try_nesting_tree(
     return NestingTree(
         n_faces,
         np.array(edges, dtype=np.int64).reshape(-1, 2),
-        sizes,
-        -1,
         labels,
         rp,
         t.grid_resolution,
@@ -219,8 +215,6 @@ def face_of_point(tree: NestingTree, point) -> int:
     d = verts @ point
     order = np.argpartition(-d, min(64, len(d) - 1))[:64]
     order = order[np.argsort(-d[order])]
-    pos = np.zeros(len(verts), dtype=bool)
-    pos[order] = True
     fv = eval_f_many(tree._rp, verts[order]) > 0
     for vid, side in zip(order, fv):
         if side == want:
@@ -348,12 +342,7 @@ def local_arrangement_probability(
     center = unit_vector(center)
     radius = rho / math.sqrt(n)
     # chart axes for the planar containment test
-    tmp = np.array([1.0, 0.0, 0.0])
-    if abs(center[0]) > 0.9:
-        tmp = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(center, tmp)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(center, e1)
+    e1, e2 = orthonormal_frame(center)
 
     opts = default_options(n)
     margin = 0.6 * icosphere(opts.grid_resolution).mean_edge_length

@@ -18,7 +18,7 @@ import numpy as np
 from .ensemble import RandomStream
 from .field import as_field
 from .icogrid import icosphere
-from .sphere import Rotation, spherical_distance, spherical_distance_many
+from .sphere import Rotation, spherical_distance_many
 
 # the grid rotation every trace uses (tie-breaking, see the module doc)
 GRID_JITTER = Rotation.random(RandomStream(0x1CE5_9E0D, 0).generator())
@@ -162,97 +162,130 @@ def _link_cycles(pair_rows: np.ndarray, n_nodes: int) -> list:
     return cycles
 
 
-def _densify(fieldobj, loops, target):
-    """Split over-long segments at geodesic midpoints until none exceed
-    roughly twice the target arc-step; inserted points are Newton-projected
-    back onto the curve."""
+def ring(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(first, next) indices of closed loops stored back to back in one
+    vertex array, loop j holding sizes[j] vertices: first[i] is the first
+    vertex of i's loop and next[i] the vertex after i, wrapping at the
+    loop's end."""
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    idx = np.arange(len(first))
+    return first, first + (idx - first + 1) % np.repeat(sizes, sizes)
+
+
+def walk(fieldobj, starts, targets, dirs, steps, min_steps, caps):
+    """Tangent continuation from each start point to its target, in lockstep.
+
+    Each walk steps `steps[k]` along the field tangent oriented by its
+    previous step (`dirs[k]` for the first) and Newton-projects back onto
+    the curve, so its points are ordered along the arc.  A walk ends at the
+    first point past `min_steps[k]` steps within 1.2 steps of its target.
+    Returns (walks, stalled, min relative gradient of the Newton steps):
+    per walk the (points, oriented unit tangents) it visited after the
+    start, or None for a walk whose projection stalled (marked in the
+    stalled mask) or that took `caps[k]` steps without arriving.
+    """
+    m = len(starts)
+    if not m:
+        return [], np.zeros(0, dtype=bool), math.inf
+    cur = np.array(starts, dtype=float)
+    last = np.array(dirs, dtype=float)
+    k = np.zeros(m, dtype=np.int64)
+    failed = np.zeros(m, dtype=bool)
+    stalled = np.zeros(m, dtype=bool)
+    min_grad = math.inf
+    who, pts, tans = [], [], []
+    active = np.arange(m)
+    while len(active):
+        T = fieldobj.tangents(cur[active])
+        T *= np.where(np.einsum("ij,ij->i", T, last[active]) < 0.0, -1.0, 1.0)[:, None]
+        moved = k[active] > 0
+        who.append(active[moved])
+        pts.append(cur[active[moved]])
+        tans.append(T[moved])
+        gap = np.linalg.norm(cur[active] - targets[active], axis=1)
+        done = (k[active] >= min_steps[active]) & (gap < 1.2 * steps[active])
+        over = ~done & (k[active] >= caps[active])
+        failed[active[over]] = True
+        active, T = active[~done & ~over], T[~done & ~over]
+        if not len(active):
+            break
+        pred = cur[active] + steps[active, None] * T
+        pred /= np.linalg.norm(pred, axis=1)[:, None]
+        nxt, _, relgrad, conv = fieldobj.newton(pred)
+        min_grad = min(min_grad, float(relgrad.min()))
+        failed[active[~conv]] = stalled[active[~conv]] = True
+        active, nxt = active[conv], nxt[conv]
+        last[active] = nxt - cur[active]
+        cur[active] = nxt
+        k[active] += 1
+    who = np.concatenate(who)
+    order = np.argsort(who, kind="stable")
+    pts = np.concatenate(pts)[order]
+    tans = np.concatenate(tans)[order]
+    cut = np.searchsorted(who[order], np.arange(m + 1))
+    walks = [
+        None if failed[i] else (pts[cut[i] : cut[i + 1]], tans[cut[i] : cut[i + 1]])
+        for i in range(m)
+    ]
+    return walks, stalled, min_grad
+
+
+def _densify(fieldobj, P, sizes, target):
+    """Split over-long segments of the loops P (stored back to back, with
+    sizes vertices each) at geodesic midpoints until none exceed roughly
+    twice the target arc-step; inserted points are Newton-projected back
+    onto the curve.  Returns (P, sizes, min relative gradient seen)."""
     min_grad = math.inf
     thresh = 1.9 * target
     for _ in range(12):
-        masks = [
-            spherical_distance_many(P, np.roll(P, -1, axis=0)) > thresh for P in loops
-        ]
-        counts = [int(m.sum()) for m in masks]
-        if sum(counts) == 0:
+        _, nxt = ring(sizes)
+        over = spherical_distance_many(P, P[nxt]) > thresh
+        if not over.any():
             break
-        mids = []
-        for P, m in zip(loops, masks):
-            if m.any():
-                s = P[m] + np.roll(P, -1, axis=0)[m]
-                mids.append(s / np.linalg.norm(s, axis=1)[:, None])
-        allmids = np.concatenate(mids)
-        corrected, rel, relgrad, conv = fieldobj.newton(allmids)
+        s = P[over] + P[nxt[over]]
+        corrected, _, relgrad, conv = fieldobj.newton(s / np.linalg.norm(s, axis=1)[:, None])
         min_grad = min(min_grad, float(relgrad.min()))
-        out = []
-        pos = 0
-        for P, m, k in zip(loops, masks, counts):
-            if k:
-                ok = conv[pos : pos + k]
-                keep = np.flatnonzero(m)[ok]
-                out.append(np.insert(P, keep + 1, corrected[pos : pos + k][ok], axis=0))
-                pos += k
-            else:
-                out.append(P)
-        loops = out
+        P, sizes = _insert_after(P, sizes, np.flatnonzero(over)[conv], corrected[conv])
         if not conv.all():
             # midpoints that stall (vanishing gradient near a hairpin tip)
-            # are left for the tangent-walk stage below
+            # are left for the tangent walk below
             break
 
     # stubborn segments remain when the curve hairpins away from the chord
     # and midpoints keep projecting onto one endpoint; walk those along the
     # tangent instead
-    out = []
-    for P in loops:
-        g = spherical_distance_many(P, np.roll(P, -1, axis=0))
-        bad = np.flatnonzero(g > thresh)
-        if len(bad) == 0:
-            out.append(P)
-            continue
-        pieces = []
-        prev_cut = 0
-        for i in bad:
-            pieces.append(P[prev_cut : i + 1])
-            walked, wg = _walk_segment(fieldobj, P, int(i), 0.45 * target)
-            min_grad = min(min_grad, wg)
-            if walked:
-                pieces.append(np.array(walked))
-            prev_cut = i + 1
-        pieces.append(P[prev_cut:])
-        out.append(np.concatenate([p for p in pieces if len(p)]))
-    return out, min_grad
-
-
-def _walk_segment(fieldobj, loop, i, step):
-    """Bridge loop[i] -> loop[i+1] by tangent-predictor continuation."""
-    a = loop[i]
-    b = loop[(i + 1) % len(loop)]
-    last_dir = a - loop[i - 1]
-    if np.linalg.norm(last_dir) < 1e-13:
-        last_dir = b - a
-    gap = spherical_distance(a, b)
+    _, nxt = ring(sizes)
+    gap = spherical_distance_many(P, P[nxt])
+    bad = np.flatnonzero(gap > thresh)
+    if not len(bad):
+        return P, sizes, min_grad
+    a, b = P[bad], P[nxt[bad]]
+    dirs = a - P[np.argsort(nxt)[bad]]  # from the previous vertex
+    short = np.linalg.norm(dirs, axis=1) < 1e-13
+    dirs[short] = (b - a)[short]
+    step = 0.45 * target
     # a genuine hairpin detour is a few gap lengths; anything longer means
     # the linkage jumped between distinct strands
-    cap = max(16, int((8.0 * gap + 6.0 * step) / step))
-    cur = a
-    pts = []
-    min_grad = math.inf
-    for _ in range(cap):
-        if spherical_distance(cur, b) < 1.2 * step and len(pts) > 0:
-            return pts, min_grad
-        t = fieldobj.tangents(cur[None, :])[0]
-        if np.dot(t, last_dir) < 0:
-            t = -t
-        pred = cur + step * t
-        pred /= np.linalg.norm(pred)
-        nxt, rel, relgrad, conv = fieldobj.newton(pred[None, :])
-        if not conv.all():
+    caps = np.maximum(16, ((8.0 * gap[bad] + 6.0 * step) / step).astype(np.int64)) - 1
+    walks, stalled, wg = walk(fieldobj, a, b, dirs, np.full(len(bad), step),
+                              np.ones(len(bad)), caps)
+    # the first walk in vertex order that failed decides
+    for res, st in zip(walks, stalled):
+        if st:
             raise DegenerateLemniscate("continuation step failed to converge")
-        min_grad = min(min_grad, float(relgrad[0]))
-        last_dir = nxt[0] - cur
-        cur = nxt[0]
-        pts.append(cur)
-    raise _StubbornSegment
+        if res is None:
+            raise _StubbornSegment
+    walked = [res[0] for res in walks]
+    P, sizes = _insert_after(P, sizes, np.repeat(bad, [len(w) for w in walked]),
+                             np.concatenate(walked))
+    return P, sizes, min(min_grad, wg)
+
+
+def _insert_after(P, sizes, at, points):
+    """Insert points after the vertices at (ascending) of the loops P."""
+    loop_of = np.repeat(np.arange(len(sizes)), sizes)
+    return (np.insert(P, at + 1, points, axis=0),
+            sizes + np.bincount(loop_of[at], minlength=len(sizes)))
 
 
 def trace(rp, opts: TraceOptions | None = None) -> TracedLemniscate:
@@ -302,12 +335,14 @@ def _trace_once(fieldobj, nu: int) -> TracedLemniscate:
     b = verts[e1[cids]]
     refined, min_grad = _edge_roots(fieldobj, a, b, F[e0[cids]], F[e1[cids]])
 
-    loops = [refined[c] for c in cycles]
-    loops, g2 = _densify(fieldobj, loops, _ARC_STEP * grid.mean_edge_length)
+    sizes = np.array([len(c) for c in cycles])
+    P, sizes, g2 = _densify(fieldobj, refined[np.concatenate(cycles)], sizes,
+                            _ARC_STEP * grid.mean_edge_length)
     min_grad = min(min_grad, g2)
 
     components = [
-        ClosedPolyline(np.concatenate([P, P[:1]], axis=0)) for P in loops
+        ClosedPolyline(np.concatenate([L, L[:1]], axis=0))
+        for L in np.split(P, np.cumsum(sizes)[:-1])
     ]
     loop_edges = [cids[c] for c in cycles]
     return TracedLemniscate(components, nu, min_grad, pos, loop_edges)

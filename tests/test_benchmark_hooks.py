@@ -8,6 +8,7 @@ import sys
 import lemnilab.constructor  # noqa: F401  (loads every traced module)
 import lemnilab.experiments  # noqa: F401
 from lemnilab.ensemble import RandomStream, sample_rational_pair
+from lemnilab.experiments import trial_stream
 from lemnilab.field import as_field
 from lemnilab.geomstats import meridian_stats
 from lemnilab.tracer import trace
@@ -40,3 +41,18 @@ def test_traced_layers_see_the_pipeline():
     assert ("field.curve_tangents", "geomstats.meridian_stats") in parents
     # the recorder restores the originals on exit
     assert tracer.trace is trace and geomstats.meridian_stats is meridian_stats
+
+
+def test_bridge_walk_is_traced():
+    # seed-202 n=200 trial 26 bridges a segment of its trace by a tangent
+    # walk; the benchmark counts the walk's steps from the curve_tangents
+    # calls made under trace
+    rp = sample_rational_pair(200, trial_stream(202, 200, 26))
+    rec = spans.Recorder()
+    with rec.installed(spans.full_targets()):
+        from lemnilab import tracer
+
+        tracer.trace(rp)
+    parents = {(s[0], rec.spans[s[3]][0]) for s in rec.spans if s[3] >= 0}
+    assert ("field.curve_tangents", "tracer.trace") in parents
+    assert ("field.newton_correct", "tracer.trace") in parents

@@ -14,10 +14,9 @@ from lemnilab.geomstats import (
     TangencySuspected,
     great_circle_intersections,
     meridian_stats,
-    walk,
 )
 from lemnilab.sphere import GreatCircle, random_great_circle
-from lemnilab.tracer import ClosedPolyline, TracedLemniscate, trace
+from lemnilab.tracer import ClosedPolyline, TracedLemniscate, trace, walk
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -71,8 +70,8 @@ def _densify_ordered(t, field, parts):
             o * np.einsum("ij,ij->i", np.roll(T, -1, axis=0), d) > 0.9 * h
         )
         k = np.flatnonzero(along)
-        out = walk(field, P[k], Q[k], d[k], h[k] / parts,
-                   np.full(len(k), parts - 1.0), np.full(len(k), 4.0 * parts))
+        out, _, _ = walk(field, P[k], Q[k], d[k], h[k] / parts,
+                         np.full(len(k), parts - 1.0), np.full(len(k), 4.0 * parts))
         inner = {}
         for i, res in zip(k, out):
             if res is not None:

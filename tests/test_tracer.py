@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,11 +11,21 @@ from lemnilab.ensemble import (
     sample_rational_pair,
     sample_real_kostlan,
 )
+from lemnilab.experiments import TRIAL_COLUMNS, ResultsTable, run_trial, trial_stream
+from lemnilab.field import as_field
 from lemnilab.tracer import (
     TraceOptions,
     default_options,
     trace,
+    walk,
 )
+
+RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "results")
+
+# seed-202 n=200 trials whose trace bridges one segment by a tangent walk,
+# with the grid resolution the trace ends at: trial 26's walk arrives,
+# trial 18's hits its cap and the trace is redone on the doubled grid
+BRIDGED = {26: 78, 18: 156}
 
 
 def unit_circle_pair():
@@ -97,3 +108,40 @@ def test_jitter_determinism():
     assert len(t1.components) == len(t2.components)
     for c1, c2 in zip(t1.components, t2.components):
         assert np.array_equal(c1.vertices, c2.vertices)
+
+
+def _walk_equator(caps):
+    start, target = np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])
+    (res,), stalled, _ = walk(as_field(unit_circle_pair()), start, target,
+                              target - start, np.array([0.1]), np.array([1]),
+                              np.array([caps]))
+    return res, stalled[0]
+
+
+def test_walk_arrives_along_the_curve():
+    res, stalled = _walk_equator(40)
+    assert res is not None and not stalled
+    pts = res[0]
+    assert len(pts) >= 12
+    assert np.max(np.abs(pts[:, 2])) < 1e-8
+    assert np.linalg.norm(pts[-1] - [0.0, 1.0, 0.0]) < 0.12
+
+
+def test_walk_cap_is_not_a_stall():
+    res, stalled = _walk_equator(2)
+    assert res is None and not stalled
+
+
+def test_bridged_trials_match_committed_rows(tmp_path):
+    rows = [run_trial("tangents", 200, 202, i) for i in BRIDGED]
+    path = tmp_path / "rows.csv"
+    ResultsTable([{k: r[k] for k in TRIAL_COLUMNS} for r in rows]).write_csv(str(path))
+    with open(os.path.join(RESULTS, "tangents_n200_trials.csv")) as fh:
+        committed = {ln.split(",")[1]: ln for ln in fh.read().splitlines()[1:]}
+    assert path.read_text().splitlines()[1:] == [committed[str(i)] for i in BRIDGED]
+
+
+def test_bridged_trace_resolution():
+    for i, nu in BRIDGED.items():
+        rp = sample_rational_pair(200, trial_stream(202, 200, i))
+        assert trace(rp).grid_resolution == nu
