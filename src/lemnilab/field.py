@@ -36,12 +36,13 @@ _CHUNK = 8192
 
 
 def _power_matrix(z: np.ndarray, n: int) -> np.ndarray:
-    """(m, n+1) matrix of z^k; z should stay in the closed unit disk.
+    """(m, n+1) matrix of z^k, of z's dtype; z should stay in the closed
+    unit disk.
 
     Built by doubling (z^(w+k) = z^w z^k), which vectorizes much better
     than a sequential cumulative product along the degree axis.
     """
-    V = np.empty((len(z), n + 1), dtype=complex)
+    V = np.empty((len(z), n + 1), dtype=z.dtype)
     V[:, 0] = 1.0
     if n >= 1:
         V[:, 1] = z
@@ -163,51 +164,62 @@ def chart_jets(rp: RationalPair, points: np.ndarray):
     return f, gx, gy, sc, coord, north
 
 
-def _power_table(x: np.ndarray, n: int) -> np.ndarray:
-    """(n+1, m) table of x^k, k = 0..n."""
-    out = np.ones((n + 1, len(x)))
-    if n >= 1:
-        out[1] = x
-        for k in range(2, n + 1):
-            out[k] = out[k - 1] * x
-    return out
+# The two other axes, in index order, when axis d dominates a point.
+_CHART_AXES = ((1, 2), (0, 2), (0, 1))
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
 
 
 def eval_real_many(
     poly: RealKostlanPolynomial,
     points: np.ndarray,
     with_grad: bool = False,
-    chunk: int = 4096,
 ):
     """Homogeneous real polynomial (and ambient gradient) at sphere points.
 
-    Chunked so the (n_monomials, chunk) intermediates stay modest even at
-    degree a few hundred.
+    Separable in the chart of each point's dominant coordinate t (largest
+    modulus, ties to the lowest axis): with u, v the other two coordinates
+    over t (so |u|, |v| <= 1), U, V their power matrices and C[a, b] the
+    coefficient of u^a v^b, f = t^n rowsum(U * (V C^T)).  The returned
+    scale is the root-sum-square of the monomial terms,
+    |t|^n sqrt(rowsum(U^2 * (V^2 (C*C)^T))), and the gradient components
+    are t^(n-1) times the same product with C weighted by a, b and
+    n - a - b.
     """
     pts = np.asarray(points, dtype=float)
     n = poly.degree
-    A, B, C = poly.exps[:, 0], poly.exps[:, 1], poly.exps[:, 2]
-    c = poly.coeffs
+    E = poly.exps
     N = len(pts)
     vals = np.empty(N)
     scale = np.empty(N)
     grad = np.empty((N, 3)) if with_grad else None
-    Am = np.where(A > 0, A - 1, 0)
-    Bm = np.where(B > 0, B - 1, 0)
-    Cm = np.where(C > 0, C - 1, 0)
-    for lo in range(0, N, chunk):
-        sl = slice(lo, min(lo + chunk, N))
-        px = _power_table(pts[sl, 0], n)
-        py = _power_table(pts[sl, 1], n)
-        pz = _power_table(pts[sl, 2], n)
-        monos = px[A] * py[B] * pz[C]
-        terms = c[:, None] * monos
-        vals[sl] = terms.sum(axis=0)
-        scale[sl] = np.sqrt((terms * terms).sum(axis=0))
+    dom = np.argmax(np.abs(pts), axis=1)
+    k = np.arange(n + 1.0)
+    for d, (i, j) in enumerate(_CHART_AXES):
+        idx = np.flatnonzero(dom == d)
+        if not len(idx):
+            continue
+        C = np.zeros((n + 1, n + 1))
+        C[E[:, i], E[:, j]] = poly.coeffs
+        t = pts[idx, d]
+        U = _power_matrix(pts[idx, i] / t, n)
+        V = _power_matrix(pts[idx, j] / t, n)
+        W = V @ C.T
+        tn = t**n
+        vals[idx] = tn * _rowdot(U, W)
+        scale[idx] = np.abs(tn) * np.sqrt(_rowdot(U * U, (V * V) @ (C * C).T))
         if with_grad:
-            grad[sl, 0] = (c * A) @ (px[Am] * py[B] * pz[C])
-            grad[sl, 1] = (c * B) @ (px[A] * py[Bm] * pz[C])
-            grad[sl, 2] = (c * C) @ (px[A] * py[B] * pz[Cm])
+            # d/du reuses V C^T: column a + 1 weighted by a + 1 meets u^a;
+            # d/dv: Cv[a, b] = (b + 1) C[a, b + 1]; d/dt: C[a, b] (n - a - b)
+            Cv = np.zeros_like(C)
+            Cv[:, :n] = C[:, 1:] * k[1:]
+            Wvt = V @ np.concatenate([Cv, C * (n - k[:, None] - k[None, :])]).T
+            tn1 = t ** (n - 1)
+            grad[idx, i] = tn1 * ((U[:, :n] * W[:, 1:]) @ k[1:])
+            grad[idx, j] = tn1 * _rowdot(U, Wvt[:, : n + 1])
+            grad[idx, d] = tn1 * _rowdot(U, Wvt[:, n + 1 :])
     if with_grad:
         return vals, grad, scale
     return vals, scale

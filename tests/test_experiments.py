@@ -7,12 +7,15 @@ import pytest
 
 from lemnilab.ensemble import KostlanPolynomial, RationalPair
 from lemnilab.experiments import (
+    TRIAL_COLUMNS,
     ConfigError,
     ExperimentConfig,
     MissingResults,
+    ResultsTable,
     compare_table,
     render_svg,
     run,
+    run_trial,
     trial_stream,
 )
 from lemnilab.tracer import trace
@@ -71,6 +74,19 @@ def test_determinism_across_worker_counts(tmp_path):
     s1 = open(os.path.join(out1, "length_summary.csv"), "rb").read()
     s2 = open(os.path.join(out2, "length_summary.csv"), "rb").read()
     assert s1 == s2
+
+
+def test_kostlan_rows_match_committed(tmp_path):
+    # the real evaluator feeds every kostlan-compare row; 17 and 307 are
+    # rows whose last length digit moves with its rounding
+    trials = [0, 17, 307]
+    rows = [run_trial("kostlan-compare", 50, 404, i) for i in trials]
+    path = tmp_path / "rows.csv"
+    ResultsTable([{k: r[k] for k in TRIAL_COLUMNS} for r in rows]).write_csv(str(path))
+    results = os.path.join(os.path.dirname(__file__), os.pardir, "results")
+    with open(os.path.join(results, "kostlan-compare_n50_trials.csv")) as fh:
+        committed = fh.read().splitlines()[1:]
+    assert path.read_text().splitlines()[1:] == [committed[i] for i in trials]
 
 
 def test_summary_contents(tmp_path):

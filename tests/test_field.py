@@ -1,10 +1,11 @@
 import numpy as np
 
-from lemnilab.ensemble import RandomStream, sample_rational_pair
+from lemnilab.ensemble import RandomStream, sample_rational_pair, sample_real_kostlan
 from lemnilab.field import (
     chart_jets,
     curve_tangents,
     eval_f_many,
+    eval_real_many,
     newton_correct,
     poly_jets_many,
 )
@@ -140,3 +141,54 @@ def test_unit_circle_pair_zero_on_equator():
     pts = inverse_stereographic_many(np.exp(1j * theta))
     vals = eval_f_many(rp, pts)
     assert np.max(np.abs(vals)) < 1e-12
+
+
+def _real_oracle_points(r):
+    """Each axis dominant with both signs, the six axis points, the eight
+    |x| = |y| = |z| ties and random points."""
+    pts = []
+    for d in range(3):
+        for s in (1.0, -1.0):
+            v = 0.4 * r.uniform(-1, 1, size=3)
+            v[d] = s
+            pts.append(v)
+            pts.append(s * np.eye(3)[d])
+    pts += [np.array([sx, sy, sz]) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    pts += list(r.normal(size=(30, 3)))
+    pts = np.array(pts, dtype=float)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def test_eval_real_many_oracle():
+    # values and scale against a monomial-by-monomial long-double sum (and
+    # the same with and without the gradient, so the grid's signs and the
+    # Newton residuals agree); the gradient against 4th-order central
+    # differences of the values and against Euler's identity p . grad f = n f
+    r = np.random.default_rng(2718)
+    pts = _real_oracle_points(r)
+    for n in (1, 2, 7, 50):
+        poly = sample_real_kostlan(n, RandomStream(17).substream(n))
+        f, grad, sc = eval_real_many(poly, pts, with_grad=True)
+        f0, sc0 = eval_real_many(poly, pts)
+        assert np.array_equal(f, f0) and np.array_equal(sc, sc0)
+        P = pts.astype(np.longdouble)
+        ref = np.zeros(len(pts), dtype=np.longdouble)
+        ref2 = np.zeros(len(pts), dtype=np.longdouble)
+        for (a, b, c), co in zip(poly.exps, poly.coeffs):
+            term = np.longdouble(co) * P[:, 0] ** a * P[:, 1] ** b * P[:, 2] ** c
+            ref += term
+            ref2 += term * term
+        ref_sc = np.sqrt(ref2)
+        assert np.max(np.abs(f - ref) / ref_sc) < 1e-12
+        assert np.max(np.abs(sc - ref_sc) / ref_sc) < 1e-12
+        euler = np.einsum("ij,ij->i", pts, grad) - n * f
+        assert np.max(np.abs(euler) / (n * sc)) < 1e-12
+        h = 0.005 / n
+        for k in range(3):
+            e = h * np.eye(3)[k]
+
+            def F(m):
+                return eval_real_many(poly, pts + m * e)[0]
+
+            fd = (8 * (F(1) - F(-1)) - (F(2) - F(-2))) / (12 * h)
+            assert np.max(np.abs(grad[:, k] - fd) / (n * sc)) < 1e-9
