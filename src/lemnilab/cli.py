@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import kacrice
-from .ensemble import RandomStream, sample_rational_pair
-from .experiments import ExperimentConfig, compare_table, render_svg, run
+from .ensemble import sample_rational_pair
+from .experiments import ExperimentConfig, compare_table, render_svg, run, trial_stream
 from .topology import Arrangement
 from .tracer import trace
 
@@ -77,9 +77,7 @@ def _add_render(sub):
 
 
 def _cmd_render(args) -> int:
-    rp = sample_rational_pair(
-        args.n, RandomStream(args.seed).substream(args.n).substream(args.trial)
-    )
+    rp = sample_rational_pair(args.n, trial_stream(args.seed, args.n, args.trial))
     t = trace(rp)
     render_svg(t, np.asarray(args.projection), args.out)
     print("%s: %d components" % (args.out, len(t.components)))

@@ -1,20 +1,22 @@
 """Constructive realization of circle arrangements as rational lemniscates.
 
 Any rooted tree of m circles is realized by a degree-m pair: each circle
-is added by perturbing r = p/q with a simple pole eps/z at a point rotated
+is added by perturbing r = p/q with a simple pole eps/z at a point moved
 to the chart origin, which spawns one oval around the pole without
 disturbing the rest of the arrangement.  Rational lemniscates are closed
-under pullback by arbitrary Mobius maps, so before every step the frame is
-renormalized (rotate the target point to the origin, dilate the free disk
-to unit size); this keeps each new oval at O(1) scale and the ratio
-between nesting levels shallow.  eps is found by halving from near its
-theoretical ceiling delta*(1-c0) until three scale-free checks pass: the
-oval exists as a single radial crossing inside the pole disk, every old
-oval persists under Newton continuation (with at most n+1 ovals possible
-in degree n+1, nothing else can appear), and the derivative certificate
-eps/|z|^2 - |r'(z)| is positive on the new oval.  One global trace at the
-end, in a frame anchored at the deepest node with the root face unfolded
-to infinity, confirms the whole tree.
+under pullback by Mobius maps, and every change of the frame is one: a
+2x2 matrix M moves the homogeneous markers [z : w], the traced ovals and
+the pair together (_Frame.moved).  Before every step the frame is
+renormalized (an SU(2) rotation takes the target point to the origin, a
+dilation diag(1, lam) brings the free disk to unit size); this keeps each
+new oval at O(1) scale and the ratio between nesting levels shallow.  eps
+is found by halving from near its theoretical ceiling delta*(1-c0) until
+three scale-free checks pass: the oval exists as a single radial crossing
+inside the pole disk, every old oval persists under Newton continuation
+(with at most n+1 ovals possible in degree n+1, nothing else can appear),
+and the derivative certificate eps/|z|^2 - |r'(z)| is positive on the new
+oval.  One global trace at the end, in a frame anchored at the deepest
+node with the root face unfolded to infinity, confirms the whole tree.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import KostlanPolynomial, RationalPair, mobius_polynomials, rotate_pair
-from .field import chart_jets, newton_correct
+from .ensemble import KostlanPolynomial, RationalPair, mobius_polynomials
+from .field import chart_jets, newton_correct, poly_jets_many
 from .sphere import (
-    INF,
     Rotation,
-    apply_mobius,
-    inverse_stereographic,
+    from_homogeneous,
+    homogeneous_coords,
     inverse_stereographic_many,
 )
 from .tracer import DegenerateLemniscate, TraceOptions, trace
@@ -55,6 +56,11 @@ class EpsilonExhausted(RuntimeError):
 _ORIGIN = np.array([0.0, 0.0, -1.0])  # chart coordinate z = 0
 _MAX_CIRCLES = 12
 _MAX_RESOLUTION = 768
+# degree 0, |r| = 1/2 everywhere: the empty lemniscate the first step perturbs
+_EMPTY = RationalPair(
+    KostlanPolynomial(0, np.array([0.5 + 0j])),
+    KostlanPolynomial(0, np.array([1.0 + 0j])),
+)
 
 
 @dataclass(frozen=True)
@@ -81,100 +87,51 @@ class ConstructedLemniscate:
         }
 
 
-def _poly_eval(coeffs: np.ndarray, z) -> np.ndarray:
-    return np.polyval(np.asarray(coeffs)[::-1], z)
+def _pair(n: int, pc: np.ndarray, qc: np.ndarray) -> RationalPair:
+    """The pair (pc, qc) scaled to unit max coefficient."""
+    s = max(np.abs(pc).max(), np.abs(qc).max())
+    return RationalPair(KostlanPolynomial(n, pc / s), KostlanPolynomial(n, qc / s))
 
 
-def _r_prime(p: np.ndarray, q: np.ndarray, z: np.ndarray) -> np.ndarray:
-    k = np.arange(1, len(p))
-    dp = p[1:] * k if len(p) > 1 else np.zeros(1, dtype=complex)
-    dq = q[1:] * k if len(q) > 1 else np.zeros(1, dtype=complex)
-    qv = _poly_eval(q, z)
-    return (_poly_eval(dp, z) * qv - _poly_eval(p, z) * _poly_eval(dq, z)) / qv**2
+def _chart_abs(verts: np.ndarray) -> np.ndarray:
+    zh, wh = homogeneous_coords(verts)
+    return np.abs(zh) / np.abs(wh)
 
 
-def _chart(verts: np.ndarray) -> np.ndarray:
-    t = np.minimum(verts[:, 2], 1.0 - 1e-12)
-    return (verts[:, 0] + 1j * verts[:, 1]) / (1.0 - t)
+def _to_origin(h) -> np.ndarray:
+    """The SU(2) move taking the point [z : w] to the chart origin."""
+    return Rotation.align(from_homogeneous(h), _ORIGIN).su2()
 
 
+@dataclass(frozen=True)
 class _Frame:
-    """The pair plus everything that must ride along under Mobius moves."""
+    """The pair plus everything that must ride along under Mobius moves:
+    homogeneous markers [z : w] of the faces placed so far, and the
+    per-component vertex arrays of the ovals."""
 
-    def __init__(self):
-        self.rp = None
-        self.markers = {"root": INF}
-        self.comp_verts = []  # per-component vertex arrays of the last trace
+    rp: RationalPair
+    markers: dict
+    comp_verts: list
 
-    def rotate(self, rot: Rotation):
-        if self.rp is not None:
-            self.rp = rotate_pair(self.rp, rot)
-        self.markers = {k: apply_mobius(rot, m) for k, m in self.markers.items()}
-        self.comp_verts = [rot.apply(v) for v in self.comp_verts]
+    def moved(self, M: np.ndarray) -> "_Frame":
+        """The frame in the coordinate [z : w] -> M [z : w].
 
-    def dilate(self, lam: float):
-        """Change coordinate to z' = z / lam."""
-        if self.rp is not None:
-            n = self.rp.degree
-            pows = lam ** np.arange(n + 1)
-            pc = self.rp.p.coeffs * pows
-            qc = self.rp.q.coeffs * pows
-            s = max(np.abs(pc).max(), np.abs(qc).max())
-            self.rp = RationalPair(
-                KostlanPolynomial(n, pc / s), KostlanPolynomial(n, qc / s)
-            )
-        self.markers = {
-            k: (m if m is INF else m / lam) for k, m in self.markers.items()
-        }
-        self.comp_verts = [
-            inverse_stereographic_many(_chart(v) / lam) for v in self.comp_verts
-        ]
-
-    def unfold(self, m_root):
-        """Pull back by z = m w / (w + 1): the root marker goes to infinity.
-
-        With the root face wrapped around the point at infinity, a nest of
-        circles turns into rings at hierarchical chart radii, which a
-        single dilation can then balance.
+        The pair is pulled back by M's adjugate, so the new curve is the
+        image of the old one.
         """
-        if m_root is INF:
-            return
-        m = complex(m_root)
-        if self.rp is not None:
-            n = self.rp.degree
-            pc, qc = mobius_polynomials(
-                [self.rp.p.coeffs, self.rp.q.coeffs], n, m, 0.0, 1.0, 1.0
-            )
-            s = max(np.abs(pc).max(), np.abs(qc).max())
-            self.rp = RationalPair(
-                KostlanPolynomial(n, pc / s), KostlanPolynomial(n, qc / s)
-            )
-
-        def inv(z):
-            if z is INF:
-                return -1.0 + 0j
-            den = m - z
-            if den == 0:
-                return INF
-            return z / den
-
-        self.markers = {k: inv(v) for k, v in self.markers.items()}
-        nv = []
-        for v in self.comp_verts:
-            z = _chart(v)
-            den = m - z
-            small = np.abs(den) < 1e-300
-            den = np.where(small, 1e-300, den)
-            nv.append(inverse_stereographic_many(z / den))
-        self.comp_verts = nv
-
-    def root_point3(self) -> np.ndarray:
-        return inverse_stereographic(self.markers["root"])
-
-    def curve_chart_abs(self) -> np.ndarray:
-        if not self.comp_verts:
-            return np.array([])
-        return np.abs(_chart(np.concatenate(self.comp_verts)))
+        (a, b), (c, d) = M
+        n = self.rp.degree
+        pc, qc = mobius_polynomials(
+            [self.rp.p.coeffs, self.rp.q.coeffs], n, d, -b, -c, a
+        )
+        return _Frame(
+            _pair(n, pc, qc),
+            {k: M @ h for k, h in self.markers.items()},
+            [
+                from_homogeneous(np.stack(homogeneous_coords(v), axis=-1) @ M.T)
+                for v in self.comp_verts
+            ],
+        )
 
     def min_feature(self) -> float:
         """Smallest component diameter (3D chord) in the current frame."""
@@ -192,44 +149,40 @@ def _resolution_for(feature: float) -> int:
     return int(np.clip(math.ceil(4.5 / feature), 96, _MAX_RESOLUTION))
 
 
-def _verify(frame: _Frame, rp: RationalPair, expected: str, nu: int):
-    t = trace(rp, TraceOptions(grid_resolution=nu))
-    tree = nesting_tree(rp, t)
-    form = rooted_canonical_form(tree, frame.root_point3())
-    return t, form.canonical == expected
+def _verify(frame: _Frame, expected: str, nu: int) -> bool:
+    t = trace(frame.rp, TraceOptions(grid_resolution=nu))
+    tree = nesting_tree(frame.rp, t)
+    form = rooted_canonical_form(tree, from_homogeneous(frame.markers["root"]))
+    return form.canonical == expected
 
 
 def _add_circle(frame: _Frame, key, shrink: float = 1.0):
-    """One inductive step; mutates frame, returns (eps, certificate)."""
+    """One inductive step; returns (new frame, eps, certificate)."""
     # normalize: parent face marker to the origin, free disk to unit size
-    parent_marker = frame.markers[key[0]] if key[0] in frame.markers else INF
-    frame.rotate(Rotation.align(inverse_stereographic(parent_marker), _ORIGIN))
+    frame = frame.moved(_to_origin(frame.markers[key[0]]))
     if frame.comp_verts:
-        frame.dilate(float(frame.curve_chart_abs().min()))
+        lam = min(float(_chart_abs(v).min()) for v in frame.comp_verts)
+        frame = frame.moved(np.diag([1.0, lam]))
     # pole goes next to the parent marker, not on top of it
-    frame.rotate(Rotation.align(inverse_stereographic(0.45 + 0.0j), _ORIGIN))
+    frame = frame.moved(_to_origin(np.array([0.45, 1.0])))
 
     dists = [1.0]
-    if frame.comp_verts:
-        dists.append(float(frame.curve_chart_abs().min()))
+    dists.extend(float(_chart_abs(v).min()) for v in frame.comp_verts)
     dists.extend(
-        abs(m) for m in frame.markers.values() if m is not INF and abs(m) > 0
+        abs(z / w) for z, w in frame.markers.values() if z != 0 and w != 0
     )
     delta = 0.5 * min(dists)
 
-    if frame.rp is None:
-        p = np.array([0.5 + 0j])  # empty lemniscate |r| = 1/2
-        q = np.array([1.0 + 0j])
-    else:
-        p, q = frame.rp.p.coeffs, frame.rp.q.coeffs
-        if abs(_poly_eval(p, 0.0)) >= abs(_poly_eval(q, 0.0)):
-            p, q = q, p  # ensure |r(0)| < 1
+    p, q = frame.rp.p.coeffs, frame.rp.q.coeffs
+    if abs(p[0]) >= abs(q[0]):
+        p, q = q, p  # ensure |r(0)| < 1
 
     # c0 = max |r| over the pole disk; no curve there, so c0 < 1
     rr = delta * np.sqrt(np.linspace(0.02, 1.0, 16))
     th = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 32, endpoint=False))
     zs = np.concatenate([[0.0 + 0j], np.outer(rr, th).ravel()])
-    c0 = float(np.abs(_poly_eval(p, zs) / _poly_eval(q, zs)).max())
+    (pv,), (qv,) = poly_jets_many([p, q], zs)
+    c0 = float(np.abs(pv / qv).max())
     if c0 >= 1.0:
         raise EpsilonExhausted("pole disk touches the current lemniscate")
 
@@ -241,10 +194,7 @@ def _add_circle(frame: _Frame, key, shrink: float = 1.0):
         pc[: n + 1] += eps * q
         qc = np.zeros(n + 2, dtype=complex)
         qc[1:] = q
-        s = max(np.abs(pc).max(), np.abs(qc).max())
-        cand = RationalPair(
-            KostlanPolynomial(n + 1, pc / s), KostlanPolynomial(n + 1, qc / s)
-        )
+        cand = _pair(n + 1, pc, qc)
         # local checks only; they are scale free, so deep nests cost the
         # same as shallow ones.  Correctness of the global picture follows
         # from the count bound: degree-(n+1) lemniscates have at most n+1
@@ -257,13 +207,13 @@ def _add_circle(frame: _Frame, key, shrink: float = 1.0):
         if moved is None:
             eps *= 0.5
             continue
-        margin = eps / np.abs(oval_z) ** 2 - np.abs(_r_prime(p, q, oval_z))
-        cert = float(margin.min())
+        (p0, p1), (q0, q1) = poly_jets_many([p, q], oval_z, order=1)
+        r_prime = (p1 * q0 - p0 * q1) / q0**2
+        cert = float((eps / np.abs(oval_z) ** 2 - np.abs(r_prime)).min())
         if cert > 0.0:
-            frame.rp = cand
-            frame.comp_verts = moved + [inverse_stereographic_many(oval_z)]
-            frame.markers[key] = 0.0 + 0.0j
-            return eps, cert
+            markers = {**frame.markers, key: np.array([0.0, 1.0 + 0j])}
+            ovals = moved + [inverse_stereographic_many(oval_z)]
+            return _Frame(cand, markers, ovals), eps, cert
         eps *= 0.5
     raise EpsilonExhausted("no epsilon passed after 60 halvings")
 
@@ -294,7 +244,8 @@ def _local_oval(pc, qc, eps, delta, n_rays=64):
 
 
 def _cand_field(pc, qc, z):
-    return np.abs(_poly_eval(pc, z)) ** 2 - np.abs(_poly_eval(qc, z)) ** 2
+    (pv,), (qv,) = poly_jets_many([pc, qc], z)
+    return (np.abs(pv) ** 2 - np.abs(qv) ** 2).reshape(np.shape(z))
 
 
 def _persisted_components(cand: RationalPair, comp_verts: list):
@@ -323,32 +274,25 @@ def _balance_frame(frame: _Frame, spec: Arrangement, anchor_key):
     """Unfold and dilate so feature scales straddle 1, then verify.
 
     The frame is first centered at the deepest node, where the scales
-    accumulate, so the unfolded nest spreads into hierarchical rings.
+    accumulate.  Unfolding, [z : w] -> [w_m z : z_m w - w_m z], sends the
+    root marker [z_m : w_m] to infinity and keeps the origin; with the
+    root face wrapped around infinity the nest spreads into rings at
+    hierarchical chart radii, which a single dilation can then balance.
     """
-    base = _Frame()
-    base.rp = frame.rp
-    base.markers = dict(frame.markers)
-    base.comp_verts = list(frame.comp_verts)
-    base.rotate(
-        Rotation.align(inverse_stereographic(base.markers[anchor_key]), _ORIGIN)
-    )
-    base.unfold(base.markers["root"])
-    radii = [np.median(np.abs(_chart(v))) for v in base.comp_verts]
+    base = frame.moved(_to_origin(frame.markers[anchor_key]))
+    zm, wm = base.markers["root"]
+    base = base.moved(np.array([[wm, 0.0], [-wm, zm]]))
+    radii = [np.median(_chart_abs(v)) for v in base.comp_verts]
     lam0 = float(np.exp(np.mean(np.log(np.maximum(radii, 1e-12)))))
     for lam in (lam0, 4.0 * lam0, lam0 / 4.0, 16.0 * lam0, lam0 / 16.0):
-        probe = _Frame()
-        probe.rp = base.rp
-        probe.markers = dict(base.markers)
-        probe.comp_verts = list(base.comp_verts)
-        probe.dilate(lam)
+        probe = base.moved(np.diag([1.0, lam]))
         nu = _resolution_for(probe.min_feature())
         while True:
             try:
-                t, ok = _verify(probe, probe.rp, spec.canonical, nu)
+                ok = _verify(probe, spec.canonical, nu)
             except (DegenerateLemniscate, InconsistentTopology, PointOnCurve):
                 ok = False
             if ok:
-                probe.comp_verts = [c.vertices[:-1].copy() for c in t.components]
                 return probe, nu
             if nu >= _MAX_RESOLUTION:
                 break
@@ -387,11 +331,11 @@ def realize(spec: Arrangement) -> ConstructedLemniscate:
 
     last = None
     for attempt in range(3):
-        frame = _Frame()
+        frame = _Frame(_EMPTY, {"root": np.array([1.0 + 0j, 0.0])}, [])
         epsilons, certs = [], []
         try:
             for key, _depth in order:
-                eps, cert = _add_circle(frame, key, shrink=0.5**attempt)
+                frame, eps, cert = _add_circle(frame, key, shrink=0.5**attempt)
                 epsilons.append(eps)
                 certs.append(cert)
             frame, nu = _balance_frame(frame, spec, anchor_key)
@@ -403,7 +347,7 @@ def realize(spec: Arrangement) -> ConstructedLemniscate:
             spec,
             tuple(epsilons),
             tuple(certs),
-            frame.root_point3(),
+            from_homogeneous(frame.markers["root"]),
             nu,
         )
     raise last

@@ -95,9 +95,6 @@ class RationalPair:
     def degree(self) -> int:
         return self.p.degree
 
-    def swapped(self) -> "RationalPair":
-        return RationalPair(self.q, self.p)
-
     def to_json(self) -> dict:
         return {"p": self.p.to_json(), "q": self.q.to_json()}
 
@@ -201,8 +198,8 @@ def rotate_polynomials(
     """Compose homogenizations with the SU(2) action of r, de-homogenized:
     the Mobius pull-back by (lam z + mu)/(-conj(mu) z + conj(lam)).
     """
-    lam, mu = r.lam, r.mu
-    return mobius_polynomials(coeff_rows, n, lam, mu, -np.conj(mu), np.conj(lam))
+    (a, b), (c, d) = r.su2()
+    return mobius_polynomials(coeff_rows, n, a, b, c, d)
 
 
 def rotate_pair(rp: RationalPair, r: Rotation) -> RationalPair:

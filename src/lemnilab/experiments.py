@@ -14,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .geomstats import (
     great_circle_intersections,
     meridian_stats,
 )
-from .sphere import GreatCircle, random_great_circle, unit_vector
+from .sphere import random_great_circle, unit_vector
 from .topology import (
     Arrangement,
     InconsistentTopology,

@@ -14,22 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ensemble import RationalPair, RealKostlanPolynomial
-
-
-def homogeneous_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm homogeneous coordinates [z_h : w_h] of sphere points.
-
-    Uses (x + iy, 1 - t) on the southern half and the equivalent
-    (1 + t, x - iy) on the northern half, each normalized; the two differ
-    by a unit phase, which |f| does not see.
-    """
-    points = np.asarray(points, dtype=float)
-    x, y, t = points[..., 0], points[..., 1], points[..., 2]
-    south = t <= 0.0
-    zh = np.where(south, x + 1j * y, 1.0 + t + 0j)
-    wh = np.where(south, 1.0 - t + 0j, x - 1j * y)
-    norm = np.sqrt(np.abs(zh) ** 2 + np.abs(wh) ** 2)
-    return zh / norm, wh / norm
+from .sphere import homogeneous_coords
 
 
 _CHUNK = 8192

@@ -1,11 +1,12 @@
 """Geometry of the unit sphere and the extended complex plane.
 
-Points on S^2 are unit 3-vectors (numpy arrays).  The extended plane is
-represented as a tagged value: a python ``complex`` for finite points and
-the module-level sentinel :data:`INF` for the point at infinity.  Rotations
-are stored in SU(2) form (lam, mu) and act both as Mobius maps on the plane
-and as rigid rotations of the sphere; the two actions are conjugate under
-stereographic projection.
+Points on S^2 are unit 3-vectors (numpy arrays).  A point of the extended
+plane is a homogeneous pair [z : w] of complex numbers, w = 0 being the
+point at infinity; homogeneous_coords and from_homogeneous are the two
+directions of the chart, with z/w the chart coordinate
+(x + iy)/(1 - t) of the sphere point (x, y, t).  A 2x2 complex matrix acts
+on pairs as a Mobius map; rotations are stored in SU(2) form (lam, mu),
+and their matrix acts on pairs as the sphere rotation does on points.
 """
 
 from __future__ import annotations
@@ -14,25 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_POLE_TOL = 1e-12
-
-
-class _Infinity:
-    """Point at infinity of the extended complex plane."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = _Infinity()
 
 
 def unit_vector(v) -> np.ndarray:
@@ -44,34 +26,34 @@ def unit_vector(v) -> np.ndarray:
     return v / n
 
 
-def stereographic(p) -> "complex | _Infinity":
-    """Project a sphere point (x, y, t) to (x + iy)/(1 - t).
+def homogeneous_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm homogeneous coordinates [z_h : w_h] of sphere points.
 
-    The projection pole (0, 0, 1) maps to INF.
+    Uses (x + iy, 1 - t) on the southern half and the equivalent
+    (1 + t, x - iy) on the northern half, each normalized; the two differ
+    by a unit phase, which |f| does not see.
     """
-    x, y, t = np.asarray(p, dtype=float)
-    if abs(1.0 - t) < _POLE_TOL:
-        return INF
-    return complex(x, y) / (1.0 - t)
-
-
-def inverse_stereographic(z) -> np.ndarray:
-    """Lift a point of the extended plane back to the unit sphere."""
-    if z is INF:
-        return np.array([0.0, 0.0, 1.0])
-    z = complex(z)
-    m2 = z.real * z.real + z.imag * z.imag
-    return np.array([2.0 * z.real, 2.0 * z.imag, m2 - 1.0]) / (m2 + 1.0)
-
-
-def stereographic_many(points: np.ndarray) -> np.ndarray:
-    """Vectorized projection of (N, 3) sphere points; poles map to inf+0j."""
     points = np.asarray(points, dtype=float)
-    denom = 1.0 - points[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = (points[..., 0] + 1j * points[..., 1]) / denom
-    z = np.where(np.abs(denom) < _POLE_TOL, np.inf + 0j, z)
-    return z
+    x, y, t = points[..., 0], points[..., 1], points[..., 2]
+    south = t <= 0.0
+    zh = np.where(south, x + 1j * y, 1.0 + t + 0j)
+    wh = np.where(south, 1.0 - t + 0j, x - 1j * y)
+    norm = np.sqrt(np.abs(zh) ** 2 + np.abs(wh) ** 2)
+    return zh / norm, wh / norm
+
+
+def from_homogeneous(h) -> np.ndarray:
+    """Sphere points of pairs [z : w] stacked on the last axis.
+
+    (2 z conj(w), |z|^2 - |w|^2) / (|z|^2 + |w|^2): exact at both poles,
+    [1 : 0] giving the north pole and [0 : 1] the south pole.
+    """
+    h = np.asarray(h, dtype=complex)
+    z, w = h[..., 0], h[..., 1]
+    zw = z * np.conj(w)
+    a, b = np.abs(z) ** 2, np.abs(w) ** 2
+    out = np.stack([2.0 * zw.real, 2.0 * zw.imag, a - b], axis=-1)
+    return out / (a + b)[..., None]
 
 
 def inverse_stereographic_many(z: np.ndarray) -> np.ndarray:
@@ -81,42 +63,9 @@ def inverse_stereographic_many(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def spherical_distance(a, b) -> float:
-    """Great-circle distance arccos(a . b), clamped to [0, pi]."""
-    d = float(np.dot(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
-    return math.acos(min(1.0, max(-1.0, d)))
-
-
 def spherical_distance_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = np.einsum("...i,...i->...", np.asarray(a, float), np.asarray(b, float))
     return np.arccos(np.clip(d, -1.0, 1.0))
-
-
-class PoleCoordinates(ValueError):
-    """Spherical coordinates requested at a pole of the chosen axis."""
-
-
-def spherical_coords(p, axis=None) -> tuple[float, float]:
-    """Return (theta, phi) of p about the given axis (default z-axis).
-
-    theta in (-pi, pi] is the longitude, phi in [0, pi] the colatitude.
-    Raises PoleCoordinates when p lies at the axis or its antipode, where
-    the longitude is undefined.
-    """
-    p = np.asarray(p, dtype=float)
-    if axis is None:
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        e3 = np.array([0.0, 0.0, 1.0])
-    else:
-        e3 = unit_vector(axis)
-        e1, e2 = orthonormal_frame(e3)
-    c = float(np.dot(p, e3))
-    phi = math.acos(min(1.0, max(-1.0, c)))
-    sx, sy = float(np.dot(p, e1)), float(np.dot(p, e2))
-    if abs(sx) < _POLE_TOL and abs(sy) < _POLE_TOL:
-        raise PoleCoordinates("longitude undefined at the poles of the axis")
-    return math.atan2(sy, sx), phi
 
 
 def orthonormal_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +85,8 @@ class Rotation:
     """An SU(2) element (lam, mu; -conj(mu), conj(lam)), |lam|^2+|mu|^2 = 1.
 
     Acts on the extended plane as the Mobius map
-    z -> (lam z + mu)/(-conj(mu) z + conj(lam)) and on the sphere as the
-    corresponding rigid rotation.
+    z -> (lam z + mu)/(-conj(mu) z + conj(lam)), the matrix su2() on
+    [z : w], and on the sphere as the corresponding rigid rotation.
     """
 
     lam: complex
@@ -189,14 +138,13 @@ class Rotation:
         q = rng.normal(size=4)
         return Rotation.from_quaternion(*q)
 
-    def compose(self, other: "Rotation") -> "Rotation":
-        """self after other (matrix product of the SU(2) representatives)."""
-        a, b = self.lam, self.mu
-        c, d = other.lam, other.mu
-        return Rotation(a * c - b * np.conj(d), a * d + b * np.conj(c))
-
     def inverse(self) -> "Rotation":
         return Rotation(np.conj(self.lam), -self.mu)
+
+    def su2(self) -> np.ndarray:
+        """The 2x2 matrix of this rotation, acting on pairs [z : w]."""
+        lam, mu = self.lam, self.mu
+        return np.array([[lam, mu], [-np.conj(mu), np.conj(lam)]])
 
     def matrix(self) -> np.ndarray:
         """The SO(3) matrix of this rotation."""
@@ -216,20 +164,6 @@ class Rotation:
     def apply(self, p: np.ndarray) -> np.ndarray:
         """Rotate one or many sphere points."""
         return np.asarray(p, dtype=float) @ self.matrix().T
-
-
-def apply_mobius(r: Rotation, z):
-    """Evaluate the Mobius map of r on the extended plane."""
-    lam, mu = r.lam, r.mu
-    if z is INF:
-        num, den = lam, -np.conj(mu)
-    else:
-        z = complex(z)
-        num = lam * z + mu
-        den = -np.conj(mu) * z + np.conj(lam)
-    if abs(den) <= abs(num) * _POLE_TOL or den == 0:
-        return INF
-    return num / den
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from lemnilab.ensemble import RandomStream, sample_rational_pair
 from lemnilab.experiments import trial_stream
 from lemnilab.field import as_field
 from lemnilab.geomstats import meridian_stats
+from lemnilab.topology import Arrangement
 from lemnilab.tracer import trace
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
@@ -56,3 +57,19 @@ def test_bridge_walk_is_traced():
     parents = {(s[0], rec.spans[s[3]][0]) for s in rec.spans if s[3] >= 0}
     assert ("field.curve_tangents", "tracer.trace") in parents
     assert ("field.newton_correct", "tracer.trace") in parents
+
+
+def test_constructor_layers_are_traced():
+    # construct-6 reads the constructor's traces, its persistence Newton
+    # steps (from the second circle on) and the certificate's chart jets
+    # through the module-level names the recorder rebinds
+    rec = spans.Recorder()
+    with rec.installed(spans.full_targets()):
+        from lemnilab import constructor
+
+        c = constructor.realize(Arrangement("(()())"))
+        assert constructor.certify_nondegenerate(c)
+    parents = {(s[0], rec.spans[s[3]][0]) for s in rec.spans if s[3] >= 0}
+    assert ("tracer.trace", "constructor.realize") in parents
+    assert ("field.newton_correct", "constructor.realize") in parents
+    assert ("field.chart_jets", "constructor.certify_nondegenerate") in parents

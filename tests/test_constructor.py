@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from lemnilab.constructor import (
-    ConstructedLemniscate,
     InvalidSpec,
+    _Frame,
     all_rooted_trees,
     certify_nondegenerate,
     realize,
     realized_tree,
 )
-from lemnilab.topology import Arrangement
+from lemnilab.ensemble import RandomStream, RationalPair, sample_rational_pair
+from lemnilab.field import newton_correct
+from lemnilab.sphere import Rotation, from_homogeneous, homogeneous_coords
+from lemnilab.topology import Arrangement, nesting_tree, rooted_canonical_form
+from lemnilab.tracer import TraceOptions, trace
 
 
 def test_all_rooted_trees_counts():
@@ -58,16 +62,78 @@ def test_json_round_trip():
     c = realize(Arrangement.chain(3))
     d = c.to_json()
     assert d["spec"] == Arrangement.chain(3).canonical
-    back = ConstructedLemniscate.from_json(d) if hasattr(
-        ConstructedLemniscate, "from_json"
-    ) else None
-    # at minimum the serialized pair re-traces to the same tree
-    from lemnilab.ensemble import RationalPair
-    from lemnilab.topology import nesting_tree, rooted_canonical_form
-    from lemnilab.tracer import TraceOptions, trace
-
+    # the serialized pair re-traces to the same tree
     rp = RationalPair.from_json(d["pair"])
     t = trace(rp, TraceOptions(grid_resolution=c.trace_resolution))
     tree = nesting_tree(rp, t)
     assert rooted_canonical_form(tree, c.root_point) == Arrangement.chain(3)
-    assert back is None or isinstance(back, ConstructedLemniscate)
+
+
+def _adjugate(M):
+    (a, b), (c, d) = M
+    return np.array([[d, -b], [-c, a]])
+
+
+def _frame_on_curve():
+    # a degree-4 pair, its traced ovals projected onto the curve, and three
+    # markers: one random point and both poles
+    rp = sample_rational_pair(4, RandomStream(11))
+    verts = [
+        newton_correct(rp, c.vertices[:-1], tol_rel=1e-14)[0]
+        for c in trace(rp).components
+    ]
+    h = homogeneous_coords(np.array([0.6, -0.48, 0.64]))
+    markers = {
+        "a": np.array([h[0], h[1]]),
+        "root": np.array([1.0 + 0j, 0.0]),
+        "origin": np.array([0.0, 1.0 + 0j]),
+    }
+    return _Frame(rp, markers, verts)
+
+
+def _one_of_each_move(frame):
+    """A random SU(2) move, a dilation and an unfold of marker "a"."""
+    rot = Rotation.random(np.random.default_rng(12)).su2()
+    yield rot
+    yield np.diag([1.0, 0.3])
+    zm, wm = frame.moved(rot).moved(np.diag([1.0, 0.3])).markers["a"]
+    yield np.array([[wm, 0.0], [-wm, zm]])
+
+
+def test_moved_ovals_stay_on_the_moved_curve():
+    frame = _frame_on_curve()
+    assert len(frame.comp_verts) >= 1
+    for M in _one_of_each_move(frame):
+        frame = frame.moved(M)
+        for v in frame.comp_verts:
+            # one Newton pass records the residual of the points as given
+            _, rel, _, _ = newton_correct(frame.rp, v, tol_rel=1e-9, max_iters=1)
+            assert rel.max() <= 1e-9
+    # the unfold sends marker "a" to infinity
+    assert np.allclose(from_homogeneous(frame.markers["a"]), [0.0, 0.0, 1.0])
+
+
+def _assert_same_frame(f0, f1):
+    """Markers name the same points, vertices agree, the pair up to scale."""
+    for k, h in f0.markers.items():
+        assert np.allclose(
+            from_homogeneous(f1.markers[k]), from_homogeneous(h), atol=1e-12
+        ), k
+    for v0, v1 in zip(f0.comp_verts, f1.comp_verts, strict=True):
+        assert np.max(np.abs(v1 - v0)) < 1e-9
+    a = np.concatenate([f0.rp.p.coeffs, f0.rp.q.coeffs])
+    b = np.concatenate([f1.rp.p.coeffs, f1.rp.q.coeffs])
+    phase = np.vdot(b, a) / np.vdot(b, b)
+    assert np.linalg.norm(a - phase * b) <= 1e-9 * np.linalg.norm(a)
+
+
+def test_moved_by_the_adjugate_comes_back():
+    start = _frame_on_curve()
+    moves = list(_one_of_each_move(start))
+    frame = start
+    for M in moves:
+        _assert_same_frame(frame, frame.moved(M).moved(_adjugate(M)))
+        frame = frame.moved(M)
+    for M in reversed(moves):
+        frame = frame.moved(_adjugate(M))
+    _assert_same_frame(start, frame)

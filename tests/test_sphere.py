@@ -1,23 +1,15 @@
 import math
 
 import numpy as np
-import pytest
 
 from lemnilab.sphere import (
-    INF,
-    GreatCircle,
-    PoleCoordinates,
     Rotation,
-    apply_mobius,
-    inverse_stereographic,
+    from_homogeneous,
+    homogeneous_coords,
     inverse_stereographic_many,
     orthonormal_frame,
     random_great_circle,
-    spherical_coords,
-    spherical_distance,
     spherical_distance_many,
-    stereographic,
-    stereographic_many,
     unit_vector,
 )
 
@@ -32,40 +24,43 @@ def random_points(k):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def homogeneous(points):
+    return np.stack(homogeneous_coords(points), axis=-1)
+
+
 def test_stereographic_poles():
-    assert stereographic(SOUTH) == 0
-    assert stereographic(NORTH) is INF
-    assert np.allclose(inverse_stereographic(0), SOUTH)
-    assert np.allclose(inverse_stereographic(INF), NORTH)
+    # [1 : 0] is infinity, [0 : 1] the chart origin, both exact
+    assert np.array_equal(from_homogeneous([1.0, 0.0]), NORTH)
+    assert np.array_equal(from_homogeneous([0.0, 1.0]), SOUTH)
+    assert np.array_equal(from_homogeneous([0.0, 2.5j]), SOUTH)
+    assert np.array_equal(from_homogeneous(homogeneous(NORTH)), NORTH)
+    assert np.array_equal(from_homogeneous(homogeneous(SOUTH)), SOUTH)
 
 
 def test_stereographic_round_trip():
-    pts = random_points(200)
-    z = stereographic_many(pts)
-    back = inverse_stereographic_many(z)
+    pts = np.vstack([random_points(200), NORTH, SOUTH, [1.0, 0.0, 0.0]])
+    back = from_homogeneous(homogeneous(pts))
     assert np.max(np.abs(back - pts)) < 1e-12
+    # the chart coordinate z/w is the projection (x + iy)/(1 - t)
+    south = pts[:, 2] < 0.5
+    zh, wh = homogeneous_coords(pts[south])
+    assert np.allclose(inverse_stereographic_many(zh / wh), pts[south], atol=1e-12)
 
 
 def test_stereographic_unit_circle_is_equator():
-    for ang in np.linspace(0, 2 * math.pi, 7):
-        p = inverse_stereographic(np.exp(1j * ang))
-        assert abs(p[2]) < 1e-14
+    ang = np.linspace(0, 2 * math.pi, 7)
+    for p in (inverse_stereographic_many(np.exp(1j * ang)),
+              from_homogeneous(np.stack([np.exp(1j * ang), np.ones(7)], axis=-1))):
+        assert np.max(np.abs(p[:, 2])) < 1e-14
 
 
 def test_spherical_distance_antipodal_and_symmetry():
     pts = random_points(50)
-    assert abs(spherical_distance(NORTH, SOUTH) - math.pi) < 1e-14
+    assert abs(spherical_distance_many(NORTH, SOUTH) - math.pi) < 1e-14
     d1 = spherical_distance_many(pts, -pts)
     assert np.allclose(d1, math.pi)
     a, b = random_points(1)[0], random_points(1)[0]
-    assert abs(spherical_distance(a, b) - spherical_distance(b, a)) < 1e-14
-
-
-def test_spherical_coords_pole_error():
-    with pytest.raises(PoleCoordinates):
-        spherical_coords(NORTH)
-    theta, phi = spherical_coords(np.array([1.0, 0.0, 0.0]))
-    assert abs(theta) < 1e-12 and abs(phi - math.pi / 2) < 1e-12
+    assert abs(spherical_distance_many(a, b) - spherical_distance_many(b, a)) < 1e-14
 
 
 def test_orthonormal_frame():
@@ -87,11 +82,13 @@ def test_rotation_is_isometry():
 
 
 def test_rotation_compose_inverse():
+    # composition is the product of the SU(2) matrices; inverse undoes
     g = np.random.default_rng(6)
     r = Rotation.random(g)
     s = Rotation.random(g)
     pts = random_points(30)
-    assert np.allclose(r.compose(s).apply(pts), r.apply(s.apply(pts)), atol=1e-12)
+    both = from_homogeneous(homogeneous(pts) @ (r.su2() @ s.su2()).T)
+    assert np.allclose(both, r.apply(s.apply(pts)), atol=1e-12)
     assert np.allclose(r.inverse().apply(r.apply(pts)), pts, atol=1e-12)
 
 
@@ -102,14 +99,17 @@ def test_rotation_align():
 
 
 def test_mobius_matches_rotation_on_sphere():
+    # su2() acting on [z : w] is the rotation of the sphere, poles included
     g = np.random.default_rng(7)
-    pts = random_points(60)
-    z = stereographic_many(pts)
+    pts = np.vstack([random_points(60), NORTH, SOUTH])
+    h = homogeneous(pts)
     for _ in range(4):
         r = Rotation.random(g)
-        moved = stereographic_many(r.apply(pts))
-        via_mobius = np.array([apply_mobius(r, zz) for zz in z])
-        assert np.max(np.abs(moved - via_mobius)) < 1e-9
+        via_mobius = from_homogeneous(h @ r.su2().T)
+        assert np.max(np.abs(via_mobius - r.apply(pts))) < 1e-12
+    flip = Rotation.align(NORTH, SOUTH).su2()
+    assert np.allclose(from_homogeneous(flip @ [1.0, 0.0]), SOUTH, atol=1e-15)
+    assert np.allclose(from_homogeneous(flip @ [0.0, 1.0]), NORTH, atol=1e-15)
 
 
 def test_great_circle_points_on_sphere():
