@@ -1,8 +1,7 @@
 """Command line front end.
 
 Subcommands: run, render, compare, construct, kacrice.  A JSON config
-file can seed any run; explicit flags override config fields.  The
-worker count defaults to the LEMNILAB_WORKERS environment variable.
+file can seed any run; explicit flags override config fields.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -20,10 +18,6 @@ from .ensemble import sample_rational_pair
 from .experiments import ExperimentConfig, compare_table, render_svg, run, trial_stream
 from .topology import Arrangement
 from .tracer import trace
-
-
-def _workers_default() -> int:
-    return int(os.environ.get("LEMNILAB_WORKERS", "1"))
 
 
 def _add_run(sub):
@@ -53,9 +47,7 @@ def _cmd_run(args) -> int:
     if args.config:
         cfg = ExperimentConfig.from_json(args.config, **fields)
     else:
-        fields = {k: v for k, v in fields.items() if v is not None}
-        fields.setdefault("workers", _workers_default())
-        cfg = ExperimentConfig(**fields)
+        cfg = ExperimentConfig(**{k: v for k, v in fields.items() if v is not None})
     table = run(cfg)
     bad = 0
     for r in table.rows:

@@ -16,13 +16,15 @@ inside the pole disk, every old oval persists under Newton continuation
 (with at most n+1 ovals possible in degree n+1, nothing else can appear),
 and the derivative certificate eps/|z|^2 - |r'(z)| is positive on the new
 oval.  One global trace at the end, in a frame anchored at the deepest
-node with the root face unfolded to infinity, confirms the whole tree.
+node with the root face unfolded to infinity, confirms the whole tree; the
+construction keeps that trace, and the round trip and the nondegeneracy
+certificate read it rather than tracing the form again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .sphere import (
     homogeneous_coords,
     inverse_stereographic_many,
 )
-from .tracer import DegenerateLemniscate, TraceOptions, trace
+from .tracer import DegenerateLemniscate, TraceOptions, TracedLemniscate, trace
 from .topology import (
     Arrangement,
     InconsistentTopology,
@@ -56,6 +58,8 @@ class EpsilonExhausted(RuntimeError):
 _ORIGIN = np.array([0.0, 0.0, -1.0])  # chart coordinate z = 0
 _MAX_CIRCLES = 12
 _MAX_RESOLUTION = 768
+# certify_nondegenerate: least relative chart gradient along the curve
+_MIN_REL_GRADIENT = 1e-6
 # degree 0, |r| = 1/2 everywhere: the empty lemniscate the first step perturbs
 _EMPTY = RationalPair(
     KostlanPolynomial(0, np.array([0.5 + 0j])),
@@ -71,6 +75,8 @@ class ConstructedLemniscate:
     certificates: tuple  # min eps/|z|^2 - |r'| over the new oval, per step
     root_point: np.ndarray  # a point of the outer face
     trace_resolution: int  # grid frequency at which the tree was verified
+    # the trace that verified the tree (not serialized)
+    traced: TracedLemniscate = field(repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -149,11 +155,12 @@ def _resolution_for(feature: float) -> int:
     return int(np.clip(math.ceil(4.5 / feature), 96, _MAX_RESOLUTION))
 
 
-def _verify(frame: _Frame, expected: str, nu: int) -> bool:
+def _verify(frame: _Frame, expected: str, nu: int) -> TracedLemniscate | None:
+    """The trace at nu, if its tree rooted at the root marker is expected."""
     t = trace(frame.rp, TraceOptions(grid_resolution=nu))
     tree = nesting_tree(frame.rp, t)
     form = rooted_canonical_form(tree, from_homogeneous(frame.markers["root"]))
-    return form.canonical == expected
+    return t if form.canonical == expected else None
 
 
 def _add_circle(frame: _Frame, key, shrink: float = 1.0):
@@ -289,11 +296,11 @@ def _balance_frame(frame: _Frame, spec: Arrangement, anchor_key):
         nu = _resolution_for(probe.min_feature())
         while True:
             try:
-                ok = _verify(probe, spec.canonical, nu)
+                t = _verify(probe, spec.canonical, nu)
             except (DegenerateLemniscate, InconsistentTopology, PointOnCurve):
-                ok = False
-            if ok:
-                return probe, nu
+                t = None
+            if t is not None:
+                return probe, nu, t
             if nu >= _MAX_RESOLUTION:
                 break
             nu = min(2 * nu, _MAX_RESOLUTION)
@@ -338,7 +345,7 @@ def realize(spec: Arrangement) -> ConstructedLemniscate:
                 frame, eps, cert = _add_circle(frame, key, shrink=0.5**attempt)
                 epsilons.append(eps)
                 certs.append(cert)
-            frame, nu = _balance_frame(frame, spec, anchor_key)
+            frame, nu, traced = _balance_frame(frame, spec, anchor_key)
         except EpsilonExhausted as e:
             last = e
             continue
@@ -349,31 +356,26 @@ def realize(spec: Arrangement) -> ConstructedLemniscate:
             tuple(certs),
             from_homogeneous(frame.markers["root"]),
             nu,
+            traced,
         )
     raise last
 
 
-def certify_nondegenerate(c: ConstructedLemniscate, rel_threshold=1e-6) -> bool:
-    """Re-trace and require a healthy chart gradient along every component."""
-    try:
-        t = trace(c.pair, TraceOptions(grid_resolution=c.trace_resolution))
-    except DegenerateLemniscate:
+def certify_nondegenerate(c: ConstructedLemniscate) -> bool:
+    """One traced component per circle, each with a healthy chart gradient."""
+    if len(c.traced.components) != c.degree:
         return False
-    if len(t.components) != c.degree:
-        return False
-    for comp in t.components:
+    for comp in c.traced.components:
         f, gx, gy, sc, _, _ = chart_jets(c.pair, comp.vertices[:-1])
         rel = np.hypot(gx, gy) / sc
-        if rel.min() < rel_threshold:
+        if rel.min() < _MIN_REL_GRADIENT:
             return False
     return True
 
 
 def realized_tree(c: ConstructedLemniscate) -> Arrangement:
     """Rooted canonical form of the traced realization (round-trip check)."""
-    t = trace(c.pair, TraceOptions(grid_resolution=c.trace_resolution))
-    tree = nesting_tree(c.pair, t)
-    return rooted_canonical_form(tree, c.root_point)
+    return rooted_canonical_form(nesting_tree(c.pair, c.traced), c.root_point)
 
 
 def all_rooted_trees(max_nodes: int) -> list:

@@ -54,7 +54,6 @@ _EXPERIMENTS = (
     "components",
     "local-arrangement",
     "kostlan-compare",
-    "kacrice-verify",
     "construct",
 )
 
@@ -260,8 +259,6 @@ def run(config: ExperimentConfig) -> ResultsTable:
     """
     os.makedirs(config.output_dir, exist_ok=True)
     t0 = time.time()
-    if config.experiment == "kacrice-verify":
-        return _run_kacrice_verify(config, t0)
     if config.experiment == "local-arrangement":
         return _run_local(config, t0)
     if config.experiment == "construct":
@@ -331,25 +328,6 @@ def _run_local(config: ExperimentConfig, t0: float) -> ResultsTable:
     table = ResultsTable(rows, _metadata(config, t0, rej))
     table.write_csv(os.path.join(config.output_dir, "local-arrangement_summary.csv"))
     table.write_json(os.path.join(config.output_dir, "local-arrangement_summary.json"))
-    return table
-
-
-def _run_kacrice_verify(config: ExperimentConfig, t0: float) -> ResultsTable:
-    rows = []
-    for n in config.n_values:
-        rep = kacrice.verify_chain(n)
-        for k, v in rep.items():
-            rows.append(dict(n=n, statistic="chain." + k, estimate=v,
-                             stderr=math.nan, theory=0.0, z_score=math.nan,
-                             trials_used=0, rejected=0, flags=""))
-        krep = kacrice.verify_kostlan(n)
-        for k, v in krep.items():
-            rows.append(dict(n=n, statistic="kostlan." + k, estimate=v,
-                             stderr=math.nan, theory=0.0, z_score=math.nan,
-                             trials_used=0, rejected=0, flags=""))
-    table = ResultsTable(rows, _metadata(config, t0, 0))
-    table.write_csv(os.path.join(config.output_dir, "kacrice-verify_summary.csv"))
-    table.write_json(os.path.join(config.output_dir, "kacrice-verify_summary.json"))
     return table
 
 

@@ -104,7 +104,7 @@ class NestingTree:
     # lookup payload for rooting at a point
     _face_of_vertex: np.ndarray = field(default=None, repr=False, compare=False)
     _rp: object = field(default=None, repr=False, compare=False)
-    _grid_resolution: int = field(default=0, repr=False, compare=False)
+    _trace: TracedLemniscate = field(default=None, repr=False, compare=False)
 
     @property
     def n_components(self) -> int:
@@ -181,7 +181,7 @@ def _try_nesting_tree(
         np.array(edges, dtype=np.int64).reshape(-1, 2),
         labels,
         rp,
-        t.grid_resolution,
+        t,
     )
 
 
@@ -209,71 +209,27 @@ def face_of_point(tree: NestingTree, point) -> int:
     if abs(f[0]) / sc[0] < 1e-12:
         raise PointOnCurve("point lies on the lemniscate")
     want = f[0] > 0
-    grid = icosphere(tree._grid_resolution)
-    verts = GRID_JITTER.apply(grid.verts)
-    # nearest grid vertex on the same side of the curve
+    t = tree._trace
+    verts = GRID_JITTER.apply(icosphere(t.grid_resolution).verts)
+    # nearest grid vertex on the same side of the curve, by the signs the
+    # faces were flood-filled from
     d = verts @ point
     order = np.argpartition(-d, min(64, len(d) - 1))[:64]
     order = order[np.argsort(-d[order])]
-    fv = eval_f_many(tree._rp, verts[order]) > 0
-    for vid, side in zip(order, fv):
-        if side == want:
-            return int(tree._face_of_vertex[vid])
-    raise PointOnCurve("no same-sign grid vertex near the point")
+    same = order[t.vertex_signs[order] == want]
+    if len(same) == 0:
+        raise PointOnCurve("no same-sign grid vertex near the point")
+    return int(tree._face_of_vertex[same[0]])
 
 
 def rooted_canonical_form(tree: NestingTree, root_point) -> Arrangement:
     """AHU canonical string of the face tree rooted at root_point's face."""
-    root = face_of_point(tree, root_point)
-    return _canonical_from_root(tree, root)
-
-
-def _canonical_from_root(tree: NestingTree, root: int) -> Arrangement:
     adj = tree.adjacency()
-    # iterative AHU to survive deep chains
-    order, parent = [], [-1] * tree.n_faces
-    stack = [root]
-    seen = [False] * tree.n_faces
-    seen[root] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                stack.append(w)
-    label = [""] * tree.n_faces
-    for v in reversed(order):
-        kids = sorted(label[w] for w in adj[v] if parent[w] == v)
-        label[v] = "(" + "".join(kids) + ")"
-    return Arrangement(label[root])
 
+    def kids(v, parent):
+        return [kids(w, v) for w in adj[v] if w != parent]
 
-def unrooted_canonical_form(tree: NestingTree) -> Arrangement:
-    """Canonicalize by rooting at the tree center (both, if two)."""
-    adj = tree.adjacency()
-    n = tree.n_faces
-    if n == 1:
-        return Arrangement("()")
-    degree = np.array([len(a) for a in adj])
-    removed = np.zeros(n, dtype=bool)
-    layer = list(np.flatnonzero(degree == 1))
-    remaining = n
-    while remaining > 2:
-        removed[layer] = True
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for w in adj[v]:
-                if not removed[w]:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centers = list(np.flatnonzero(~removed))
-    forms = [_canonical_from_root(tree, c).canonical for c in centers]
-    return Arrangement(min(forms))
+    return Arrangement(_render(kids(face_of_point(tree, root_point), -1)))
 
 
 @dataclass(frozen=True)
@@ -286,7 +242,7 @@ class ArrangementEstimate:
 
 
 def _local_tree(loops_xy: list) -> str:
-    """Rooted parenthesization of planar loops nested by containment.
+    """Canonical rooted parenthesization of planar loops nested by containment.
 
     loops_xy: closed polylines in chart coordinates, first == last vertex.
     """
@@ -314,10 +270,10 @@ def _local_tree(loops_xy: list) -> str:
         else:
             children[k].append(i)
 
-    def render(v):
-        return "(" + "".join(sorted(render(c) for c in children[v])) + ")"
+    def nested(v):
+        return [nested(c) for c in children[v]]
 
-    return render(k)
+    return _render(nested(k))
 
 
 def local_arrangement_probability(
@@ -362,8 +318,7 @@ def local_arrangement_probability(
             if d.max() <= radius - margin:
                 v = c.vertices
                 kept.append(np.stack([v @ e1, v @ e2], axis=1))
-        form = _canonicalize(_local_tree(kept))
-        hits += form == target.canonical
+        hits += _local_tree(kept) == target.canonical
     if used == 0:
         raise DegenerateLemniscate("all trials rejected")
     p = hits / used

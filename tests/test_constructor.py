@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lemnilab import constructor, topology
 from lemnilab.constructor import (
     InvalidSpec,
     _Frame,
@@ -51,6 +52,22 @@ def test_realize_mixed_tree():
     assert realized_tree(c) == spec
     assert certify_nondegenerate(c)
     assert all(e > 0 for e in c.epsilons)
+
+
+def test_round_trip_and_certificate_read_the_verifying_trace(monkeypatch):
+    spec = Arrangement("((())())")
+    c = realize(spec)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(constructor, "trace", counted)
+    monkeypatch.setattr(topology, "trace", counted)
+    assert realized_tree(c) == spec
+    assert certify_nondegenerate(c)
+    assert len(calls) == 0
 
 
 def test_realize_rejects_oversized_spec():

@@ -15,7 +15,6 @@ from lemnilab.topology import (
     local_arrangement_probability,
     nesting_tree,
     rooted_canonical_form,
-    unrooted_canonical_form,
 )
 from lemnilab.tracer import trace
 
@@ -89,14 +88,6 @@ def test_canonical_soundness_small_trees():
 
     forms = list(all_rooted_trees(5))
     assert len(forms) == len(set(forms)) == 1 + 1 + 2 + 4 + 9
-
-
-def test_unrooted_form_rotation_independent():
-    rp = sample_rational_pair(8, RandomStream(97))
-    t = trace(rp)
-    tree = nesting_tree(rp, t)
-    u = unrooted_canonical_form(tree)
-    assert u.n_nodes == tree.n_faces
 
 
 def test_arrangement_validation():
