@@ -5,11 +5,17 @@ homogeneous representative (z_h, w_h) and the homogenized polynomials are
 evaluated there, so f is finite everywhere (including infinity) and its
 magnitude stays of order the coefficient magnitudes for degrees in the
 hundreds.  First derivatives are taken in an affine chart, with the chart
-switched at |z| = 1.  PairField and RealField (see as_field) give the
+switched at |z| = 1, so every pair evaluation runs at |z| <= 1.  One
+evaluator, poly_jets_many, serves them all: a baby-step/giant-step scheme
+that keeps about 2 sqrt(n) powers per point instead of n + 1.  The
+real-Kostlan evaluator (eval_real_many) multiplies the full power matrices
+of its separable charts.  PairField and RealField (see as_field) give the
 tracer and the tangent counter one interface to either kind of curve.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,30 +45,65 @@ def _power_matrix(z: np.ndarray, n: int) -> np.ndarray:
     return V
 
 
+def _blocks(rows: np.ndarray, b: int) -> np.ndarray:
+    """(r * nb, b) matrix of coefficient rows cut into nb = ceil(L/b) blocks
+    of length b (the last one zero-padded); rows is (r, L)."""
+    r, L = rows.shape
+    nb = -(-L // b)
+    C = np.zeros((r, nb * b), dtype=complex)
+    C[:, :L] = rows
+    return C.reshape(r * nb, b)
+
+
+def _powers(z: np.ndarray, b: int) -> np.ndarray:
+    """(b+1, m) array of z^0..z^b, points last, built by doubling
+    (z^(w+k) = z^w z^k) along contiguous rows."""
+    Z = np.empty((b + 1, len(z)), dtype=complex)
+    Z[0] = 1.0
+    if b >= 1:
+        Z[1] = z
+    w = 1
+    while w < b:
+        s = min(w, b - w)
+        np.multiply(Z[1 : s + 1], Z[w], out=Z[w + 1 : w + s + 1])
+        w += s
+    return Z
+
+
 def poly_jets_many(coeff_rows, z: np.ndarray, order: int = 0):
     """Values (order 0) or values and first derivatives (order 1) of several
     equal-degree polynomials at z.
 
     Returns a list (one entry per coefficient row) of lists [p] or
-    [p, p'].  Work is done in chunks through one shared power matrix and
-    BLAS products, which beats a coefficient-at-a-time recurrence by a
-    wide margin for degrees in the hundreds.
+    [p, p'].  Baby-step/giant-step scheme (Paterson and Stockmeyer, 1973):
+    per chunk of points only the baby steps z^0..z^b are built, points
+    last as a (b+1, m) array, and one product with the coefficient rows
+    cut into blocks of length b gives every block's value B_j.  The giant
+    steps (z^b)^j, built by doubling like the baby steps, combine them:
+    p = sum_j B_j (z^b)^j.  A single pass over the blocks costs fewer
+    array operations than Horner in z^b, which matters at the few points
+    of a walk step.  The derivative rows get their own product, so the
+    values are the same bits at either order.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    n = len(coeff_rows[0]) - 1
-    out = [
-        [np.zeros(len(z), dtype=complex) for _ in range(order + 1)]
-        for _ in coeff_rows
-    ]
-    k = np.arange(1.0, n + 1.0)
+    rows = np.array(coeff_rows, dtype=complex)
+    r, n = len(rows), rows.shape[1] - 1
+    # b = 29 at n = 200; a function of the degree only, never of the
+    # number of points, so a point's value does not depend on its call
+    b = min(n + 1, math.ceil(2.0 * math.sqrt(n + 1)))
+    mats = [_blocks(rows, b)]
+    if order and n >= 1:
+        mats.append(_blocks(rows[:, 1:] * np.arange(1.0, n + 1.0), b))
+    out = np.zeros((order + 1, r, len(z)), dtype=complex)
     for lo in range(0, len(z), _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, len(z)))
-        V = _power_matrix(z[sl], n)
-        for i, c in enumerate(coeff_rows):
-            out[i][0][sl] = V @ c
-            if order and n >= 1:
-                out[i][1][sl] = V[:, :n] @ (c[1:] * k)
-    return out
+        zc = z[lo : lo + _CHUNK]
+        Z = _powers(zc, b)
+        G = _powers(Z[b], len(mats[0]) // r - 1)
+        for o, C in enumerate(mats):
+            B = (C @ Z[:b]).reshape(r, -1, len(zc))
+            B *= G[: B.shape[1]]
+            out[o, :, lo : lo + len(zc)] = B.sum(axis=1)
+    return [[out[o, i] for o in range(order + 1)] for i in range(r)]
 
 
 def eval_f_many(rp: RationalPair, points: np.ndarray, with_scale: bool = False):

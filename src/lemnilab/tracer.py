@@ -138,28 +138,37 @@ def _edge_roots(fieldobj, a, b, fa, fb):
     return pts, min_grad
 
 
-def _link_cycles(pair_rows: np.ndarray, n_nodes: int) -> list:
-    """Split a 2-regular multigraph (given as edge rows) into cycles."""
+def _link_cycles(pair_rows: np.ndarray) -> list:
+    """Split a 2-regular multigraph, given as edge rows, into cycles.
+
+    Cycles come in the order of their minimum node; each starts there and
+    leaves by that node's first edge in row order.  Half-edge h = 2u + s
+    leaves node u by the edge of u's s-th entry in row order, and succ(h)
+    leaves that edge's other end by its other edge.  succ is a permutation,
+    2-cycles included, that walks every cycle once in each direction.
+    Pointer doubling gives each half-edge the least half-edge of its walk,
+    2s on the walk that leaves the minimum node s by its first edge, and
+    its distance to that walk's end, which orders the walk.
+    """
     order = np.argsort(pair_rows.ravel(), kind="stable")
-    partner = pair_rows[:, ::-1].ravel()
-    nbr = partner[order].reshape(n_nodes, 2)
-    visited = np.zeros(n_nodes, dtype=bool)
-    cycles = []
-    for start in range(n_nodes):
-        if visited[start]:
-            continue
-        cyc = []
-        prev, cur = -1, start
-        while True:
-            visited[cur] = True
-            cyc.append(cur)
-            n0, n1 = nbr[cur]
-            nxt = n1 if n0 == prev else n0
-            if nxt == start:
-                break
-            prev, cur = cur, nxt
-        cycles.append(np.array(cyc, dtype=np.int64))
-    return cycles
+    half = np.empty_like(order)
+    half[order] = np.arange(len(order))
+    succ = half[order ^ 1] ^ 1
+    rounds = max(1, len(succ) - 1).bit_length()
+    least, nxt = np.arange(len(succ)), succ
+    for _ in range(rounds):
+        least = np.minimum(least, least[nxt])
+        nxt = nxt[nxt]
+    last = succ == least
+    dist = (~last).astype(np.int64)
+    nxt = np.where(last, np.arange(len(succ)), succ)
+    for _ in range(rounds):
+        dist += dist[nxt]
+        nxt = nxt[nxt]
+    fwd = np.flatnonzero(least % 2 == 0)
+    walk_order = fwd[np.lexsort((-dist[fwd], least[fwd]))]
+    _, sizes = np.unique(least[walk_order], return_counts=True)
+    return np.split(walk_order // 2, np.cumsum(sizes)[:-1])
 
 
 def ring(sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +338,7 @@ def _trace_once(fieldobj, nu: int) -> TracedLemniscate:
     cids = np.flatnonzero(cross)
     remap = np.full(len(grid.edges), -1, dtype=np.int64)
     remap[cids] = np.arange(len(cids))
-    cycles = _link_cycles(remap[pairs], len(cids))
+    cycles = _link_cycles(remap[pairs])
 
     a = verts[e0[cids]]
     b = verts[e1[cids]]

@@ -1,7 +1,9 @@
+import mpmath
 import numpy as np
 
 from lemnilab.ensemble import RandomStream, sample_rational_pair, sample_real_kostlan
 from lemnilab.field import (
+    _CHUNK,
     chart_jets,
     curve_tangents,
     eval_f_many,
@@ -42,6 +44,67 @@ def test_horner_jet_derivatives():
     assert np.array_equal(v, v0)
     assert np.max(np.abs(d1 - np.polyval(dc[::-1], z))) < 1e-9
     assert np.max(np.abs(d2 - np.polyval(ddc[::-1], z))) < 1e-9
+
+
+def _disk_points(r, k):
+    return np.sqrt(r.uniform(size=k)) * np.exp(2j * np.pi * r.uniform(size=k))
+
+
+def _mpmath_errors(c, z, v, d):
+    """|v - p(z)| and |d - p'(z)| for the coefficient row c, against
+    50-digit mpmath."""
+    with mpmath.workdps(50):
+        high_first = [mpmath.mpc(x) for x in c[::-1]]
+        ref = [mpmath.polyval(high_first, mpmath.mpc(w), derivative=True) for w in z]
+        err_v = [float(abs(mpmath.mpc(a) - r[0])) for a, r in zip(v, ref)]
+        err_d = [float(abs(mpmath.mpc(a) - r[1])) for a, r in zip(d, ref)]
+    return np.array(err_v), np.array(err_d)
+
+
+def test_poly_jets_mpmath_oracle():
+    # values and first derivatives at the degrees of the tangents and
+    # local stages, in both charts (the northern one evaluates the
+    # reversed rows), at z = 0, tiny |z|, the disk, |z| = 1 and across a
+    # chunk boundary; the error stays below 2 n eps sum |c_k| |z|^k (and
+    # the same for the derivative row)
+    r = np.random.default_rng(1973)
+    eps = np.finfo(float).eps
+    ring = np.exp(2j * np.pi * r.uniform(size=6))
+    pts = np.concatenate([
+        [0.0, 1.0, -1.0, 1j, -1j], 1e-9 * ring, ring, _disk_points(r, 24),
+    ])
+    wide = _disk_points(r, _CHUNK + 40)
+    at = np.arange(_CHUNK - 20, _CHUNK + 20)
+    for n in (200, 400):
+        rp = sample_rational_pair(n, RandomStream(11).substream(n))
+        k = np.arange(n + 1.0)
+        for c in (rp.p.coeffs, rp.q.coeffs[::-1]):
+            (v, d), = poly_jets_many([c], pts, order=1)
+            (wv, wd), = poly_jets_many([c], wide, order=1)
+            for z, v, d in ((pts, v, d), (wide[at], wv[at], wd[at])):
+                err_v, err_d = _mpmath_errors(c, z, v, d)
+                az = np.abs(z)[:, None]
+                bound_v = np.sum(np.abs(c) * az**k, axis=1)
+                bound_d = np.sum(k[1:] * np.abs(c[1:]) * az ** k[:-1], axis=1)
+                assert np.all(err_v <= 2 * n * eps * bound_v)
+                assert np.all(err_d <= 2 * n * eps * bound_d)
+
+
+def test_poly_jets_point_alone_and_in_a_crowd():
+    # a point's value and derivative do not depend on the call it is in
+    r = np.random.default_rng(1974)
+    crowd = _disk_points(r, 20000)
+    n = 200
+    rp = sample_rational_pair(n, RandomStream(12))
+    rows = [rp.p.coeffs, rp.q.coeffs]
+    k = np.arange(n + 1.0)
+    big = poly_jets_many(rows, crowd, order=1)
+    for i in (0, 1, _CHUNK - 1, _CHUNK, 12345, 19999):
+        alone = poly_jets_many(rows, crowd[i : i + 1], order=1)
+        az = abs(crowd[i])
+        for c, (v, d), (v1, d1) in zip(rows, big, alone):
+            assert abs(v[i] - v1[0]) <= 1e-13 * np.sum(np.abs(c) * az**k)
+            assert abs(d[i] - d1[0]) <= 1e-13 * np.sum(k[1:] * np.abs(c[1:]) * az ** k[:-1])
 
 
 def test_eval_f_single_vs_many():

@@ -15,6 +15,7 @@ from lemnilab.experiments import TRIAL_COLUMNS, ResultsTable, run_trial, trial_s
 from lemnilab.field import as_field
 from lemnilab.tracer import (
     TraceOptions,
+    _link_cycles,
     default_options,
     trace,
     walk,
@@ -108,6 +109,49 @@ def test_jitter_determinism():
     assert len(t1.components) == len(t2.components)
     for c1, c2 in zip(t1.components, t2.components):
         assert np.array_equal(c1.vertices, c2.vertices)
+
+
+def _walk_cycles(pair_rows, n_nodes):
+    # plain walk: from each unvisited node in index order, leave by its
+    # first edge in row order, then always by the edge not arrived on
+    nbr = [[] for _ in range(n_nodes)]
+    for e, (u, v) in enumerate(pair_rows.tolist()):
+        nbr[u].append((e, v))
+        nbr[v].append((e, u))
+    seen = [False] * n_nodes
+    cycles = []
+    for start in range(n_nodes):
+        if seen[start]:
+            continue
+        cyc, cur, (edge, nxt) = [], start, nbr[start][0]
+        while True:
+            seen[cur] = True
+            cyc.append(cur)
+            if nxt == start:
+                break
+            cur = nxt
+            edge, nxt = next(en for en in nbr[cur] if en[0] != edge)
+        cycles.append(cyc)
+    return cycles
+
+
+def test_link_cycles_matches_plain_walk():
+    gen = np.random.default_rng(7)
+    for _ in range(200):
+        # a random 2-regular multigraph: random cycle sizes >= 2, so
+        # 2-cycles (a doubled edge) are common, in shuffled row order
+        # and orientation
+        sizes = gen.integers(2, 9, size=gen.integers(1, 8))
+        nodes = gen.permutation(int(sizes.sum()))
+        rows = []
+        for c in np.split(nodes, np.cumsum(sizes)[:-1]):
+            rows += [(c[j], c[(j + 1) % len(c)]) for j in range(len(c))]
+        rows = np.array(rows)[gen.permutation(len(rows))]
+        flip = gen.random(len(rows)) < 0.5
+        rows[flip] = rows[flip, ::-1]
+        got = _link_cycles(rows)
+        assert [c.tolist() for c in got] == _walk_cycles(rows, len(nodes))
+        assert all(c.dtype == np.int64 for c in got)
 
 
 def _walk_equator(caps):
