@@ -5,7 +5,9 @@ Outside the tier-1 `testpaths`; run from the repository root with
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest bench -q
 
 Both cases read one fixed trace: seed 202, n=200, trial 0, at the default
-grid (nu=78), the tangents workload's first trial.
+grid (nu=78), the tangents workload's first trial.  `nesting_tree` never
+re-traces, so it costs the flood fill plus one tree edge per loop and the
+tree check.
 """
 
 import pytest
@@ -32,3 +34,4 @@ def test_nesting_tree(benchmark, traced_n200):
     rp, t = traced_n200
     tree = benchmark(nesting_tree, rp, t)
     assert tree.n_faces == len(t.components) + 1
+    assert tree.n_components == len(t.components)

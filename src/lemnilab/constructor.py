@@ -156,9 +156,12 @@ def _resolution_for(feature: float) -> int:
 
 
 def _verify(frame: _Frame, expected: str, nu: int) -> TracedLemniscate | None:
-    """The trace at nu, if its tree rooted at the root marker is expected."""
+    """The trace at nu, if every face spans at least 4 grid vertices and its
+    tree rooted at the root marker is expected."""
     t = trace(frame.rp, TraceOptions(grid_resolution=nu))
     tree = nesting_tree(frame.rp, t)
+    if np.bincount(tree._face_of_vertex).min() < 4:
+        return None
     form = rooted_canonical_form(tree, from_homogeneous(frame.markers["root"]))
     return t if form.canonical == expected else None
 

@@ -32,11 +32,7 @@ from .geomstats import (
     meridian_stats,
 )
 from .sphere import random_great_circle, unit_vector
-from .topology import (
-    Arrangement,
-    InconsistentTopology,
-    local_arrangement_probability,
-)
+from .topology import Arrangement, local_arrangement_probability
 from .tracer import DegenerateLemniscate, TraceOptions, trace
 
 
@@ -161,8 +157,6 @@ def run_trial(experiment: str, n: int, seed: int, trial: int,
         row["flags"] = "degenerate"
     except TangencySuspected:
         row["flags"] = "tangency"
-    except InconsistentTopology:
-        row["flags"] = "topology"
     except AxisTooClose:
         row["flags"] = "axis"
     return row

@@ -9,7 +9,8 @@ switched at |z| = 1, so every pair evaluation runs at |z| <= 1.  One
 evaluator, poly_jets_many, serves them all: a baby-step/giant-step scheme
 that keeps about 2 sqrt(n) powers per point instead of n + 1.  The
 real-Kostlan evaluator (eval_real_many) multiplies the full power matrices
-of its separable charts.  PairField and RealField (see as_field) give the
+of its separable charts.  One builder, _powers, makes every table of
+powers by doubling.  PairField and RealField (see as_field) give the
 tracer and the tangent counter one interface to either kind of curve.
 """
 
@@ -26,25 +27,6 @@ from .sphere import homogeneous_coords
 _CHUNK = 8192
 
 
-def _power_matrix(z: np.ndarray, n: int) -> np.ndarray:
-    """(m, n+1) matrix of z^k, of z's dtype; z should stay in the closed
-    unit disk.
-
-    Built by doubling (z^(w+k) = z^w z^k), which vectorizes much better
-    than a sequential cumulative product along the degree axis.
-    """
-    V = np.empty((len(z), n + 1), dtype=z.dtype)
-    V[:, 0] = 1.0
-    if n >= 1:
-        V[:, 1] = z
-    w = 1
-    while w < n:
-        m = min(w, n - w)
-        np.multiply(V[:, 1 : m + 1], V[:, w, None], out=V[:, w + 1 : w + m + 1])
-        w += m
-    return V
-
-
 def _blocks(rows: np.ndarray, b: int) -> np.ndarray:
     """(r * nb, b) matrix of coefficient rows cut into nb = ceil(L/b) blocks
     of length b (the last one zero-padded); rows is (r, L)."""
@@ -56,9 +38,9 @@ def _blocks(rows: np.ndarray, b: int) -> np.ndarray:
 
 
 def _powers(z: np.ndarray, b: int) -> np.ndarray:
-    """(b+1, m) array of z^0..z^b, points last, built by doubling
-    (z^(w+k) = z^w z^k) along contiguous rows."""
-    Z = np.empty((b + 1, len(z)), dtype=complex)
+    """(b+1, m) array of z^0..z^b, of z's dtype, points last, built by
+    doubling (z^(w+k) = z^w z^k) along contiguous rows."""
+    Z = np.empty((b + 1, len(z)), dtype=z.dtype)
     Z[0] = 1.0
     if b >= 1:
         Z[1] = z
@@ -230,8 +212,8 @@ def eval_real_many(
         C = np.zeros((n + 1, n + 1))
         C[E[:, i], E[:, j]] = poly.coeffs
         t = pts[idx, d]
-        U = _power_matrix(pts[idx, i] / t, n)
-        V = _power_matrix(pts[idx, j] / t, n)
+        U = np.ascontiguousarray(_powers(pts[idx, i] / t, n).T)
+        V = np.ascontiguousarray(_powers(pts[idx, j] / t, n).T)
         W = V @ C.T
         tn = t**n
         vals[idx] = tn * _rowdot(U, W)

@@ -24,7 +24,6 @@ from .sphere import orthonormal_frame, unit_vector
 from .tracer import (
     GRID_JITTER,
     DegenerateLemniscate,
-    TraceOptions,
     TracedLemniscate,
     default_options,
     trace,
@@ -148,58 +147,29 @@ def _tree_edges(t: TracedLemniscate, grid, labels):
     return edges
 
 
-def _try_nesting_tree(
-    rp: RationalPair, t: TracedLemniscate, strict_size: bool = True
-) -> NestingTree:
+def nesting_tree(rp: RationalPair, t: TracedLemniscate) -> NestingTree:
+    """The tree of faces of S^2 minus the traced curve t.
+
+    Raises InconsistentTopology when the flood fill disagrees with t: the
+    face count is not b0 + 1, a loop borders more than two faces, or the
+    face graph is not a tree.  It never re-traces; a caller that needs a
+    finer grid traces again itself.
+    """
     grid, labels, n_faces = _build_faces(t)
     b0 = len(t.components)
     if n_faces != b0 + 1:
         raise InconsistentTopology(
             "expected %d faces, flood fill found %d" % (b0 + 1, n_faces)
         )
-    sizes = np.bincount(labels, minlength=n_faces)
-    if strict_size and b0 and sizes.min() < 4:
-        raise InconsistentTopology("face smaller than 4 grid cells")
-    edges = _tree_edges(t, grid, labels)
-
-    parent = list(range(n_faces))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise InconsistentTopology("face adjacency contains a cycle")
-        parent[ra] = rb
-
-    return NestingTree(
-        n_faces,
-        np.array(edges, dtype=np.int64).reshape(-1, 2),
-        labels,
-        rp,
-        t,
+    edges = np.array(_tree_edges(t, grid, labels), dtype=np.int64).reshape(-1, 2)
+    # b0 + 1 nodes and b0 edges: connected if and only if acyclic
+    adj = coo_matrix(
+        (np.ones(b0, dtype=np.int8), (edges[:, 0], edges[:, 1])),
+        shape=(n_faces, n_faces),
     )
-
-
-def nesting_tree(rp: RationalPair, t: TracedLemniscate) -> NestingTree:
-    """The tree of faces of S^2 minus the traced curve.
-
-    If the flood fill disagrees with the traced component count (or a face
-    is tiny), the curve is re-traced once at doubled resolution before
-    giving up with InconsistentTopology.
-    """
-    try:
-        return _try_nesting_tree(rp, t)
-    except InconsistentTopology:
-        # audit pass: double the resolution; a face that is tiny but
-        # structurally consistent at the audited resolution is accepted
-        # (small ovals are real), a structural mismatch is not
-        t2 = trace(rp, TraceOptions(grid_resolution=2 * t.grid_resolution))
-        return _try_nesting_tree(rp, t2, strict_size=False)
+    if connected_components(adj, directed=False)[0] != 1:
+        raise InconsistentTopology("face adjacency is not a tree")
+    return NestingTree(n_faces, edges, labels, rp, t)
 
 
 def face_of_point(tree: NestingTree, point) -> int:

@@ -10,7 +10,12 @@ from lemnilab.constructor import (
     realize,
     realized_tree,
 )
-from lemnilab.ensemble import RandomStream, RationalPair, sample_rational_pair
+from lemnilab.ensemble import (
+    KostlanPolynomial,
+    RandomStream,
+    RationalPair,
+    sample_rational_pair,
+)
 from lemnilab.field import newton_correct
 from lemnilab.sphere import Rotation, from_homogeneous, homogeneous_coords
 from lemnilab.topology import Arrangement, nesting_tree, rooted_canonical_form
@@ -68,6 +73,31 @@ def test_round_trip_and_certificate_read_the_verifying_trace(monkeypatch):
     assert realized_tree(c) == spec
     assert certify_nondegenerate(c)
     assert len(calls) == 0
+
+
+def test_verify_rejects_faces_under_four_grid_vertices(monkeypatch):
+    # r = c (z - a) / (z - b) with a, b close: one Apollonius oval of chart
+    # radius |a - b| c / (c^2 - 1), about 1.6 grid edges across at nu=64
+    a, b, c = 0.3 + 0.1j, 0.3125 + 0.1j, 2.0
+    rp = RationalPair(
+        KostlanPolynomial(1, np.array([-c * a, c])),
+        KostlanPolynomial(1, np.array([-b, 1.0])),
+    )
+    frame = _Frame(rp, {"root": np.array([1.0 + 0j, 0.0])}, [])
+    t = trace(rp, TraceOptions(grid_resolution=64))
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("nesting_tree must not trace")
+
+    monkeypatch.setattr(topology, "trace", no_trace)
+    tree = nesting_tree(rp, t)
+    assert tree.n_components == len(t.components) == 1
+    assert np.bincount(tree._face_of_vertex).min() < 4
+    root = from_homogeneous(frame.markers["root"])
+    assert rooted_canonical_form(tree, root) == Arrangement("(())")
+    monkeypatch.undo()
+    assert constructor._verify(frame, "(())", 64) is None
+    assert constructor._verify(frame, "(())", 256) is not None
 
 
 def test_realize_rejects_oversized_spec():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from lemnilab import topology
 from lemnilab.ensemble import (
     KostlanPolynomial,
     RandomStream,
@@ -11,11 +12,13 @@ from lemnilab.ensemble import (
 )
 from lemnilab.topology import (
     Arrangement,
+    InconsistentTopology,
     PointOnCurve,
     local_arrangement_probability,
     nesting_tree,
     rooted_canonical_form,
 )
+from lemnilab.experiments import trial_stream
 from lemnilab.tracer import trace
 
 
@@ -55,6 +58,34 @@ def test_alexander_duality_and_tree_property():
         assert faces == len(t.components) + 1
         edges = sum(len(a) for a in tree.adjacency()) // 2
         assert edges == faces - 1
+
+
+def _no_trace(*args, **kwargs):
+    raise AssertionError("nesting_tree must not trace")
+
+
+def test_nesting_tree_is_the_tree_of_the_given_trace(monkeypatch):
+    # seed-202 n=200 trial 2 at the default grid has faces smaller than 4
+    # grid vertices; its tree still has one edge per traced loop
+    rp = sample_rational_pair(200, trial_stream(202, 200, 2))
+    t = trace(rp)
+    monkeypatch.setattr(topology, "trace", _no_trace)
+    tree = nesting_tree(rp, t)
+    assert tree.n_components == len(t.components) == 52
+    assert tree.n_faces == 53
+
+
+def test_nesting_tree_rejects_a_repeated_loop_edge(monkeypatch):
+    # b0 edges on b0 + 1 faces: a repeated edge leaves a face unreached
+    rp = sample_rational_pair(10, RandomStream(83).substream(0))
+    t = trace(rp)
+    edges = topology._tree_edges(t, *topology._build_faces(t)[:2])
+    assert len(edges) >= 2
+    monkeypatch.setattr(
+        topology, "_tree_edges", lambda *args: edges[:-1] + edges[:1]
+    )
+    with pytest.raises(InconsistentTopology):
+        nesting_tree(rp, t)
 
 
 def test_star_vs_path_distinct():
