@@ -15,10 +15,10 @@ three scale-free checks pass: the oval exists as a single radial crossing
 inside the pole disk, every old oval persists under Newton continuation
 (with at most n+1 ovals possible in degree n+1, nothing else can appear),
 and the derivative certificate eps/|z|^2 - |r'(z)| is positive on the new
-oval.  One global trace at the end, in a frame anchored at the deepest
-node with the root face unfolded to infinity, confirms the whole tree; the
-construction keeps that trace, and the round trip and the nondegeneracy
-certificate read it rather than tracing the form again.
+oval.  One global trace at the end (deepest node at the origin, root face
+unfolded to infinity, one balancing dilation, finer grids if need be)
+confirms the whole tree; the construction keeps the nesting tree that
+verified it, and the round trip and the certificate read that tree.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from .sphere import (
     homogeneous_coords,
     inverse_stereographic_many,
 )
-from .tracer import DegenerateLemniscate, TraceOptions, TracedLemniscate, trace
+from .tracer import DegenerateLemniscate, TraceOptions, trace
 from .topology import (
     Arrangement,
     InconsistentTopology,
+    NestingTree,
     PointOnCurve,
     _parse,
     nesting_tree,
@@ -58,6 +59,7 @@ class EpsilonExhausted(RuntimeError):
 _ORIGIN = np.array([0.0, 0.0, -1.0])  # chart coordinate z = 0
 _MAX_CIRCLES = 12
 _MAX_RESOLUTION = 768
+_OVAL_RAYS = 64  # _local_oval: rays the new oval is bisected along
 # certify_nondegenerate: least relative chart gradient along the curve
 _MIN_REL_GRADIENT = 1e-6
 # degree 0, |r| = 1/2 everywhere: the empty lemniscate the first step perturbs
@@ -74,13 +76,17 @@ class ConstructedLemniscate:
     epsilons: tuple
     certificates: tuple  # min eps/|z|^2 - |r'| over the new oval, per step
     root_point: np.ndarray  # a point of the outer face
-    trace_resolution: int  # grid frequency at which the tree was verified
-    # the trace that verified the tree (not serialized)
-    traced: TracedLemniscate = field(repr=False, compare=False)
+    # the nesting tree that verified spec, with its trace (not serialized)
+    tree: NestingTree = field(repr=False, compare=False)
 
     @property
     def degree(self) -> int:
         return self.pair.degree
+
+    @property
+    def trace_resolution(self) -> int:
+        """Grid frequency of the trace that verified the tree."""
+        return self.tree.trace.grid_resolution
 
     def to_json(self) -> dict:
         return {
@@ -150,20 +156,17 @@ class _Frame:
 
 def _resolution_for(feature: float) -> int:
     # icosphere edge is about 1.1/nu; want a few cells across the feature
-    if not math.isfinite(feature) or feature <= 0:
-        return 96
     return int(np.clip(math.ceil(4.5 / feature), 96, _MAX_RESOLUTION))
 
 
-def _verify(frame: _Frame, expected: str, nu: int) -> TracedLemniscate | None:
-    """The trace at nu, if every face spans at least 4 grid vertices and its
-    tree rooted at the root marker is expected."""
-    t = trace(frame.rp, TraceOptions(grid_resolution=nu))
-    tree = nesting_tree(frame.rp, t)
-    if np.bincount(tree._face_of_vertex).min() < 4:
+def _verify(frame: _Frame, expected: str, nu: int) -> NestingTree | None:
+    """The nesting tree of the trace at nu, if every face spans at least 4
+    grid vertices and the tree rooted at the root marker is expected."""
+    tree = nesting_tree(frame.rp, trace(frame.rp, TraceOptions(grid_resolution=nu)))
+    if np.bincount(tree.face_of_vertex).min() < 4:
         return None
     form = rooted_canonical_form(tree, from_homogeneous(frame.markers["root"]))
-    return t if form.canonical == expected else None
+    return tree if form.canonical == expected else None
 
 
 def _add_circle(frame: _Frame, key, shrink: float = 1.0):
@@ -228,13 +231,13 @@ def _add_circle(frame: _Frame, key, shrink: float = 1.0):
     raise EpsilonExhausted("no epsilon passed after 60 halvings")
 
 
-def _local_oval(pc, qc, eps, delta, n_rays=64):
+def _local_oval(pc, qc, eps, delta):
     """The new oval, found by radial bisection inside the pole disk.
 
     Requires f > 0 throughout the inner ring, f < 0 at radius delta, and
     exactly one sign change along every ray; returns None otherwise.
     """
-    ang = np.exp(2j * np.pi * np.arange(n_rays) / n_rays)
+    ang = np.exp(2j * np.pi * np.arange(_OVAL_RAYS) / _OVAL_RAYS)
     rad = np.geomspace(eps / 8.0, delta, 96)
     F = _cand_field(pc, qc, rad[None, :] * ang[:, None])
     s = F > 0
@@ -287,27 +290,26 @@ def _balance_frame(frame: _Frame, spec: Arrangement, anchor_key):
     accumulate.  Unfolding, [z : w] -> [w_m z : z_m w - w_m z], sends the
     root marker [z_m : w_m] to infinity and keeps the origin; with the
     root face wrapped around infinity the nest spreads into rings at
-    hierarchical chart radii, which a single dilation can then balance.
+    hierarchical chart radii, which one dilation then balances.  Only nu
+    escalates, up to _MAX_RESOLUTION; returns (frame, verifying tree).
     """
-    base = frame.moved(_to_origin(frame.markers[anchor_key]))
-    zm, wm = base.markers["root"]
-    base = base.moved(np.array([[wm, 0.0], [-wm, zm]]))
-    radii = [np.median(_chart_abs(v)) for v in base.comp_verts]
-    lam0 = float(np.exp(np.mean(np.log(np.maximum(radii, 1e-12)))))
-    for lam in (lam0, 4.0 * lam0, lam0 / 4.0, 16.0 * lam0, lam0 / 16.0):
-        probe = base.moved(np.diag([1.0, lam]))
-        nu = _resolution_for(probe.min_feature())
-        while True:
-            try:
-                t = _verify(probe, spec.canonical, nu)
-            except (DegenerateLemniscate, InconsistentTopology, PointOnCurve):
-                t = None
-            if t is not None:
-                return probe, nu, t
-            if nu >= _MAX_RESOLUTION:
-                break
-            nu = min(2 * nu, _MAX_RESOLUTION)
-    raise EpsilonExhausted("could not verify the finished arrangement")
+    frame = frame.moved(_to_origin(frame.markers[anchor_key]))
+    zm, wm = frame.markers["root"]
+    frame = frame.moved(np.array([[wm, 0.0], [-wm, zm]]))
+    radii = [np.median(_chart_abs(v)) for v in frame.comp_verts]
+    lam = float(np.exp(np.mean(np.log(np.maximum(radii, 1e-12)))))
+    frame = frame.moved(np.diag([1.0, lam]))
+    nu = _resolution_for(frame.min_feature())
+    while True:
+        try:
+            tree = _verify(frame, spec.canonical, nu)
+        except (DegenerateLemniscate, InconsistentTopology, PointOnCurve):
+            tree = None
+        if tree is not None:
+            return frame, tree
+        if nu >= _MAX_RESOLUTION:
+            raise EpsilonExhausted("could not verify the finished arrangement")
+        nu = min(2 * nu, _MAX_RESOLUTION)
 
 
 def realize(spec: Arrangement) -> ConstructedLemniscate:
@@ -348,7 +350,7 @@ def realize(spec: Arrangement) -> ConstructedLemniscate:
                 frame, eps, cert = _add_circle(frame, key, shrink=0.5**attempt)
                 epsilons.append(eps)
                 certs.append(cert)
-            frame, nu, traced = _balance_frame(frame, spec, anchor_key)
+            frame, tree = _balance_frame(frame, spec, anchor_key)
         except EpsilonExhausted as e:
             last = e
             continue
@@ -358,17 +360,16 @@ def realize(spec: Arrangement) -> ConstructedLemniscate:
             tuple(epsilons),
             tuple(certs),
             from_homogeneous(frame.markers["root"]),
-            nu,
-            traced,
+            tree,
         )
     raise last
 
 
 def certify_nondegenerate(c: ConstructedLemniscate) -> bool:
     """One traced component per circle, each with a healthy chart gradient."""
-    if len(c.traced.components) != c.degree:
+    if len(c.tree.trace.components) != c.degree:
         return False
-    for comp in c.traced.components:
+    for comp in c.tree.trace.components:
         f, gx, gy, sc, _, _ = chart_jets(c.pair, comp.vertices[:-1])
         rel = np.hypot(gx, gy) / sc
         if rel.min() < _MIN_REL_GRADIENT:
@@ -377,8 +378,8 @@ def certify_nondegenerate(c: ConstructedLemniscate) -> bool:
 
 
 def realized_tree(c: ConstructedLemniscate) -> Arrangement:
-    """Rooted canonical form of the traced realization (round-trip check)."""
-    return rooted_canonical_form(nesting_tree(c.pair, c.traced), c.root_point)
+    """Rooted canonical form of the verifying tree (round-trip check)."""
+    return rooted_canonical_form(c.tree, c.root_point)
 
 
 def all_rooted_trees(max_nodes: int) -> list:

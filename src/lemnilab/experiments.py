@@ -93,6 +93,11 @@ class ExperimentConfig:
                 raise ConfigError("local-arrangement needs rho > 0")
             if not self.target:
                 raise ConfigError("local-arrangement needs a target form")
+        serial = self.experiment in ("local-arrangement", "construct")
+        if serial and (self.grid_resolution is not None or self.workers != 1):
+            # both run serially, each trace at a grid of its own choosing
+            raise ConfigError("%s takes neither grid_resolution nor workers"
+                              % self.experiment)
 
     @staticmethod
     def from_json(path: str, **overrides) -> "ExperimentConfig":

@@ -29,6 +29,8 @@ class TangencySuspected(RuntimeError):
 
 
 _POLE_FLOOR = 1e-5
+# great_circle_intersections: least relative |f|, and |df/dt| at a crossing
+_TANGENCY_TOL = 1e-7
 
 
 def _refine_near_axis(P: np.ndarray, axis: np.ndarray, field) -> np.ndarray:
@@ -269,12 +271,7 @@ def meridian_stats(t: TracedLemniscate, axis, field):
     return nu, int(np.count_nonzero(windings)), windings
 
 
-def great_circle_intersections(
-    rp: RationalPair,
-    g: GreatCircle,
-    samples: int | None = None,
-    tangency_tol: float = 1e-7,
-) -> int:
+def great_circle_intersections(rp: RationalPair, g: GreatCircle) -> int:
     """Transversal crossings of Gamma with the great circle g.
 
     Sign changes of f along a dense sampling of g, each refined by
@@ -282,14 +279,12 @@ def great_circle_intersections(
     circle lies on the curve or a crossing has a vanishing derivative of f
     along the circle.
     """
-    n = rp.degree
-    if samples is None:
-        # match the tracer's default cell size along the circle
-        samples = max(512, 8 * default_options(n).grid_resolution)
+    # match the tracer's default cell size along the circle
+    samples = max(512, 8 * default_options(rp.degree).grid_resolution)
     tgrid = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     pts = g.point(tgrid)
     f, sc = eval_f_many(rp, pts, with_scale=True)
-    if np.max(np.abs(f) / sc) < tangency_tol:
+    if np.max(np.abs(f) / sc) < _TANGENCY_TOL:
         raise TangencySuspected("f vanishes along the whole circle")
     s = f > 0
     change = np.flatnonzero(s != np.roll(s, -1))
@@ -309,6 +304,6 @@ def great_circle_intersections(
     fp, scp = eval_f_many(rp, g.point(troot + h), with_scale=True)
     fm2, _ = eval_f_many(rp, g.point(troot - h), with_scale=True)
     deriv = np.abs(fp - fm2) / (2.0 * h * scp)
-    if np.any(deriv < tangency_tol):
+    if np.any(deriv < _TANGENCY_TOL):
         raise TangencySuspected("near-tangential crossing")
     return len(change)

@@ -30,6 +30,9 @@ from .tracer import (
 )
 
 
+_DISK_CENTER = np.array([0.0, 0.0, 1.0])  # local_arrangement_probability
+
+
 class InconsistentTopology(RuntimeError):
     """Grid faces disagree with the traced components (resolution issue)."""
 
@@ -100,10 +103,11 @@ class NestingTree:
 
     n_faces: int
     edges: np.ndarray  # (b0, 2) face ids joined by component i
-    # lookup payload for rooting at a point
-    _face_of_vertex: np.ndarray = field(default=None, repr=False, compare=False)
-    _rp: object = field(default=None, repr=False, compare=False)
-    _trace: TracedLemniscate = field(default=None, repr=False, compare=False)
+    # lookup payload for rooting at a point: each grid vertex's face, and
+    # the pair and trace the faces were flood-filled from
+    face_of_vertex: np.ndarray = field(repr=False, compare=False)
+    rp: RationalPair = field(repr=False, compare=False)
+    trace: TracedLemniscate = field(repr=False, compare=False)
 
     @property
     def n_components(self) -> int:
@@ -175,11 +179,11 @@ def nesting_tree(rp: RationalPair, t: TracedLemniscate) -> NestingTree:
 def face_of_point(tree: NestingTree, point) -> int:
     """Which face a (generic) point belongs to."""
     point = unit_vector(point)
-    f, sc = eval_f_many(tree._rp, point[None, :], with_scale=True)
+    f, sc = eval_f_many(tree.rp, point[None, :], with_scale=True)
     if abs(f[0]) / sc[0] < 1e-12:
         raise PointOnCurve("point lies on the lemniscate")
     want = f[0] > 0
-    t = tree._trace
+    t = tree.trace
     verts = GRID_JITTER.apply(icosphere(t.grid_resolution).verts)
     # nearest grid vertex on the same side of the curve, by the signs the
     # faces were flood-filled from
@@ -189,7 +193,7 @@ def face_of_point(tree: NestingTree, point) -> int:
     same = order[t.vertex_signs[order] == want]
     if len(same) == 0:
         raise PointOnCurve("no same-sign grid vertex near the point")
-    return int(tree._face_of_vertex[same[0]])
+    return int(tree.face_of_vertex[same[0]])
 
 
 def rooted_canonical_form(tree: NestingTree, root_point) -> Arrangement:
@@ -252,23 +256,21 @@ def local_arrangement_probability(
     rho: float,
     trials: int,
     rng: RandomStream,
-    center=(0.0, 0.0, 1.0),
 ) -> ArrangementEstimate:
     """Frequency of the target arrangement inside a shrinking disk.
 
     Each trial restricts the lemniscate to the spherical disk of radius
-    rho / sqrt(n) about center, keeps only the components lying entirely
-    inside with a one-arc-step margin, and compares the rooted containment
-    tree (rooted at the disk-boundary face) against the target.
+    rho / sqrt(n) about the north pole, keeps only the components lying
+    entirely inside with a one-arc-step margin, and compares the rooted
+    containment tree (rooted at the disk-boundary face) against the target.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    center = unit_vector(center)
     radius = rho / math.sqrt(n)
     # chart axes for the planar containment test
-    e1, e2 = orthonormal_frame(center)
+    e1, e2 = orthonormal_frame(_DISK_CENTER)
 
     opts = default_options(n)
     margin = 0.6 * icosphere(opts.grid_resolution).mean_edge_length
@@ -284,7 +286,7 @@ def local_arrangement_probability(
         used += 1
         kept = []
         for c in t.components:
-            d = np.arccos(np.clip(c.vertices @ center, -1.0, 1.0))
+            d = np.arccos(np.clip(c.vertices @ _DISK_CENTER, -1.0, 1.0))
             if d.max() <= radius - margin:
                 v = c.vertices
                 kept.append(np.stack([v @ e1, v @ e2], axis=1))

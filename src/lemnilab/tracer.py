@@ -24,6 +24,7 @@ from .sphere import Rotation, spherical_distance_many
 GRID_JITTER = Rotation.random(RandomStream(0x1CE5_9E0D, 0).generator())
 # polyline arc-step, as a share of the mean grid edge
 _ARC_STEP = 0.6
+_BISECT_ITERS = 45  # halvings in the bisection restart: 2^-45 of an edge
 
 
 class DegenerateLemniscate(RuntimeError):
@@ -98,11 +99,11 @@ def _slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 
-def _bisect(fieldobj, a, b, iters=45):
+def _bisect(fieldobj, a, b):
     """Geodesic bisection; a must be on the f<=0 side, b on the f>0 side."""
     lo = np.zeros(len(a))
     hi = np.ones(len(a))
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         tm = 0.5 * (lo + hi)
         pm = _slerp(a, b, tm)
         up = fieldobj.values(pm) > 0

@@ -64,15 +64,40 @@ def test_round_trip_and_certificate_read_the_verifying_trace(monkeypatch):
     c = realize(spec)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return trace(*args, **kwargs)
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(constructor, "trace", counted)
-    monkeypatch.setattr(topology, "trace", counted)
+        return wrapped
+
+    monkeypatch.setattr(constructor, "trace", counted(trace))
+    monkeypatch.setattr(topology, "trace", counted(trace))
+    monkeypatch.setattr(constructor, "nesting_tree", counted(nesting_tree))
     assert realized_tree(c) == spec
     assert certify_nondegenerate(c)
-    assert len(calls) == 0
+    assert calls == []
+    assert c.trace_resolution == c.tree.trace.grid_resolution
+
+
+def test_balance_frame_doubles_nu_past_a_rejected_grid(monkeypatch):
+    # at nu=64 some face of the balanced frame spans fewer than 4 grid
+    # vertices, so verification must double nu before the tree is kept
+    spec = Arrangement("((())(()))")
+    tried = []
+    verify = constructor._verify
+
+    def counted(frame, expected, nu):
+        tried.append(nu)
+        return verify(frame, expected, nu)
+
+    monkeypatch.setattr(constructor, "_resolution_for", lambda feature: 64)
+    monkeypatch.setattr(constructor, "_verify", counted)
+    c = realize(spec)
+    assert tried[:2] == [64, 128]
+    assert realized_tree(c) == spec
+    assert certify_nondegenerate(c)
+    assert c.trace_resolution == c.tree.trace.grid_resolution == tried[-1]
 
 
 def test_verify_rejects_faces_under_four_grid_vertices(monkeypatch):
@@ -92,7 +117,7 @@ def test_verify_rejects_faces_under_four_grid_vertices(monkeypatch):
     monkeypatch.setattr(topology, "trace", no_trace)
     tree = nesting_tree(rp, t)
     assert tree.n_components == len(t.components) == 1
-    assert np.bincount(tree._face_of_vertex).min() < 4
+    assert np.bincount(tree.face_of_vertex).min() < 4
     root = from_homogeneous(frame.markers["root"])
     assert rooted_canonical_form(tree, root) == Arrangement("(())")
     monkeypatch.undo()

@@ -12,12 +12,15 @@ from lemnilab.experiments import (
     ExperimentConfig,
     MissingResults,
     ResultsTable,
+    _axis_stats,
     compare_table,
     render_svg,
     run,
     run_trial,
     trial_stream,
 )
+from lemnilab.field import as_field
+from lemnilab.geomstats import AxisTooClose, meridian_stats
 from lemnilab.tracer import trace
 
 
@@ -32,6 +35,30 @@ def test_config_validation():
         ExperimentConfig("local-arrangement", [4], target="(())")  # no rho
     with pytest.raises(ConfigError):
         ExperimentConfig("local-arrangement", [4], rho=1.0)  # no target
+
+
+def test_config_rejects_options_the_serial_experiments_ignore():
+    local = dict(rho=1.0, target="(())")
+    for experiment, extra in (("local-arrangement", local), ("construct", {})):
+        ExperimentConfig(experiment, [4], workers=1, **extra)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(experiment, [4], workers=2, **extra)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(experiment, [4], grid_resolution=128, **extra)
+
+
+def test_axis_stats_retries_about_a_random_axis():
+    # |p_2| = |q_2|: f vanishes at the north pole, so the curve passes
+    # through the z axis and the count moves to another axis
+    rp = RationalPair(
+        KostlanPolynomial(2, np.array([0.3, 0.2, 1.0], complex)),
+        KostlanPolynomial(2, np.array([0.5, -0.1, 1j], complex)),
+    )
+    t = trace(rp)
+    with pytest.raises(AxisTooClose):
+        meridian_stats(t, np.array([0.0, 0.0, 1.0]), as_field(rp))
+    nu, loops = _axis_stats(t, as_field(rp), trial_stream(1, 2, 0))
+    assert nu % 2 == 0 and nu >= 2
 
 
 def test_config_from_json_with_overrides(tmp_path):

@@ -128,6 +128,14 @@ def test_arrangement_validation():
         Arrangement(")(")
 
 
+def test_local_tree_nests_by_containment():
+    # a circle inside another plus a third beside them
+    th = np.linspace(0.0, 2.0 * np.pi, 65)
+    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+    loops = [ring, 0.5 * ring, 0.2 * ring + [3.0, 0.0]]
+    assert topology._local_tree(loops) == "((())())"
+
+
 def test_local_arrangement_requires_trials():
     with pytest.raises(ValueError):
         local_arrangement_probability(
