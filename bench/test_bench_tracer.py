@@ -4,9 +4,10 @@ Outside the tier-1 `testpaths`; run from the repository root with
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest bench -q
 
-Every case reads one fixed input: seed 202, n=200, trial 0 at the default
-grid (nu=78), the tangents workload's first trial, taken apart the way
-`tracer._trace_once` takes it apart.
+Every case but the last reads one fixed input: seed 202, n=200, trial 0
+at the default grid (nu=78), the tangents workload's first trial, taken
+apart the way `tracer._trace_once` takes it apart.  The last times the
+tangent count of trial 19, which has seven small loops.
 """
 
 import numpy as np
@@ -82,3 +83,10 @@ def test_densify(benchmark, stages):
 def test_meridian_stats(benchmark, stages):
     benchmark(meridian_stats, stages["traced"], np.array([0.0, 0.0, 1.0]),
               stages["fieldobj"])
+
+
+def test_meridian_stats_small_loops(benchmark):
+    # trial 19: seven loops shorter than seven grid edges, none of whose
+    # whole-loop walks is lost; the longest takes 65 steps
+    rp = sample_rational_pair(200, trial_stream(202, 200, 19))
+    benchmark(meridian_stats, trace(rp), np.array([0.0, 0.0, 1.0]), as_field(rp))

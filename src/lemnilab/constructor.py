@@ -30,6 +30,7 @@ import numpy as np
 
 from .ensemble import KostlanPolynomial, RationalPair, mobius_polynomials
 from .field import chart_jets, newton_correct, poly_jets_many
+from .geomstats import ray_brackets
 from .sphere import (
     Rotation,
     from_homogeneous,
@@ -240,13 +241,9 @@ def _local_oval(pc, qc, eps, delta):
     ang = np.exp(2j * np.pi * np.arange(_OVAL_RAYS) / _OVAL_RAYS)
     rad = np.geomspace(eps / 8.0, delta, 96)
     F = _cand_field(pc, qc, rad[None, :] * ang[:, None])
-    s = F > 0
-    if not np.all(s[:, 0]) or np.any(s[:, -1]):
+    idx, star = ray_brackets(F)
+    if not np.all(F[:, 0] > 0) or np.any(F[:, -1] > 0) or not star:
         return None
-    flips = np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1)
-    if np.any(flips != 1):
-        return None
-    idx = np.argmax(s[:, 1:] != s[:, :-1], axis=1)
     lo, hi = rad[idx], rad[idx + 1]
     for _ in range(45):
         mid = np.sqrt(lo * hi)

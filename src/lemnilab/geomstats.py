@@ -5,7 +5,11 @@ crossings (pi times their mean is the length, by integral geometry).
 Tangents are counted as sign changes of the meridian derivative
 G = T . (axis x P) read at curve points, never from differences of
 polyline positions, so noise in the vertex positions cannot fake or hide
-a tangency (see _tangent_count).
+a tangency (see _tangent_count).  On a loop too small for its chords to
+bracket its tangents, the curve points are the loop's crossings with
+rays from its centre, found for all small loops by one sampling of f
+and one Newton polish; a loop that is not one oval, star-shaped about
+its centre, is walked whole along the curve instead, and counted.
 """
 
 from __future__ import annotations
@@ -69,9 +73,11 @@ _SLACK = 0.05  # rad added to the chord bracket of a vertex tangent
 _ORDER_COS = math.cos(0.5)  # tangent-chord agreement of a smooth segment
 _PAIR_MARGIN = 1e-3  # east component a pair-free segment keeps (model)
 _WALK_SHARE = 0.25  # walk step as a share of the walked segment
-# a loop shorter than this many grid edges is walked whole: about twelve
-# vertices at the tracer's 0.6-edge arc step
+# a loop shorter than this many grid edges is solved along rays from its
+# centre (or walked whole): about twelve vertices at the 0.6-edge arc step
 _SMALL_LOOP_EDGES = 7.0
+_RAYS = 48  # rays about a small loop's centre, one curve point on each
+_RADII = 24  # samples per ray, evenly spaced in (0, 2R]
 
 
 def _east(P: np.ndarray, axis: np.ndarray) -> np.ndarray:
@@ -112,7 +118,69 @@ def _may_hide_pair(a0, c, a1) -> np.ndarray:
     return low < 0.25 * np.abs(C) + _PAIR_MARGIN
 
 
-def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int]:
+def ray_brackets(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets of the one sign change of f on each ray of a sample grid.
+
+    F holds f sampled outward along rays from a common origin, with shape
+    (..., rays, radii).  Returns (k, star): per ray the index k of the
+    sample that opens its bracket [k, k + 1], and per leading index
+    whether every ray changes sign exactly once, i.e. whether the sampled
+    level set is one oval, star-shaped about the origin.  k is meaningful
+    only where star holds.
+    """
+    s = F > 0
+    flip = s[..., 1:] != s[..., :-1]
+    return np.argmax(flip, axis=-1), np.all(np.count_nonzero(flip, axis=-1) == 1, axis=-1)
+
+
+def _radial_tangents(loops, axis, field) -> tuple[np.ndarray, np.ndarray]:
+    """Meridian tangents of small loops, from one curve point per ray.
+
+    Each loop gets its centre c (the normalized vertex mean), its radius R
+    (the largest angular distance from c to a vertex) and _RAYS geodesic
+    rays from c, on which f is sampled at c and at _RADII radii in
+    (0, 2R], all loops in one field call.  Where every ray of a loop
+    changes sign exactly once (ray_brackets), the crossing seeded by
+    linear interpolation in its bracket is Newton-polished; when all
+    converge and none leaves its bracket's width of the seed, G is read
+    at the crossings and its sign changes counted in ray order, which is
+    the curve's order around a star-shaped oval.  Returns (counts, ok),
+    one per loop; a loop that is not ok has count 0.
+    """
+    m = len(loops)
+    c = np.array([P.mean(axis=0) for P in loops])
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    R = np.array([np.arccos(np.clip(P @ ci, -1.0, 1.0)).max() for P, ci in zip(loops, c)])
+    e1 = np.array([P[0] for P in loops])
+    e1 -= _dot(e1, c)[:, None] * c
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(c, e1)
+    # one row per ray, loop by loop: its origin o, unit direction d and radii
+    ang = 2.0 * math.pi * np.arange(_RAYS) / _RAYS
+    o = np.repeat(c, _RAYS, axis=0)
+    d = (np.cos(ang)[:, None] * e1[:, None] + np.sin(ang)[:, None] * e2[:, None]).reshape(-1, 3)
+    rad = np.repeat(2.0 * R, _RAYS)[:, None] * (np.arange(_RADII + 1) / _RADII)
+    pts = np.cos(rad[:, 1:, None]) * o[:, None] + np.sin(rad[:, 1:, None]) * d[:, None]
+    F = field.values(np.concatenate([c, pts.reshape(-1, 3)]))
+    F = np.concatenate([np.repeat(F[:m], _RAYS)[:, None], F[m:].reshape(-1, _RADII)], axis=1)
+    k, ok = ray_brackets(F.reshape(m, _RAYS, _RADII + 1))
+    rows = np.flatnonzero(np.repeat(ok, _RAYS))
+    k = k.ravel()[rows]
+    r0, r1 = rad[rows, k], rad[rows, k + 1]
+    f0, f1 = F[rows, k], F[rows, k + 1]
+    r = r0 + (r1 - r0) * f0 / (f0 - f1)
+    seed = np.cos(r)[:, None] * o[rows] + np.sin(r)[:, None] * d[rows]
+    X, _, _, conv = field.newton(seed)
+    held = (conv & (np.linalg.norm(X - seed, axis=1) <= r1 - r0)).reshape(-1, _RAYS).all(axis=1)
+    ok[ok] = held
+    X = X.reshape(-1, _RAYS, 3)[held].reshape(-1, 3)
+    g = _sign(_dot(field.tangents(X), _east(X, axis))).reshape(-1, _RAYS)
+    counts = np.zeros(m, dtype=np.int64)
+    counts[ok] = np.count_nonzero(g != np.roll(g, -1, axis=1), axis=1)
+    return counts, ok
+
+
+def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int, int]:
     """Meridian tangents of closed vertex loops: cyclic sign changes of G.
 
     G = T . east is taken with the field's own tangent orientation T, so
@@ -132,16 +200,23 @@ def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int
 
     A smooth segment whose ends share a sign but may hide a pair of zeros
     of G (_may_hide_pair) is walked along the curve at a quarter of its
-    length and G is read at the walk's points.  A loop shorter than
-    small_length turns too fast for its chords to bracket its tangents,
-    so it is walked whole, at a 24th of its length, instead.  Returns
-    (count, walks that did not arrive); a segment or loop whose walk did
-    not arrive keeps its vertex signs, and such a loop with zero winding
-    (windings, one per loop) counts at least the 2 tangents of its
-    longitude extremes.
+    length and G is read at the walk's points.
+
+    A loop shorter than small_length turns too fast for its chords to
+    bracket its tangents.  All such loops are solved at once along rays
+    from their centres (_radial_tangents): where f changes sign exactly
+    once on each of a loop's _RAYS rays and Newton polishes every
+    crossing within its bracket, G is read at the crossings, in ray
+    order.  A loop that fails either check is walked whole instead, from
+    its first vertex along T at a 24th of its length.
+
+    Returns (count, walks that did not arrive, small loops walked whole);
+    a segment or loop whose walk did not arrive keeps its vertex signs,
+    and such a loop with zero winding (windings, one per loop) counts at
+    least the 2 tangents of its longitude extremes.
     """
     if not loops:
-        return 0, 0
+        return 0, 0, 0
     sizes = np.array([len(P) for P in loops])
     P = np.concatenate(loops)
     N = len(P)
@@ -230,14 +305,23 @@ def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int
             seq = np.concatenate([sig[i : i + 1], g, sig[nxt[i] : nxt[i] + 1]])
             changes[i] = np.count_nonzero(np.diff(seq))
 
-    # a small loop turns too fast for its chords: walk it whole, from its
-    # first vertex along T, and count G at the walk's points instead
-    heads = first[last][small]
+    # a small loop turns too fast for its chords: count G at its crossings
+    # with rays from its centre, or, where those do not make it one
+    # star-shaped oval, walk it whole from its first vertex along T
+    walked = np.flatnonzero(small)
+    if len(walked):
+        radial, solved = _radial_tangents([loops[j] for j in walked], axis, field)
+        for j, nu in zip(walked[solved], radial[solved]):
+            a = first[last[j]]
+            changes[a : a + sizes[j]] = 0
+            changes[a] = nu
+        walked = walked[~solved]
+    heads = first[last][walked]
     if len(heads):
-        step = length[small] / 24.0
+        step = length[walked] / 24.0
         out, _, _ = walk(field, P[heads], P[heads], T[heads], step,
                          np.full(len(heads), 12.0), np.full(len(heads), 80.0))
-        for j, a, res in zip(np.flatnonzero(small), heads, out):
+        for j, a, res in zip(walked, heads, out):
             if res is None:
                 # the walk left along a strand the trace did not close:
                 # keep the vertex signs, but a loop that does not wind
@@ -249,7 +333,7 @@ def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int
             seq = np.concatenate([sig[a : a + 1], _sign(_dot(res[1], _east(res[0], axis)))])
             changes[a : a + sizes[j]] = 0
             changes[a] = np.count_nonzero(seq != np.roll(seq, -1))
-    return int(changes.sum()), lost
+    return int(changes.sum()), lost, len(walked)
 
 
 def meridian_stats(t: TracedLemniscate, axis, field):
@@ -267,7 +351,7 @@ def meridian_stats(t: TracedLemniscate, axis, field):
     # mean edge of the tracer's icosahedral grid: 10 nu^2 + 2 vertices,
     # 20 nu^2 near-equilateral faces on the unit sphere
     edge = math.sqrt(16.0 * math.pi / (20.0 * math.sqrt(3.0))) / t.grid_resolution
-    nu, _ = _tangent_count(loops, axis, field, _SMALL_LOOP_EDGES * edge, windings)
+    nu, _, _ = _tangent_count(loops, axis, field, _SMALL_LOOP_EDGES * edge, windings)
     return nu, int(np.count_nonzero(windings)), windings
 
 

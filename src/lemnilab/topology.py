@@ -184,10 +184,10 @@ def face_of_point(tree: NestingTree, point) -> int:
         raise PointOnCurve("point lies on the lemniscate")
     want = f[0] > 0
     t = tree.trace
-    verts = GRID_JITTER.apply(icosphere(t.grid_resolution).verts)
     # nearest grid vertex on the same side of the curve, by the signs the
-    # faces were flood-filled from
-    d = verts @ point
+    # faces were flood-filled from; (J v) . p = v . (J^-1 p) for the
+    # jitter J, so one point is rotated instead of the whole grid
+    d = icosphere(t.grid_resolution).verts @ GRID_JITTER.inverse().apply(point)
     order = np.argpartition(-d, min(64, len(d) - 1))[:64]
     order = order[np.argsort(-d[order])]
     same = order[t.vertex_signs[order] == want]

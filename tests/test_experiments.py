@@ -103,17 +103,26 @@ def test_determinism_across_worker_counts(tmp_path):
     assert s1 == s2
 
 
-def test_kostlan_rows_match_committed(tmp_path):
-    # the real evaluator feeds every kostlan-compare row; 17 and 307 are
-    # rows whose last length digit moves with its rounding
-    trials = [0, 17, 307]
-    rows = [run_trial("kostlan-compare", 50, 404, i) for i in trials]
+def _assert_rows_match_committed(tmp_path, experiment, n, seed, trials):
+    rows = [run_trial(experiment, n, seed, i) for i in trials]
     path = tmp_path / "rows.csv"
     ResultsTable([{k: r[k] for k in TRIAL_COLUMNS} for r in rows]).write_csv(str(path))
     results = os.path.join(os.path.dirname(__file__), os.pardir, "results")
-    with open(os.path.join(results, "kostlan-compare_n50_trials.csv")) as fh:
+    with open(os.path.join(results, "%s_n%d_trials.csv" % (experiment, n))) as fh:
         committed = fh.read().splitlines()[1:]
     assert path.read_text().splitlines()[1:] == [committed[i] for i in trials]
+
+
+def test_kostlan_rows_match_committed(tmp_path):
+    # the real evaluator feeds every kostlan-compare row; 17 and 307 are
+    # rows whose last length digit moves with its rounding
+    _assert_rows_match_committed(tmp_path, "kostlan-compare", 50, 404, [0, 17, 307])
+
+
+def test_small_loop_rows_match_committed(tmp_path):
+    # small loops whose whole-loop walks get lost (one in trials 0 and 5,
+    # two in 37) or arrive only after 50-70 steps (5, 19, 32, 38)
+    _assert_rows_match_committed(tmp_path, "tangents", 200, 202, [0, 5, 19, 32, 37, 38])
 
 
 def test_summary_contents(tmp_path):

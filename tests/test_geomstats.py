@@ -12,10 +12,12 @@ from lemnilab.ensemble import (
 from lemnilab.field import as_field
 from lemnilab.geomstats import (
     TangencySuspected,
+    _tangent_count,
+    _winding,
     great_circle_intersections,
     meridian_stats,
 )
-from lemnilab.sphere import GreatCircle, random_great_circle
+from lemnilab.sphere import GreatCircle, orthonormal_frame, random_great_circle
 from lemnilab.tracer import ClosedPolyline, TracedLemniscate, trace, walk
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -44,6 +46,36 @@ def test_small_circle_two_tangents():
     assert nu == 2
     assert loops == 0
     assert w[0] == 0
+
+
+def _radial_count(rp, pick=None):
+    """_tangent_count with every loop small: (count, lost walks, fallbacks)."""
+    t = trace(rp)
+    loops = [c.vertices[:-1] for c in t.components]
+    loops = loops if pick is None else [loops[i] for i in pick]
+    e1, e2 = orthonormal_frame(Z)
+    windings = np.array([_winding(P, e1, e2) for P in loops])
+    return _tangent_count(loops, Z, as_field(rp), math.inf, windings)
+
+
+def test_radial_count_off_axis_circle():
+    assert _radial_count(circle_pair(center=1.0, radius=0.3)) == (2, 0, 0)
+
+
+def test_radial_count_circle_about_the_pole():
+    # |z - 0.3| = 1 encloses the pole z = 0 off-centre: G keeps its sign
+    assert _radial_count(circle_pair(center=0.3, radius=1.0)) == (0, 0, 0)
+
+
+def test_radial_count_falls_back_to_the_walk():
+    # |(z - 1)(z - 1.5)| = 0.25 |z - 1.56|: a large oval about z = 1 and a
+    # small one just past it, inside twice the large one's radius, so rays
+    # from the large oval's centre cross three times
+    p = np.array([1.5, -2.5, 1.0], complex)
+    q = 0.25 * np.array([-1.56, 1.0, 0.0], complex)
+    rp = RationalPair(KostlanPolynomial(2, p), KostlanPolynomial(2, q))
+    assert [len(c) > 100 for c in trace(rp).components] == [True, False]
+    assert _radial_count(rp, [0]) == (2, 0, 1)
 
 
 def test_tangent_count_even_and_morse():
