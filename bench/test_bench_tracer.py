@@ -4,16 +4,17 @@ Outside the tier-1 `testpaths`; run from the repository root with
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest bench -q
 
-Every case but the last reads one fixed input: seed 202, n=200, trial 0
+Every case but the last two reads one fixed input: seed 202, n=200, trial 0
 at the default grid (nu=78), the tangents workload's first trial, taken
-apart the way `tracer._trace_once` takes it apart.  The last times the
-tangent count of trial 19, which has seven small loops.
+apart the way `tracer._trace_once` takes it apart.  The last two time the
+tangent count of trial 19, which has seven small loops, and of the
+kostlan-compare workload's first trial (real field, seed 404, n=50).
 """
 
 import numpy as np
 import pytest
 
-from lemnilab.ensemble import sample_rational_pair
+from lemnilab.ensemble import sample_rational_pair, sample_real_kostlan
 from lemnilab.experiments import trial_stream
 from lemnilab.field import as_field, chart_jets
 from lemnilab.geomstats import meridian_stats
@@ -90,3 +91,9 @@ def test_meridian_stats_small_loops(benchmark):
     # whole-loop walks is lost; the longest takes 65 steps
     rp = sample_rational_pair(200, trial_stream(202, 200, 19))
     benchmark(meridian_stats, trace(rp), np.array([0.0, 0.0, 1.0]), as_field(rp))
+
+
+def test_meridian_stats_real(benchmark):
+    # the real field's tangent reads: G at every vertex of a real n=50 trace
+    poly = sample_real_kostlan(50, trial_stream(404, 50, 0))
+    benchmark(meridian_stats, trace(poly), np.array([0.0, 0.0, 1.0]), as_field(poly))

@@ -190,19 +190,20 @@ def eval_real_many(
     Separable in the chart of each point's dominant coordinate t (largest
     modulus, ties to the lowest axis): with u, v the other two coordinates
     over t (so |u|, |v| <= 1), U, V their power matrices and C[a, b] the
-    coefficient of u^a v^b, f = t^n rowsum(U * (V C^T)).  The returned
-    scale is the root-sum-square of the monomial terms,
-    |t|^n sqrt(rowsum(U^2 * (V^2 (C*C)^T))), and the gradient components
-    are t^(n-1) times the same product with C weighted by a, b and
-    n - a - b.
+    coefficient of u^a v^b, f = t^n rowsum(U * (V C^T)).  Returns the
+    values alone, or with with_grad=True (values, gradient, scale): the
+    gradient components are t^(n-1) times the same product with C weighted
+    by a, b and n - a - b, and the scale is the root-sum-square of the
+    monomial terms, |t|^n sqrt(rowsum(U^2 * (V^2 (C*C)^T))).
     """
     pts = np.asarray(points, dtype=float)
     n = poly.degree
     E = poly.exps
     N = len(pts)
     vals = np.empty(N)
-    scale = np.empty(N)
-    grad = np.empty((N, 3)) if with_grad else None
+    if with_grad:
+        scale = np.empty(N)
+        grad = np.empty((N, 3))
     dom = np.argmax(np.abs(pts), axis=1)
     k = np.arange(n + 1.0)
     for d, (i, j) in enumerate(_CHART_AXES):
@@ -217,8 +218,8 @@ def eval_real_many(
         W = V @ C.T
         tn = t**n
         vals[idx] = tn * _rowdot(U, W)
-        scale[idx] = np.abs(tn) * np.sqrt(_rowdot(U * U, (V * V) @ (C * C).T))
         if with_grad:
+            scale[idx] = np.abs(tn) * np.sqrt(_rowdot(U * U, (V * V) @ (C * C).T))
             # d/du reuses V C^T: column a + 1 weighted by a + 1 meets u^a;
             # d/dv: Cv[a, b] = (b + 1) C[a, b + 1]; d/dt: C[a, b] (n - a - b)
             Cv = np.zeros_like(C)
@@ -230,7 +231,7 @@ def eval_real_many(
             grad[idx, d] = tn1 * _rowdot(U, Wvt[:, n + 1 :])
     if with_grad:
         return vals, grad, scale
-    return vals, scale
+    return vals
 
 
 def _project(jet, points, tol_rel, max_iters):
@@ -363,7 +364,7 @@ class RealField:
         self.degree = poly.degree
 
     def values(self, pts):
-        return eval_real_many(self.poly, pts)[0]
+        return eval_real_many(self.poly, pts)
 
     def newton(self, pts):
         return real_newton_correct(self.poly, pts, *TRACE_NEWTON)

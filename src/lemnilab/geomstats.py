@@ -3,13 +3,15 @@
 Meridian-tangent counts, axis-looping components and great-circle
 crossings (pi times their mean is the length, by integral geometry).
 Tangents are counted as sign changes of the meridian derivative
-G = T . (axis x P) read at curve points, never from differences of
-polyline positions, so noise in the vertex positions cannot fake or hide
-a tangency (see _tangent_count).  On a loop too small for its chords to
-bracket its tangents, the curve points are the loop's crossings with
-rays from its centre, found for all small loops by one sampling of f
-and one Newton polish; a loop that is not one oval, star-shaped about
-its centre, is walked whole along the curve instead, and counted.
+G = T . (axis x P), read from the field tangent T at every polyline
+vertex, never from differences of polyline positions, so noise in the
+vertex positions cannot fake or hide a tangency (see _tangent_count).
+On a loop too small for its chords to bracket its tangents, the curve
+points are the loop's crossings with rays from its centre, found for all
+small loops by one sampling of f and one Newton polish; a loop that is
+not one oval, star-shaped about its centre, is walked whole along the
+curve instead, and counted.  All loops of a trace are handled together,
+stored back to back in one vertex array (tracer.ring).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .ensemble import RationalPair
 from .field import eval_f_many
 from .sphere import GreatCircle, orthonormal_frame, unit_vector
-from .tracer import TracedLemniscate, default_options, ring, walk
+from .tracer import TracedLemniscate, default_options, ring, subdivide, walk
 
 
 class AxisTooClose(ValueError):
@@ -37,39 +39,33 @@ _POLE_FLOOR = 1e-5
 _TANGENCY_TOL = 1e-7
 
 
-def _refine_near_axis(P: np.ndarray, axis: np.ndarray, field) -> np.ndarray:
-    """Subdivide a closed vertex loop so each arc-step stays below a fifth
-    of its distance to the axis poles.
+def _refine_near_axis(P, sizes, axis, field) -> tuple[np.ndarray, np.ndarray]:
+    """Subdivide the closed vertex loops P (stored back to back, with sizes
+    vertices each) so each arc-step stays below a fifth of its distance to
+    the axis poles.
 
     Longitude about the axis varies by at most ~step/dist per segment, so
     this keeps the per-segment longitude change small even where the curve
     dives toward a pole.  Raises AxisTooClose if the curve comes within
-    _POLE_FLOOR of a pole.
+    _POLE_FLOOR of a pole or the subdivision does not settle.
     """
-    for _ in range(40):
+
+    def too_long(P, nxt):
         d = np.arccos(np.clip(np.abs(P @ axis), -1.0, 1.0))  # to the nearer pole
         if d.min() < _POLE_FLOOR:
             raise AxisTooClose("curve passes through the axis neighborhood")
-        dn = np.minimum(d, np.roll(d, -1))
-        step = np.arccos(
-            np.clip(np.einsum("ij,ij->i", P, np.roll(P, -1, axis=0)), -1.0, 1.0)
-        )
-        bad = step > 0.2 * dn
-        if not bad.any():
-            return P
-        mids = P[bad] + np.roll(P, -1, axis=0)[bad]
-        mids /= np.linalg.norm(mids, axis=1)[:, None]
-        corrected, rel, relgrad, conv = field.newton(mids)
-        if not conv.all():
-            raise AxisTooClose("refinement near the axis failed to converge")
-        P = np.insert(P, np.flatnonzero(bad) + 1, corrected, axis=0)
-    raise AxisTooClose("axis refinement did not settle")
+        step = np.arccos(np.clip(np.einsum("ij,ij->i", P, P[nxt]), -1.0, 1.0))
+        return step > 0.2 * np.minimum(d, d[nxt])
+
+    P, sizes, settled, _ = subdivide(field, P, sizes, too_long, 40)
+    if not settled:
+        raise AxisTooClose("axis refinement did not settle")
+    return P, sizes
 
 
 # Tangent counting.  Along the curve the meridian derivative is
 # G = T . (axis x P): it vanishes exactly where the curve is tangent to a
 # meridian, so the tangents are the sign changes of G around each loop.
-_SLACK = 0.05  # rad added to the chord bracket of a vertex tangent
 _ORDER_COS = math.cos(0.5)  # tangent-chord agreement of a smooth segment
 _PAIR_MARGIN = 1e-3  # east component a pair-free segment keeps (model)
 _WALK_SHARE = 0.25  # walk step as a share of the walked segment
@@ -86,12 +82,14 @@ def _east(P: np.ndarray, axis: np.ndarray) -> np.ndarray:
     return E / np.linalg.norm(E, axis=1)[:, None]
 
 
-def _winding(P, e1, e2) -> int:
-    """Turns of the closed loop P in longitude about the frame's axis."""
+def _windings(P, sizes, e1, e2) -> np.ndarray:
+    """Turns of each closed loop of P (stored back to back, with sizes
+    vertices each) in longitude about the frame's axis."""
+    loop_of, nxt = ring(sizes)
     theta = np.arctan2(P @ e2, P @ e1)
-    d = np.diff(np.append(theta, theta[0]))
-    d = (d + math.pi) % (2.0 * math.pi) - math.pi  # wrapped to (-pi, pi]
-    return round(float(d.sum()) / (2.0 * math.pi))
+    d = (theta[nxt] - theta + math.pi) % (2.0 * math.pi) - math.pi  # wrapped to (-pi, pi]
+    turns = np.bincount(loop_of, d, len(sizes)) / (2.0 * math.pi)
+    return np.rint(turns).astype(np.int64)
 
 
 def _dot(a, b):
@@ -133,26 +131,27 @@ def ray_brackets(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argmax(flip, axis=-1), np.all(np.count_nonzero(flip, axis=-1) == 1, axis=-1)
 
 
-def _radial_tangents(loops, axis, field) -> tuple[np.ndarray, np.ndarray]:
+def _radial_tangents(P, sizes, axis, field) -> tuple[np.ndarray, np.ndarray]:
     """Meridian tangents of small loops, from one curve point per ray.
 
-    Each loop gets its centre c (the normalized vertex mean), its radius R
-    (the largest angular distance from c to a vertex) and _RAYS geodesic
-    rays from c, on which f is sampled at c and at _RADII radii in
-    (0, 2R], all loops in one field call.  Where every ray of a loop
-    changes sign exactly once (ray_brackets), the crossing seeded by
-    linear interpolation in its bracket is Newton-polished; when all
-    converge and none leaves its bracket's width of the seed, G is read
-    at the crossings and its sign changes counted in ray order, which is
-    the curve's order around a star-shaped oval.  Returns (counts, ok),
-    one per loop; a loop that is not ok has count 0.
+    P holds the loops back to back, with sizes vertices each.  Each loop
+    gets its centre c (the normalized vertex mean), its radius R (the
+    largest angular distance from c to a vertex) and _RAYS geodesic rays
+    from c, on which f is sampled at c and at _RADII radii in (0, 2R], all
+    loops in one field call.  Where every ray of a loop changes sign
+    exactly once (ray_brackets), the crossing seeded by linear
+    interpolation in its bracket is Newton-polished; when all converge and
+    none leaves its bracket's width of the seed, G is read at the
+    crossings and its sign changes counted in ray order, which is the
+    curve's order around a star-shaped oval.  Returns (counts, ok), one
+    per loop; a loop that is not ok has count 0.
     """
-    m = len(loops)
-    c = np.array([P.mean(axis=0) for P in loops])
+    m = len(sizes)
+    starts = np.cumsum(sizes) - sizes
+    c = np.add.reduceat(P, starts) / sizes[:, None]
     c /= np.linalg.norm(c, axis=1)[:, None]
-    R = np.array([np.arccos(np.clip(P @ ci, -1.0, 1.0)).max() for P, ci in zip(loops, c)])
-    e1 = np.array([P[0] for P in loops])
-    e1 -= _dot(e1, c)[:, None] * c
+    R = np.maximum.reduceat(np.arccos(np.clip(_dot(P, c[ring(sizes)[0]]), -1.0, 1.0)), starts)
+    e1 = P[starts] - _dot(P[starts], c)[:, None] * c
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
     e2 = np.cross(c, e1)
     # one row per ray, loop by loop: its origin o, unit direction d and radii
@@ -180,23 +179,17 @@ def _radial_tangents(loops, axis, field) -> tuple[np.ndarray, np.ndarray]:
     return counts, ok
 
 
-def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int, int]:
+def _tangent_count(P, sizes, axis, field, small_length, windings) -> tuple[int, int, int]:
     """Meridian tangents of closed vertex loops: cyclic sign changes of G.
 
-    G = T . east is taken with the field's own tangent orientation T, so
-    it is a function on the curve whatever the direction in which the
-    polyline runs, and its sign changes are counted in polyline order.
+    P holds the loops back to back, with sizes vertices each.  G = T . east
+    is taken with the field's own tangent orientation T, so it is a
+    function on the curve whatever the direction in which the polyline
+    runs, and its sign changes are counted in polyline order.
 
-    G's sign at a vertex is read from the field tangent unless the
-    polyline settles it: the tangent at a vertex lies within the turn
-    angle beta between its chords of either chord, so when both chords
-    lean to the same side of the meridian by more than 2 beta + _SLACK,
-    G has that side's sign times the direction of the polyline against
-    T.  A run of settled vertices takes that direction from the chords
-    that join it to the read vertices on either side; where the two
-    disagree (the polyline doubles back or cuts a hairpin), the run is
-    read too.  A lone short chord that runs against its neighbours joins
-    two vertices out of arc order, and their places are swapped.
+    G's sign at every vertex is read from the field tangent there.  A
+    lone short chord that runs against its neighbours joins two vertices
+    out of arc order, and their places are swapped.
 
     A smooth segment whose ends share a sign but may hide a pair of zeros
     of G (_may_hide_pair) is walked along the curve at a quarter of its
@@ -215,80 +208,41 @@ def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int
     and such a loop with zero winding (windings, one per loop) counts at
     least the 2 tangents of its longitude extremes.
     """
-    if not loops:
-        return 0, 0, 0
-    sizes = np.array([len(P) for P in loops])
-    P = np.concatenate(loops)
-    N = len(P)
-    first, nxt = ring(sizes)
-    idx = np.arange(N)
+    loop_of, nxt = ring(sizes)
+    starts = np.cumsum(sizes) - sizes
+    idx = np.arange(len(P))
     prv = np.argsort(nxt)  # the inverse permutation
     E = _east(P, axis)
 
     d = P[nxt] - P
     h = np.linalg.norm(d, axis=1)
     u = d / np.maximum(h, 1e-300)[:, None]
-    g_out = _dot(u, E)  # chord i at its start vertex
-    g_in = _dot(u[prv], E)  # chord i-1 at its end vertex i
-    beta = np.arccos(np.clip(_dot(u[prv], u), -1.0, 1.0))
-    cone = 2.0 * beta + _SLACK
-    read = ~(
-        (g_in * g_out > 0.0)
-        & (np.minimum(np.abs(g_in), np.abs(g_out))
-           > np.sin(np.minimum(cone, 0.5 * math.pi)))
-        & (cone < 0.5 * math.pi)
-    )
-    last = np.cumsum(sizes) - 1
-    read[first[last]] = True  # one read vertex per loop
-
-    T = np.zeros((N, 3))
-    T[read] = field.tangents(P[read])
+    T = field.tangents(P)
     tu0, tu1 = _dot(T, u), _dot(T[nxt], u)
-    # direction of the polyline against T on the chords leaving (after)
-    # and entering (before) each read vertex, carried over settled runs
-    R = np.flatnonzero(read)
-    loop_of = np.repeat(np.arange(len(loops)), sizes)
-    last_read = R[np.searchsorted(R, last, side="right") - 1][loop_of]
-    first_read = R[np.searchsorted(R, first[last])][loop_of]
-    k = np.searchsorted(R, idx, side="right") - 1
-    r1 = R[np.maximum(k, 0)]
-    r1 = np.where((k >= 0) & (first[r1] == first), r1, last_read)
-    k = np.searchsorted(R, idx)
-    r2 = R[np.minimum(k, len(R) - 1)]
-    r2 = np.where((k < len(R)) & (first[r2] == first), r2, first_read)
-    after = np.sign(tu0[r1])
-    before = np.sign(tu1[prv[r2]])
-    unsure = ~read & (after != before)
-    if unsure.any():
-        T[unsure] = field.tangents(P[unsure])
-        read |= unsure
-        tu0, tu1 = _dot(T, u), _dot(T[nxt], u)
-    o = np.where(read, np.sign(tu0), after)
-    val = np.where(read, _dot(T, E), o * 0.5 * (g_out + g_in))
+    o = np.sign(tu0)  # direction of the polyline against T on chord i
+    val = _dot(T, E)
     sig = _sign(val)
 
     # a lone chord shorter than its neighbours that runs against them
     # (seen from both its ends) joins two vertices out of arc order:
     # their places in the sequence are swapped
     back = (
-        read & read[nxt] & (np.sign(tu1) == o) & (o[prv] == o[nxt])
+        (np.sign(tu1) == o) & (o[prv] == o[nxt])
         & (o != o[nxt]) & (h < np.minimum(h[prv], h[nxt]))
     )
     order = idx.copy()
     order[back], order[nxt[back]] = nxt[back], idx[back]
     changes = (sig[order] != sig[order[nxt]]).astype(np.int64)
 
-    # smooth segments that may hide a pair; `way` is the segment's
-    # direction against T, seen from a read end
-    way = np.where(read, np.sign(tu0), np.sign(tu1))
-    on = (~read | (way * tu0 >= _ORDER_COS)) & (~read[nxt] | (way * tu1 >= _ORDER_COS))
+    # smooth segments that may hide a pair
+    on = (o * tu0 >= _ORDER_COS) & (o * tu1 >= _ORDER_COS)
     swapped = back | back[prv] | back[nxt]
-    length = np.bincount(loop_of, h, len(loops))
+    length = np.bincount(loop_of, h, len(sizes))
     small = length < small_length
     sv = sig.astype(float)
     pair = (
-        (read | read[nxt]) & on & ~swapped & ~small[loop_of] & (sig == sig[nxt])
-        & _may_hide_pair(sv * val, sv * way * 0.5 * (g_out + _dot(u, E[nxt])),
+        on & ~swapped & ~small[loop_of] & (sig == sig[nxt])
+        & _may_hide_pair(sv * val, sv * o * 0.5 * (_dot(u, E) + _dot(u, E[nxt])),
                          sv * val[nxt])
     )
     lost = 0
@@ -300,8 +254,8 @@ def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int
             if res is None:
                 lost += 1
                 continue
-            # the walk's tangents run along the chord, i.e. along way * T
-            g = _sign(way[i] * _dot(res[1], _east(res[0], axis)))
+            # the walk's tangents run along the chord, i.e. along o * T
+            g = _sign(o[i] * _dot(res[1], _east(res[0], axis)))
             seq = np.concatenate([sig[i : i + 1], g, sig[nxt[i] : nxt[i] + 1]])
             changes[i] = np.count_nonzero(np.diff(seq))
 
@@ -310,13 +264,11 @@ def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int
     # star-shaped oval, walk it whole from its first vertex along T
     walked = np.flatnonzero(small)
     if len(walked):
-        radial, solved = _radial_tangents([loops[j] for j in walked], axis, field)
-        for j, nu in zip(walked[solved], radial[solved]):
-            a = first[last[j]]
-            changes[a : a + sizes[j]] = 0
-            changes[a] = nu
+        radial, solved = _radial_tangents(P[small[loop_of]], sizes[walked], axis, field)
+        changes[np.isin(loop_of, walked[solved])] = 0
+        changes[starts[walked[solved]]] = radial[solved]
         walked = walked[~solved]
-    heads = first[last][walked]
+    heads = starts[walked]
     if len(heads):
         step = length[walked] / 24.0
         out, _, _ = walk(field, P[heads], P[heads], T[heads], step,
@@ -339,19 +291,24 @@ def _tangent_count(loops, axis, field, small_length, windings) -> tuple[int, int
 def meridian_stats(t: TracedLemniscate, axis, field):
     """(tangent count, looping components, windings) about one axis.
 
-    field is the traced curve's field object (field.as_field).  Components
-    are first subdivided near the axis so longitude increments are
-    trustworthy; the windings come from those increments and the tangents
-    from sign changes of the meridian derivative G (see _tangent_count).
+    field is the traced curve's field object (field.as_field).  All
+    components, stored back to back, are first subdivided near the axis
+    so longitude increments are trustworthy; the windings come from those
+    increments and the tangents from sign changes of the meridian
+    derivative G (see _tangent_count).
     """
+    if not t.components:
+        return 0, 0, np.zeros(0, dtype=np.int64)
     axis = unit_vector(axis)
     e1, e2 = orthonormal_frame(axis)
-    loops = [_refine_near_axis(c.vertices[:-1], axis, field) for c in t.components]
-    windings = np.array([_winding(P, e1, e2) for P in loops], dtype=np.int64)
+    sizes = np.array([len(c) - 1 for c in t.components])
+    P, sizes = _refine_near_axis(np.concatenate([c.vertices[:-1] for c in t.components]),
+                                 sizes, axis, field)
+    windings = _windings(P, sizes, e1, e2)
     # mean edge of the tracer's icosahedral grid: 10 nu^2 + 2 vertices,
     # 20 nu^2 near-equilateral faces on the unit sphere
     edge = math.sqrt(16.0 * math.pi / (20.0 * math.sqrt(3.0))) / t.grid_resolution
-    nu, _, _ = _tangent_count(loops, axis, field, _SMALL_LOOP_EDGES * edge, windings)
+    nu, _, _ = _tangent_count(P, sizes, axis, field, _SMALL_LOOP_EDGES * edge, windings)
     return nu, int(np.count_nonzero(windings)), windings
 
 

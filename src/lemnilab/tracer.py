@@ -173,13 +173,12 @@ def _link_cycles(pair_rows: np.ndarray) -> list:
 
 
 def ring(sizes) -> tuple[np.ndarray, np.ndarray]:
-    """(first, next) indices of closed loops stored back to back in one
-    vertex array, loop j holding sizes[j] vertices: first[i] is the first
-    vertex of i's loop and next[i] the vertex after i, wrapping at the
-    loop's end."""
-    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    idx = np.arange(len(first))
-    return first, first + (idx - first + 1) % np.repeat(sizes, sizes)
+    """(loop, next) indices of closed loops stored back to back in one
+    vertex array, loop j holding sizes[j] vertices: loop[i] is the loop of
+    vertex i and next[i] the vertex after i, wrapping at the loop's end."""
+    loop = np.repeat(np.arange(len(sizes)), sizes)
+    first = (np.cumsum(sizes) - sizes)[loop]
+    return loop, first + (np.arange(len(loop)) - first + 1) % np.asarray(sizes)[loop]
 
 
 def walk(fieldobj, starts, targets, dirs, steps, min_steps, caps):
@@ -240,26 +239,39 @@ def walk(fieldobj, starts, targets, dirs, steps, min_steps, caps):
     return walks, stalled, min_grad
 
 
-def _densify(fieldobj, P, sizes, target):
-    """Split over-long segments of the loops P (stored back to back, with
-    sizes vertices each) at geodesic midpoints until none exceed roughly
-    twice the target arc-step; inserted points are Newton-projected back
-    onto the curve.  Returns (P, sizes, min relative gradient seen)."""
+def subdivide(fieldobj, P, sizes, too_long, rounds):
+    """Split the segments of the loops P (stored back to back, with sizes
+    vertices each) at geodesic midpoints, Newton-projected back onto the
+    curve, in up to `rounds` passes.  too_long(P, next) marks the segments
+    (vertex i to next[i]) a pass splits.  A pass whose midpoint projection
+    stalls keeps the midpoints that converged and ends the passes.
+    Returns (P, sizes, settled, min relative gradient seen), settled when
+    a pass found nothing to split."""
     min_grad = math.inf
-    thresh = 1.9 * target
-    for _ in range(12):
+    for _ in range(rounds):
         _, nxt = ring(sizes)
-        over = spherical_distance_many(P, P[nxt]) > thresh
+        over = too_long(P, nxt)
         if not over.any():
-            break
+            return P, sizes, True, min_grad
         s = P[over] + P[nxt[over]]
         corrected, _, relgrad, conv = fieldobj.newton(s / np.linalg.norm(s, axis=1)[:, None])
         min_grad = min(min_grad, float(relgrad.min()))
         P, sizes = _insert_after(P, sizes, np.flatnonzero(over)[conv], corrected[conv])
         if not conv.all():
-            # midpoints that stall (vanishing gradient near a hairpin tip)
-            # are left for the tangent walk below
             break
+    return P, sizes, False, min_grad
+
+
+def _densify(fieldobj, P, sizes, target):
+    """Split over-long segments of the loops P (stored back to back, with
+    sizes vertices each) at geodesic midpoints until none exceed roughly
+    twice the target arc-step, then walk the ones that stay over.
+    Returns (P, sizes, min relative gradient seen)."""
+    thresh = 1.9 * target
+    # midpoints that stall (vanishing gradient near a hairpin tip) are
+    # left for the tangent walk below
+    P, sizes, _, min_grad = subdivide(
+        fieldobj, P, sizes, lambda P, nxt: spherical_distance_many(P, P[nxt]) > thresh, 12)
 
     # stubborn segments remain when the curve hairpins away from the chord
     # and midpoints keep projecting onto one endpoint; walk those along the
@@ -293,9 +305,8 @@ def _densify(fieldobj, P, sizes, target):
 
 def _insert_after(P, sizes, at, points):
     """Insert points after the vertices at (ascending) of the loops P."""
-    loop_of = np.repeat(np.arange(len(sizes)), sizes)
     return (np.insert(P, at + 1, points, axis=0),
-            sizes + np.bincount(loop_of[at], minlength=len(sizes)))
+            sizes + np.bincount(ring(sizes)[0][at], minlength=len(sizes)))
 
 
 def trace(rp, opts: TraceOptions | None = None) -> TracedLemniscate:

@@ -125,6 +125,16 @@ def test_small_loop_rows_match_committed(tmp_path):
     _assert_rows_match_committed(tmp_path, "tangents", 200, 202, [0, 5, 19, 32, 37, 38])
 
 
+def test_pair_walk_rows_match_committed(tmp_path):
+    # rows whose pair-walk candidates depend on how G's vertex signs are
+    # found: signs inferred from chord geometry walked one more segment in
+    # tangents row 39 and length row 93, and two more in kostlan-compare
+    # row 20, than signs read at every vertex
+    _assert_rows_match_committed(tmp_path, "tangents", 200, 202, [39])
+    _assert_rows_match_committed(tmp_path, "length", 25, 101, [93])
+    _assert_rows_match_committed(tmp_path, "kostlan-compare", 50, 404, [20])
+
+
 def test_summary_contents(tmp_path):
     out = run_tiny(tmp_path, "a")
     with open(os.path.join(out, "length_summary.json")) as fh:

@@ -12,8 +12,9 @@ from lemnilab.ensemble import (
 from lemnilab.field import as_field
 from lemnilab.geomstats import (
     TangencySuspected,
+    _refine_near_axis,
     _tangent_count,
-    _winding,
+    _windings,
     great_circle_intersections,
     meridian_stats,
 )
@@ -50,12 +51,12 @@ def test_small_circle_two_tangents():
 
 def _radial_count(rp, pick=None):
     """_tangent_count with every loop small: (count, lost walks, fallbacks)."""
-    t = trace(rp)
-    loops = [c.vertices[:-1] for c in t.components]
-    loops = loops if pick is None else [loops[i] for i in pick]
+    comps = trace(rp).components
+    comps = comps if pick is None else [comps[i] for i in pick]
+    sizes = np.array([len(c) - 1 for c in comps])
+    P = np.concatenate([c.vertices[:-1] for c in comps])
     e1, e2 = orthonormal_frame(Z)
-    windings = np.array([_winding(P, e1, e2) for P in loops])
-    return _tangent_count(loops, Z, as_field(rp), math.inf, windings)
+    return _tangent_count(P, sizes, Z, as_field(rp), math.inf, _windings(P, sizes, e1, e2))
 
 
 def test_radial_count_off_axis_circle():
@@ -76,6 +77,58 @@ def test_radial_count_falls_back_to_the_walk():
     rp = RationalPair(KostlanPolynomial(2, p), KostlanPolynomial(2, q))
     assert [len(c) > 100 for c in trace(rp).components] == [True, False]
     assert _radial_count(rp, [0]) == (2, 0, 1)
+
+
+def test_empty_trace_has_no_meridian_stats():
+    # |p| = 1 < 2 = |q| everywhere: no curve
+    rp = RationalPair(KostlanPolynomial(1, np.array([1, 0], complex)),
+                      KostlanPolynomial(1, np.array([2, 0], complex)))
+    t = trace(rp)
+    assert t.components == []
+    nu, loops, w = meridian_stats(t, Z, as_field(rp))
+    assert (nu, loops, list(w)) == (0, 0, [])
+
+
+class _CountingField:
+    def __init__(self, field):
+        self.field, self.newtons = field, 0
+
+    def newton(self, pts):
+        self.newtons += 1
+        return self.field.newton(pts)
+
+    def __getattr__(self, name):
+        return getattr(self.field, name)
+
+
+def test_axis_refinement_batches_loops():
+    # |(z - 1)(z - i)| = 0.2: two ovals, about z = 1 and z = i, and an axis
+    # 1e-3 outside a vertex of the first, so that loop is subdivided over
+    # many passes and the other not at all; the loops refined and counted
+    # together must give what each gives alone
+    rp = RationalPair(KostlanPolynomial(2, np.array([1j, -1 - 1j, 1], complex)),
+                      KostlanPolynomial(2, np.array([0.2, 0, 0], complex)))
+    f = as_field(rp)
+    t = trace(rp)
+    loops = [c.vertices[:-1] for c in t.components]
+    assert len(loops) == 2
+    v = loops[0][0]
+    out = v - loops[0].mean(axis=0)
+    out -= (out @ v) * v
+    axis = math.cos(1e-3) * v + math.sin(1e-3) * out / np.linalg.norm(out)
+    sizes = np.array([len(L) for L in loops])
+    counting = _CountingField(f)
+    _, refined = _refine_near_axis(np.concatenate(loops), sizes, axis, counting)
+    assert counting.newtons >= 5
+    assert refined[0] > sizes[0] and refined[1] == sizes[1]
+    nu, looping, w = meridian_stats(t, axis, f)
+    alone = [
+        meridian_stats(TracedLemniscate([c], t.grid_resolution, t.min_gradient_seen), axis, f)
+        for c in t.components
+    ]
+    assert list(w) == [a[2][0] for a in alone]
+    assert nu == sum(a[0] for a in alone) and looping == sum(a[1] for a in alone)
+    assert nu == 4 and looping == 0
 
 
 def test_tangent_count_even_and_morse():
