@@ -72,7 +72,7 @@ def _cmd_render(args) -> int:
     rp = sample_rational_pair(args.n, trial_stream(args.seed, args.n, args.trial))
     t = trace(rp)
     render_svg(t, np.asarray(args.projection), args.out)
-    print("%s: %d components" % (args.out, len(t.components)))
+    print("%s: %d components" % (args.out, len(t.sizes)))
     return 0
 
 

@@ -116,15 +116,25 @@ def _to_origin(h) -> np.ndarray:
     return Rotation.align(from_homogeneous(h), _ORIGIN).su2()
 
 
+def _diameters(verts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-oval diameter (3D chord): twice the largest distance of a
+    vertex from its oval's vertex mean."""
+    starts = np.cumsum(sizes) - sizes
+    c = np.add.reduceat(verts, starts) / sizes[:, None]
+    r = np.linalg.norm(verts - np.repeat(c, sizes, axis=0), axis=1)
+    return 2.0 * np.maximum.reduceat(r, starts)
+
+
 @dataclass(frozen=True)
 class _Frame:
     """The pair plus everything that must ride along under Mobius moves:
-    homogeneous markers [z : w] of the faces placed so far, and the
-    per-component vertex arrays of the ovals."""
+    homogeneous markers [z : w] of the faces placed so far, and the ovals,
+    stored open and back to back (oval j holds sizes[j] of verts)."""
 
     rp: RationalPair
     markers: dict
-    comp_verts: list
+    verts: np.ndarray
+    sizes: np.ndarray
 
     def moved(self, M: np.ndarray) -> "_Frame":
         """The frame in the coordinate [z : w] -> M [z : w].
@@ -140,19 +150,9 @@ class _Frame:
         return _Frame(
             _pair(n, pc, qc),
             {k: M @ h for k, h in self.markers.items()},
-            [
-                from_homogeneous(np.stack(homogeneous_coords(v), axis=-1) @ M.T)
-                for v in self.comp_verts
-            ],
+            from_homogeneous(np.stack(homogeneous_coords(self.verts), axis=-1) @ M.T),
+            self.sizes,
         )
-
-    def min_feature(self) -> float:
-        """Smallest component diameter (3D chord) in the current frame."""
-        best = math.inf
-        for v in self.comp_verts:
-            c = v.mean(axis=0)
-            best = min(best, 2.0 * float(np.linalg.norm(v - c, axis=1).max()))
-        return best
 
 
 def _resolution_for(feature: float) -> int:
@@ -174,14 +174,12 @@ def _add_circle(frame: _Frame, key, shrink: float = 1.0):
     """One inductive step; returns (new frame, eps, certificate)."""
     # normalize: parent face marker to the origin, free disk to unit size
     frame = frame.moved(_to_origin(frame.markers[key[0]]))
-    if frame.comp_verts:
-        lam = min(float(_chart_abs(v).min()) for v in frame.comp_verts)
-        frame = frame.moved(np.diag([1.0, lam]))
+    if len(frame.sizes):
+        frame = frame.moved(np.diag([1.0, _chart_abs(frame.verts).min()]))
     # pole goes next to the parent marker, not on top of it
     frame = frame.moved(_to_origin(np.array([0.45, 1.0])))
 
-    dists = [1.0]
-    dists.extend(float(_chart_abs(v).min()) for v in frame.comp_verts)
+    dists = [float(_chart_abs(frame.verts).min(initial=1.0))]
     dists.extend(
         abs(z / w) for z, w in frame.markers.values() if z != 0 and w != 0
     )
@@ -217,7 +215,7 @@ def _add_circle(frame: _Frame, key, shrink: float = 1.0):
         if oval_z is None:
             eps *= 0.5
             continue
-        moved = _persisted_components(cand, frame.comp_verts)
+        moved = _persisted_components(cand, frame.verts, frame.sizes)
         if moved is None:
             eps *= 0.5
             continue
@@ -226,8 +224,8 @@ def _add_circle(frame: _Frame, key, shrink: float = 1.0):
         cert = float((eps / np.abs(oval_z) ** 2 - np.abs(r_prime)).min())
         if cert > 0.0:
             markers = {**frame.markers, key: np.array([0.0, 1.0 + 0j])}
-            ovals = moved + [inverse_stereographic_many(oval_z)]
-            return _Frame(cand, markers, ovals), eps, cert
+            verts = np.concatenate([moved, inverse_stereographic_many(oval_z)])
+            return _Frame(cand, markers, verts, np.append(frame.sizes, len(oval_z))), eps, cert
         eps *= 0.5
     raise EpsilonExhausted("no epsilon passed after 60 halvings")
 
@@ -258,26 +256,25 @@ def _cand_field(pc, qc, z):
     return (np.abs(pv) ** 2 - np.abs(qv) ** 2).reshape(np.shape(z))
 
 
-def _persisted_components(cand: RationalPair, comp_verts: list):
-    """Newton-project each old oval onto the perturbed curve.
+def _persisted_components(cand: RationalPair, verts: np.ndarray, sizes: np.ndarray):
+    """Newton-project the old ovals (stored back to back, sizes vertices
+    each) onto the perturbed curve.
 
-    Returns the corrected vertex arrays, or None if any point failed to
+    Returns the corrected vertices, or None if any point failed to
     converge or drifted by more than a fifth of its oval's diameter
     (which would void the persistence argument).
     """
-    moved = []
-    for v in comp_verts:
-        # 1e-7 residual at healthy gradient puts the point within ~1e-9
-        # of the curve, plenty below the drift threshold
-        pts, rel, relgrad, conv = newton_correct(cand, v, tol_rel=1e-8)
-        if rel.max() > 1e-7 or relgrad.min() < 1e-9:
-            return None
-        disp = np.linalg.norm(pts - v, axis=1).max()
-        diam = 2.0 * np.linalg.norm(v - v.mean(axis=0), axis=1).max()
-        if disp > 0.2 * diam:
-            return None
-        moved.append(pts)
-    return moved
+    if not len(sizes):
+        return verts
+    # 1e-7 residual at healthy gradient puts the point within ~1e-9
+    # of the curve, plenty below the drift threshold
+    pts, rel, relgrad, conv = newton_correct(cand, verts, tol_rel=1e-8)
+    if rel.max() > 1e-7 or relgrad.min() < 1e-9:
+        return None
+    drift = np.maximum.reduceat(np.linalg.norm(pts - verts, axis=1), np.cumsum(sizes) - sizes)
+    if np.any(drift > 0.2 * _diameters(verts, sizes)):
+        return None
+    return pts
 
 
 def _balance_frame(frame: _Frame, spec: Arrangement, anchor_key):
@@ -293,10 +290,11 @@ def _balance_frame(frame: _Frame, spec: Arrangement, anchor_key):
     frame = frame.moved(_to_origin(frame.markers[anchor_key]))
     zm, wm = frame.markers["root"]
     frame = frame.moved(np.array([[wm, 0.0], [-wm, zm]]))
-    radii = [np.median(_chart_abs(v)) for v in frame.comp_verts]
+    radii = [np.median(r) for r in
+             np.split(_chart_abs(frame.verts), np.cumsum(frame.sizes)[:-1])]
     lam = float(np.exp(np.mean(np.log(np.maximum(radii, 1e-12)))))
     frame = frame.moved(np.diag([1.0, lam]))
-    nu = _resolution_for(frame.min_feature())
+    nu = _resolution_for(float(_diameters(frame.verts, frame.sizes).min()))
     while True:
         try:
             tree = _verify(frame, spec.canonical, nu)
@@ -340,7 +338,8 @@ def realize(spec: Arrangement) -> ConstructedLemniscate:
 
     last = None
     for attempt in range(3):
-        frame = _Frame(_EMPTY, {"root": np.array([1.0 + 0j, 0.0])}, [])
+        frame = _Frame(_EMPTY, {"root": np.array([1.0 + 0j, 0.0])},
+                       np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
         epsilons, certs = [], []
         try:
             for key, _depth in order:
@@ -364,14 +363,11 @@ def realize(spec: Arrangement) -> ConstructedLemniscate:
 
 def certify_nondegenerate(c: ConstructedLemniscate) -> bool:
     """One traced component per circle, each with a healthy chart gradient."""
-    if len(c.tree.trace.components) != c.degree:
+    t = c.tree.trace
+    if len(t.sizes) != c.degree:
         return False
-    for comp in c.tree.trace.components:
-        f, gx, gy, sc, _, _ = chart_jets(c.pair, comp.vertices[:-1])
-        rel = np.hypot(gx, gy) / sc
-        if rel.min() < _MIN_REL_GRADIENT:
-            return False
-    return True
+    f, gx, gy, sc, _, _ = chart_jets(c.pair, t.vertices)
+    return bool((np.hypot(gx, gy) / sc).min() >= _MIN_REL_GRADIENT)
 
 
 def realized_tree(c: ConstructedLemniscate) -> Arrangement:

@@ -154,7 +154,7 @@ def run_trial(experiment: str, n: int, seed: int, trial: int,
         t = trace(curve, opts)
         nu, loops = _axis_stats(t, as_field(curve), stream)
         row.update(length=t.total_length, nu=nu, loops=loops,
-                   b0=len(t.components))
+                   b0=len(t.sizes))
         if experiment == "length":
             g = random_great_circle(stream.substream(999).generator())
             row["crossings"] = great_circle_intersections(curve, g)
@@ -366,7 +366,7 @@ def render_svg(t, projection_point, path: str):
     paths = []
     all_r = []
     for comp in t.components:
-        v = rot.apply(comp.vertices)
+        v = rot.apply(comp)
         tt = np.minimum(v[:, 2], 1.0 - 1e-9)
         z = (v[:, 0] + 1j * v[:, 1]) / (1.0 - tt)
         if not np.all(np.isfinite(z.view(float))):

@@ -291,19 +291,17 @@ def _tangent_count(P, sizes, axis, field, small_length, windings) -> tuple[int, 
 def meridian_stats(t: TracedLemniscate, axis, field):
     """(tangent count, looping components, windings) about one axis.
 
-    field is the traced curve's field object (field.as_field).  All
-    components, stored back to back, are first subdivided near the axis
-    so longitude increments are trustworthy; the windings come from those
-    increments and the tangents from sign changes of the meridian
+    field is the traced curve's field object (field.as_field).  The
+    trace's loops, stored back to back, are first subdivided near the
+    axis so longitude increments are trustworthy; the windings come from
+    those increments and the tangents from sign changes of the meridian
     derivative G (see _tangent_count).
     """
-    if not t.components:
+    if not len(t.sizes):
         return 0, 0, np.zeros(0, dtype=np.int64)
     axis = unit_vector(axis)
     e1, e2 = orthonormal_frame(axis)
-    sizes = np.array([len(c) - 1 for c in t.components])
-    P, sizes = _refine_near_axis(np.concatenate([c.vertices[:-1] for c in t.components]),
-                                 sizes, axis, field)
+    P, sizes = _refine_near_axis(t.vertices, t.sizes, axis, field)
     windings = _windings(P, sizes, e1, e2)
     # mean edge of the tracer's icosahedral grid: 10 nu^2 + 2 vertices,
     # 20 nu^2 near-equilateral faces on the unit sphere

@@ -22,6 +22,7 @@ from .field import eval_f_many
 from .icogrid import icosphere
 from .sphere import orthonormal_frame, unit_vector
 from .tracer import (
+    _ARC_STEP,
     GRID_JITTER,
     DegenerateLemniscate,
     TracedLemniscate,
@@ -160,7 +161,7 @@ def nesting_tree(rp: RationalPair, t: TracedLemniscate) -> NestingTree:
     finer grid traces again itself.
     """
     grid, labels, n_faces = _build_faces(t)
-    b0 = len(t.components)
+    b0 = len(t.sizes)
     if n_faces != b0 + 1:
         raise InconsistentTopology(
             "expected %d faces, flood fill found %d" % (b0 + 1, n_faces)
@@ -218,13 +219,14 @@ class ArrangementEstimate:
 def _local_tree(loops_xy: list) -> str:
     """Canonical rooted parenthesization of planar loops nested by containment.
 
-    loops_xy: closed polylines in chart coordinates, first == last vertex.
+    loops_xy: closed polylines in chart coordinates, first vertex not
+    repeated.
     """
     k = len(loops_xy)
 
     def contains(b, pt) -> bool:
-        x, y = b[:-1, 0] - pt[0], b[:-1, 1] - pt[1]
-        x2, y2 = b[1:, 0] - pt[0], b[1:, 1] - pt[1]
+        x, y = b[:, 0] - pt[0], b[:, 1] - pt[1]
+        x2, y2 = np.roll(x, -1), np.roll(y, -1)
         ang = np.arctan2(x * y2 - y * x2, x * x2 + y * y2)
         return abs(ang.sum()) > math.pi
 
@@ -273,7 +275,7 @@ def local_arrangement_probability(
     e1, e2 = orthonormal_frame(_DISK_CENTER)
 
     opts = default_options(n)
-    margin = 0.6 * icosphere(opts.grid_resolution).mean_edge_length
+    margin = _ARC_STEP * icosphere(opts.grid_resolution).mean_edge_length
 
     hits = used = rejected = 0
     for i in range(trials):
@@ -284,12 +286,10 @@ def local_arrangement_probability(
             rejected += 1
             continue
         used += 1
-        kept = []
-        for c in t.components:
-            d = np.arccos(np.clip(c.vertices @ _DISK_CENTER, -1.0, 1.0))
-            if d.max() <= radius - margin:
-                v = c.vertices
-                kept.append(np.stack([v @ e1, v @ e2], axis=1))
+        V, starts = t.vertices, np.cumsum(t.sizes) - t.sizes
+        far = np.maximum.reduceat(np.arccos(np.clip(V @ _DISK_CENTER, -1.0, 1.0)), starts)
+        xy = np.split(np.stack([V @ e1, V @ e2], axis=1), starts[1:])
+        kept = [L for L, d in zip(xy, far) if d <= radius - margin]
         hits += _local_tree(kept) == target.canonical
     if used == 0:
         raise DegenerateLemniscate("all trials rejected")

@@ -52,26 +52,14 @@ def default_options(n: int) -> TraceOptions:
 
 
 @dataclass(frozen=True)
-class ClosedPolyline:
-    """A closed polyline on S^2: first vertex equals the last."""
-
-    vertices: np.ndarray  # (k+1, 3), vertices[0] == vertices[-1]
-    length: float = field(default=None)
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        object.__setattr__(self, "vertices", v)
-        if self.length is None:
-            length = float(spherical_distance_many(v[:-1], v[1:]).sum())
-            object.__setattr__(self, "length", length)
-
-    def __len__(self):
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
 class TracedLemniscate:
-    components: list
+    """The traced loops, stored open and back to back: loop j holds
+    sizes[j] vertices of `vertices` (tracer.ring indexes them), its first
+    vertex not repeated, and lengths[j] is its spherical length."""
+
+    vertices: np.ndarray = field(repr=False, compare=False)  # (sum(sizes), 3)
+    sizes: np.ndarray = field(compare=False)
+    lengths: np.ndarray = field(compare=False)
     grid_resolution: int
     min_gradient_seen: float
     # combinatorial payload consumed by the topology module
@@ -79,12 +67,14 @@ class TracedLemniscate:
     loop_edges: list = field(default=None, repr=False, compare=False)
 
     @property
-    def lengths(self) -> np.ndarray:
-        return np.array([c.length for c in self.components])
+    def components(self) -> list:
+        """One closed (k + 1, 3) copy of each loop, first vertex repeated."""
+        starts = np.cumsum(self.sizes) - self.sizes
+        return [self.vertices[np.r_[a : a + k, a]] for a, k in zip(starts, self.sizes)]
 
     @property
     def total_length(self) -> float:
-        return float(self.lengths.sum()) if self.components else 0.0
+        return float(self.lengths.sum())
 
 
 def _slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -341,7 +331,8 @@ def _trace_once(fieldobj, nu: int) -> TracedLemniscate:
     e0, e1 = grid.edges[:, 0], grid.edges[:, 1]
     cross = pos[e0] != pos[e1]
     if not cross.any():
-        return TracedLemniscate([], nu, math.inf, pos, [])
+        return TracedLemniscate(np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
+                                np.zeros(0), nu, math.inf, pos, [])
 
     ce = cross[grid.tri_edges]
     split = ce.sum(axis=1) == 2
@@ -361,9 +352,8 @@ def _trace_once(fieldobj, nu: int) -> TracedLemniscate:
                             _ARC_STEP * grid.mean_edge_length)
     min_grad = min(min_grad, g2)
 
-    components = [
-        ClosedPolyline(np.concatenate([L, L[:1]], axis=0))
-        for L in np.split(P, np.cumsum(sizes)[:-1])
-    ]
+    # one sum per loop slice: pairwise, like a sum over the loop alone
+    seg = spherical_distance_many(P, P[ring(sizes)[1]])
+    lengths = np.array([d.sum() for d in np.split(seg, np.cumsum(sizes)[:-1])])
     loop_edges = [cids[c] for c in cycles]
-    return TracedLemniscate(components, nu, min_grad, pos, loop_edges)
+    return TracedLemniscate(P, sizes, lengths, nu, min_grad, pos, loop_edges)

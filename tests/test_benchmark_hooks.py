@@ -36,6 +36,10 @@ def test_traced_layers_see_the_pipeline():
     names = [s[0] for s in rec.spans]
     parents = {(s[0], rec.spans[s[3]][0]) for s in rec.spans if s[3] >= 0}
     assert "tracer.trace" in names and "geomstats.meridian_stats" in names
+    # the trace span counts what the trace itself holds
+    info = rec.spans[names.index("tracer.trace")][4]
+    assert info["vertices"] == t.sizes.sum() > 0
+    assert info["crossings"] == sum(len(e) for e in t.loop_edges) > 0
     assert ("icogrid.icosphere", "tracer.trace") in parents
     assert ("field.eval_f_many", "tracer.trace") in parents
     assert ("field.newton_correct", "tracer.trace") in parents

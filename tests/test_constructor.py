@@ -100,6 +100,24 @@ def test_balance_frame_doubles_nu_past_a_rejected_grid(monkeypatch):
     assert c.trace_resolution == c.tree.trace.grid_resolution == tried[-1]
 
 
+def test_realize_retries_with_halved_epsilon(monkeypatch):
+    # this form's first attempt fails; it realizes on the retry, where
+    # every step starts eps from half its ceiling
+    spec = Arrangement("(((()))()()()())")
+    shrinks = []
+    add = constructor._add_circle
+
+    def counted(frame, key, shrink=1.0):
+        shrinks.append(shrink)
+        return add(frame, key, shrink)
+
+    monkeypatch.setattr(constructor, "_add_circle", counted)
+    c = realize(spec)
+    assert 0.5 in shrinks and 0.25 not in shrinks
+    assert realized_tree(c) == spec
+    assert certify_nondegenerate(c)
+
+
 def test_verify_rejects_faces_under_four_grid_vertices(monkeypatch):
     # r = c (z - a) / (z - b) with a, b close: one Apollonius oval of chart
     # radius |a - b| c / (c^2 - 1), about 1.6 grid edges across at nu=64
@@ -108,7 +126,8 @@ def test_verify_rejects_faces_under_four_grid_vertices(monkeypatch):
         KostlanPolynomial(1, np.array([-c * a, c])),
         KostlanPolynomial(1, np.array([-b, 1.0])),
     )
-    frame = _Frame(rp, {"root": np.array([1.0 + 0j, 0.0])}, [])
+    frame = _Frame(rp, {"root": np.array([1.0 + 0j, 0.0])}, np.zeros((0, 3)),
+                   np.zeros(0, dtype=np.int64))
     t = trace(rp, TraceOptions(grid_resolution=64))
 
     def no_trace(*args, **kwargs):
@@ -150,17 +169,15 @@ def _frame_on_curve():
     # a degree-4 pair, its traced ovals projected onto the curve, and three
     # markers: one random point and both poles
     rp = sample_rational_pair(4, RandomStream(11))
-    verts = [
-        newton_correct(rp, c.vertices[:-1], tol_rel=1e-14)[0]
-        for c in trace(rp).components
-    ]
+    t = trace(rp)
+    verts = newton_correct(rp, t.vertices, tol_rel=1e-14)[0]
     h = homogeneous_coords(np.array([0.6, -0.48, 0.64]))
     markers = {
         "a": np.array([h[0], h[1]]),
         "root": np.array([1.0 + 0j, 0.0]),
         "origin": np.array([0.0, 1.0 + 0j]),
     }
-    return _Frame(rp, markers, verts)
+    return _Frame(rp, markers, verts, t.sizes)
 
 
 def _one_of_each_move(frame):
@@ -174,13 +191,12 @@ def _one_of_each_move(frame):
 
 def test_moved_ovals_stay_on_the_moved_curve():
     frame = _frame_on_curve()
-    assert len(frame.comp_verts) >= 1
+    assert len(frame.sizes) >= 1
     for M in _one_of_each_move(frame):
         frame = frame.moved(M)
-        for v in frame.comp_verts:
-            # one Newton pass records the residual of the points as given
-            _, rel, _, _ = newton_correct(frame.rp, v, tol_rel=1e-9, max_iters=1)
-            assert rel.max() <= 1e-9
+        # one Newton pass records the residual of the points as given
+        _, rel, _, _ = newton_correct(frame.rp, frame.verts, tol_rel=1e-9, max_iters=1)
+        assert rel.max() <= 1e-9
     # the unfold sends marker "a" to infinity
     assert np.allclose(from_homogeneous(frame.markers["a"]), [0.0, 0.0, 1.0])
 
@@ -191,8 +207,8 @@ def _assert_same_frame(f0, f1):
         assert np.allclose(
             from_homogeneous(f1.markers[k]), from_homogeneous(h), atol=1e-12
         ), k
-    for v0, v1 in zip(f0.comp_verts, f1.comp_verts, strict=True):
-        assert np.max(np.abs(v1 - v0)) < 1e-9
+    assert np.array_equal(f0.sizes, f1.sizes)
+    assert np.max(np.abs(f1.verts - f0.verts)) < 1e-9
     a = np.concatenate([f0.rp.p.coeffs, f0.rp.q.coeffs])
     b = np.concatenate([f1.rp.p.coeffs, f1.rp.q.coeffs])
     phase = np.vdot(b, a) / np.vdot(b, b)

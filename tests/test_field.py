@@ -157,7 +157,7 @@ def test_newton_correct_projects_onto_curve():
     from lemnilab.tracer import trace
 
     t = trace(rp)
-    pts = t.components[0].vertices[:-1]
+    pts = t.vertices[: t.sizes[0]]
     noisy = pts + 1e-3 * rng.normal(size=pts.shape)
     noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
     corrected, rel, relgrad, conv = newton_correct(rp, noisy)
@@ -171,7 +171,7 @@ def test_curve_tangents_annihilate_gradient():
     from lemnilab.tracer import trace
 
     t = trace(rp)
-    pts = t.components[0].vertices[:-1]
+    pts = t.vertices[: t.sizes[0]]
     tan = curve_tangents(rp, pts)
     # unit, tangent to the sphere, and f is stationary along them
     assert np.allclose(np.linalg.norm(tan, axis=1), 1.0, atol=1e-9)

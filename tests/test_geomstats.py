@@ -18,8 +18,13 @@ from lemnilab.geomstats import (
     great_circle_intersections,
     meridian_stats,
 )
-from lemnilab.sphere import GreatCircle, orthonormal_frame, random_great_circle
-from lemnilab.tracer import ClosedPolyline, TracedLemniscate, trace, walk
+from lemnilab.sphere import (
+    GreatCircle,
+    orthonormal_frame,
+    random_great_circle,
+    spherical_distance_many,
+)
+from lemnilab.tracer import TracedLemniscate, ring, trace, walk
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -49,12 +54,25 @@ def test_small_circle_two_tangents():
     assert w[0] == 0
 
 
+def _loops(t):
+    """The open loops of a trace."""
+    return np.split(t.vertices, np.cumsum(t.sizes)[:-1])
+
+
+def _traced(loops, t):
+    """A trace of the open loops, on t's grid."""
+    sizes = np.array([len(L) for L in loops])
+    P = np.concatenate(loops)
+    lengths = np.bincount(ring(sizes)[0], spherical_distance_many(P, P[ring(sizes)[1]]))
+    return TracedLemniscate(P, sizes, lengths, t.grid_resolution, t.min_gradient_seen)
+
+
 def _radial_count(rp, pick=None):
     """_tangent_count with every loop small: (count, lost walks, fallbacks)."""
-    comps = trace(rp).components
-    comps = comps if pick is None else [comps[i] for i in pick]
-    sizes = np.array([len(c) - 1 for c in comps])
-    P = np.concatenate([c.vertices[:-1] for c in comps])
+    loops = _loops(trace(rp))
+    loops = loops if pick is None else [loops[i] for i in pick]
+    sizes = np.array([len(L) for L in loops])
+    P = np.concatenate(loops)
     e1, e2 = orthonormal_frame(Z)
     return _tangent_count(P, sizes, Z, as_field(rp), math.inf, _windings(P, sizes, e1, e2))
 
@@ -110,22 +128,18 @@ def test_axis_refinement_batches_loops():
                       KostlanPolynomial(2, np.array([0.2, 0, 0], complex)))
     f = as_field(rp)
     t = trace(rp)
-    loops = [c.vertices[:-1] for c in t.components]
+    loops = _loops(t)
     assert len(loops) == 2
     v = loops[0][0]
     out = v - loops[0].mean(axis=0)
     out -= (out @ v) * v
     axis = math.cos(1e-3) * v + math.sin(1e-3) * out / np.linalg.norm(out)
-    sizes = np.array([len(L) for L in loops])
     counting = _CountingField(f)
-    _, refined = _refine_near_axis(np.concatenate(loops), sizes, axis, counting)
+    _, refined = _refine_near_axis(t.vertices, t.sizes, axis, counting)
     assert counting.newtons >= 5
-    assert refined[0] > sizes[0] and refined[1] == sizes[1]
+    assert refined[0] > t.sizes[0] and refined[1] == t.sizes[1]
     nu, looping, w = meridian_stats(t, axis, f)
-    alone = [
-        meridian_stats(TracedLemniscate([c], t.grid_resolution, t.min_gradient_seen), axis, f)
-        for c in t.components
-    ]
+    alone = [meridian_stats(_traced([L], t), axis, f) for L in loops]
     assert list(w) == [a[2][0] for a in alone]
     assert nu == sum(a[0] for a in alone) and looping == sum(a[1] for a in alone)
     assert nu == 4 and looping == 0
@@ -143,9 +157,8 @@ def test_tangent_count_even_and_morse():
 def _densify_ordered(t, field, parts):
     """The trace with `parts - 1` walked curve points inserted into every
     segment whose chord runs along the curve tangent at both its ends."""
-    comps = []
-    for c in t.components:
-        P = c.vertices[:-1]
+    loops = []
+    for P in _loops(t):
         Q = np.roll(P, -1, axis=0)
         d = Q - P
         h = np.linalg.norm(d, axis=1)
@@ -167,9 +180,8 @@ def _densify_ordered(t, field, parts):
             pieces.append(P[i : i + 1])
             if i in inner:
                 pieces.append(inner[i])
-        V = np.concatenate(pieces)
-        comps.append(ClosedPolyline(np.concatenate([V, V[:1]])))
-    return TracedLemniscate(comps, t.grid_resolution, t.min_gradient_seen)
+        loops.append(np.concatenate(pieces))
+    return _traced(loops, t)
 
 
 def test_tangent_count_stable_under_ordered_densification():

@@ -130,7 +130,7 @@ def test_arrangement_validation():
 
 def test_local_tree_nests_by_containment():
     # a circle inside another plus a third beside them
-    th = np.linspace(0.0, 2.0 * np.pi, 65)
+    th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     ring = np.stack([np.cos(th), np.sin(th)], axis=1)
     loops = [ring, 0.5 * ring, 0.2 * ring + [3.0, 0.0]]
     assert topology._local_tree(loops) == "((())())"

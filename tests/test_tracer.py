@@ -13,6 +13,7 @@ from lemnilab.ensemble import (
 )
 from lemnilab.experiments import TRIAL_COLUMNS, ResultsTable, run_trial, trial_stream
 from lemnilab.field import as_field
+from lemnilab.sphere import spherical_distance_many
 from lemnilab.tracer import (
     TraceOptions,
     _link_cycles,
@@ -48,8 +49,24 @@ def test_empty_lemniscate():
         KostlanPolynomial(1, np.array([1, 0], complex)),
     )
     t = trace(rp)
-    assert len(t.components) == 0
+    assert t.vertices.shape == (0, 3)
+    assert len(t.sizes) == 0 and len(t.lengths) == 0
+    assert t.components == []
     assert t.total_length == 0.0
+
+
+def test_loops_stored_back_to_back():
+    # loop j holds sizes[j] open vertices; components closes each copy, and
+    # the length of a loop is the sum over its closed copy, bit for bit
+    rp = sample_rational_pair(50, RandomStream(7))
+    t = trace(rp)
+    assert len(t.sizes) > 1 and t.sizes.sum() == len(t.vertices)
+    starts = np.cumsum(t.sizes) - t.sizes
+    for c, a, k, length in zip(t.components, starts, t.sizes, t.lengths, strict=True):
+        assert np.array_equal(c[:-1], t.vertices[a : a + k])
+        assert np.array_equal(c[-1], c[0])
+        assert length == spherical_distance_many(c[:-1], c[1:]).sum()
+    assert t.total_length == float(t.lengths.sum())
 
 
 def test_options_validation():
@@ -63,8 +80,7 @@ def test_components_closed_and_on_curve():
     t = trace(rp)
     from lemnilab.field import eval_f_many
 
-    for c in t.components:
-        v = c.vertices
+    for v in t.components:
         assert np.allclose(v[0], v[-1])
         assert np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)
         f, sc = eval_f_many(rp, v, with_scale=True)
@@ -93,12 +109,12 @@ def test_real_kostlan_traceable():
     t = trace(poly)
     assert len(t.components) >= 1
     for c in t.components:
-        assert np.allclose(np.linalg.norm(c.vertices, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(c, axis=1), 1.0, atol=1e-12)
 
 
 def test_unit_circle_trace_on_equator():
     t = trace(unit_circle_pair())
-    v = t.components[0].vertices
+    v = t.vertices
     assert np.max(np.abs(v[:, 2])) < 1e-8
 
 
@@ -106,9 +122,8 @@ def test_jitter_determinism():
     rp = sample_rational_pair(7, RandomStream(51))
     t1 = trace(rp)
     t2 = trace(rp)
-    assert len(t1.components) == len(t2.components)
-    for c1, c2 in zip(t1.components, t2.components):
-        assert np.array_equal(c1.vertices, c2.vertices)
+    assert np.array_equal(t1.sizes, t2.sizes)
+    assert np.array_equal(t1.vertices, t2.vertices)
 
 
 def _walk_cycles(pair_rows, n_nodes):
