@@ -48,7 +48,7 @@ def stages():
     pair_rows = remap[grid.tri_edges[split][ce[split]].reshape(-1, 2)]
     cycles = _link_cycles(pair_rows)
     ends = (verts[e0[cids]], verts[e1[cids]], F[e0[cids]], F[e1[cids]])
-    refined, _ = _edge_roots(fieldobj, *ends)
+    refined = _edge_roots(fieldobj, *ends)
     return dict(
         rp=rp, fieldobj=fieldobj, pair_rows=pair_rows,
         ends=ends, loops=refined[np.concatenate(cycles)],

@@ -252,9 +252,11 @@ def _read_trials(path: str) -> list:
 def run(config: ExperimentConfig) -> ResultsTable:
     """Execute one experiment across its n grid; returns the summary table.
 
-    Per-n trial CSVs already on disk are trusted and skipped, which makes
-    long runs resumable.  A trial failure is recorded and excluded; the
-    run aborts if more than 0.1% of trials are rejected.
+    A per-n trial CSV already on disk is reused if it holds exactly this
+    run's trials, which makes long runs resumable; one that holds others
+    (another seed or trial count) raises ConfigError.  A trial failure is
+    recorded and excluded; the run aborts if more than 0.1% of trials are
+    rejected.
     """
     os.makedirs(config.output_dir, exist_ok=True)
     t0 = time.time()
@@ -269,6 +271,10 @@ def run(config: ExperimentConfig) -> ResultsTable:
         path = _trials_path(config, n)
         if os.path.exists(path):
             rows = _read_trials(path)
+            want = [(n, i, config.seed) for i in range(config.trials)]
+            if [(r["n"], r["trial"], r["seed"]) for r in rows] != want:
+                raise ConfigError("%s does not hold trials 0-%d of n=%d, seed %d"
+                                  % (path, config.trials - 1, n, config.seed))
         else:
             args = [
                 (config.experiment, n, config.seed, i, config.grid_resolution)

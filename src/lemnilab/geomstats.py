@@ -57,7 +57,7 @@ def _refine_near_axis(P, sizes, axis, field) -> tuple[np.ndarray, np.ndarray]:
         step = np.arccos(np.clip(np.einsum("ij,ij->i", P, P[nxt]), -1.0, 1.0))
         return step > 0.2 * np.minimum(d, d[nxt])
 
-    P, sizes, settled, _ = subdivide(field, P, sizes, too_long, 40)
+    P, sizes, settled = subdivide(field, P, sizes, too_long, 40)
     if not settled:
         raise AxisTooClose("axis refinement did not settle")
     return P, sizes
@@ -193,7 +193,7 @@ def _tangent_count(P, sizes, axis, field, small_length, windings) -> tuple[int, 
 
     A smooth segment whose ends share a sign but may hide a pair of zeros
     of G (_may_hide_pair) is walked along the curve at a quarter of its
-    length and G is read at the walk's points.
+    length.
 
     A loop shorter than small_length turns too fast for its chords to
     bracket its tangents.  All such loops are solved at once along rays
@@ -203,6 +203,9 @@ def _tangent_count(P, sizes, axis, field, small_length, windings) -> tuple[int, 
     order.  A loop that fails either check is walked whole instead, from
     its first vertex along T at a 24th of its length.
 
+    The segments and the loops are walked in one lockstep call, and G's
+    sign changes are counted along all walks at once, each from the sign
+    at its first vertex through G at its points to the sign at its last.
     Returns (count, walks that did not arrive, small loops walked whole);
     a segment or loop whose walk did not arrive keeps its vertex signs,
     and such a loop with zero winding (windings, one per loop) counts at
@@ -240,24 +243,11 @@ def _tangent_count(P, sizes, axis, field, small_length, windings) -> tuple[int, 
     length = np.bincount(loop_of, h, len(sizes))
     small = length < small_length
     sv = sig.astype(float)
-    pair = (
+    seg = np.flatnonzero(
         on & ~swapped & ~small[loop_of] & (sig == sig[nxt])
         & _may_hide_pair(sv * val, sv * o * 0.5 * (_dot(u, E) + _dot(u, E[nxt])),
                          sv * val[nxt])
     )
-    lost = 0
-    seg = np.flatnonzero(pair)
-    if len(seg):
-        out, _, _ = walk(field, P[seg], P[nxt[seg]], u[seg], _WALK_SHARE * h[seg],
-                         np.full(len(seg), 2.0), np.full(len(seg), 20.0))
-        for i, res in zip(seg, out):
-            if res is None:
-                lost += 1
-                continue
-            # the walk's tangents run along the chord, i.e. along o * T
-            g = _sign(o[i] * _dot(res[1], _east(res[0], axis)))
-            seq = np.concatenate([sig[i : i + 1], g, sig[nxt[i] : nxt[i] + 1]])
-            changes[i] = np.count_nonzero(np.diff(seq))
 
     # a small loop turns too fast for its chords: count G at its crossings
     # with rays from its centre, or, where those do not make it one
@@ -269,23 +259,36 @@ def _tangent_count(P, sizes, axis, field, small_length, windings) -> tuple[int, 
         changes[starts[walked[solved]]] = radial[solved]
         walked = walked[~solved]
     heads = starts[walked]
-    if len(heads):
-        step = length[walked] / 24.0
-        out, _, _ = walk(field, P[heads], P[heads], T[heads], step,
-                         np.full(len(heads), 12.0), np.full(len(heads), 80.0))
-        for j, a, res in zip(walked, heads, out):
-            if res is None:
-                # the walk left along a strand the trace did not close:
-                # keep the vertex signs, but a loop that does not wind
-                # about the axis has a longitude maximum and minimum
-                lost += 1
-                if windings[j] == 0 and not changes[a : a + sizes[j]].any():
-                    changes[a] = 2
-                continue
-            seq = np.concatenate([sig[a : a + 1], _sign(_dot(res[1], _east(res[0], axis)))])
-            changes[a : a + sizes[j]] = 0
-            changes[a] = np.count_nonzero(seq != np.roll(seq, -1))
-    return int(changes.sum()), lost, len(walked)
+
+    # one walk: the pair segments (rows :k) from vertex to vertex along
+    # their chords, then the loops from their first vertex round to it
+    k = len(seg)
+    first, last = np.concatenate([seg, heads]), np.concatenate([nxt[seg], heads])
+    pts, tans, owner, lost, _ = walk(
+        field, P[first], P[last], np.concatenate([u[seg], T[heads]]),
+        np.concatenate([_WALK_SHARE * h[seg], length[walked] / 24.0]),
+        np.repeat([2.0, 12.0], [k, len(heads)]), np.repeat([20.0, 80.0], [k, len(heads)]))
+    # a segment's walk tangents run along its chord, i.e. along o * T
+    orient = np.concatenate([o[seg], np.ones(len(heads))])
+    g = _sign(orient[owner] * _dot(tans, _east(pts, axis)))
+    # cut[i]: points i - 1 and i are on different walks, or one is missing
+    cut = np.ones(len(g) + 1, dtype=bool)
+    cut[1:-1] = owner[1:] != owner[:-1]
+    prev = np.where(cut[:-1], sig[first][owner], np.roll(g, 1))
+    # as ints: a flip into a walk's last point and one out of it are two
+    flips = (g != prev).astype(np.int64) + (cut[1:] & (g != sig[last][owner]))
+    count = np.bincount(owner, flips, len(first)).astype(np.int64)
+    arrived = ~lost
+    changes[seg[arrived[:k]]] = count[:k][arrived[:k]]
+    changes[np.isin(loop_of, walked[arrived[k:]])] = 0
+    changes[heads[arrived[k:]]] = count[k:][arrived[k:]]
+    # a loop whose walk left along a strand the trace did not close keeps
+    # its vertex signs, but one that does not wind about the axis has a
+    # longitude maximum and minimum
+    quiet = lost[k:] & (windings[walked] == 0)
+    quiet &= np.bincount(loop_of, changes, len(sizes))[walked] == 0
+    changes[heads[quiet]] = 2
+    return int(changes.sum()), int(lost.sum()), len(walked)
 
 
 def meridian_stats(t: TracedLemniscate, axis, field):

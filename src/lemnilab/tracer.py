@@ -61,7 +61,6 @@ class TracedLemniscate:
     sizes: np.ndarray = field(compare=False)
     lengths: np.ndarray = field(compare=False)
     grid_resolution: int
-    min_gradient_seen: float
     # combinatorial payload consumed by the topology module
     vertex_signs: np.ndarray = field(default=None, repr=False, compare=False)
     loop_edges: list = field(default=None, repr=False, compare=False)
@@ -107,26 +106,23 @@ def _edge_roots(fieldobj, a, b, fa, fb):
 
     Linear interpolation seeds a Newton polish; the handful of points where
     Newton stalls get a full bisection restart before a second polish.
-    Returns (points, min relative gradient seen).
     """
     t0 = np.clip(fa / (fa - fb), 0.02, 0.98)
     start = _slerp(a, b, t0)
-    pts, rel, relgrad, conv = fieldobj.newton(start)
-    min_grad = float(relgrad.min()) if len(relgrad) else math.inf
+    pts, _, _, conv = fieldobj.newton(start)
     if not conv.all():
         bad = ~conv
         neg = fa[bad] <= 0
         aa = np.where(neg[:, None], a[bad], b[bad])
         bb = np.where(neg[:, None], b[bad], a[bad])
         retry = _bisect(fieldobj, aa, bb)
-        pts2, rel2, relgrad2, conv2 = fieldobj.newton(retry)
+        pts2, _, _, conv2 = fieldobj.newton(retry)
         if not conv2.all():
             raise DegenerateLemniscate(
                 f"{int((~conv2).sum())} crossing(s) failed to converge"
             )
         pts[bad] = pts2
-        min_grad = min(min_grad, float(relgrad2.min()))
-    return pts, min_grad
+    return pts
 
 
 def _link_cycles(pair_rows: np.ndarray) -> list:
@@ -178,21 +174,20 @@ def walk(fieldobj, starts, targets, dirs, steps, min_steps, caps):
     previous step (`dirs[k]` for the first) and Newton-projects back onto
     the curve, so its points are ordered along the arc.  A walk ends at the
     first point past `min_steps[k]` steps within 1.2 steps of its target.
-    Returns (walks, stalled, min relative gradient of the Newton steps):
-    per walk the (points, oriented unit tangents) it visited after the
-    start, or None for a walk whose projection stalled (marked in the
-    stalled mask) or that took `caps[k]` steps without arriving.
+    Returns (points, tangents, owner, lost, stalled): the points the walks
+    visited after their starts and the oriented unit tangents there, back
+    to back walk by walk like a trace's loops, owner[i] the walk of point
+    i; and per walk whether it is lost, i.e. its projection stalled
+    (marked in stalled too) or it took `caps[k]` steps without arriving.
+    A lost walk contributes no points.
     """
     m = len(starts)
-    if not m:
-        return [], np.zeros(0, dtype=bool), math.inf
     cur = np.array(starts, dtype=float)
     last = np.array(dirs, dtype=float)
     k = np.zeros(m, dtype=np.int64)
-    failed = np.zeros(m, dtype=bool)
+    lost = np.zeros(m, dtype=bool)
     stalled = np.zeros(m, dtype=bool)
-    min_grad = math.inf
-    who, pts, tans = [], [], []
+    who, pts, tans = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 3))], [np.zeros((0, 3))]
     active = np.arange(m)
     while len(active):
         T = fieldobj.tangents(cur[active])
@@ -204,29 +199,22 @@ def walk(fieldobj, starts, targets, dirs, steps, min_steps, caps):
         gap = np.linalg.norm(cur[active] - targets[active], axis=1)
         done = (k[active] >= min_steps[active]) & (gap < 1.2 * steps[active])
         over = ~done & (k[active] >= caps[active])
-        failed[active[over]] = True
+        lost[active[over]] = True
         active, T = active[~done & ~over], T[~done & ~over]
         if not len(active):
             break
         pred = cur[active] + steps[active, None] * T
         pred /= np.linalg.norm(pred, axis=1)[:, None]
-        nxt, _, relgrad, conv = fieldobj.newton(pred)
-        min_grad = min(min_grad, float(relgrad.min()))
-        failed[active[~conv]] = stalled[active[~conv]] = True
+        nxt, _, _, conv = fieldobj.newton(pred)
+        lost[active[~conv]] = stalled[active[~conv]] = True
         active, nxt = active[conv], nxt[conv]
         last[active] = nxt - cur[active]
         cur[active] = nxt
         k[active] += 1
     who = np.concatenate(who)
     order = np.argsort(who, kind="stable")
-    pts = np.concatenate(pts)[order]
-    tans = np.concatenate(tans)[order]
-    cut = np.searchsorted(who[order], np.arange(m + 1))
-    walks = [
-        None if failed[i] else (pts[cut[i] : cut[i + 1]], tans[cut[i] : cut[i + 1]])
-        for i in range(m)
-    ]
-    return walks, stalled, min_grad
+    order = order[~lost[who[order]]]
+    return np.concatenate(pts)[order], np.concatenate(tans)[order], who[order], lost, stalled
 
 
 def subdivide(fieldobj, P, sizes, too_long, rounds):
@@ -235,32 +223,30 @@ def subdivide(fieldobj, P, sizes, too_long, rounds):
     curve, in up to `rounds` passes.  too_long(P, next) marks the segments
     (vertex i to next[i]) a pass splits.  A pass whose midpoint projection
     stalls keeps the midpoints that converged and ends the passes.
-    Returns (P, sizes, settled, min relative gradient seen), settled when
-    a pass found nothing to split."""
-    min_grad = math.inf
+    Returns (P, sizes, settled), settled when a pass found nothing to
+    split."""
     for _ in range(rounds):
         _, nxt = ring(sizes)
         over = too_long(P, nxt)
         if not over.any():
-            return P, sizes, True, min_grad
+            return P, sizes, True
         s = P[over] + P[nxt[over]]
-        corrected, _, relgrad, conv = fieldobj.newton(s / np.linalg.norm(s, axis=1)[:, None])
-        min_grad = min(min_grad, float(relgrad.min()))
+        corrected, _, _, conv = fieldobj.newton(s / np.linalg.norm(s, axis=1)[:, None])
         P, sizes = _insert_after(P, sizes, np.flatnonzero(over)[conv], corrected[conv])
         if not conv.all():
             break
-    return P, sizes, False, min_grad
+    return P, sizes, False
 
 
 def _densify(fieldobj, P, sizes, target):
     """Split over-long segments of the loops P (stored back to back, with
     sizes vertices each) at geodesic midpoints until none exceed roughly
     twice the target arc-step, then walk the ones that stay over.
-    Returns (P, sizes, min relative gradient seen)."""
+    Returns (P, sizes)."""
     thresh = 1.9 * target
     # midpoints that stall (vanishing gradient near a hairpin tip) are
     # left for the tangent walk below
-    P, sizes, _, min_grad = subdivide(
+    P, sizes, _ = subdivide(
         fieldobj, P, sizes, lambda P, nxt: spherical_distance_many(P, P[nxt]) > thresh, 12)
 
     # stubborn segments remain when the curve hairpins away from the chord
@@ -270,7 +256,7 @@ def _densify(fieldobj, P, sizes, target):
     gap = spherical_distance_many(P, P[nxt])
     bad = np.flatnonzero(gap > thresh)
     if not len(bad):
-        return P, sizes, min_grad
+        return P, sizes
     a, b = P[bad], P[nxt[bad]]
     dirs = a - P[np.argsort(nxt)[bad]]  # from the previous vertex
     short = np.linalg.norm(dirs, axis=1) < 1e-13
@@ -279,18 +265,14 @@ def _densify(fieldobj, P, sizes, target):
     # a genuine hairpin detour is a few gap lengths; anything longer means
     # the linkage jumped between distinct strands
     caps = np.maximum(16, ((8.0 * gap[bad] + 6.0 * step) / step).astype(np.int64)) - 1
-    walks, stalled, wg = walk(fieldobj, a, b, dirs, np.full(len(bad), step),
-                              np.ones(len(bad)), caps)
-    # the first walk in vertex order that failed decides
-    for res, st in zip(walks, stalled):
-        if st:
+    pts, _, owner, lost, stalled = walk(fieldobj, a, b, dirs, np.full(len(bad), step),
+                                        np.ones(len(bad)), caps)
+    if lost.any():
+        # the first lost walk in vertex order decides
+        if stalled[np.argmax(lost)]:
             raise DegenerateLemniscate("continuation step failed to converge")
-        if res is None:
-            raise _StubbornSegment
-    walked = [res[0] for res in walks]
-    P, sizes = _insert_after(P, sizes, np.repeat(bad, [len(w) for w in walked]),
-                             np.concatenate(walked))
-    return P, sizes, min(min_grad, wg)
+        raise _StubbornSegment
+    return _insert_after(P, sizes, bad[owner], pts)
 
 
 def _insert_after(P, sizes, at, points):
@@ -332,7 +314,7 @@ def _trace_once(fieldobj, nu: int) -> TracedLemniscate:
     cross = pos[e0] != pos[e1]
     if not cross.any():
         return TracedLemniscate(np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
-                                np.zeros(0), nu, math.inf, pos, [])
+                                np.zeros(0), nu, pos, [])
 
     ce = cross[grid.tri_edges]
     split = ce.sum(axis=1) == 2
@@ -345,15 +327,14 @@ def _trace_once(fieldobj, nu: int) -> TracedLemniscate:
 
     a = verts[e0[cids]]
     b = verts[e1[cids]]
-    refined, min_grad = _edge_roots(fieldobj, a, b, F[e0[cids]], F[e1[cids]])
+    refined = _edge_roots(fieldobj, a, b, F[e0[cids]], F[e1[cids]])
 
     sizes = np.array([len(c) for c in cycles])
-    P, sizes, g2 = _densify(fieldobj, refined[np.concatenate(cycles)], sizes,
-                            _ARC_STEP * grid.mean_edge_length)
-    min_grad = min(min_grad, g2)
+    P, sizes = _densify(fieldobj, refined[np.concatenate(cycles)], sizes,
+                        _ARC_STEP * grid.mean_edge_length)
 
     # one sum per loop slice: pairwise, like a sum over the loop alone
     seg = spherical_distance_many(P, P[ring(sizes)[1]])
     lengths = np.array([d.sum() for d in np.split(seg, np.cumsum(sizes)[:-1])])
     loop_edges = [cids[c] for c in cycles]
-    return TracedLemniscate(P, sizes, lengths, nu, min_grad, pos, loop_edges)
+    return TracedLemniscate(P, sizes, lengths, nu, pos, loop_edges)

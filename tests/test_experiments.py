@@ -129,8 +129,9 @@ def test_pair_walk_rows_match_committed(tmp_path):
     # rows whose pair-walk candidates depend on how G's vertex signs are
     # found: signs inferred from chord geometry walked one more segment in
     # tangents row 39 and length row 93, and two more in kostlan-compare
-    # row 20, than signs read at every vertex
-    _assert_rows_match_committed(tmp_path, "tangents", 200, 202, [39])
+    # row 20, than signs read at every vertex.  In tangents rows 76 and 93
+    # a pair walk's G flips at its last walked point, which counts twice
+    _assert_rows_match_committed(tmp_path, "tangents", 200, 202, [39, 76, 93])
     _assert_rows_match_committed(tmp_path, "length", 25, 101, [93])
     _assert_rows_match_committed(tmp_path, "kostlan-compare", 50, 404, [20])
 
@@ -164,6 +165,14 @@ def test_resume_skips_existing(tmp_path):
     before = os.path.getmtime(path)
     run(ExperimentConfig("length", [4], trials=20, seed=7, output_dir=out))
     assert os.path.getmtime(path) == before
+
+
+def test_resume_refuses_other_trials(tmp_path):
+    # a trial CSV from another seed or trial count is not this run's
+    out = run_tiny(tmp_path, "a")
+    for trials, seed in ((20, 8), (10, 7), (21, 7)):
+        with pytest.raises(ConfigError, match="length_n4_trials.csv"):
+            run(ExperimentConfig("length", [4], trials=trials, seed=seed, output_dir=out))
 
 
 def test_render_svg_path_counts(tmp_path):

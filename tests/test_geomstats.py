@@ -64,7 +64,7 @@ def _traced(loops, t):
     sizes = np.array([len(L) for L in loops])
     P = np.concatenate(loops)
     lengths = np.bincount(ring(sizes)[0], spherical_distance_many(P, P[ring(sizes)[1]]))
-    return TracedLemniscate(P, sizes, lengths, t.grid_resolution, t.min_gradient_seen)
+    return TracedLemniscate(P, sizes, lengths, t.grid_resolution)
 
 
 def _radial_count(rp, pick=None):
@@ -168,19 +168,10 @@ def _densify_ordered(t, field, parts):
             o * np.einsum("ij,ij->i", np.roll(T, -1, axis=0), d) > 0.9 * h
         )
         k = np.flatnonzero(along)
-        out, _, _ = walk(field, P[k], Q[k], d[k], h[k] / parts,
-                         np.full(len(k), parts - 1.0), np.full(len(k), 4.0 * parts))
-        inner = {}
-        for i, res in zip(k, out):
-            if res is not None:
-                far = np.linalg.norm(res[0] - Q[i], axis=1) > 0.5 * h[i] / parts
-                inner[i] = res[0][far]
-        pieces = []
-        for i in range(len(P)):
-            pieces.append(P[i : i + 1])
-            if i in inner:
-                pieces.append(inner[i])
-        loops.append(np.concatenate(pieces))
+        pts, _, owner, _, _ = walk(field, P[k], Q[k], d[k], h[k] / parts,
+                                   np.full(len(k), parts - 1.0), np.full(len(k), 4.0 * parts))
+        far = np.linalg.norm(pts - Q[k][owner], axis=1) > 0.5 * h[k][owner] / parts
+        loops.append(np.insert(P, k[owner][far] + 1, pts[far], axis=0))
     return _traced(loops, t)
 
 

@@ -169,26 +169,37 @@ def test_link_cycles_matches_plain_walk():
         assert all(c.dtype == np.int64 for c in got)
 
 
-def _walk_equator(caps):
-    start, target = np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])
-    (res,), stalled, _ = walk(as_field(unit_circle_pair()), start, target,
-                              target - start, np.array([0.1]), np.array([1]),
-                              np.array([caps]))
-    return res, stalled[0]
+def _walk_equator(*caps):
+    """walk's output for walks from (1, 0, 0) to (0, 1, 0) on the unit
+    circle, one per cap."""
+    m = len(caps)
+    start, target = np.tile([1.0, 0.0, 0.0], (m, 1)), np.tile([0.0, 1.0, 0.0], (m, 1))
+    return walk(as_field(unit_circle_pair()), start, target, target - start,
+                np.full(m, 0.1), np.ones(m, dtype=np.int64), np.array(caps))
 
 
 def test_walk_arrives_along_the_curve():
-    res, stalled = _walk_equator(40)
-    assert res is not None and not stalled
-    pts = res[0]
+    pts, _, owner, lost, stalled = _walk_equator(40)
+    assert not lost[0] and not stalled[0]
+    assert (owner == 0).all()
     assert len(pts) >= 12
     assert np.max(np.abs(pts[:, 2])) < 1e-8
     assert np.linalg.norm(pts[-1] - [0.0, 1.0, 0.0]) < 0.12
 
 
 def test_walk_cap_is_not_a_stall():
-    res, stalled = _walk_equator(2)
-    assert res is None and not stalled
+    pts, _, _, lost, stalled = _walk_equator(2)
+    assert lost[0] and len(pts) == 0 and not stalled[0]
+
+
+def test_walk_drops_lost_walks_from_the_layout():
+    # a capped walk and one that arrives, in one call: only the second
+    # contributes points, the same as it walked alone
+    pts, tans, owner, lost, stalled = _walk_equator(2, 40)
+    assert list(lost) == [True, False] and list(stalled) == [False, False]
+    assert len(pts) >= 12 and (owner == 1).all() and (np.diff(owner) >= 0).all()
+    alone, alone_tans, _, _, _ = _walk_equator(40)
+    assert np.array_equal(pts, alone) and np.array_equal(tans, alone_tans)
 
 
 def test_bridged_trials_match_committed_rows(tmp_path):
