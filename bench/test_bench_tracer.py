@@ -4,17 +4,23 @@ Outside the tier-1 `testpaths`; run from the repository root with
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest bench -q
 
-Every case but the last two reads one fixed input: seed 202, n=200, trial 0
-at the default grid (nu=78), the tangents workload's first trial, taken
-apart the way `tracer._trace_once` takes it apart.  The last two time the
+The stage cases read one fixed input: seed 202, n=200, trial 0 at the
+default grid (nu=78), the tangents workload's first trial, taken apart the
+way `tracer._trace_once` takes it apart.  Two meridian cases time the
 tangent count of trial 19, which has seven small loops, and of the
-kostlan-compare workload's first trial (real field, seed 404, n=50).
+kostlan-compare workload's first trial (real field, seed 404, n=50).  The
+cap cases trace the local stage's first n=100 trial (seed 505) whole and
+in the caps of the disks of radius rho/sqrt(n), rho = 3 and 7, that the
+stage traces: a cap trace costs its share of the sphere plus a fixed
+overhead of about a millisecond.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from lemnilab.ensemble import sample_rational_pair, sample_real_kostlan
+from lemnilab.ensemble import RandomStream, sample_rational_pair, sample_real_kostlan
 from lemnilab.experiments import trial_stream
 from lemnilab.field import as_field, chart_jets
 from lemnilab.geomstats import meridian_stats
@@ -97,3 +103,13 @@ def test_meridian_stats_real(benchmark):
     # the real field's tangent reads: G at every vertex of a real n=50 trace
     poly = sample_real_kostlan(50, trial_stream(404, 50, 0))
     benchmark(meridian_stats, trace(poly), np.array([0.0, 0.0, 1.0]), as_field(poly))
+
+
+@pytest.mark.parametrize("rho", [None, 3.0, 7.0], ids=["global", "rho3", "rho7"])
+def test_trace_cap(benchmark, rho):
+    n = 100
+    rp = sample_rational_pair(n, RandomStream(505).substream(n).substream(0))
+    grid = icosphere(default_options(n).grid_resolution)
+    cap = None if rho is None else ((0.0, 0.0, 1.0), rho / math.sqrt(n) + grid.max_edge_length)
+    trace(rp, cap=cap)  # builds the cap's grid
+    benchmark(trace, rp, cap=cap)

@@ -327,7 +327,7 @@ def _run_local(config: ExperimentConfig, t0: float) -> ResultsTable:
             n=n, statistic="p[%s]" % target.canonical, estimate=est.estimate,
             stderr=est.stderr, theory=math.nan, z_score=math.nan,
             trials_used=est.trials_used, rejected=est.rejected,
-            flags="rho=%g" % config.rho,
+            flags="rho=%g;regridded=%d" % (config.rho, est.regridded),
         ))
         rej += est.rejected
     table = ResultsTable(rows, _metadata(config, t0, rej))

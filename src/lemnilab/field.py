@@ -66,12 +66,21 @@ def poly_jets_many(coeff_rows, z: np.ndarray, order: int = 0):
     array operations than Horner in z^b, which matters at the few points
     of a walk step.  The derivative rows get their own product, so the
     values are the same bits at either order.
+
+    A point's value depends on its call in the last bits only: the block
+    size is fixed by the degree, but the product's kernel sums a point's
+    column in an order that depends on where the column falls in the
+    batch.  At n=100, dropping the first 1, 2 or 3 of 5,000 points changes
+    3, 2 or 1 of the other values, and most single-point calls differ
+    from a batched call in the last bit.  So the same points evaluated in
+    another batch (a cap trace against a whole-sphere trace) agree to
+    about 1e-16, not bit for bit.
     """
     z = np.asarray(z, dtype=complex).ravel()
     rows = np.array(coeff_rows, dtype=complex)
     r, n = len(rows), rows.shape[1] - 1
     # b = 29 at n = 200; a function of the degree only, never of the
-    # number of points, so a point's value does not depend on its call
+    # number of points
     b = min(n + 1, math.ceil(2.0 * math.sqrt(n + 1)))
     mats = [_blocks(rows, b)]
     if order and n >= 1:

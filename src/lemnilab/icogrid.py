@@ -91,6 +91,7 @@ class IcoGrid:
     edges: np.ndarray      # (E, 2) vertex ids, sorted pairs
     tri_edges: np.ndarray  # (T, 3) edge ids
     mean_edge_length: float
+    max_edge_length: float
 
     @property
     def n_vertices(self) -> int:
@@ -176,5 +177,5 @@ def icosphere(nu: int) -> IcoGrid:
     for lo in range(0, len(edges), _CHUNK):
         e = edges[lo : lo + _CHUNK]
         d[lo : lo + _CHUNK] = np.einsum("ij,ij->i", verts[e[:, 0]], verts[e[:, 1]])
-    mean_len = float(np.mean(np.arccos(np.clip(d, -1, 1, out=d), out=d)))
-    return IcoGrid(nu, verts, edges, tri_edges.reshape(-1, 3), mean_len)
+    np.arccos(np.clip(d, -1, 1, out=d), out=d)
+    return IcoGrid(nu, verts, edges, tri_edges.reshape(-1, 3), float(np.mean(d)), float(d.max()))

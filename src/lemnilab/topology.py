@@ -26,6 +26,7 @@ from .tracer import (
     GRID_JITTER,
     DegenerateLemniscate,
     TracedLemniscate,
+    TraceOptions,
     default_options,
     trace,
 )
@@ -158,8 +159,11 @@ def nesting_tree(rp: RationalPair, t: TracedLemniscate) -> NestingTree:
     Raises InconsistentTopology when the flood fill disagrees with t: the
     face count is not b0 + 1, a loop borders more than two faces, or the
     face graph is not a tree.  It never re-traces; a caller that needs a
-    finer grid traces again itself.
+    finer grid traces again itself.  Raises ValueError on a cap trace,
+    whose vertex signs and loop edges cover only its cap.
     """
+    if t.cap is not None:
+        raise ValueError("nesting_tree needs a whole-sphere trace, not a cap trace")
     grid, labels, n_faces = _build_faces(t)
     b0 = len(t.sizes)
     if n_faces != b0 + 1:
@@ -214,6 +218,7 @@ class ArrangementEstimate:
     hits: int
     trials_used: int
     rejected: int
+    regridded: int  # trials whose tree at the default grid differs at 2x
 
 
 def _local_tree(loops_xy: list) -> str:
@@ -263,8 +268,13 @@ def local_arrangement_probability(
 
     Each trial restricts the lemniscate to the spherical disk of radius
     rho / sqrt(n) about the north pole, keeps only the components lying
-    entirely inside with a one-arc-step margin, and compares the rooted
-    containment tree (rooted at the disk-boundary face) against the target.
+    entirely inside with a one-arc-step margin of the default grid, and
+    compares the rooted containment tree (rooted at the disk-boundary face)
+    against the target.  Only a cap one longest grid edge wider than the
+    disk is traced, which holds every grid triangle of a kept component.
+    The trial is traced at the default grid and at twice its resolution;
+    the finer tree is counted, and `regridded` counts the trials whose two
+    trees differ.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
@@ -275,24 +285,30 @@ def local_arrangement_probability(
     e1, e2 = orthonormal_frame(_DISK_CENTER)
 
     opts = default_options(n)
-    margin = _ARC_STEP * icosphere(opts.grid_resolution).mean_edge_length
+    levels = (opts, TraceOptions(2 * opts.grid_resolution))
+    grid = icosphere(opts.grid_resolution)
+    margin = _ARC_STEP * grid.mean_edge_length
+    cap = (_DISK_CENTER, min(math.pi, radius + grid.max_edge_length))
 
-    hits = used = rejected = 0
+    def local_tree(t):
+        V, starts = t.vertices, np.cumsum(t.sizes) - t.sizes
+        far = np.maximum.reduceat(np.arccos(np.clip(V @ _DISK_CENTER, -1.0, 1.0)), starts)
+        xy = np.split(np.stack([V @ e1, V @ e2], axis=1), starts[1:])
+        return _local_tree([L for L, d in zip(xy, far) if d <= radius - margin])
+
+    hits = used = rejected = regridded = 0
     for i in range(trials):
         rp = sample_rational_pair(n, rng.substream(i))
         try:
-            t = trace(rp)
+            coarse, fine = [local_tree(trace(rp, o, cap)) for o in levels]
         except DegenerateLemniscate:
             rejected += 1
             continue
         used += 1
-        V, starts = t.vertices, np.cumsum(t.sizes) - t.sizes
-        far = np.maximum.reduceat(np.arccos(np.clip(V @ _DISK_CENTER, -1.0, 1.0)), starts)
-        xy = np.split(np.stack([V @ e1, V @ e2], axis=1), starts[1:])
-        kept = [L for L, d in zip(xy, far) if d <= radius - margin]
-        hits += _local_tree(kept) == target.canonical
+        regridded += coarse != fine
+        hits += fine == target.canonical
     if used == 0:
         raise DegenerateLemniscate("all trials rejected")
     p = hits / used
     stderr = math.sqrt(max(p * (1.0 - p), 1.0 / used) / used)
-    return ArrangementEstimate(p, stderr, hits, used, rejected)
+    return ArrangementEstimate(p, stderr, hits, used, rejected, regridded)

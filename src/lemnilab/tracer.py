@@ -6,19 +6,25 @@ contributes exactly one pass of the curve between two of its edges), then
 refines every crossing by bisection plus Newton and densifies to an
 arc-step of 0.6 grid edges.  A fixed jitter rotation of the grid removes
 the measure-zero event of a vertex landing exactly on the curve.
+
+A cap trace evaluates f only on the part of the same grid that lies in a
+spherical cap and returns the loops whose grid triangles all lie inside
+it; the arcs cut by the cap's rim are dropped.  Its loops are the whole
+sphere's loops there, up to the last bits of the field's batched values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .ensemble import RandomStream
 from .field import as_field
-from .icogrid import icosphere
-from .sphere import Rotation, spherical_distance_many
+from .icogrid import IcoGrid, icosphere
+from .sphere import Rotation, spherical_distance_many, unit_vector
 
 # the grid rotation every trace uses (tie-breaking, see the module doc)
 GRID_JITTER = Rotation.random(RandomStream(0x1CE5_9E0D, 0).generator())
@@ -55,7 +61,11 @@ def default_options(n: int) -> TraceOptions:
 class TracedLemniscate:
     """The traced loops, stored open and back to back: loop j holds
     sizes[j] vertices of `vertices` (tracer.ring indexes them), its first
-    vertex not repeated, and lengths[j] is its spherical length."""
+    vertex not repeated, and lengths[j] is its spherical length.
+
+    A cap trace records its cap as ((x, y, z), radius); its vertex_signs
+    and loop_edges index the cap's part of the grid (tracer._cap_grid).
+    """
 
     vertices: np.ndarray = field(repr=False, compare=False)  # (sum(sizes), 3)
     sizes: np.ndarray = field(compare=False)
@@ -64,6 +74,7 @@ class TracedLemniscate:
     # combinatorial payload consumed by the topology module
     vertex_signs: np.ndarray = field(default=None, repr=False, compare=False)
     loop_edges: list = field(default=None, repr=False, compare=False)
+    cap: tuple | None = None
 
     @property
     def components(self) -> list:
@@ -129,14 +140,17 @@ def _link_cycles(pair_rows: np.ndarray) -> list:
     """Split a 2-regular multigraph, given as edge rows, into cycles.
 
     Cycles come in the order of their minimum node; each starts there and
-    leaves by that node's first edge in row order.  Half-edge h = 2u + s
-    leaves node u by the edge of u's s-th entry in row order, and succ(h)
-    leaves that edge's other end by its other edge.  succ is a permutation,
-    2-cycles included, that walks every cycle once in each direction.
+    leaves by that node's first edge in row order; no rows give no cycles.
+    Half-edge h = 2u + s leaves node u by the edge of u's s-th entry in row
+    order, and succ(h) leaves that edge's other end by its other edge.
+    succ is a permutation, 2-cycles included, that walks every cycle once
+    in each direction.
     Pointer doubling gives each half-edge the least half-edge of its walk,
     2s on the walk that leaves the minimum node s by its first edge, and
     its distance to that walk's end, which orders the walk.
     """
+    if not len(pair_rows):
+        return []
     order = np.argsort(pair_rows.ravel(), kind="stable")
     half = np.empty_like(order)
     half[order] = np.arange(len(order))
@@ -281,8 +295,9 @@ def _insert_after(P, sizes, at, points):
             sizes + np.bincount(ring(sizes)[0][at], minlength=len(sizes)))
 
 
-def trace(rp, opts: TraceOptions | None = None) -> TracedLemniscate:
-    """All components of {f = 0} at the working resolution.
+def trace(rp, opts: TraceOptions | None = None, cap=None) -> TracedLemniscate:
+    """All components of {f = 0} at the working resolution, or, with
+    cap = (centre, radius), those whose grid triangles lie in that cap.
 
     Accepts a RationalPair (f = |p|^2 - |q|^2) or a RealKostlanPolynomial
     (f = p restricted to the sphere).  When two strands of the curve pass
@@ -294,17 +309,38 @@ def trace(rp, opts: TraceOptions | None = None) -> TracedLemniscate:
     fieldobj = as_field(rp)
     if opts is None:
         opts = default_options(fieldobj.degree)
+    if cap is not None:
+        centre, radius = cap
+        if not 0.0 < radius <= math.pi:
+            raise ValueError("cap radius must lie in (0, pi]")
+        cap = (tuple(float(x) for x in unit_vector(centre)), float(radius))
     nu = opts.grid_resolution
     for attempt in range(3):
         try:
-            return _trace_once(fieldobj, nu)
+            return _trace_once(fieldobj, nu, cap)
         except _StubbornSegment:
             nu *= 2
     raise DegenerateLemniscate("close strands unresolved after resolution doubling")
 
 
-def _trace_once(fieldobj, nu: int) -> TracedLemniscate:
+@lru_cache(maxsize=4)
+def _cap_grid(nu: int, centre: tuple, radius: float) -> IcoGrid:
+    """The part of icosphere(nu) whose jittered vertices lie within radius
+    of centre: those vertices, the edges and triangles between them, each
+    kept in the grid's order, and the whole grid's edge lengths."""
     grid = icosphere(nu)
+    # (J v) . c = v . (J^-1 c) for the jitter J, as in topology.face_of_point
+    d = grid.verts @ GRID_JITTER.inverse().apply(np.array(centre))
+    inside = np.clip(d, -1.0, 1.0) >= math.cos(radius)
+    edge_in = inside[grid.edges].all(axis=1)
+    tri_in = edge_in[grid.tri_edges].all(axis=1)
+    return IcoGrid(nu, grid.verts[inside], (np.cumsum(inside) - 1)[grid.edges[edge_in]],
+                   (np.cumsum(edge_in) - 1)[grid.tri_edges[tri_in]],
+                   grid.mean_edge_length, grid.max_edge_length)
+
+
+def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
+    grid = icosphere(nu) if cap is None else _cap_grid(nu, *cap)
     verts = GRID_JITTER.apply(grid.verts)
 
     F = fieldobj.values(verts)
@@ -312,10 +348,6 @@ def _trace_once(fieldobj, nu: int) -> TracedLemniscate:
 
     e0, e1 = grid.edges[:, 0], grid.edges[:, 1]
     cross = pos[e0] != pos[e1]
-    if not cross.any():
-        return TracedLemniscate(np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
-                                np.zeros(0), nu, pos, [])
-
     ce = cross[grid.tri_edges]
     split = ce.sum(axis=1) == 2
     pairs = grid.tri_edges[split][ce[split]].reshape(-1, 2)
@@ -323,18 +355,36 @@ def _trace_once(fieldobj, nu: int) -> TracedLemniscate:
     cids = np.flatnonzero(cross)
     remap = np.full(len(grid.edges), -1, dtype=np.int64)
     remap[cids] = np.arange(len(cids))
-    cycles = _link_cycles(remap[pairs])
+    rows = remap[pairs]
+    # every crossing has two split triangles on the whole sphere; in a cap,
+    # one at the end of an arc cut by the rim has one, and a crossing on a
+    # rim edge may have none.  Pairing the arc ends and closing each lone
+    # crossing on itself makes every node's degree 2 for the linker; the
+    # cycles through those nodes are dropped.
+    deg = np.bincount(rows.ravel(), minlength=len(cids))
+    lone = np.flatnonzero(deg == 0)
+    rows = np.concatenate([rows, np.flatnonzero(deg == 1).reshape(-1, 2),
+                           np.stack([lone, lone], axis=1)])
+    cycles = [c for c in _link_cycles(rows) if (deg[c] == 2).all()]
+    if not cycles:
+        return TracedLemniscate(np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
+                                np.zeros(0), nu, pos, [], cap)
 
-    a = verts[e0[cids]]
-    b = verts[e1[cids]]
-    refined = _edge_roots(fieldobj, a, b, F[e0[cids]], F[e1[cids]])
+    # refine only the crossings of kept cycles, in crossing order; a global
+    # trace keeps them all, in the one batch its refined bits depend on
+    nodes = np.concatenate(cycles)
+    keep = np.zeros(len(cids), dtype=bool)
+    keep[nodes] = True
+    a, b = e0[cids[keep]], e1[cids[keep]]
+    refined = np.empty((len(cids), 3))
+    refined[keep] = _edge_roots(fieldobj, verts[a], verts[b], F[a], F[b])
 
     sizes = np.array([len(c) for c in cycles])
-    P, sizes = _densify(fieldobj, refined[np.concatenate(cycles)], sizes,
+    P, sizes = _densify(fieldobj, refined[nodes], sizes,
                         _ARC_STEP * grid.mean_edge_length)
 
     # one sum per loop slice: pairwise, like a sum over the loop alone
     seg = spherical_distance_many(P, P[ring(sizes)[1]])
     lengths = np.array([d.sum() for d in np.split(seg, np.cumsum(sizes)[:-1])])
     loop_edges = [cids[c] for c in cycles]
-    return TracedLemniscate(P, sizes, lengths, nu, pos, loop_edges)
+    return TracedLemniscate(P, sizes, lengths, nu, pos, loop_edges, cap)

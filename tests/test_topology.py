@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from lemnilab.topology import (
     rooted_canonical_form,
 )
 from lemnilab.experiments import trial_stream
-from lemnilab.tracer import trace
+from lemnilab.icogrid import icosphere
+from lemnilab.tracer import _ARC_STEP, TraceOptions, default_options, trace
 
 
 def circle_pair():
@@ -73,6 +75,15 @@ def test_nesting_tree_is_the_tree_of_the_given_trace(monkeypatch):
     tree = nesting_tree(rp, t)
     assert tree.n_components == len(t.components) == 52
     assert tree.n_faces == 53
+
+
+def test_nesting_tree_rejects_a_cap_trace():
+    # the cap holds the whole equator, but its signs cover only the cap
+    rp = circle_pair()
+    t = trace(rp, cap=((0.0, 0.0, 1.0), 2.0))
+    assert len(t.components) == 1
+    with pytest.raises(ValueError):
+        nesting_tree(rp, t)
 
 
 def test_nesting_tree_rejects_a_repeated_loop_edge(monkeypatch):
@@ -152,3 +163,25 @@ def test_local_arrangement_single_circle_positive():
     assert 0 < est.estimate <= 1
     assert est.stderr > 0
 
+
+
+def test_regridded_counts_the_trials_whose_two_trees_differ():
+    n, rho, seed = 100, 7.0, 606
+    est = local_arrangement_probability(
+        Arrangement("(())"), n, rho, 100, RandomStream(seed)
+    )
+    radius = rho / math.sqrt(n)
+    nu = default_options(n).grid_resolution
+    grid = icosphere(nu)
+    cap = ((0.0, 0.0, 1.0), radius + grid.max_edge_length)
+    inner = radius - _ARC_STEP * grid.mean_edge_length
+    differ = 0
+    for i in range(100):
+        rp = sample_rational_pair(n, RandomStream(seed).substream(i))
+        trees = []
+        for res in (nu, 2 * nu):
+            loops = [c[:-1, :2] for c in trace(rp, TraceOptions(res), cap).components
+                     if np.arccos(np.clip(c[:, 2], -1.0, 1.0)).max() <= inner]
+            trees.append(topology._local_tree(loops))
+        differ += trees[0] != trees[1]
+    assert est.trials_used == 100 and est.regridded == differ > 0

@@ -13,9 +13,13 @@ from lemnilab.ensemble import (
 )
 from lemnilab.experiments import TRIAL_COLUMNS, ResultsTable, run_trial, trial_stream
 from lemnilab.field import as_field
+from lemnilab.icogrid import icosphere
 from lemnilab.sphere import spherical_distance_many
+from lemnilab.topology import _local_tree
 from lemnilab.tracer import (
+    _ARC_STEP,
     TraceOptions,
+    _cap_grid,
     _link_cycles,
     default_options,
     trace,
@@ -215,3 +219,58 @@ def test_bridged_trace_resolution():
     for i, nu in BRIDGED.items():
         rp = sample_rational_pair(200, trial_stream(202, 200, i))
         assert trace(rp).grid_resolution == nu
+
+
+NORTH = (0.0, 0.0, 1.0)
+
+
+def _loops_within(t, radius):
+    """The open loops of t whose vertices all lie within radius of NORTH."""
+    return [c[:-1] for c in t.components
+            if np.arccos(np.clip(c[:, 2], -1.0, 1.0)).max() <= radius]
+
+
+def test_cap_of_radius_pi_is_the_global_trace():
+    rp = sample_rational_pair(50, RandomStream(7))
+    g, c = trace(rp), trace(rp, cap=(NORTH, math.pi))
+    assert c.cap == (NORTH, math.pi) and g.cap is None
+    for name in ("vertices", "sizes", "lengths", "vertex_signs"):
+        assert np.array_equal(getattr(g, name), getattr(c, name)), name
+    assert all(np.array_equal(a, b) for a, b in zip(g.loop_edges, c.loop_edges, strict=True))
+
+
+def test_cap_loops_are_the_global_loops_in_the_disk():
+    # the local stage's trials at n=100, rho=3: a cap one longest grid edge
+    # wider than the disk holds every grid triangle of a loop in the disk
+    n, radius = 100, 3.0 / 10.0
+    cap = (NORTH, radius + icosphere(default_options(n).grid_resolution).max_edge_length)
+    stream = RandomStream(505).substream(n)
+    found = 0
+    for i in range(40):
+        rp = sample_rational_pair(n, stream.substream(i))
+        g, c = _loops_within(trace(rp), radius), _loops_within(trace(rp, cap=cap), radius)
+        assert [len(L) for L in g] == [len(L) for L in c], i
+        for a, b in zip(g, c):
+            assert np.abs(a - b).max() < 1e-12, i
+        assert _local_tree([L[:, :2] for L in g]) == _local_tree([L[:, :2] for L in c])
+        found += len(g)
+    assert found >= 10
+
+
+def test_cap_trace_returns_no_open_arc():
+    rp = sample_rational_pair(100, RandomStream(505).substream(100).substream(0))
+    t = trace(rp, cap=(NORTH, 0.5))
+    grid = _cap_grid(t.grid_resolution, *t.cap)
+    pos = t.vertex_signs
+    assert len(pos) == grid.n_vertices < icosphere(t.grid_resolution).n_vertices
+    cross = pos[grid.edges[:, 0]] != pos[grid.edges[:, 1]]
+    split = grid.tri_edges[cross[grid.tri_edges].sum(axis=1) == 2]
+    kept = np.concatenate(t.loop_edges)
+    # the rim cut some arcs, and none of their crossings was kept: every
+    # kept crossing lies on two split triangles of the cap
+    assert len(t.sizes) >= 1 and len(kept) < cross.sum()
+    assert (np.bincount(split.ravel(), minlength=len(cross))[kept] == 2).all()
+    # each loop closes within the densified arc-step
+    last = np.cumsum(t.sizes) - 1
+    gap = spherical_distance_many(t.vertices[last], t.vertices[last - t.sizes + 1])
+    assert (gap <= 1.9 * _ARC_STEP * grid.mean_edge_length).all()
