@@ -37,7 +37,7 @@ from .sphere import (
     homogeneous_coords,
     inverse_stereographic_many,
 )
-from .tracer import DegenerateLemniscate, TraceOptions, trace
+from .tracer import _MAX_RESOLUTION, DegenerateLemniscate, TraceOptions, trace
 from .topology import (
     Arrangement,
     InconsistentTopology,
@@ -59,7 +59,6 @@ class EpsilonExhausted(RuntimeError):
 
 _ORIGIN = np.array([0.0, 0.0, -1.0])  # chart coordinate z = 0
 _MAX_CIRCLES = 12
-_MAX_RESOLUTION = 768
 _OVAL_RAYS = 64  # _local_oval: rays the new oval is bisected along
 # certify_nondegenerate: least relative chart gradient along the curve
 _MIN_REL_GRADIENT = 1e-6

@@ -67,6 +67,15 @@ TRIAL_COLUMNS = (
 )
 
 _AXIS = np.array([0.0, 0.0, 1.0])
+# summary statistic of each trial experiment: its name, its trial column
+# and its theory value at degree n
+_STATISTICS = {
+    "length": ("mean_length", "length", kacrice.expected_length),
+    "tangents": ("mean_nu", "nu", kacrice.meridian_expectation),
+    # no closed-form mean; component_upper_constant() bounds it only
+    "components": ("mean_b0", "b0", lambda n: math.nan),
+    "kostlan-compare": ("mean_nu", "nu", kacrice.kostlan_meridian_expectation),
+}
 
 
 @dataclass
@@ -121,10 +130,6 @@ class ResultsTable:
             w.writeheader()
             for r in self.rows:
                 w.writerow({k: _fmt(v) for k, v in r.items()})
-
-    def write_json(self, path: str):
-        with open(path, "w") as fh:
-            json.dump({"rows": self.rows, "metadata": self.metadata}, fh, indent=1)
 
 
 def _fmt(v):
@@ -195,26 +200,12 @@ def _mean_stderr(x: np.ndarray) -> tuple:
     return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
 
 
-def _theory(experiment: str, n: int) -> tuple:
-    """(statistic name, theory value) for the summary row."""
-    if experiment == "length":
-        return "mean_length", kacrice.expected_length(n)
-    if experiment == "tangents":
-        return "mean_nu", kacrice.meridian_expectation(n)
-    if experiment == "components":
-        # no closed-form mean; component_upper_constant() bounds it only
-        return "mean_b0", math.nan
-    if experiment == "kostlan-compare":
-        return "mean_nu", kacrice.kostlan_meridian_expectation(n)
-    return "mean", math.nan
-
-
 def _summarize(experiment: str, n: int, rows: list) -> dict:
     good = [r for r in rows if not r["flags"]]
     rej = len(rows) - len(good)
-    stat, theory = _theory(experiment, n)
-    key = {"mean_length": "length", "mean_nu": "nu", "mean_b0": "b0"}[stat]
-    est, se = _mean_stderr([r[key] for r in good])
+    stat, column, theory = _STATISTICS[experiment]
+    theory = theory(n)
+    est, se = _mean_stderr([r[column] for r in good])
     z = (est - theory) / se if (se and se > 0 and not math.isnan(theory)) else math.nan
     out = dict(n=n, statistic=stat, estimate=est, stderr=se, theory=theory,
                z_score=z, trials_used=len(good), rejected=rej, flags="")
@@ -250,32 +241,38 @@ def _read_trials(path: str) -> list:
 
 
 def run(config: ExperimentConfig) -> ResultsTable:
-    """Execute one experiment across its n grid; returns the summary table.
+    """Execute one experiment across its n grid; returns the summary table
+    it wrote, which keeps the rows of earlier calls (see _write_summary).
 
     A per-n trial CSV already on disk is reused if it holds exactly this
     run's trials, which makes long runs resumable; one that holds others
     (another seed or trial count) raises ConfigError.  A trial failure is
-    recorded and excluded; the run aborts if more than 0.1% of trials are
-    rejected.
+    recorded and excluded; the run writes its summary, then aborts if more
+    than 0.1% of trials are rejected.
     """
     os.makedirs(config.output_dir, exist_ok=True)
     t0 = time.time()
-    if config.experiment == "local-arrangement":
-        return _run_local(config, t0)
-    if config.experiment == "construct":
-        return _run_construct(config, t0)
+    rows = {"local-arrangement": _local_rows,
+            "construct": _construct_rows}.get(config.experiment, _trial_rows)(config)
+    rejected = sum(r["rejected"] for r in rows)
+    total = rejected + sum(r["trials_used"] for r in rows)
+    table = _write_summary(config, rows, dict(
+        seed=config.seed, experiment=config.experiment, trials=config.trials,
+        wall_time=time.time() - t0, rejections=rejected))
+    if total and rejected / total > 1e-3:
+        raise RuntimeError(
+            "rejection rate %.2g%% exceeds 0.1%%" % (100 * rejected / total)
+        )
+    return table
 
+
+def _trial_rows(config: ExperimentConfig) -> list:
+    """One summary row per n, read back from its trial CSV, which is
+    written first unless it is on disk."""
     summary = []
-    total_rej = total = 0
     for n in config.n_values:
         path = _trials_path(config, n)
-        if os.path.exists(path):
-            rows = _read_trials(path)
-            want = [(n, i, config.seed) for i in range(config.trials)]
-            if [(r["n"], r["trial"], r["seed"]) for r in rows] != want:
-                raise ConfigError("%s does not hold trials 0-%d of n=%d, seed %d"
-                                  % (path, config.trials - 1, n, config.seed))
-        else:
+        if not os.path.exists(path):
             args = [
                 (config.experiment, n, config.seed, i, config.grid_resolution)
                 for i in range(config.trials)
@@ -286,38 +283,19 @@ def run(config: ExperimentConfig) -> ResultsTable:
             else:
                 rows = [run_trial(*a) for a in args]
             rows.sort(key=lambda r: (r["n"], r["trial"]))
-            tbl = ResultsTable([{k: r[k] for k in TRIAL_COLUMNS} for r in rows])
-            tbl.write_csv(path)
+            ResultsTable([{k: r[k] for k in TRIAL_COLUMNS} for r in rows]).write_csv(path)
+        rows = _read_trials(path)
+        want = [(n, i, config.seed) for i in range(config.trials)]
+        if [(r["n"], r["trial"], r["seed"]) for r in rows] != want:
+            raise ConfigError("%s does not hold trials 0-%d of n=%d, seed %d"
+                              % (path, config.trials - 1, n, config.seed))
         summary.append(_summarize(config.experiment, n, rows))
-        total += len(rows)
-        total_rej += summary[-1]["rejected"]
-    if total and total_rej / total > 1e-3:
-        raise RuntimeError(
-            "rejection rate %.2g%% exceeds 0.1%%" % (100 * total_rej / total)
-        )
-    meta = _metadata(config, t0, total_rej)
-    table = ResultsTable(summary, meta)
-    table.write_csv(os.path.join(config.output_dir,
-                                 "%s_summary.csv" % config.experiment))
-    table.write_json(os.path.join(config.output_dir,
-                                  "%s_summary.json" % config.experiment))
-    return table
+    return summary
 
 
-def _metadata(config: ExperimentConfig, t0: float, rejections: int) -> dict:
-    return dict(
-        seed=config.seed,
-        experiment=config.experiment,
-        trials=config.trials,
-        wall_time=time.time() - t0,
-        rejections=rejections,
-    )
-
-
-def _run_local(config: ExperimentConfig, t0: float) -> ResultsTable:
+def _local_rows(config: ExperimentConfig) -> list:
     target = Arrangement(config.target)
     rows = []
-    rej = 0
     for n in config.n_values:
         est = local_arrangement_probability(
             target, n, config.rho, config.trials,
@@ -329,14 +307,12 @@ def _run_local(config: ExperimentConfig, t0: float) -> ResultsTable:
             trials_used=est.trials_used, rejected=est.rejected,
             flags="rho=%g;regridded=%d" % (config.rho, est.regridded),
         ))
-        rej += est.rejected
-    table = ResultsTable(rows, _metadata(config, t0, rej))
-    table.write_csv(os.path.join(config.output_dir, "local-arrangement_summary.csv"))
-    table.write_json(os.path.join(config.output_dir, "local-arrangement_summary.json"))
-    return table
+    return rows
 
 
-def _run_construct(config: ExperimentConfig, t0: float) -> ResultsTable:
+def _construct_rows(config: ExperimentConfig) -> list:
+    """One row per realized form; also writes the pairs to
+    construct_pairs.json, where a form replaces the entry with its spec."""
     from .constructor import all_rooted_trees, certify_nondegenerate, realize, realized_tree
 
     forms = (
@@ -356,10 +332,38 @@ def _run_construct(config: ExperimentConfig, t0: float) -> ResultsTable:
                          theory=1.0, z_score=math.nan, trials_used=1,
                          rejected=0, flags="" if ok and cert else "failed"))
         built.append(c.to_json())
-    table = ResultsTable(rows, _metadata(config, t0, 0))
-    table.write_csv(os.path.join(config.output_dir, "construct_summary.csv"))
-    with open(os.path.join(config.output_dir, "construct_pairs.json"), "w") as fh:
+    path = os.path.join(config.output_dir, "construct_pairs.json")
+    built = _merged(_read_json(path, []), built, lambda c: c["spec"])
+    with open(path, "w") as fh:
         json.dump(built, fh, indent=1)
+    return rows
+
+
+def _read_json(path: str, missing):
+    if not os.path.exists(path):
+        return missing
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _merged(old: list, new: list, key) -> list:
+    """The entries of old whose key no entry of new has, then new."""
+    keys = {key(r) for r in new}
+    return [r for r in old if key(r) not in keys] + new
+
+
+def _write_summary(config: ExperimentConfig, rows: list, metadata: dict) -> ResultsTable:
+    """Write {experiment}_summary.csv and .json.  A row replaces the row on
+    disk with the same (n, statistic), every other row on disk is kept, and
+    the rows are stably sorted by n; the metadata describes this call."""
+    stem = os.path.join(config.output_dir, "%s_summary" % config.experiment)
+    old = _read_json(stem + ".json", {"rows": []})["rows"]
+    rows = sorted(_merged(old, rows, lambda r: (r["n"], r["statistic"])),
+                  key=lambda r: r["n"])
+    table = ResultsTable(rows, metadata)
+    table.write_csv(stem + ".csv")
+    with open(stem + ".json", "w") as fh:
+        json.dump({"rows": rows, "metadata": metadata}, fh, indent=1)
     return table
 
 

@@ -174,11 +174,6 @@ class GreatCircle:
     e1: np.ndarray
     e2: np.ndarray
 
-    def points(self, n: int) -> np.ndarray:
-        """n points cos(t) e1 + sin(t) e2 for t uniform in [0, 2 pi)."""
-        t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        return np.outer(np.cos(t), self.e1) + np.outer(np.sin(t), self.e2)
-
     def point(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return np.outer(np.cos(t), self.e1) + np.outer(np.sin(t), self.e2)

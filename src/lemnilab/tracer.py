@@ -31,6 +31,7 @@ GRID_JITTER = Rotation.random(RandomStream(0x1CE5_9E0D, 0).generator())
 # polyline arc-step, as a share of the mean grid edge
 _ARC_STEP = 0.6
 _BISECT_ITERS = 45  # halvings in the bisection restart: 2^-45 of an edge
+_MAX_RESOLUTION = 768  # finest retry grid in trace; the constructor's cap
 
 
 class DegenerateLemniscate(RuntimeError):
@@ -302,9 +303,9 @@ def trace(rp, opts: TraceOptions | None = None, cap=None) -> TracedLemniscate:
     Accepts a RationalPair (f = |p|^2 - |q|^2) or a RealKostlanPolynomial
     (f = p restricted to the sphere).  When two strands of the curve pass
     closer together than the grid can separate, the trace is retried at up
-    to 4x the requested resolution before giving up.  Raises
-    DegenerateLemniscate when refinement fails to converge or the retries
-    are exhausted.
+    to 4x the requested resolution, never above max(requested,
+    _MAX_RESOLUTION), before giving up.  Raises DegenerateLemniscate when
+    refinement fails to converge or the retries are exhausted.
     """
     fieldobj = as_field(rp)
     if opts is None:
@@ -315,11 +316,11 @@ def trace(rp, opts: TraceOptions | None = None, cap=None) -> TracedLemniscate:
             raise ValueError("cap radius must lie in (0, pi]")
         cap = (tuple(float(x) for x in unit_vector(centre)), float(radius))
     nu = opts.grid_resolution
-    for attempt in range(3):
+    for nu in [nu] + [k * nu for k in (2, 4) if k * nu <= _MAX_RESOLUTION]:
         try:
             return _trace_once(fieldobj, nu, cap)
         except _StubbornSegment:
-            nu *= 2
+            pass
     raise DegenerateLemniscate("close strands unresolved after resolution doubling")
 
 

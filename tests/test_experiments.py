@@ -1,11 +1,14 @@
+import glob
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from lemnilab.ensemble import KostlanPolynomial, RationalPair
+from lemnilab import experiments
 from lemnilab.experiments import (
     TRIAL_COLUMNS,
     ConfigError,
@@ -21,6 +24,7 @@ from lemnilab.experiments import (
 )
 from lemnilab.field import as_field
 from lemnilab.geomstats import AxisTooClose, meridian_stats
+from lemnilab.topology import ArrangementEstimate
 from lemnilab.tracer import trace
 
 
@@ -147,6 +151,63 @@ def test_summary_contents(tmp_path):
     # z-score recomputes from the stored columns
     z = (row["estimate"] - row["theory"]) / row["stderr"]
     assert abs(z - row["z_score"]) < 1e-9
+
+
+def test_summary_keeps_rows_of_earlier_calls(tmp_path):
+    out = str(tmp_path)
+
+    def call(n):
+        table = run(ExperimentConfig("length", [n], trials=20, seed=7, output_dir=out))
+        with open(os.path.join(out, "length_summary.json")) as fh:
+            d = json.load(fh)
+        with open(os.path.join(out, "length_summary.csv")) as fh:
+            lines = fh.read().splitlines()[1:]
+        assert [r["n"] for r in table.rows] == [r["n"] for r in d["rows"]]
+        assert d["metadata"]["trials"] == 20
+        return [r["n"] for r in d["rows"]], lines
+
+    call(4)
+    ns, first = call(5)
+    assert ns == [4, 5]
+    # repeating n=4 replaces its row with the same one
+    ns, again = call(4)
+    assert ns == [4, 5] and again == first
+
+
+def test_refused_window_leaves_its_summary(tmp_path, monkeypatch):
+    # one of 100 trials rejected: the summary is written, then run refuses
+    est = ArrangementEstimate(0.25, 0.04, 25, 99, 1, 0)
+    monkeypatch.setattr(experiments, "local_arrangement_probability",
+                        lambda *args: est)
+    cfg = ExperimentConfig("local-arrangement", [100], trials=100, seed=0, rho=3.0,
+                           target="(())", output_dir=str(tmp_path))
+    with pytest.raises(RuntimeError, match="rejection rate"):
+        run(cfg)
+    with open(tmp_path / "local-arrangement_summary.json") as fh:
+        (row,) = json.load(fh)["rows"]
+    assert (row["n"], row["trials_used"], row["rejected"]) == (100, 99, 1)
+
+
+def test_construct_keeps_pairs_and_rows_of_earlier_calls(tmp_path):
+    for target in ("(())", "(()())", "(())"):
+        run(ExperimentConfig("construct", [2], target=target, output_dir=str(tmp_path)))
+    with open(tmp_path / "construct_pairs.json") as fh:
+        assert [c["spec"] for c in json.load(fh)] == ["(()())", "(())"]
+    with open(tmp_path / "construct_summary.json") as fh:
+        rows = json.load(fh)["rows"]
+    assert [(r["n"], r["statistic"], r["estimate"]) for r in rows] == [
+        (1, "construct[(())]", 1.0), (2, "construct[(()())]", 1.0)]
+
+
+def test_committed_summaries_cover_their_trial_csvs():
+    results = os.path.join(os.path.dirname(__file__), os.pardir, "results")
+    paths = glob.glob(os.path.join(results, "**", "*_n*_trials.csv"), recursive=True)
+    assert paths
+    for path in paths:
+        exp, n = re.fullmatch(r"(.+)_n(\d+)_trials\.csv", os.path.basename(path)).groups()
+        with open(os.path.join(os.path.dirname(path), exp + "_summary.json")) as fh:
+            ns = [r["n"] for r in json.load(fh)["rows"]]
+        assert int(n) in ns, path
 
 
 def test_components_run_within_degree(tmp_path):

@@ -114,7 +114,7 @@ def test_mobius_matches_rotation_on_sphere():
 
 def test_great_circle_points_on_sphere():
     g = random_great_circle(np.random.default_rng(8))
-    pts = g.points(64)
+    pts = g.point(np.linspace(0, 2 * math.pi, 64, endpoint=False))
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
     assert np.max(np.abs(pts @ g.axis)) < 1e-12
     # closed loop of radius one: perimeter 2 pi

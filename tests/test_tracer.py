@@ -16,9 +16,12 @@ from lemnilab.field import as_field
 from lemnilab.icogrid import icosphere
 from lemnilab.sphere import spherical_distance_many
 from lemnilab.topology import _local_tree
+from lemnilab import tracer
 from lemnilab.tracer import (
     _ARC_STEP,
+    DegenerateLemniscate,
     TraceOptions,
+    _StubbornSegment,
     _cap_grid,
     _link_cycles,
     default_options,
@@ -228,6 +231,22 @@ def _loops_within(t, radius):
     """The open loops of t whose vertices all lie within radius of NORTH."""
     return [c[:-1] for c in t.components
             if np.arccos(np.clip(c[:, 2], -1.0, 1.0)).max() <= radius]
+
+
+def test_stubborn_segment_retries_stop_at_the_resolution_cap(monkeypatch):
+    tried = []
+
+    def stubborn(fieldobj, nu, cap):
+        tried.append(nu)
+        raise _StubbornSegment
+
+    monkeypatch.setattr(tracer, "_trace_once", stubborn)
+    for nu, want in ((78, [78, 156, 312]), (384, [384, 768]), (768, [768]),
+                     (1000, [1000])):
+        tried.clear()
+        with pytest.raises(DegenerateLemniscate):
+            trace(unit_circle_pair(), TraceOptions(nu))
+        assert tried == want
 
 
 def test_cap_of_radius_pi_is_the_global_trace():
