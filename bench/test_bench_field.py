@@ -5,16 +5,18 @@ Outside the tier-1 `testpaths`; run from the repository root with
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest bench -q
 
 Each case evaluates one fixed-seed field on the jittered grid that
-`tracer.trace` would use at its degree.
+`tracer.trace` would use at its degree.  The kept-plan cases time the grid
+pass of every trace after the first at its default grid: the pair products
+alone, on the chart data `tracer._kept_plan` keeps.
 """
 
 import pytest
 
 from lemnilab.ensemble import sample_rational_pair, sample_real_kostlan
 from lemnilab.experiments import trial_stream
-from lemnilab.field import eval_f_many, eval_real_many
+from lemnilab.field import PairField, eval_f_many, eval_real_many
 from lemnilab.icogrid import icosphere
-from lemnilab.tracer import GRID_JITTER, default_options
+from lemnilab.tracer import GRID_JITTER, _kept_plan, default_options
 
 
 def _grid(n):
@@ -46,3 +48,11 @@ def test_eval_real_many_grad(benchmark, real_n50):
 def test_eval_f_many(benchmark, pair_n200):
     rp, pts = pair_n200
     benchmark(eval_f_many, rp, pts)
+
+
+@pytest.mark.parametrize("n, seed", [(25, 101), (200, 202)], ids=["n25", "n200"])
+def test_eval_f_many_kept_plan(benchmark, n, seed):
+    # length n=25 on the nu=64 grid, tangents n=200 on nu=78; trial 0
+    rp = sample_rational_pair(n, trial_stream(seed, n, 0))
+    verts, charts = _kept_plan(PairField, default_options(n).grid_resolution, None)
+    benchmark(eval_f_many, rp, verts, charts=charts)

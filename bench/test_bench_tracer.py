@@ -12,7 +12,8 @@ kostlan-compare workload's first trial (real field, seed 404, n=50).  The
 cap cases trace the local stage's first n=100 trial (seed 505) whole and
 in the caps of the disks of radius rho/sqrt(n), rho = 3 and 7, that the
 stage traces: a cap trace costs its share of the sphere plus a fixed
-overhead of about a millisecond.
+overhead of about a millisecond.  The great-circle case counts the
+Crofton crossings of the length workload's first trial (seed 101, n=25).
 """
 
 import math
@@ -23,8 +24,9 @@ import pytest
 from lemnilab.ensemble import RandomStream, sample_rational_pair, sample_real_kostlan
 from lemnilab.experiments import trial_stream
 from lemnilab.field import as_field, chart_jets
-from lemnilab.geomstats import meridian_stats
+from lemnilab.geomstats import great_circle_intersections, meridian_stats
 from lemnilab.icogrid import icosphere
+from lemnilab.sphere import random_great_circle
 from lemnilab.tracer import (
     _ARC_STEP,
     GRID_JITTER,
@@ -103,6 +105,13 @@ def test_meridian_stats_real(benchmark):
     # the real field's tangent reads: G at every vertex of a real n=50 trace
     poly = sample_real_kostlan(50, trial_stream(404, 50, 0))
     benchmark(meridian_stats, trace(poly), np.array([0.0, 0.0, 1.0]), as_field(poly))
+
+
+def test_great_circle_intersections(benchmark):
+    stream = trial_stream(101, 25, 0)
+    rp = sample_rational_pair(25, stream)
+    g = random_great_circle(stream.substream(999).generator())
+    assert benchmark(great_circle_intersections, rp, g) == 10
 
 
 @pytest.mark.parametrize("rho", [None, 3.0, 7.0], ids=["global", "rho3", "rho7"])

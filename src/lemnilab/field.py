@@ -12,6 +12,13 @@ real-Kostlan evaluator (eval_real_many) multiplies the full power matrices
 of its separable charts.  One builder, _powers, makes every table of
 powers by doubling.  PairField and RealField (see as_field) give the
 tracer and the tangent counter one interface to either kind of curve.
+
+eval_f_many's chart data (pair_charts: each point's chart, its chart
+coordinate and log|den|) depends on the points alone.  The tracer keeps it
+for the grids it traces trial after trial and passes it back, so a repeated
+grid pass runs only the coefficient products.  They run on the same chunks
+of the same chart coordinates with the same expressions, so the values are
+the same bits as without the kept data.
 """
 
 from __future__ import annotations
@@ -97,29 +104,41 @@ def poly_jets_many(coeff_rows, z: np.ndarray, order: int = 0):
     return [[out[o, i] for o in range(order + 1)] for i in range(r)]
 
 
-def eval_f_many(rp: RationalPair, points: np.ndarray, with_scale: bool = False):
-    """f = |hp|^2 - |hq|^2 at unit-norm homogeneous representatives.
-
-    With with_scale=True also returns |hp|^2 + |hq|^2, the natural local
-    magnitude against which |f| residuals should be measured.
-    """
+def pair_charts(points: np.ndarray):
+    """eval_f_many's chart data of points, which depends on the points
+    alone: per chart, the mask of its points (|z_h| <= |w_h| first, then
+    the rest), their chart coordinates num/den and log|den|."""
     zh, wh = homogeneous_coords(points)
-    n = rp.degree
     zh = np.atleast_1d(zh)
     wh = np.atleast_1d(wh)
     south = np.abs(zh) <= np.abs(wh)
-    ap = np.empty(zh.shape)
-    aq = np.empty(zh.shape)
-    for mask, pc, qc, num, den in (
-        (south, rp.p.coeffs, rp.q.coeffs, zh, wh),
-        (~south, rp.p.coeffs[::-1], rp.q.coeffs[::-1], wh, zh),
+    return tuple((mask, num[mask] / den[mask], np.log(np.abs(den[mask])))
+                 for mask, num, den in ((south, zh, wh), (~south, wh, zh)))
+
+
+def eval_f_many(rp: RationalPair, points: np.ndarray, with_scale: bool = False,
+                charts=None):
+    """f = |hp|^2 - |hq|^2 at unit-norm homogeneous representatives.
+
+    With with_scale=True also returns |hp|^2 + |hq|^2, the natural local
+    magnitude against which |f| residuals should be measured.  charts, if
+    given, is pair_charts(points), kept from an earlier call on the same
+    points: the values are then the same bits without recomputing it.
+    """
+    if charts is None:
+        charts = pair_charts(points)
+    n = rp.degree
+    shape = charts[0][0].shape
+    ap = np.empty(shape)
+    aq = np.empty(shape)
+    for (mask, z, logden), pc, qc in zip(
+        charts, (rp.p.coeffs, rp.p.coeffs[::-1]), (rp.q.coeffs, rp.q.coeffs[::-1])
     ):
-        if not np.any(mask):
+        if not len(z):
             continue
-        z = num[mask] / den[mask]
         (pv,), (qv,) = poly_jets_many([pc, qc], z)
         # |den|^(2n) factor from homogenization; |den| >= 1/sqrt(2)
-        amp = np.exp(2.0 * n * np.log(np.abs(den[mask])))
+        amp = np.exp(2.0 * n * logden)
         ap[mask] = amp * (pv.real**2 + pv.imag**2)
         aq[mask] = amp * (qv.real**2 + qv.imag**2)
     if with_scale:
@@ -193,6 +212,7 @@ def eval_real_many(
     poly: RealKostlanPolynomial,
     points: np.ndarray,
     with_grad: bool = False,
+    with_scale: bool = False,
 ):
     """Homogeneous real polynomial (and ambient gradient) at sphere points.
 
@@ -200,19 +220,19 @@ def eval_real_many(
     modulus, ties to the lowest axis): with u, v the other two coordinates
     over t (so |u|, |v| <= 1), U, V their power matrices and C[a, b] the
     coefficient of u^a v^b, f = t^n rowsum(U * (V C^T)).  Returns the
-    values alone, or with with_grad=True (values, gradient, scale): the
-    gradient components are t^(n-1) times the same product with C weighted
-    by a, b and n - a - b, and the scale is the root-sum-square of the
-    monomial terms, |t|^n sqrt(rowsum(U^2 * (V^2 (C*C)^T))).
+    values, followed by the gradient with with_grad=True and the scale
+    with with_scale=True: the gradient components are t^(n-1) times the
+    same product with C weighted by a, b and n - a - b, and the scale is
+    the root-sum-square of the monomial terms,
+    |t|^n sqrt(rowsum(U^2 * (V^2 (C*C)^T))).
     """
     pts = np.asarray(points, dtype=float)
     n = poly.degree
     E = poly.exps
     N = len(pts)
     vals = np.empty(N)
-    if with_grad:
-        scale = np.empty(N)
-        grad = np.empty((N, 3))
+    scale = np.empty(N)
+    grad = np.empty((N, 3))
     dom = np.argmax(np.abs(pts), axis=1)
     k = np.arange(n + 1.0)
     for d, (i, j) in enumerate(_CHART_AXES):
@@ -227,8 +247,9 @@ def eval_real_many(
         W = V @ C.T
         tn = t**n
         vals[idx] = tn * _rowdot(U, W)
-        if with_grad:
+        if with_scale:
             scale[idx] = np.abs(tn) * np.sqrt(_rowdot(U * U, (V * V) @ (C * C).T))
+        if with_grad:
             # d/du reuses V C^T: column a + 1 weighted by a + 1 meets u^a;
             # d/dv: Cv[a, b] = (b + 1) C[a, b + 1]; d/dt: C[a, b] (n - a - b)
             Cv = np.zeros_like(C)
@@ -238,9 +259,8 @@ def eval_real_many(
             grad[idx, i] = tn1 * ((U[:, :n] * W[:, 1:]) @ k[1:])
             grad[idx, j] = tn1 * _rowdot(U, Wvt[:, : n + 1])
             grad[idx, d] = tn1 * _rowdot(U, Wvt[:, n + 1 :])
-    if with_grad:
-        return vals, grad, scale
-    return vals
+    out = (vals,) + (grad,) * with_grad + (scale,) * with_scale
+    return out if len(out) > 1 else vals
 
 
 def _project(jet, points, tol_rel, max_iters):
@@ -305,7 +325,7 @@ def real_newton_correct(
     """
 
     def jet(v):
-        f, g, sc = eval_real_many(poly, v, with_grad=True)
+        f, g, sc = eval_real_many(poly, v, with_grad=True, with_scale=True)
         gt = g - np.einsum("ij,ij->i", g, v)[:, None] * v
 
         def move(step):
@@ -339,7 +359,7 @@ def curve_tangents(rp: RationalPair, points: np.ndarray) -> np.ndarray:
 
 
 def real_curve_tangents(poly: RealKostlanPolynomial, points: np.ndarray) -> np.ndarray:
-    _, g, _ = eval_real_many(poly, points, with_grad=True)
+    _, g = eval_real_many(poly, points, with_grad=True)
     return _unit_cross(points, g)
 
 
@@ -355,8 +375,12 @@ class PairField:
         self.rp = rp
         self.degree = rp.degree
 
-    def values(self, pts):
-        return eval_f_many(self.rp, pts)
+    @staticmethod
+    def charts(pts):
+        return pair_charts(pts)
+
+    def values(self, pts, charts=None):
+        return eval_f_many(self.rp, pts, charts=charts)
 
     def newton(self, pts):
         return newton_correct(self.rp, pts, *TRACE_NEWTON)
@@ -372,7 +396,11 @@ class RealField:
         self.poly = poly
         self.degree = poly.degree
 
-    def values(self, pts):
+    @staticmethod
+    def charts(pts):
+        return None  # eval_real_many keeps no chart data
+
+    def values(self, pts, charts=None):
         return eval_real_many(self.poly, pts)
 
     def newton(self, pts):

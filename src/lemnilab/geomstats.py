@@ -316,10 +316,11 @@ def meridian_stats(t: TracedLemniscate, axis, field):
 def great_circle_intersections(rp: RationalPair, g: GreatCircle) -> int:
     """Transversal crossings of Gamma with the great circle g.
 
-    Sign changes of f along a dense sampling of g, each refined by
-    bisection in the circle parameter.  Raises TangencySuspected when the
-    circle lies on the curve or a crossing has a vanishing derivative of f
-    along the circle.
+    The number of sign changes of f along a dense sampling of g.  Each
+    change is bisected in the circle parameter only as far as the check
+    reads it: to h/64 of the step h at which f is differenced.  Raises
+    TangencySuspected when the circle lies on the curve or a crossing has
+    a vanishing derivative of f along the circle.
     """
     # match the tracer's default cell size along the circle
     samples = max(512, 8 * default_options(rp.degree).grid_resolution)
@@ -333,19 +334,23 @@ def great_circle_intersections(rp: RationalPair, g: GreatCircle) -> int:
     if len(change) == 0:
         return 0
     lo = tgrid[change]
-    hi = lo + 2.0 * math.pi / samples
+    width = 2.0 * math.pi / samples
+    hi = lo + width
     flo = f[change]
-    for _ in range(45):
+    h = 1e-6
+    # the roots only place the derivative check at troot +- h, so each
+    # bracket is halved until it is narrower than h/64
+    for _ in range(math.ceil(math.log2(64.0 * width / h))):
         tm = 0.5 * (lo + hi)
         fm = eval_f_many(rp, g.point(tm))
         up = (fm > 0) == (flo > 0)
         lo = np.where(up, tm, lo)
         hi = np.where(up, hi, tm)
     troot = 0.5 * (lo + hi)
-    h = 1e-6
-    fp, scp = eval_f_many(rp, g.point(troot + h), with_scale=True)
-    fm2, _ = eval_f_many(rp, g.point(troot - h), with_scale=True)
-    deriv = np.abs(fp - fm2) / (2.0 * h * scp)
+    fpm, scpm = eval_f_many(rp, g.point(np.concatenate([troot + h, troot - h])),
+                            with_scale=True)
+    k = len(change)
+    deriv = np.abs(fpm[:k] - fpm[k:]) / (2.0 * h * scpm[:k])
     if np.any(deriv < _TANGENCY_TOL):
         raise TangencySuspected("near-tangential crossing")
     return len(change)

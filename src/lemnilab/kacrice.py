@@ -16,8 +16,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erfcx, gammaln, k0
+
+
+def _quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: no trial integrates,
+    and the import costs about 0.2 s."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ def length_density_quadrature(n: int, x2: float) -> float:
         # raw form is vanishingly small at large t and quad's absolute
         # tolerance would short-circuit the tail there
         A = 1.0 + n * t * t / 4.0
-        val, _ = integrate.quad(
+        val, _ = _quad(
             lambda u: 1.0 / (A * (1.0 + u * u)), -np.inf, np.inf
         )
         return val
@@ -115,9 +122,9 @@ def length_density_quadrature(n: int, x2: float) -> float:
     # is summed over doubling segments until a segment is negligible
     def segment(a, b):
         if x2 == 0.0:
-            val, _ = integrate.quad(inner, a, b, limit=400)
+            val, _ = _quad(inner, a, b, limit=400)
         else:
-            val, _ = integrate.quad(
+            val, _ = _quad(
                 inner, a, b, weight="cos", wvar=abs(x2), limit=400
             )
         return val
@@ -142,7 +149,7 @@ def length_constant(n: int) -> float:
 
 def length_constant_quadrature(n: int) -> float:
     rho = length_density(n)
-    val, _ = integrate.quad(lambda x: abs(x) * rho(x), -np.inf, np.inf)
+    val, _ = _quad(lambda x: abs(x) * rho(x), -np.inf, np.inf)
     return val
 
 
@@ -236,7 +243,7 @@ def verify_chain(n: int, n_points: int = 20) -> dict:
     # s integration: int F+F- ds = F2(t,u,w)
     err_s = 0.0
     for _, t, u, w in pts:
-        val, _ = integrate.quad(
+        val, _ = _quad(
             lambda s: _det_product(n, s, t, u, w), -np.inf, np.inf, limit=200
         )
         ref = ch["F2"](t, u, w)
@@ -246,7 +253,7 @@ def verify_chain(n: int, n_points: int = 20) -> dict:
     # t integration: int F2 dt = c * F3(u,w); measure c (analytic pi^2/n)
     consts = []
     for _, _, u, w in pts:
-        val, _ = integrate.quad(
+        val, _ = _quad(
             lambda t: ch["F2"](t, u, w), -np.inf, np.inf, limit=200
         )
         consts.append(val / ch["F3"](u, w))
@@ -264,7 +271,7 @@ def verify_chain(n: int, n_points: int = 20) -> dict:
     err_u = 0.0
     for _, _, _, w in pts:
         a = 1.0 / ch["F3"](0.0, w)
-        val, _ = integrate.quad(lambda h: 2.0 * h * 2.0 * k0(a * h), 0.0, np.inf)
+        val, _ = _quad(lambda h: 2.0 * h * 2.0 * k0(a * h), 0.0, np.inf)
         ref = 4.0 * n * ch["F4"](w)
         err_u = max(err_u, abs(val - ref) / abs(ref))
     report["u_h1_step"] = err_u
@@ -274,7 +281,7 @@ def verify_chain(n: int, n_points: int = 20) -> dict:
     # finite-part identity, int |h| e^{-ihw} dh = -2/w^2, leaving one
     # ordinary integral: (1/pi) int_0^inf (F4(0) - F4(w)) / w^2 dw.
     F4 = ch["F4"]
-    val, _ = integrate.quad(
+    val, _ = _quad(
         lambda w: (F4(0.0) - F4(w)) / (w * w), 0.0, np.inf, limit=400
     )
     num = val / math.pi
@@ -354,7 +361,7 @@ def meridian_constant_quadrature(a: float) -> float:
         inner = d + (0.5 * math.sqrt(math.pi * a) * erfcx(d / ra) if a > 0 else 0.0)
         return d * inner * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * d * d)
 
-    val, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12)
+    val, _ = _quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12)
     return val
 
 
@@ -387,9 +394,9 @@ def _cos_transform(fn, tau: float, cut: float) -> float:
     prev = None
     while True:
         if tau == 0.0:
-            val, _ = integrate.quad(fn, 0.0, cut, limit=400)
+            val, _ = _quad(fn, 0.0, cut, limit=400)
         else:
-            val, _ = integrate.quad(fn, 0.0, cut, weight="cos", wvar=tau, limit=400)
+            val, _ = _quad(fn, 0.0, cut, weight="cos", wvar=tau, limit=400)
         val *= 2.0
         if prev is not None and abs(val - prev) <= 1e-12 * (1.0 + abs(val)):
             return val
@@ -417,7 +424,7 @@ def tangent_asymptotic_quadrature() -> float:
     prev = None
     cut = 70.0
     while True:
-        val, _ = integrate.quad(
+        val, _ = _quad(
             lambda tau: 2.0 * tau * tangent_tau_integrand_quadrature(tau),
             0.0,
             cut,
@@ -477,8 +484,8 @@ def kostlan_density_quadrature(n: int) -> float:
     measured ratio between the two.
     """
     pref = 1.0 / (2.0 * math.pi * math.sqrt(n))
-    i1, _ = integrate.quad(lambda h: 2.0 * h * math.exp(-h * h / n), 0.0, np.inf)
-    i2, _ = integrate.quad(
+    i1, _ = _quad(lambda h: 2.0 * h * math.exp(-h * h / n), 0.0, np.inf)
+    i2, _ = _quad(
         lambda h: 2.0 * h * math.exp(-h * h / (n * (n - 1.0))), 0.0, np.inf
     )
     return pref * i1 * i2
@@ -499,7 +506,7 @@ def kostlan_corrected_quadrature(n: int) -> float:
     s1sq = float(n)
     s2sq = 2.0 * n * (n - 1.0)
     pref = (1.0 / math.sqrt(2.0 * math.pi)) * (1.0 / math.sqrt(2.0 * math.pi * n))
-    i1, _ = integrate.quad(
+    i1, _ = _quad(
         lambda h: 2.0
         * h
         * math.exp(-h * h / (2.0 * s1sq))
@@ -507,7 +514,7 @@ def kostlan_corrected_quadrature(n: int) -> float:
         0.0,
         np.inf,
     )
-    i2, _ = integrate.quad(
+    i2, _ = _quad(
         lambda h: 2.0
         * h
         * math.exp(-h * h / (2.0 * s2sq))

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from lemnilab.experiments import (
     MissingResults,
     ResultsTable,
     _axis_stats,
+    _read_trials,
+    _summarize,
     compare_table,
     render_svg,
     run,
@@ -278,3 +282,35 @@ def test_compare_constants():
     e_grad, _ = integrate.quad(lambda r: r * r / n * math.exp(-r * r / (2 * n)), 0, math.inf)
     kac_rice = 4 * math.pi * e_grad / math.sqrt(2 * math.pi)
     assert abs(kacrice.kostlan_expected_length(n) - kac_rice) < 1e-9 * kac_rice
+
+
+RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "results")
+
+
+@pytest.mark.parametrize("experiment", ["length", "tangents", "components", "kostlan-compare"])
+def test_committed_summaries_reproduce_from_trial_csvs(tmp_path, experiment):
+    # every committed summary row is _summarize of its committed trial CSV,
+    # in the JSON and in the CSV, as rerunning the README's commands gives
+    stem = os.path.join(RESULTS, "%s_summary" % experiment)
+    with open(stem + ".json") as fh:
+        rows = json.load(fh)["rows"]
+    want = [_summarize(experiment, r["n"], _read_trials(
+        os.path.join(RESULTS, "%s_n%d_trials.csv" % (experiment, r["n"])))) for r in rows]
+    assert json.dumps(rows) == json.dumps(want)  # as text, so NaN theories compare equal
+    ResultsTable(want).write_csv(str(tmp_path / "s.csv"))
+    assert (tmp_path / "s.csv").read_bytes() == open(stem + ".csv", "rb").read()
+
+
+def test_trials_do_not_import_scipy_integrate():
+    # only kacrice's quadrature companions integrate, and they import
+    # scipy.integrate on first use
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from lemnilab import experiments\n"
+            "assert not experiments.run_trial('length', 25, 101, 0)['flags']\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -10,6 +10,7 @@ from lemnilab.field import (
     eval_real_many,
     newton_correct,
     poly_jets_many,
+    real_curve_tangents,
 )
 from lemnilab.ensemble import rotate_pair
 from lemnilab.sphere import Rotation, inverse_stereographic_many
@@ -231,8 +232,11 @@ def test_eval_real_many_oracle():
     pts = _real_oracle_points(r)
     for n in (1, 2, 7, 50):
         poly = sample_real_kostlan(n, RandomStream(17).substream(n))
-        f, grad, sc = eval_real_many(poly, pts, with_grad=True)
+        f, grad, sc = eval_real_many(poly, pts, with_grad=True, with_scale=True)
         assert np.array_equal(f, eval_real_many(poly, pts))
+        # the gradient and the scale are the same bits without the other
+        assert np.array_equal(eval_real_many(poly, pts, with_grad=True)[1], grad)
+        assert np.array_equal(eval_real_many(poly, pts, with_scale=True)[1], sc)
         P = pts.astype(np.longdouble)
         ref = np.zeros(len(pts), dtype=np.longdouble)
         ref2 = np.zeros(len(pts), dtype=np.longdouble)
@@ -254,3 +258,16 @@ def test_eval_real_many_oracle():
 
             fd = (8 * (F(1) - F(-1)) - (F(2) - F(-2))) / (12 * h)
             assert np.max(np.abs(grad[:, k] - fd) / (n * sc)) < 1e-9
+
+
+def test_real_curve_tangents_bits():
+    # the tangent is points x grad normalized, with the gradient of the
+    # call that also computes the scale: leaving the scale out of the
+    # tangent's call changes no bit
+    pts = _real_oracle_points(np.random.default_rng(99))
+    for n in (2, 50):
+        poly = sample_real_kostlan(n, RandomStream(404).substream(n))
+        _, grad, _ = eval_real_many(poly, pts, with_grad=True, with_scale=True)
+        t = np.cross(pts, grad)
+        assert np.array_equal(real_curve_tangents(poly, pts),
+                              t / np.linalg.norm(t, axis=1)[:, None])

@@ -1,4 +1,6 @@
+import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from lemnilab.ensemble import (
     RationalPair,
     sample_rational_pair,
 )
+from lemnilab.experiments import trial_stream
 from lemnilab.field import as_field
 from lemnilab.geomstats import (
     TangencySuspected,
@@ -211,6 +214,22 @@ def test_great_circle_tangency_detected():
     )
     with pytest.raises(TangencySuspected):
         great_circle_intersections(rp, equator)
+
+
+def test_great_circle_counts_match_committed_crossings():
+    # the Crofton column of the committed length n=25 run (seed 101):
+    # bisecting each crossing only to h/64 changes no count and raises no
+    # tangency
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "results",
+                        "length_n25_trials.csv")
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))[:200]
+    for r in rows:
+        assert not r["flags"]
+        stream = trial_stream(101, 25, int(r["trial"]))
+        rp = sample_rational_pair(25, stream)
+        g = random_great_circle(stream.substream(999).generator())
+        assert great_circle_intersections(rp, g) == int(r["crossings"]), r["trial"]
 
 
 def test_crossing_parity_even():

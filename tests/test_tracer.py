@@ -293,3 +293,39 @@ def test_cap_trace_returns_no_open_arc():
     last = np.cumsum(t.sizes) - 1
     gap = spherical_distance_many(t.vertices[last], t.vertices[last - t.sizes + 1])
     assert (gap <= 1.9 * _ARC_STEP * grid.mean_edge_length).all()
+
+
+def _same_trace(a, b):
+    for name in ("vertices", "sizes", "lengths", "vertex_signs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_kept_plan_changes_no_bit():
+    # a trace with a warm plan against one that builds it: the global
+    # length n=25 grid and the local stage's rho=3 cap at n=100
+    n = 100
+    cap = (NORTH, 0.3 + icosphere(default_options(n).grid_resolution).max_edge_length)
+    for rp, c in ((sample_rational_pair(25, trial_stream(101, 25, 0)), None),
+                  (sample_rational_pair(n, RandomStream(505).substream(n).substream(0)), cap)):
+        tracer._kept_plan.cache_clear()
+        cold = trace(rp, cap=c)
+        hits = tracer._kept_plan.cache_info().hits
+        warm = trace(rp, cap=c)
+        assert tracer._kept_plan.cache_info().hits == hits + 1
+        assert len(cold.sizes) >= 1
+        _same_trace(cold, warm)
+
+
+def test_other_resolutions_keep_no_plan():
+    # the constructor's explicit nu, and a retry on a doubled grid, use
+    # their plan once and leave the kept ones as they were
+    rp = sample_rational_pair(25, trial_stream(101, 25, 0))
+    trace(rp)
+    before = tracer._kept_plan.cache_info()
+    t = trace(rp, TraceOptions(96))
+    assert t.grid_resolution == 96 and len(t.sizes) >= 1
+    assert tracer._kept_plan.cache_info() == before
+    tracer._kept_plan.cache_clear()
+    # retried at 2nu; only the default nu=78 grid is kept
+    assert trace(sample_rational_pair(200, trial_stream(202, 200, 18))).grid_resolution == 156
+    assert tracer._kept_plan.cache_info().currsize == 1
