@@ -14,6 +14,10 @@ in the caps of the disks of radius rho/sqrt(n), rho = 3 and 7, that the
 stage traces: a cap trace costs its share of the sphere plus a fixed
 overhead of about a millisecond.  The great-circle case counts the
 Crofton crossings of the length workload's first trial (seed 101, n=25).
+The two ray-solve cases replay the calls of tracer.ray_solve made by the
+tangent count of trial 19's small loops and by the constructor's second
+step of the two-circle chain (the new oval), with their arguments as
+recorded.
 """
 
 import math
@@ -21,6 +25,7 @@ import math
 import numpy as np
 import pytest
 
+from lemnilab import constructor, geomstats
 from lemnilab.ensemble import RandomStream, sample_rational_pair, sample_real_kostlan
 from lemnilab.experiments import trial_stream
 from lemnilab.field import as_field, chart_jets
@@ -34,6 +39,7 @@ from lemnilab.tracer import (
     _edge_roots,
     _link_cycles,
     default_options,
+    ray_solve,
     trace,
 )
 
@@ -122,3 +128,40 @@ def test_trace_cap(benchmark, rho):
     cap = None if rho is None else ((0.0, 0.0, 1.0), rho / math.sqrt(n) + grid.max_edge_length)
     trace(rp, cap=cap)  # builds the cap's grid
     benchmark(trace, rp, cap=cap)
+
+
+def _ray_solve_calls(module, run):
+    """The arguments of the ray_solve calls run() makes through module."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return ray_solve(*args)
+
+    module.ray_solve = spy
+    try:
+        run()
+    finally:
+        module.ray_solve = ray_solve
+    return calls
+
+
+def test_ray_solve_small_loops(benchmark):
+    # the one call for trial 19's seven small loops, 48 rays each; six
+    # are one star-shaped oval about their centre
+    rp = sample_rational_pair(200, trial_stream(202, 200, 19))
+    (args,) = _ray_solve_calls(geomstats, lambda: meridian_stats(
+        trace(rp), np.array([0.0, 0.0, 1.0]), as_field(rp)))
+    X, ok, _ = benchmark(ray_solve, *args)
+    assert ok.tolist() == [True, False] + [True] * 5 and len(X) == 48 * 6
+
+
+def test_ray_solve_new_oval(benchmark):
+    # the accepted new oval of the chain's second step, 64 rays
+    frame = constructor._Frame(constructor._EMPTY, {"root": np.array([1.0 + 0j, 0.0])},
+                               np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+    frame, _, _ = constructor._add_circle(frame, ("root", 0))
+    args = _ray_solve_calls(constructor, lambda: constructor._add_circle(
+        frame, (("root", 0), 0)))[-1]
+    X, ok, _ = benchmark(ray_solve, *args)
+    assert ok.all() and len(X) == constructor._OVAL_RAYS

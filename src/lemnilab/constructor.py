@@ -11,8 +11,9 @@ renormalized (an SU(2) rotation takes the target point to the origin, a
 dilation diag(1, lam) brings the free disk to unit size); this keeps each
 new oval at O(1) scale and the ratio between nesting levels shallow.  eps
 is found by halving from near its theoretical ceiling delta*(1-c0) until
-three scale-free checks pass: the oval exists as a single radial crossing
-inside the pole disk, every old oval persists under Newton continuation
+three scale-free checks pass: the new oval is star-shaped about the pole
+inside the pole disk, one crossing of f on each ray from it (solved by
+tracer.ray_solve), every old oval persists under Newton continuation
 (with at most n+1 ovals possible in degree n+1, nothing else can appear),
 and the derivative certificate eps/|z|^2 - |r'(z)| is positive on the new
 oval.  One global trace at the end (deepest node at the origin, root face
@@ -29,15 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import KostlanPolynomial, RationalPair, mobius_polynomials
-from .field import chart_jets, newton_correct, poly_jets_many
-from .geomstats import ray_brackets
-from .sphere import (
-    Rotation,
-    from_homogeneous,
-    homogeneous_coords,
-    inverse_stereographic_many,
-)
-from .tracer import _MAX_RESOLUTION, DegenerateLemniscate, TraceOptions, trace
+from .field import PairField, chart_jets, newton_correct, poly_jets_many
+from .sphere import Rotation, from_homogeneous, homogeneous_coords
+from .tracer import _MAX_RESOLUTION, DegenerateLemniscate, TraceOptions, ray_solve, trace
 from .topology import (
     Arrangement,
     InconsistentTopology,
@@ -58,8 +53,10 @@ class EpsilonExhausted(RuntimeError):
 
 
 _ORIGIN = np.array([0.0, 0.0, -1.0])  # chart coordinate z = 0
+# the directions of chart coordinates 1 and i at the origin
+_ORIGIN_FRAME = (np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]))
 _MAX_CIRCLES = 12
-_OVAL_RAYS = 64  # _local_oval: rays the new oval is bisected along
+_OVAL_RAYS = 64  # _local_oval: rays from the pole, one oval point on each
 # certify_nondegenerate: least relative chart gradient along the curve
 _MIN_REL_GRADIENT = 1e-6
 # degree 0, |r| = 1/2 everywhere: the empty lemniscate the first step perturbs
@@ -210,49 +207,40 @@ def _add_circle(frame: _Frame, key, shrink: float = 1.0):
         # same as shallow ones.  Correctness of the global picture follows
         # from the count bound: degree-(n+1) lemniscates have at most n+1
         # ovals, and we exhibit n persisting ones plus the new one.
-        oval_z = _local_oval(pc, qc, eps, delta)
-        if oval_z is None:
+        oval = _local_oval(cand, eps, delta)
+        if oval is None:
             eps *= 0.5
             continue
         moved = _persisted_components(cand, frame.verts, frame.sizes)
         if moved is None:
             eps *= 0.5
             continue
+        zh, wh = homogeneous_coords(oval)
+        oval_z = zh / wh
         (p0, p1), (q0, q1) = poly_jets_many([p, q], oval_z, order=1)
         r_prime = (p1 * q0 - p0 * q1) / q0**2
         cert = float((eps / np.abs(oval_z) ** 2 - np.abs(r_prime)).min())
         if cert > 0.0:
             markers = {**frame.markers, key: np.array([0.0, 1.0 + 0j])}
-            verts = np.concatenate([moved, inverse_stereographic_many(oval_z)])
-            return _Frame(cand, markers, verts, np.append(frame.sizes, len(oval_z))), eps, cert
+            verts = np.concatenate([moved, oval])
+            return _Frame(cand, markers, verts, np.append(frame.sizes, len(oval))), eps, cert
         eps *= 0.5
     raise EpsilonExhausted("no epsilon passed after 60 halvings")
 
 
-def _local_oval(pc, qc, eps, delta):
-    """The new oval, found by radial bisection inside the pole disk.
+def _local_oval(cand: RationalPair, eps: float, delta: float):
+    """The new oval of cand about the pole at the origin, solved along
+    _OVAL_RAYS rays at chart radii from eps/8 to delta (tracer.ray_solve).
 
-    Requires f > 0 throughout the inner ring, f < 0 at radius delta, and
-    exactly one sign change along every ray; returns None otherwise.
+    Requires one star-shaped oval about the origin, f > 0 throughout the
+    inner ring and f <= 0 at radius delta; returns its points, in ray
+    order, or None.
     """
-    ang = np.exp(2j * np.pi * np.arange(_OVAL_RAYS) / _OVAL_RAYS)
-    rad = np.geomspace(eps / 8.0, delta, 96)
-    F = _cand_field(pc, qc, rad[None, :] * ang[:, None])
-    idx, star = ray_brackets(F)
-    if not np.all(F[:, 0] > 0) or np.any(F[:, -1] > 0) or not star:
+    radii = 2.0 * np.arctan(np.geomspace(eps / 8.0, delta, 96))
+    X, ok, F = ray_solve(PairField(cand), _ORIGIN[None], *_ORIGIN_FRAME, radii[None], _OVAL_RAYS)
+    if not ok[0] or not np.all(F[0, :, 1] > 0) or np.any(F[0, :, -1] > 0):
         return None
-    lo, hi = rad[idx], rad[idx + 1]
-    for _ in range(45):
-        mid = np.sqrt(lo * hi)
-        up = _cand_field(pc, qc, mid * ang) > 0
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    return 0.5 * (lo + hi) * ang
-
-
-def _cand_field(pc, qc, z):
-    (pv,), (qv,) = poly_jets_many([pc, qc], z)
-    return (np.abs(pv) ** 2 - np.abs(qv) ** 2).reshape(np.shape(z))
+    return X
 
 
 def _persisted_components(cand: RationalPair, verts: np.ndarray, sizes: np.ndarray):

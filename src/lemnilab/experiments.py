@@ -31,7 +31,7 @@ from .geomstats import (
     great_circle_intersections,
     meridian_stats,
 )
-from .sphere import random_great_circle, unit_vector
+from .sphere import Rotation, homogeneous_coords, random_great_circle, unit_vector
 from .topology import Arrangement, local_arrangement_probability
 from .tracer import DegenerateLemniscate, TraceOptions, trace
 
@@ -97,6 +97,10 @@ class ExperimentConfig:
             raise ConfigError("n_values must be nonempty")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        # the meridian theory, and a tree with a circle, need degree 2
+        least = 2 if self.experiment in ("tangents", "kostlan-compare", "construct") else 1
+        if min(self.n_values) < least:
+            raise ConfigError("%s needs every n >= %d" % (self.experiment, least))
         if self.experiment == "local-arrangement":
             if self.rho is None or self.rho <= 0:
                 raise ConfigError("local-arrangement needs rho > 0")
@@ -369,16 +373,13 @@ def _write_summary(config: ExperimentConfig, rows: list, metadata: dict) -> Resu
 
 def render_svg(t, projection_point, path: str):
     """SVG of the curve projected stereographically from projection_point."""
-    from .sphere import Rotation
-
     proj = unit_vector(np.asarray(projection_point, dtype=float))
     rot = Rotation.align(proj, np.array([0.0, 0.0, 1.0]))
     paths = []
     all_r = []
     for comp in t.components:
-        v = rot.apply(comp)
-        tt = np.minimum(v[:, 2], 1.0 - 1e-9)
-        z = (v[:, 0] + 1j * v[:, 1]) / (1.0 - tt)
+        zh, wh = homogeneous_coords(rot.apply(comp))
+        z = zh / wh
         if not np.all(np.isfinite(z.view(float))):
             raise ValueError("projection point lies on the curve")
         paths.append(z)

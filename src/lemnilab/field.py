@@ -160,6 +160,8 @@ def _chart_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Southern points use z = (x + iy)/(1 - t), northern ones the reciprocal
     chart u = (x - iy)/(1 + t) = 1/z.  Returns (coords, north_mask).
+    Newton keeps this chart rather than pair_charts': the two differ in the
+    last bit at most grid points, and the committed trial bytes rest on it.
     """
     x, y, t = points[..., 0], points[..., 1], points[..., 2]
     north = t > 0.0

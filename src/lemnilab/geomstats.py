@@ -8,7 +8,7 @@ vertex, never from differences of polyline positions, so noise in the
 vertex positions cannot fake or hide a tangency (see _tangent_count).
 On a loop too small for its chords to bracket its tangents, the curve
 points are the loop's crossings with rays from its centre, found for all
-small loops by one sampling of f and one Newton polish; a loop that is
+small loops by one call of the tracer's ray solve; a loop that is
 not one oval, star-shaped about its centre, is walked whole along the
 curve instead, and counted.  All loops of a trace are handled together,
 stored back to back in one vertex array (tracer.ring).
@@ -23,7 +23,7 @@ import numpy as np
 from .ensemble import RationalPair
 from .field import eval_f_many
 from .sphere import GreatCircle, orthonormal_frame, unit_vector
-from .tracer import TracedLemniscate, default_options, ring, subdivide, walk
+from .tracer import TracedLemniscate, default_options, ray_solve, ring, subdivide, walk
 
 
 class AxisTooClose(ValueError):
@@ -116,65 +116,28 @@ def _may_hide_pair(a0, c, a1) -> np.ndarray:
     return low < 0.25 * np.abs(C) + _PAIR_MARGIN
 
 
-def ray_brackets(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets of the one sign change of f on each ray of a sample grid.
-
-    F holds f sampled outward along rays from a common origin, with shape
-    (..., rays, radii).  Returns (k, star): per ray the index k of the
-    sample that opens its bracket [k, k + 1], and per leading index
-    whether every ray changes sign exactly once, i.e. whether the sampled
-    level set is one oval, star-shaped about the origin.  k is meaningful
-    only where star holds.
-    """
-    s = F > 0
-    flip = s[..., 1:] != s[..., :-1]
-    return np.argmax(flip, axis=-1), np.all(np.count_nonzero(flip, axis=-1) == 1, axis=-1)
-
-
 def _radial_tangents(P, sizes, axis, field) -> tuple[np.ndarray, np.ndarray]:
     """Meridian tangents of small loops, from one curve point per ray.
 
     P holds the loops back to back, with sizes vertices each.  Each loop
     gets its centre c (the normalized vertex mean), its radius R (the
     largest angular distance from c to a vertex) and _RAYS geodesic rays
-    from c, on which f is sampled at c and at _RADII radii in (0, 2R], all
-    loops in one field call.  Where every ray of a loop changes sign
-    exactly once (ray_brackets), the crossing seeded by linear
-    interpolation in its bracket is Newton-polished; when all converge and
-    none leaves its bracket's width of the seed, G is read at the
-    crossings and its sign changes counted in ray order, which is the
-    curve's order around a star-shaped oval.  Returns (counts, ok), one
+    from c, solved at _RADII radii in (0, 2R], all loops at once
+    (tracer.ray_solve).  On a solved loop, one star-shaped oval about c,
+    G is read at the crossings and its sign changes counted in ray order,
+    which is the curve's order around the oval.  Returns (counts, ok), one
     per loop; a loop that is not ok has count 0.
     """
-    m = len(sizes)
     starts = np.cumsum(sizes) - sizes
     c = np.add.reduceat(P, starts) / sizes[:, None]
     c /= np.linalg.norm(c, axis=1)[:, None]
     R = np.maximum.reduceat(np.arccos(np.clip(_dot(P, c[ring(sizes)[0]]), -1.0, 1.0)), starts)
     e1 = P[starts] - _dot(P[starts], c)[:, None] * c
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(c, e1)
-    # one row per ray, loop by loop: its origin o, unit direction d and radii
-    ang = 2.0 * math.pi * np.arange(_RAYS) / _RAYS
-    o = np.repeat(c, _RAYS, axis=0)
-    d = (np.cos(ang)[:, None] * e1[:, None] + np.sin(ang)[:, None] * e2[:, None]).reshape(-1, 3)
-    rad = np.repeat(2.0 * R, _RAYS)[:, None] * (np.arange(_RADII + 1) / _RADII)
-    pts = np.cos(rad[:, 1:, None]) * o[:, None] + np.sin(rad[:, 1:, None]) * d[:, None]
-    F = field.values(np.concatenate([c, pts.reshape(-1, 3)]))
-    F = np.concatenate([np.repeat(F[:m], _RAYS)[:, None], F[m:].reshape(-1, _RADII)], axis=1)
-    k, ok = ray_brackets(F.reshape(m, _RAYS, _RADII + 1))
-    rows = np.flatnonzero(np.repeat(ok, _RAYS))
-    k = k.ravel()[rows]
-    r0, r1 = rad[rows, k], rad[rows, k + 1]
-    f0, f1 = F[rows, k], F[rows, k + 1]
-    r = r0 + (r1 - r0) * f0 / (f0 - f1)
-    seed = np.cos(r)[:, None] * o[rows] + np.sin(r)[:, None] * d[rows]
-    X, _, _, conv = field.newton(seed)
-    held = (conv & (np.linalg.norm(X - seed, axis=1) <= r1 - r0)).reshape(-1, _RAYS).all(axis=1)
-    ok[ok] = held
-    X = X.reshape(-1, _RAYS, 3)[held].reshape(-1, 3)
+    radii = (2.0 * R)[:, None] * (np.arange(1, _RADII + 1) / _RADII)
+    X, ok, _ = ray_solve(field, c, e1, np.cross(c, e1), radii, _RAYS)
     g = _sign(_dot(field.tangents(X), _east(X, axis))).reshape(-1, _RAYS)
-    counts = np.zeros(m, dtype=np.int64)
+    counts = np.zeros(len(sizes), dtype=np.int64)
     counts[ok] = np.count_nonzero(g != np.roll(g, -1, axis=1), axis=1)
     return counts, ok
 

@@ -56,13 +56,6 @@ def from_homogeneous(h) -> np.ndarray:
     return out / (a + b)[..., None]
 
 
-def inverse_stereographic_many(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    m2 = z.real**2 + z.imag**2
-    out = np.stack([2.0 * z.real, 2.0 * z.imag, m2 - 1.0], axis=-1) / (m2 + 1.0)[..., None]
-    return out
-
-
 def spherical_distance_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = np.einsum("...i,...i->...", np.asarray(a, float), np.asarray(b, float))
     return np.arccos(np.clip(d, -1.0, 1.0))

@@ -21,6 +21,10 @@ constructor's resolutions, trace's retries at 2 and 4 times the default,
 and a configured grid_resolution, so large grids add no memory.  A kept
 plan holds the arrays the trace would compute, so the traces are the same
 bits.
+
+Besides the grid trace, ray_solve finds a known oval directly: the one
+crossing of f on each of a fan of rays from its centre.  The tangent
+counter solves its small loops with it, and the constructor its new ovals.
 """
 
 from __future__ import annotations
@@ -145,6 +149,44 @@ def _edge_roots(fieldobj, a, b, fa, fb):
             )
         pts[bad] = pts2
     return pts
+
+
+def ray_solve(fieldobj, c, e1, e2, radii, rays):
+    """The one crossing of f on each of `rays` geodesic rays from each
+    centre c[i], in the directions cos(a) e1[i] + sin(a) e2[i] at the
+    angles a = 2 pi j / rays.
+
+    f is sampled in one field call at the centres, then along every ray
+    of centre i at the ascending angular radii radii[i].  A centre is
+    solved when f, its value at the centre first, changes sign exactly
+    once along each ray (one oval, star-shaped about the centre), and
+    Newton, seeded by linear interpolation in each bracket, converges
+    within the bracket's width of every seed.  Returns (X, ok, F): the
+    polished points of the solved centres, back to back in ray order; the
+    solved mask; the samples, (centres, rays, 1 + radii).
+    """
+    m, K = radii.shape
+    ang = 2.0 * math.pi * np.arange(rays) / rays
+    # one row per ray, centre by centre: its origin o, direction d and radii
+    o = np.repeat(c, rays, axis=0)
+    d = (np.cos(ang)[:, None] * e1[:, None] + np.sin(ang)[:, None] * e2[:, None]).reshape(-1, 3)
+    rad = np.repeat(np.concatenate([np.zeros((m, 1)), radii], axis=1), rays, axis=0)
+    pts = np.cos(rad[:, 1:, None]) * o[:, None] + np.sin(rad[:, 1:, None]) * d[:, None]
+    F = fieldobj.values(np.concatenate([c, pts.reshape(-1, 3)]))
+    F = np.concatenate([np.repeat(F[:m], rays)[:, None], F[m:].reshape(-1, K)], axis=1)
+    s = F > 0
+    flip = s[:, 1:] != s[:, :-1]
+    ok = (np.count_nonzero(flip, axis=1) == 1).reshape(m, rays).all(axis=1)
+    rows = np.flatnonzero(np.repeat(ok, rays))
+    k = np.argmax(flip[rows], axis=1)
+    r0, r1 = rad[rows, k], rad[rows, k + 1]
+    f0, f1 = F[rows, k], F[rows, k + 1]
+    r = r0 + (r1 - r0) * f0 / (f0 - f1)
+    seed = np.cos(r)[:, None] * o[rows] + np.sin(r)[:, None] * d[rows]
+    X, _, _, conv = fieldobj.newton(seed)
+    held = (conv & (np.linalg.norm(X - seed, axis=1) <= r1 - r0)).reshape(-1, rays).all(axis=1)
+    ok[ok] = held
+    return X.reshape(-1, rays, 3)[held].reshape(-1, 3), ok, F.reshape(m, rays, K + 1)
 
 
 def _link_cycles(pair_rows: np.ndarray) -> list:

@@ -1,6 +1,7 @@
 """The microbenchmarks in bench/ import private names of the package
-(tracer._densify, _edge_roots, _link_cycles, _ARC_STEP); running each once
-makes a rename fail here instead of leaving them broken."""
+(tracer._densify, _edge_roots, _link_cycles, _ARC_STEP, constructor._add_circle)
+and replay the ray_solve calls of geomstats and constructor; running each
+once makes a rename fail here instead of leaving them broken."""
 
 import os
 import subprocess

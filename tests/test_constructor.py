@@ -3,7 +3,9 @@ import pytest
 
 from lemnilab import constructor, topology
 from lemnilab.constructor import (
+    _EMPTY,
     InvalidSpec,
+    _add_circle,
     _Frame,
     all_rooted_trees,
     certify_nondegenerate,
@@ -16,7 +18,7 @@ from lemnilab.ensemble import (
     RationalPair,
     sample_rational_pair,
 )
-from lemnilab.field import newton_correct
+from lemnilab.field import eval_f_many, newton_correct
 from lemnilab.sphere import Rotation, from_homogeneous, homogeneous_coords
 from lemnilab.topology import Arrangement, nesting_tree, rooted_canonical_form
 from lemnilab.tracer import TraceOptions, trace
@@ -158,6 +160,22 @@ def test_json_round_trip():
     t = trace(rp, TraceOptions(grid_resolution=c.trace_resolution))
     tree = nesting_tree(rp, t)
     assert rooted_canonical_form(tree, c.root_point) == Arrangement.chain(3)
+
+
+def test_new_oval_lies_on_the_curve_in_ray_order():
+    # the second step of the two-circle chain: its new oval, about the
+    # pole at the chart origin, holds one point per ray
+    frame = _Frame(_EMPTY, {"root": np.array([1.0 + 0j, 0.0])},
+                   np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+    frame, _, _ = _add_circle(frame, ("root", 0))
+    frame, _, _ = _add_circle(frame, (("root", 0), 0))
+    assert frame.sizes.tolist() == [constructor._OVAL_RAYS] * 2
+    oval = frame.verts[-frame.sizes[-1]:]
+    f, sc = eval_f_many(frame.rp, oval, with_scale=True)
+    assert np.max(np.abs(f) / sc) <= 1e-9
+    zh, wh = homogeneous_coords(oval)
+    turn = np.angle(np.roll(zh / wh, -1) / (zh / wh))  # from each ray to the next
+    assert np.all(turn > 0.0) and abs(turn.sum() - 2.0 * np.pi) < 1e-9
 
 
 def _adjugate(M):

@@ -45,6 +45,17 @@ def test_config_validation():
         ExperimentConfig("local-arrangement", [4], rho=1.0)  # no target
 
 
+@pytest.mark.parametrize("experiment, n", [
+    ("tangents", 1), ("kostlan-compare", 1), ("length", 0), ("construct", 1),
+])
+def test_config_rejects_degrees_the_stage_cannot_run(tmp_path, experiment, n):
+    # refused before any trial runs, so no output is written
+    out = str(tmp_path / "out")
+    with pytest.raises(ConfigError):
+        run(ExperimentConfig(experiment, [n], trials=2, output_dir=out))
+    assert not os.path.exists(out)
+
+
 def test_config_rejects_options_the_serial_experiments_ignore():
     local = dict(rho=1.0, target="(())")
     for experiment, extra in (("local-arrangement", local), ("construct", {})):

@@ -13,7 +13,7 @@ from lemnilab.field import (
     real_curve_tangents,
 )
 from lemnilab.ensemble import rotate_pair
-from lemnilab.sphere import Rotation, inverse_stereographic_many
+from lemnilab.sphere import Rotation, from_homogeneous
 
 rng = np.random.default_rng(314)
 
@@ -202,7 +202,7 @@ def test_unit_circle_pair_zero_on_equator():
         KostlanPolynomial(1, np.array([1, 0], complex)),
     )
     theta = np.linspace(0, 2 * np.pi, 17)
-    pts = inverse_stereographic_many(np.exp(1j * theta))
+    pts = from_homogeneous(np.stack([np.exp(1j * theta), np.ones(17)], axis=-1))
     vals = eval_f_many(rp, pts)
     assert np.max(np.abs(vals)) < 1e-12
 

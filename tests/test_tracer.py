@@ -12,9 +12,9 @@ from lemnilab.ensemble import (
     sample_real_kostlan,
 )
 from lemnilab.experiments import TRIAL_COLUMNS, ResultsTable, run_trial, trial_stream
-from lemnilab.field import as_field
+from lemnilab.field import PairField, as_field
 from lemnilab.icogrid import icosphere
-from lemnilab.sphere import spherical_distance_many
+from lemnilab.sphere import homogeneous_coords, spherical_distance_many
 from lemnilab.topology import _local_tree
 from lemnilab import tracer
 from lemnilab.tracer import (
@@ -25,6 +25,7 @@ from lemnilab.tracer import (
     _cap_grid,
     _link_cycles,
     default_options,
+    ray_solve,
     trace,
     walk,
 )
@@ -35,6 +36,11 @@ RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "results")
 # with the grid resolution the trace ends at: trial 26's walk arrives,
 # trial 18's hits its cap and the trace is redone on the doubled grid
 BRIDGED = {26: 78, 18: 156}
+
+
+SOUTH = np.array([[0.0, 0.0, -1.0]])  # chart coordinate z = 0
+# chart directions 1 and i at z = 0
+E1, E2 = np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])
 
 
 def unit_circle_pair():
@@ -329,3 +335,32 @@ def test_other_resolutions_keep_no_plan():
     # retried at 2nu; only the default nu=78 grid is kept
     assert trace(sample_rational_pair(200, trial_stream(202, 200, 18))).grid_resolution == 156
     assert tracer._kept_plan.cache_info().currsize == 1
+
+
+def _ray_solve_about_zero(p, q, rays=32):
+    """ray_solve of |p| = |q| from z = 0, on chart radii 0.01 to 1."""
+    rp = RationalPair(KostlanPolynomial(len(p) - 1, np.array(p, complex)),
+                      KostlanPolynomial(len(q) - 1, np.array(q, complex)))
+    radii = 2.0 * np.arctan(np.geomspace(0.01, 1.0, 40))
+    return ray_solve(PairField(rp), SOUTH, E1, E2, radii[None], rays)
+
+
+def test_ray_solve_circle_about_its_centre():
+    # |z| = rho: one point per ray on the circle, in ray order
+    rho = 0.1
+    X, ok, F = _ray_solve_about_zero([0.0, 1.0], [rho, 0.0])
+    assert ok.tolist() == [True] and X.shape == (32, 3) and F.shape == (1, 32, 41)
+    assert np.all(F[0, :, 0] < 0)  # |p| < |q| at the centre
+    zh, wh = homogeneous_coords(X)
+    z = zh / wh
+    assert np.max(np.abs(np.abs(z) - rho)) <= 1e-9
+    assert np.allclose(np.angle(z * np.exp(-2j * np.pi * np.arange(32) / 32)), 0.0,
+                       atol=1e-9)
+
+
+def test_ray_solve_refuses_two_ovals():
+    # |z^2 - a^2| = rho < a^2: two ovals about +-a, so the rays towards
+    # them cross the curve twice and the others not at all
+    a2, rho = 0.25, 0.1
+    X, ok, _ = _ray_solve_about_zero([-a2, 0.0, 1.0], [rho, 0.0, 0.0])
+    assert ok.tolist() == [False] and X.shape == (0, 3)
