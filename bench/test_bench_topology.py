@@ -31,7 +31,7 @@ def test_build_faces(benchmark, traced_n200):
 
 
 def test_nesting_tree(benchmark, traced_n200):
-    rp, t = traced_n200
-    tree = benchmark(nesting_tree, rp, t)
+    _, t = traced_n200
+    tree = benchmark(nesting_tree, t)
     assert tree.n_faces == len(t.components) + 1
     assert tree.n_components == len(t.components)

@@ -96,21 +96,20 @@ def test_densify(benchmark, stages):
 
 
 def test_meridian_stats(benchmark, stages):
-    benchmark(meridian_stats, stages["traced"], np.array([0.0, 0.0, 1.0]),
-              stages["fieldobj"])
+    benchmark(meridian_stats, stages["traced"], np.array([0.0, 0.0, 1.0]))
 
 
 def test_meridian_stats_small_loops(benchmark):
     # trial 19: seven loops shorter than seven grid edges, none of whose
     # whole-loop walks is lost; the longest takes 65 steps
     rp = sample_rational_pair(200, trial_stream(202, 200, 19))
-    benchmark(meridian_stats, trace(rp), np.array([0.0, 0.0, 1.0]), as_field(rp))
+    benchmark(meridian_stats, trace(rp), np.array([0.0, 0.0, 1.0]))
 
 
 def test_meridian_stats_real(benchmark):
     # the real field's tangent reads: G at every vertex of a real n=50 trace
     poly = sample_real_kostlan(50, trial_stream(404, 50, 0))
-    benchmark(meridian_stats, trace(poly), np.array([0.0, 0.0, 1.0]), as_field(poly))
+    benchmark(meridian_stats, trace(poly), np.array([0.0, 0.0, 1.0]))
 
 
 def test_great_circle_intersections(benchmark):
@@ -151,7 +150,7 @@ def test_ray_solve_small_loops(benchmark):
     # are one star-shaped oval about their centre
     rp = sample_rational_pair(200, trial_stream(202, 200, 19))
     (args,) = _ray_solve_calls(geomstats, lambda: meridian_stats(
-        trace(rp), np.array([0.0, 0.0, 1.0]), as_field(rp)))
+        trace(rp), np.array([0.0, 0.0, 1.0])))
     X, ok, _ = benchmark(ray_solve, *args)
     assert ok.tolist() == [True, False] + [True] * 5 and len(X) == 48 * 6
 

@@ -159,7 +159,7 @@ def _resolution_for(feature: float) -> int:
 def _verify(frame: _Frame, expected: str, nu: int) -> NestingTree | None:
     """The nesting tree of the trace at nu, if every face spans at least 4
     grid vertices and the tree rooted at the root marker is expected."""
-    tree = nesting_tree(frame.rp, trace(frame.rp, TraceOptions(grid_resolution=nu)))
+    tree = nesting_tree(trace(frame.rp, TraceOptions(grid_resolution=nu)))
     if np.bincount(tree.face_of_vertex).min() < 4:
         return None
     form = rooted_canonical_form(tree, from_homogeneous(frame.markers["root"]))

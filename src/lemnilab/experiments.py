@@ -14,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .ensemble import (
     sample_rational_pair,
     sample_real_kostlan,
 )
-from .field import as_field
 from .geomstats import (
     AxisTooClose,
     TangencySuspected,
@@ -32,7 +31,7 @@ from .geomstats import (
     meridian_stats,
 )
 from .sphere import Rotation, homogeneous_coords, random_great_circle, unit_vector
-from .topology import Arrangement, local_arrangement_probability
+from .topology import LOCAL_MIN_TRIALS, Arrangement, local_arrangement_probability
 from .tracer import DegenerateLemniscate, TraceOptions, trace
 
 
@@ -97,6 +96,8 @@ class ExperimentConfig:
             raise ConfigError("n_values must be nonempty")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
         # the meridian theory, and a tree with a circle, need degree 2
         least = 2 if self.experiment in ("tangents", "kostlan-compare", "construct") else 1
         if min(self.n_values) < least:
@@ -106,17 +107,31 @@ class ExperimentConfig:
                 raise ConfigError("local-arrangement needs rho > 0")
             if not self.target:
                 raise ConfigError("local-arrangement needs a target form")
+            if self.trials < LOCAL_MIN_TRIALS:
+                raise ConfigError("local-arrangement needs at least %d trials"
+                                  % LOCAL_MIN_TRIALS)
         serial = self.experiment in ("local-arrangement", "construct")
         if serial and (self.grid_resolution is not None or self.workers != 1):
             # both run serially, each trace at a grid of its own choosing
             raise ConfigError("%s takes neither grid_resolution nor workers"
                               % self.experiment)
+        # the rules of the stages themselves, checked before any output
+        try:
+            if self.target:
+                Arrangement(self.target)
+            if self.grid_resolution is not None:
+                TraceOptions(self.grid_resolution)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
     @staticmethod
     def from_json(path: str, **overrides) -> "ExperimentConfig":
         with open(path) as fh:
             d = json.load(fh)
         d.update({k: v for k, v in overrides.items() if v is not None})
+        unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
         return ExperimentConfig(**d)
 
 
@@ -161,7 +176,7 @@ def run_trial(experiment: str, n: int, seed: int, trial: int,
         else:
             curve = sample_rational_pair(n, stream)
         t = trace(curve, opts)
-        nu, loops = _axis_stats(t, as_field(curve), stream)
+        nu, loops = _axis_stats(t, stream)
         row.update(length=t.total_length, nu=nu, loops=loops,
                    b0=len(t.sizes))
         if experiment == "length":
@@ -176,7 +191,7 @@ def run_trial(experiment: str, n: int, seed: int, trial: int,
     return row
 
 
-def _axis_stats(t, fieldobj, stream: RandomStream) -> tuple:
+def _axis_stats(t, stream: RandomStream) -> tuple:
     """Meridian tangents about the z axis, retried about random axes when
     the curve passes too close to a pole (the ensemble is rotation
     invariant, so any axis yields the same statistic)."""
@@ -184,7 +199,7 @@ def _axis_stats(t, fieldobj, stream: RandomStream) -> tuple:
     axis = _AXIS
     for attempt in range(4):
         try:
-            nu, loops, _ = meridian_stats(t, axis, fieldobj)
+            nu, loops, _ = meridian_stats(t, axis)
             return nu, loops
         except AxisTooClose:
             if attempt == 3:
@@ -230,7 +245,10 @@ def _summarize(experiment: str, n: int, rows: list) -> dict:
 
 
 def _trials_path(cfg: ExperimentConfig, n: int) -> str:
-    return os.path.join(cfg.output_dir, "%s_n%d_trials.csv" % (cfg.experiment, n))
+    """{experiment}_n{n}_trials.csv, or _n{n}_nu{grid}_trials.csv for a run
+    at a set grid_resolution, whose trials are other trials."""
+    grid = "_nu%d" % cfg.grid_resolution if cfg.grid_resolution else ""
+    return os.path.join(cfg.output_dir, "%s_n%d%s_trials.csv" % (cfg.experiment, n, grid))
 
 
 def _read_trials(path: str) -> list:
@@ -294,6 +312,8 @@ def _trial_rows(config: ExperimentConfig) -> list:
             raise ConfigError("%s does not hold trials 0-%d of n=%d, seed %d"
                               % (path, config.trials - 1, n, config.seed))
         summary.append(_summarize(config.experiment, n, rows))
+        if config.grid_resolution:
+            summary[-1]["flags"] = "grid_resolution=%d" % config.grid_resolution
     return summary
 
 

@@ -5,13 +5,16 @@ homogeneous representative (z_h, w_h) and the homogenized polynomials are
 evaluated there, so f is finite everywhere (including infinity) and its
 magnitude stays of order the coefficient magnitudes for degrees in the
 hundreds.  First derivatives are taken in an affine chart, with the chart
-switched at |z| = 1, so every pair evaluation runs at |z| <= 1.  One
-evaluator, poly_jets_many, serves them all: a baby-step/giant-step scheme
-that keeps about 2 sqrt(n) powers per point instead of n + 1.  The
-real-Kostlan evaluator (eval_real_many) multiplies the full power matrices
-of its separable charts.  One builder, _powers, makes every table of
-powers by doubling.  PairField and RealField (see as_field) give the
-tracer and the tangent counter one interface to either kind of curve.
+switched at |z| = 1, so every pair evaluation runs at |z| <= 1.  One loop,
+_pair_jets, runs the pair's two charts for the values and the jets alike:
+the forward coefficients in the southern chart, the reversed ones in the
+northern chart.  One evaluator, poly_jets_many, serves them all: a
+baby-step/giant-step scheme that keeps about 2 sqrt(n) powers per point
+instead of n + 1.  The real-Kostlan evaluator (eval_real_many) multiplies
+the full power matrices of its separable charts.  One builder, _powers,
+makes every table of powers by doubling.  PairField and RealField (see
+as_field) give the tracer and the tangent counter one interface to either
+kind of curve; a trace carries the one it was traced with.
 
 eval_f_many's chart data (pair_charts: each point's chart, its chart
 coordinate and log|den|) depends on the points alone.  The tracer keeps it
@@ -104,6 +107,17 @@ def poly_jets_many(coeff_rows, z: np.ndarray, order: int = 0):
     return [[out[o, i] for o in range(order + 1)] for i in range(r)]
 
 
+def _pair_jets(rp: RationalPair, charts, order: int):
+    """Yield (chart, jets) for each nonempty chart of charts, the
+    (mask, z, ...) data of the southern and then the northern chart: the
+    jets are poly_jets_many's of p and q at z, of the reversed pair in the
+    northern chart (f times |u|^(2n) > 0 at u = 1/z: same zero set, sign)."""
+    p, q = rp.p.coeffs, rp.q.coeffs
+    for chart, pc, qc in zip(charts, (p, p[::-1]), (q, q[::-1])):
+        if len(chart[1]):
+            yield chart, poly_jets_many([pc, qc], chart[1], order)
+
+
 def pair_charts(points: np.ndarray):
     """eval_f_many's chart data of points, which depends on the points
     alone: per chart, the mask of its points (|z_h| <= |w_h| first, then
@@ -131,12 +145,7 @@ def eval_f_many(rp: RationalPair, points: np.ndarray, with_scale: bool = False,
     shape = charts[0][0].shape
     ap = np.empty(shape)
     aq = np.empty(shape)
-    for (mask, z, logden), pc, qc in zip(
-        charts, (rp.p.coeffs, rp.p.coeffs[::-1]), (rp.q.coeffs, rp.q.coeffs[::-1])
-    ):
-        if not len(z):
-            continue
-        (pv,), (qv,) = poly_jets_many([pc, qc], z)
+    for (mask, _, logden), ((pv,), (qv,)) in _pair_jets(rp, charts, 0):
         # |den|^(2n) factor from homogenization; |den| >= 1/sqrt(2)
         amp = np.exp(2.0 * n * logden)
         ap[mask] = amp * (pv.real**2 + pv.imag**2)
@@ -144,15 +153,6 @@ def eval_f_many(rp: RationalPair, points: np.ndarray, with_scale: bool = False,
     if with_scale:
         return ap - aq, ap + aq
     return ap - aq
-
-
-def _pair_chart_jet(p_coeffs, q_coeffs, z):
-    """(f, fx, fy, scale) of f = |p|^2 - |q|^2 at affine points z."""
-    (p0, p1), (q0, q1) = poly_jets_many([p_coeffs, q_coeffs], z, order=1)
-    a = p1 * np.conj(p0) - q1 * np.conj(q0)
-    f = np.abs(p0) ** 2 - np.abs(q0) ** 2
-    scale = np.abs(p0) ** 2 + np.abs(q0) ** 2
-    return f, 2.0 * a.real, -2.0 * a.imag, scale
 
 
 def _chart_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,25 +180,19 @@ def _lift_chart(coord: np.ndarray, north: np.ndarray) -> np.ndarray:
 
 def chart_jets(rp: RationalPair, points: np.ndarray):
     """(f, fx, fy, scale, coord, north) of f in the per-point chart of
-    _chart_coords.
-
-    In the northern chart the values are those of the reversed-coefficient
-    pair, which rescales f by |u|^(2n) > 0: same zero set, same sign.
-    """
+    _chart_coords, the northern chart's of the reversed pair (_pair_jets)."""
     coord, north = _chart_coords(np.asarray(points, dtype=float))
     f = np.empty(coord.shape)
     gx = np.empty(coord.shape)
     gy = np.empty(coord.shape)
     sc = np.empty(coord.shape)
-    south = ~north
-    if np.any(south):
-        f[south], gx[south], gy[south], sc[south] = _pair_chart_jet(
-            rp.p.coeffs, rp.q.coeffs, coord[south]
-        )
-    if np.any(north):
-        f[north], gx[north], gy[north], sc[north] = _pair_chart_jet(
-            rp.p.coeffs[::-1], rp.q.coeffs[::-1], coord[north]
-        )
+    charts = ((~north, coord[~north]), (north, coord[north]))
+    for (mask, _), ((p0, p1), (q0, q1)) in _pair_jets(rp, charts, 1):
+        a = p1 * np.conj(p0) - q1 * np.conj(q0)
+        f[mask] = np.abs(p0) ** 2 - np.abs(q0) ** 2
+        gx[mask] = 2.0 * a.real
+        gy[mask] = -2.0 * a.imag
+        sc[mask] = np.abs(p0) ** 2 + np.abs(q0) ** 2
     return f, gx, gy, sc, coord, north
 
 

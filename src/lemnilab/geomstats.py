@@ -254,25 +254,25 @@ def _tangent_count(P, sizes, axis, field, small_length, windings) -> tuple[int, 
     return int(changes.sum()), int(lost.sum()), len(walked)
 
 
-def meridian_stats(t: TracedLemniscate, axis, field):
+def meridian_stats(t: TracedLemniscate, axis):
     """(tangent count, looping components, windings) about one axis.
 
-    field is the traced curve's field object (field.as_field).  The
-    trace's loops, stored back to back, are first subdivided near the
-    axis so longitude increments are trustworthy; the windings come from
-    those increments and the tangents from sign changes of the meridian
-    derivative G (see _tangent_count).
+    The trace's loops, stored back to back, are first subdivided near the
+    axis so longitude increments are trustworthy, in the field the curve
+    was traced with (t.fieldobj); the windings come from those increments
+    and the tangents from sign changes of the meridian derivative G (see
+    _tangent_count).
     """
     if not len(t.sizes):
         return 0, 0, np.zeros(0, dtype=np.int64)
     axis = unit_vector(axis)
     e1, e2 = orthonormal_frame(axis)
-    P, sizes = _refine_near_axis(t.vertices, t.sizes, axis, field)
+    P, sizes = _refine_near_axis(t.vertices, t.sizes, axis, t.fieldobj)
     windings = _windings(P, sizes, e1, e2)
     # mean edge of the tracer's icosahedral grid: 10 nu^2 + 2 vertices,
     # 20 nu^2 near-equilateral faces on the unit sphere
     edge = math.sqrt(16.0 * math.pi / (20.0 * math.sqrt(3.0))) / t.grid_resolution
-    nu, _, _ = _tangent_count(P, sizes, axis, field, _SMALL_LOOP_EDGES * edge, windings)
+    nu, _, _ = _tangent_count(P, sizes, axis, t.fieldobj, _SMALL_LOOP_EDGES * edge, windings)
     return nu, int(np.count_nonzero(windings)), windings
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .ensemble import RandomStream, RationalPair, sample_rational_pair
+from .ensemble import RandomStream, sample_rational_pair
 from .field import eval_f_many
 from .icogrid import icosphere
 from .sphere import orthonormal_frame, unit_vector
@@ -33,6 +33,7 @@ from .tracer import (
 
 
 _DISK_CENTER = np.array([0.0, 0.0, 1.0])  # local_arrangement_probability
+LOCAL_MIN_TRIALS = 100  # the fewest trials local_arrangement_probability takes
 
 
 class InconsistentTopology(RuntimeError):
@@ -106,9 +107,8 @@ class NestingTree:
     n_faces: int
     edges: np.ndarray  # (b0, 2) face ids joined by component i
     # lookup payload for rooting at a point: each grid vertex's face, and
-    # the pair and trace the faces were flood-filled from
+    # the trace the faces were flood-filled from, which carries the pair
     face_of_vertex: np.ndarray = field(repr=False, compare=False)
-    rp: RationalPair = field(repr=False, compare=False)
     trace: TracedLemniscate = field(repr=False, compare=False)
 
     @property
@@ -153,7 +153,7 @@ def _tree_edges(t: TracedLemniscate, grid, labels):
     return edges
 
 
-def nesting_tree(rp: RationalPair, t: TracedLemniscate) -> NestingTree:
+def nesting_tree(t: TracedLemniscate) -> NestingTree:
     """The tree of faces of S^2 minus the traced curve t.
 
     Raises InconsistentTopology when the flood fill disagrees with t: the
@@ -178,17 +178,17 @@ def nesting_tree(rp: RationalPair, t: TracedLemniscate) -> NestingTree:
     )
     if connected_components(adj, directed=False)[0] != 1:
         raise InconsistentTopology("face adjacency is not a tree")
-    return NestingTree(n_faces, edges, labels, rp, t)
+    return NestingTree(n_faces, edges, labels, t)
 
 
 def face_of_point(tree: NestingTree, point) -> int:
     """Which face a (generic) point belongs to."""
     point = unit_vector(point)
-    f, sc = eval_f_many(tree.rp, point[None, :], with_scale=True)
+    t = tree.trace
+    f, sc = eval_f_many(t.fieldobj.rp, point[None, :], with_scale=True)
     if abs(f[0]) / sc[0] < 1e-12:
         raise PointOnCurve("point lies on the lemniscate")
     want = f[0] > 0
-    t = tree.trace
     # nearest grid vertex on the same side of the curve, by the signs the
     # faces were flood-filled from; (J v) . p = v . (J^-1 p) for the
     # jitter J, so one point is rotated instead of the whole grid
@@ -276,8 +276,8 @@ def local_arrangement_probability(
     the finer tree is counted, and `regridded` counts the trials whose two
     trees differ.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
+    if trials < LOCAL_MIN_TRIALS:
+        raise ValueError("need at least %d trials" % LOCAL_MIN_TRIALS)
     if rho <= 0:
         raise ValueError("rho must be positive")
     radius = rho / math.sqrt(n)

@@ -90,6 +90,7 @@ class TracedLemniscate:
     vertex_signs: np.ndarray = field(default=None, repr=False, compare=False)
     loop_edges: list = field(default=None, repr=False, compare=False)
     cap: tuple | None = None
+    fieldobj: object = field(default=None, repr=False, compare=False)  # as_field(curve)
 
     @property
     def components(self) -> list:
@@ -440,7 +441,7 @@ def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
     cycles = [c for c in _link_cycles(rows) if (deg[c] == 2).all()]
     if not cycles:
         return TracedLemniscate(np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
-                                np.zeros(0), nu, pos, [], cap)
+                                np.zeros(0), nu, pos, [], cap, fieldobj)
 
     # refine only the crossings of kept cycles, in crossing order; a global
     # trace keeps them all, in the one batch its refined bits depend on
@@ -459,4 +460,4 @@ def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
     seg = spherical_distance_many(P, P[ring(sizes)[1]])
     lengths = np.array([d.sum() for d in np.split(seg, np.cumsum(sizes)[:-1])])
     loop_edges = [cids[c] for c in cycles]
-    return TracedLemniscate(P, sizes, lengths, nu, pos, loop_edges, cap)
+    return TracedLemniscate(P, sizes, lengths, nu, pos, loop_edges, cap, fieldobj)

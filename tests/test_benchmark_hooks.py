@@ -9,7 +9,6 @@ import lemnilab.constructor  # noqa: F401  (loads every traced module)
 import lemnilab.experiments  # noqa: F401
 from lemnilab.ensemble import RandomStream, sample_rational_pair
 from lemnilab.experiments import trial_stream
-from lemnilab.field import as_field
 from lemnilab.geomstats import meridian_stats
 from lemnilab.topology import Arrangement
 from lemnilab.tracer import trace
@@ -32,7 +31,7 @@ def test_traced_layers_see_the_pipeline():
         from lemnilab import geomstats, tracer
 
         t = tracer.trace(rp)
-        geomstats.meridian_stats(t, (0.0, 0.0, 1.0), as_field(rp))
+        geomstats.meridian_stats(t, (0.0, 0.0, 1.0))
     names = [s[0] for s in rec.spans]
     parents = {(s[0], rec.spans[s[3]][0]) for s in rec.spans if s[3] >= 0}
     assert "tracer.trace" in names and "geomstats.meridian_stats" in names

@@ -1,7 +1,10 @@
 import json
 import os
 
+import pytest
+
 from lemnilab.cli import main
+from lemnilab.experiments import ConfigError
 
 
 def test_kacrice_constants(capsys):
@@ -55,3 +58,27 @@ def test_run_config_file(tmp_path):
         "output_dir": str(tmp_path / "res"),
     }))
     assert main(["run", "--config", str(cfg)]) == 0
+
+
+LOCAL = ["--experiment", "local-arrangement", "--n", "100", "--rho", "3"]
+LENGTH = ["--experiment", "length", "--n", "4", "--trials", "1"]
+
+
+@pytest.mark.parametrize("flags", [
+    LENGTH + ["--grid-resolution", "32"],
+    LOCAL + ["--trials", "50", "--target", "(())"],
+    LOCAL + ["--trials", "100", "--target", "(()"],
+    ["--experiment", "construct", "--n", "3", "--target", "(()"],
+    ["--config", "{cfg}"],
+    LENGTH + ["--workers", "0"],
+    LENGTH + ["--workers", "-1"],
+], ids=["grid", "local-trials", "local-target", "construct-target", "config-key",
+        "workers-0", "workers-negative"])
+def test_run_refuses_a_bad_config_before_any_output(tmp_path, flags):
+    out = str(tmp_path / "res")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "length", "n_values": [4], "trails": 3,
+                               "output_dir": out}))
+    with pytest.raises(ConfigError):
+        main(["run", "--out", out] + [f.format(cfg=cfg) for f in flags])
+    assert not os.path.exists(out)

@@ -136,7 +136,7 @@ def test_verify_rejects_faces_under_four_grid_vertices(monkeypatch):
         raise AssertionError("nesting_tree must not trace")
 
     monkeypatch.setattr(topology, "trace", no_trace)
-    tree = nesting_tree(rp, t)
+    tree = nesting_tree(t)
     assert tree.n_components == len(t.components) == 1
     assert np.bincount(tree.face_of_vertex).min() < 4
     root = from_homogeneous(frame.markers["root"])
@@ -158,7 +158,7 @@ def test_json_round_trip():
     # the serialized pair re-traces to the same tree
     rp = RationalPair.from_json(d["pair"])
     t = trace(rp, TraceOptions(grid_resolution=c.trace_resolution))
-    tree = nesting_tree(rp, t)
+    tree = nesting_tree(t)
     assert rooted_canonical_form(tree, c.root_point) == Arrangement.chain(3)
 
 

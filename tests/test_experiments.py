@@ -26,7 +26,6 @@ from lemnilab.experiments import (
     run_trial,
     trial_stream,
 )
-from lemnilab.field import as_field
 from lemnilab.geomstats import AxisTooClose, meridian_stats
 from lemnilab.topology import ArrangementEstimate
 from lemnilab.tracer import trace
@@ -75,8 +74,8 @@ def test_axis_stats_retries_about_a_random_axis():
     )
     t = trace(rp)
     with pytest.raises(AxisTooClose):
-        meridian_stats(t, np.array([0.0, 0.0, 1.0]), as_field(rp))
-    nu, loops = _axis_stats(t, as_field(rp), trial_stream(1, 2, 0))
+        meridian_stats(t, np.array([0.0, 0.0, 1.0]))
+    nu, loops = _axis_stats(t, trial_stream(1, 2, 0))
     assert nu % 2 == 0 and nu >= 2
 
 
@@ -249,6 +248,21 @@ def test_resume_refuses_other_trials(tmp_path):
     for trials, seed in ((20, 8), (10, 7), (21, 7)):
         with pytest.raises(ConfigError, match="length_n4_trials.csv"):
             run(ExperimentConfig("length", [4], trials=trials, seed=seed, output_dir=out))
+
+
+def test_grid_run_resumes_from_its_own_trials(tmp_path):
+    # a grid run into a directory that holds the default grid's trials
+    # writes and summarizes its own; a fresh directory agrees with it
+    base = dict(experiment="length", n_values=[4], trials=20, seed=7)
+    out = run_tiny(tmp_path, "a")
+    default = open(os.path.join(out, "length_n4_trials.csv"), "rb").read()
+    shared = run(ExperimentConfig(**base, grid_resolution=96, output_dir=out)).rows
+    fresh = run(ExperimentConfig(**base, grid_resolution=96,
+                                 output_dir=str(tmp_path / "b"))).rows
+    assert shared == fresh and fresh[0]["flags"] == "grid_resolution=96"
+    assert open(os.path.join(out, "length_n4_trials.csv"), "rb").read() == default
+    grid = open(os.path.join(out, "length_n4_nu96_trials.csv"), "rb").read()
+    assert grid == open(os.path.join(tmp_path, "b", "length_n4_nu96_trials.csv"), "rb").read()
 
 
 def test_render_svg_path_counts(tmp_path):

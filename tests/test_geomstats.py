@@ -42,7 +42,7 @@ def circle_pair(center=0.0, radius=1.0):
 def test_equator_loops_axis_no_tangents():
     rp = circle_pair()
     t = trace(rp)
-    nu, loops, w = meridian_stats(t, Z, as_field(rp))
+    nu, loops, w = meridian_stats(t, Z)
     assert nu == 0
     assert loops == 1
     assert abs(w[0]) == 1
@@ -51,7 +51,7 @@ def test_equator_loops_axis_no_tangents():
 def test_small_circle_two_tangents():
     rp = circle_pair(center=1.0, radius=0.3)
     t = trace(rp)
-    nu, loops, w = meridian_stats(t, Z, as_field(rp))
+    nu, loops, w = meridian_stats(t, Z)
     assert nu == 2
     assert loops == 0
     assert w[0] == 0
@@ -67,7 +67,7 @@ def _traced(loops, t):
     sizes = np.array([len(L) for L in loops])
     P = np.concatenate(loops)
     lengths = np.bincount(ring(sizes)[0], spherical_distance_many(P, P[ring(sizes)[1]]))
-    return TracedLemniscate(P, sizes, lengths, t.grid_resolution)
+    return TracedLemniscate(P, sizes, lengths, t.grid_resolution, fieldobj=t.fieldobj)
 
 
 def _radial_count(rp, pick=None):
@@ -106,7 +106,7 @@ def test_empty_trace_has_no_meridian_stats():
                       KostlanPolynomial(1, np.array([2, 0], complex)))
     t = trace(rp)
     assert t.components == []
-    nu, loops, w = meridian_stats(t, Z, as_field(rp))
+    nu, loops, w = meridian_stats(t, Z)
     assert (nu, loops, list(w)) == (0, 0, [])
 
 
@@ -141,8 +141,8 @@ def test_axis_refinement_batches_loops():
     _, refined = _refine_near_axis(t.vertices, t.sizes, axis, counting)
     assert counting.newtons >= 5
     assert refined[0] > t.sizes[0] and refined[1] == t.sizes[1]
-    nu, looping, w = meridian_stats(t, axis, f)
-    alone = [meridian_stats(_traced([L], t), axis, f) for L in loops]
+    nu, looping, w = meridian_stats(t, axis)
+    alone = [meridian_stats(_traced([L], t), axis) for L in loops]
     assert list(w) == [a[2][0] for a in alone]
     assert nu == sum(a[0] for a in alone) and looping == sum(a[1] for a in alone)
     assert nu == 4 and looping == 0
@@ -152,7 +152,7 @@ def test_tangent_count_even_and_morse():
     for i in range(4):
         rp = sample_rational_pair(12, RandomStream(61).substream(i))
         t = trace(rp)
-        nu, loops, _ = meridian_stats(t, Z, as_field(rp))
+        nu, loops, _ = meridian_stats(t, Z)
         assert nu % 2 == 0
         assert len(t.components) <= nu // 2 + loops
 
@@ -187,12 +187,12 @@ def test_tangent_count_stable_under_ordered_densification():
         rp = sample_rational_pair(100, RandomStream(83).substream(i))
         t = trace(rp)
         f = as_field(rp)
-        nu, _, _ = meridian_stats(t, Z, f)
+        nu, _, _ = meridian_stats(t, Z)
         dense = _densify_ordered(t, f, 3)
         assert sum(len(c) for c in dense.components) > 2 * sum(
             len(c) for c in t.components
         )
-        same += meridian_stats(dense, Z, f)[0] == nu
+        same += meridian_stats(dense, Z)[0] == nu
     assert same >= 0.95 * trials
 
 

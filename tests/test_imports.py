@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is used somewhere in the package."""
 
 import ast
 import glob
@@ -33,3 +34,49 @@ def test_module_imports_no_unused_name(path):
 def test_unused_import_is_caught():
     tree = ast.parse("import math\nfrom .sphere import unit_vector, Rotation\nRotation()\n")
     assert _unused_imports(tree) == [(1, "math"), (2, "unit_vector")]
+
+
+def _private_defs(stmt) -> list:
+    """The private names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _orphan_privates(sources: dict) -> list:
+    """(module, name) of each private module-level name that no statement
+    of the modules references outside the one that defines it."""
+    defs, uses = [], []
+    for mod, src in sources.items():
+        for stmt in ast.parse(src).body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
+                     and not isinstance(n.ctx, ast.Store)}
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            names |= {a.name for n in ast.walk(stmt) if isinstance(n, ast.ImportFrom)
+                      for a in n.names}
+            uses.append((stmt, names))
+            defs += [(mod, name, stmt) for name in _private_defs(stmt)]
+    return sorted((mod, name) for mod, name, stmt in defs
+                  if not any(name in names for s, names in uses if s is not stmt))
+
+
+def test_no_private_helper_outlives_its_callers():
+    sources = {}
+    for path in MODULES:
+        with open(path) as fh:
+            sources[os.path.basename(path)] = fh.read()
+    assert _orphan_privates(sources) == []
+
+
+def test_orphan_private_helper_is_caught():
+    sources = {
+        "a.py": "_K = 2\n\ndef _used():\n    return _K\n\ndef _self(x):\n"
+                "    return _self(x - 1)\n\ndef _gone():\n    pass\n",
+        "b.py": "from .a import _used\n_used()\n",
+    }
+    assert _orphan_privates(sources) == [("a.py", "_gone"), ("a.py", "_self")]

@@ -34,7 +34,7 @@ def circle_pair():
 def test_equator_tree_two_nodes():
     rp = circle_pair()
     t = trace(rp)
-    tree = nesting_tree(rp, t)
+    tree = nesting_tree(t)
     assert tree.n_components == 1
     assert tree.n_faces == 2
     # path of two nodes is symmetric: same rooted form from either side
@@ -46,7 +46,7 @@ def test_equator_tree_two_nodes():
 def test_point_on_curve_rejected():
     rp = circle_pair()
     t = trace(rp)
-    tree = nesting_tree(rp, t)
+    tree = nesting_tree(t)
     with pytest.raises(PointOnCurve):
         rooted_canonical_form(tree, (1.0, 0.0, 0.0))
 
@@ -55,7 +55,7 @@ def test_alexander_duality_and_tree_property():
     for i in range(6):
         rp = sample_rational_pair(10, RandomStream(83).substream(i))
         t = trace(rp)
-        tree = nesting_tree(rp, t)
+        tree = nesting_tree(t)
         faces = tree.n_faces
         assert faces == len(t.components) + 1
         edges = sum(len(a) for a in tree.adjacency()) // 2
@@ -72,7 +72,7 @@ def test_nesting_tree_is_the_tree_of_the_given_trace(monkeypatch):
     rp = sample_rational_pair(200, trial_stream(202, 200, 2))
     t = trace(rp)
     monkeypatch.setattr(topology, "trace", _no_trace)
-    tree = nesting_tree(rp, t)
+    tree = nesting_tree(t)
     assert tree.n_components == len(t.components) == 52
     assert tree.n_faces == 53
 
@@ -83,7 +83,7 @@ def test_nesting_tree_rejects_a_cap_trace():
     t = trace(rp, cap=((0.0, 0.0, 1.0), 2.0))
     assert len(t.components) == 1
     with pytest.raises(ValueError):
-        nesting_tree(rp, t)
+        nesting_tree(t)
 
 
 def test_nesting_tree_rejects_a_repeated_loop_edge(monkeypatch):
@@ -96,7 +96,7 @@ def test_nesting_tree_rejects_a_repeated_loop_edge(monkeypatch):
         topology, "_tree_edges", lambda *args: edges[:-1] + edges[:1]
     )
     with pytest.raises(InconsistentTopology):
-        nesting_tree(rp, t)
+        nesting_tree(t)
 
 
 def test_star_vs_path_distinct():

@@ -12,7 +12,7 @@ from lemnilab.ensemble import (
     sample_real_kostlan,
 )
 from lemnilab.experiments import TRIAL_COLUMNS, ResultsTable, run_trial, trial_stream
-from lemnilab.field import PairField, as_field
+from lemnilab.field import PairField, RealField, as_field
 from lemnilab.icogrid import icosphere
 from lemnilab.sphere import homogeneous_coords, spherical_distance_many
 from lemnilab.topology import _local_tree
@@ -123,6 +123,22 @@ def test_real_kostlan_traceable():
     assert len(t.components) >= 1
     for c in t.components:
         assert np.allclose(np.linalg.norm(c, axis=1), 1.0, atol=1e-12)
+
+
+def test_trace_carries_the_field_it_traced():
+    rp = sample_rational_pair(12, RandomStream(43))
+    poly = sample_real_kostlan(12, RandomStream(43))
+    # no loops: _trace_once returns before it refines a crossing
+    empty = RationalPair(KostlanPolynomial(1, np.array([2, 0], complex)),
+                         KostlanPolynomial(1, np.array([1, 0], complex)))
+    cases = [(rp, trace(rp), PairField, "rp"), (poly, trace(poly), RealField, "poly"),
+             (rp, trace(rp, cap=((0.0, 0.0, 1.0), 1.0)), PairField, "rp"),
+             (empty, trace(empty), PairField, "rp")]
+    assert cases[2][1].cap is not None and len(cases[3][1].sizes) == 0
+    pts = np.concatenate([cases[0][1].vertices, cases[1][1].vertices])
+    for curve, t, kind, attr in cases:
+        assert type(t.fieldobj) is kind and getattr(t.fieldobj, attr) is curve
+        assert np.array_equal(t.fieldobj.values(pts), as_field(curve).values(pts))
 
 
 def test_unit_circle_trace_on_equator():
