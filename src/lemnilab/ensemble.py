@@ -9,6 +9,7 @@ trial's draws are reproducible regardless of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -105,6 +106,10 @@ class RationalPair:
         )
 
 
+# The two other axes, in index order, when axis d dominates a point.
+CHART_AXES = ((1, 2), (0, 2), (0, 1))
+
+
 @dataclass(frozen=True)
 class RealKostlanPolynomial:
     """Homogeneous real polynomial sum c_abc x^a y^b z^c, a+b+c = n."""
@@ -124,6 +129,24 @@ class RealKostlanPolynomial:
     @property
     def exps(self) -> np.ndarray:
         return self._exps
+
+    @cached_property
+    def chart_matrices(self) -> tuple:
+        """Per dominant axis d, with (i, j) = CHART_AXES[d]: the matrix C
+        with C[a, b] the coefficient of x_i^a x_j^b x_d^(n-a-b), the
+        matrices of the partial derivatives along x_j and x_d stacked,
+        [(b + 1) C[a, b + 1]; (n - a - b) C[a, b]], and C * C.  Built on
+        first use, once per curve."""
+        n = self.degree
+        k = np.arange(n + 1.0)
+        out = []
+        for i, j in CHART_AXES:
+            C = np.zeros((n + 1, n + 1))
+            C[self._exps[:, i], self._exps[:, j]] = self.coeffs
+            Cj = np.zeros_like(C)
+            Cj[:, :n] = C[:, 1:] * k[1:]
+            out.append((C, np.concatenate([Cj, C * (n - k[:, None] - k[None, :])]), C * C))
+        return tuple(out)
 
 
 def exponents(n: int) -> np.ndarray:

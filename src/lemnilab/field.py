@@ -11,17 +11,23 @@ the forward coefficients in the southern chart, the reversed ones in the
 northern chart.  One evaluator, poly_jets_many, serves them all: a
 baby-step/giant-step scheme that keeps about 2 sqrt(n) powers per point
 instead of n + 1.  The real-Kostlan evaluator (eval_real_many) multiplies
-the full power matrices of its separable charts.  One builder, _powers,
-makes every table of powers by doubling.  PairField and RealField (see
-as_field) give the tracer and the tangent counter one interface to either
-kind of curve; a trace carries the one it was traced with.
+the full power matrices of its separable charts by the curve's chart
+coefficient matrices, which the polynomial builds once
+(RealKostlanPolynomial.chart_matrices).  One builder, _powers, makes every
+table of powers by doubling.  PairField and RealField (see as_field) give
+the tracer and the tangent counter one interface to either kind of curve;
+a trace carries the one it was traced with.
 
-eval_f_many's chart data (pair_charts: each point's chart, its chart
-coordinate and log|den|) depends on the points alone.  The tracer keeps it
-for the grids it traces trial after trial and passes it back, so a repeated
-grid pass runs only the coefficient products.  They run on the same chunks
-of the same chart coordinates with the same expressions, so the values are
-the same bits as without the kept data.
+Each evaluator's chart data depends on the points alone, and the real
+one's on the degree too: eval_f_many's (pair_charts: each point's chart,
+its chart coordinate and log|den|) and eval_real_many's (real_charts: each
+point's dominant axis and coordinate, the power table of the first ratio
+and the second ratio).  The tracer keeps it for the grids it traces trial
+after trial and passes it back, so a repeated grid pass runs only the
+coefficient products (the pair field) or builds only the second power
+table before them (the real field).  They run on the same data with the
+same expressions, so the values are the same bits as without the kept
+data.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 
 import numpy as np
 
-from .ensemble import RationalPair, RealKostlanPolynomial
+from .ensemble import CHART_AXES, RationalPair, RealKostlanPolynomial
 from .sphere import homogeneous_coords
 
 
@@ -196,12 +202,24 @@ def chart_jets(rp: RationalPair, points: np.ndarray):
     return f, gx, gy, sc, coord, north
 
 
-# The two other axes, in index order, when axis d dominates a point.
-_CHART_AXES = ((1, 2), (0, 2), (0, 1))
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
+
+
+def real_charts(points: np.ndarray, n: int):
+    """eval_real_many's chart data of points at degree n, which depends on
+    the points and n alone: per dominant axis d (largest modulus, ties to
+    the lowest axis), with (i, j) = CHART_AXES[d], the indices of its
+    points, their coordinate t, the (points, n + 1) table of the powers of
+    x_i / t and the ratio x_j / t."""
+    pts = np.asarray(points, dtype=float)
+    dom = np.argmax(np.abs(pts), axis=1)
+    out = []
+    for d, (i, j) in enumerate(CHART_AXES):
+        idx = np.flatnonzero(dom == d)
+        t = pts[idx, d]
+        out.append((idx, t, np.ascontiguousarray(_powers(pts[idx, i] / t, n).T), pts[idx, j] / t))
+    return tuple(out)
 
 
 def eval_real_many(
@@ -209,48 +227,51 @@ def eval_real_many(
     points: np.ndarray,
     with_grad: bool = False,
     with_scale: bool = False,
+    charts=None,
 ):
     """Homogeneous real polynomial (and ambient gradient) at sphere points.
 
-    Separable in the chart of each point's dominant coordinate t (largest
-    modulus, ties to the lowest axis): with u, v the other two coordinates
-    over t (so |u|, |v| <= 1), U, V their power matrices and C[a, b] the
-    coefficient of u^a v^b, f = t^n rowsum(U * (V C^T)).  Returns the
+    Separable in the chart of each point's dominant coordinate t: with u,
+    v the other two coordinates over t (so |u|, |v| <= 1), U, V their
+    power matrices and C[a, b] the coefficient of u^a v^b
+    (poly.chart_matrices), f = t^n rowsum(U * (V C^T)).  Returns the
     values, followed by the gradient with with_grad=True and the scale
     with with_scale=True: the gradient components are t^(n-1) times the
     same product with C weighted by a, b and n - a - b, and the scale is
     the root-sum-square of the monomial terms,
     |t|^n sqrt(rowsum(U^2 * (V^2 (C*C)^T))).
+
+    charts, if given, is real_charts(points, poly.degree), kept from an
+    earlier call on the same points: only V is built then.  V enters the
+    products as the transpose of _powers' table; U stays contiguous, as
+    the summation order of the row sums depends on its layout.  The values
+    are the same bits with or without charts.  As in poly_jets_many, a
+    point's value depends on its batch in the last bit: for a few points
+    the BLAS picks its product kernel by the operands' layout, so a
+    contiguous copy of V gives other last bits at 2 or 16 points.
     """
-    pts = np.asarray(points, dtype=float)
     n = poly.degree
-    E = poly.exps
-    N = len(pts)
+    if charts is None:
+        charts = real_charts(points, n)
+    N = len(points)
     vals = np.empty(N)
     scale = np.empty(N)
     grad = np.empty((N, 3))
-    dom = np.argmax(np.abs(pts), axis=1)
     k = np.arange(n + 1.0)
-    for d, (i, j) in enumerate(_CHART_AXES):
-        idx = np.flatnonzero(dom == d)
+    for d, ((i, j), (idx, t, U, v), (C, Cjd, C2)) in enumerate(
+            zip(CHART_AXES, charts, poly.chart_matrices)):
         if not len(idx):
             continue
-        C = np.zeros((n + 1, n + 1))
-        C[E[:, i], E[:, j]] = poly.coeffs
-        t = pts[idx, d]
-        U = np.ascontiguousarray(_powers(pts[idx, i] / t, n).T)
-        V = np.ascontiguousarray(_powers(pts[idx, j] / t, n).T)
+        V = _powers(v, n).T
         W = V @ C.T
         tn = t**n
         vals[idx] = tn * _rowdot(U, W)
         if with_scale:
-            scale[idx] = np.abs(tn) * np.sqrt(_rowdot(U * U, (V * V) @ (C * C).T))
+            scale[idx] = np.abs(tn) * np.sqrt(_rowdot(U * U, (V * V) @ C2.T))
         if with_grad:
             # d/du reuses V C^T: column a + 1 weighted by a + 1 meets u^a;
-            # d/dv: Cv[a, b] = (b + 1) C[a, b + 1]; d/dt: C[a, b] (n - a - b)
-            Cv = np.zeros_like(C)
-            Cv[:, :n] = C[:, 1:] * k[1:]
-            Wvt = V @ np.concatenate([Cv, C * (n - k[:, None] - k[None, :])]).T
+            # d/dv and d/dt: the stacked derivative matrices
+            Wvt = V @ Cjd.T
             tn1 = t ** (n - 1)
             grad[idx, i] = tn1 * ((U[:, :n] * W[:, 1:]) @ k[1:])
             grad[idx, j] = tn1 * _rowdot(U, Wvt[:, : n + 1])
@@ -372,11 +393,11 @@ class PairField:
         self.degree = rp.degree
 
     @staticmethod
-    def charts(pts):
-        return pair_charts(pts)
+    def charts(pts, n):
+        return pair_charts(pts)  # the same at every degree
 
-    def values(self, pts, charts=None):
-        return eval_f_many(self.rp, pts, charts=charts)
+    def values(self, pts, charts=None, with_scale=False):
+        return eval_f_many(self.rp, pts, with_scale, charts)
 
     def newton(self, pts):
         return newton_correct(self.rp, pts, *TRACE_NEWTON)
@@ -386,18 +407,20 @@ class PairField:
 
 
 class RealField:
-    """A homogeneous real polynomial restricted to S^2."""
+    """A homogeneous real polynomial restricted to S^2.  Its chart data
+    (real_charts) holds a power table of n + 1 columns, so it is kept per
+    degree."""
 
     def __init__(self, poly: RealKostlanPolynomial):
         self.poly = poly
         self.degree = poly.degree
 
     @staticmethod
-    def charts(pts):
-        return None  # eval_real_many keeps no chart data
+    def charts(pts, n):
+        return real_charts(pts, n)
 
-    def values(self, pts, charts=None):
-        return eval_real_many(self.poly, pts)
+    def values(self, pts, charts=None, with_scale=False):
+        return eval_real_many(self.poly, pts, with_scale=with_scale, charts=charts)
 
     def newton(self, pts):
         return real_newton_correct(self.poly, pts, *TRACE_NEWTON)

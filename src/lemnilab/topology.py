@@ -18,7 +18,6 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .ensemble import RandomStream, sample_rational_pair
-from .field import eval_f_many
 from .icogrid import icosphere
 from .sphere import orthonormal_frame, unit_vector
 from .tracer import (
@@ -185,8 +184,9 @@ def face_of_point(tree: NestingTree, point) -> int:
     """Which face a (generic) point belongs to."""
     point = unit_vector(point)
     t = tree.trace
-    f, sc = eval_f_many(t.fieldobj.rp, point[None, :], with_scale=True)
-    if abs(f[0]) / sc[0] < 1e-12:
+    f, sc = t.fieldobj.values(point[None, :], with_scale=True)
+    # <=: the real field's scale vanishes where all its monomials do
+    if abs(f[0]) <= 1e-12 * sc[0]:
         raise PointOnCurve("point lies on the lemniscate")
     want = f[0] > 0
     # nearest grid vertex on the same side of the curve, by the signs the

@@ -13,14 +13,16 @@ it; the arcs cut by the cap's rim are dropped.  Its loops are the whole
 sphere's loops there, up to the last bits of the field's batched values.
 
 A grid that trials trace again and again keeps its plan: the jittered
-vertices and the field's chart data of them (PairField.charts; the real
-field has none).  These grids are every cap, and the whole sphere at the
-curve's default_options resolution (_kept_plan, four entries).  Any other
-whole-sphere grid computes its plan and drops it after the trace: the
-constructor's resolutions, trace's retries at 2 and 4 times the default,
-and a configured grid_resolution, so large grids add no memory.  A kept
-plan holds the arrays the trace would compute, so the traces are the same
-bits.
+vertices (24 bytes a vertex) and the field's chart data of them
+(kind.charts): about 26 bytes a vertex for the pair field, 8(n + 4) for
+the real field of degree n, 17.7 MB for the whole sphere at n = 50.  These
+grids are every cap, and the whole sphere at the curve's default_options
+resolution (_kept_plan, four entries, keyed by the field's kind and
+degree).  Any other whole-sphere grid computes its plan and drops it after
+the trace: the constructor's resolutions, trace's retries at 2 and 4 times
+the default, and a configured grid_resolution, so large grids add no
+memory.  A kept plan holds the arrays the trace would compute, so the
+traces are the same bits.
 
 Besides the grid trace, ray_solve finds a known oval directly: the one
 crossing of f on each of a fan of rays from its centre.  The tangent
@@ -393,28 +395,28 @@ def _cap_grid(nu: int, centre: tuple, radius: float) -> IcoGrid:
                    grid.mean_edge_length, grid.max_edge_length)
 
 
-def _grid_plan(kind, grid: IcoGrid) -> tuple:
-    """The jittered vertices of grid and kind's chart data of them
-    (kind.charts), which depend on the grid alone."""
+def _grid_plan(kind, n: int, grid: IcoGrid) -> tuple:
+    """The jittered vertices of grid and the chart data of them of a field
+    of kind and degree n (kind.charts), which depend on these alone."""
     verts = GRID_JITTER.apply(grid.verts)
-    return verts, kind.charts(verts)
+    return verts, kind.charts(verts, n)
 
 
 @lru_cache(maxsize=4)
-def _kept_plan(kind, nu: int, cap) -> tuple:
+def _kept_plan(kind, n: int, nu: int, cap) -> tuple:
     """_grid_plan of the grid a trace at (nu, cap) evaluates, kept."""
-    return _grid_plan(kind, icosphere(nu) if cap is None else _cap_grid(nu, *cap))
+    return _grid_plan(kind, n, icosphere(nu) if cap is None else _cap_grid(nu, *cap))
 
 
 def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
     grid = icosphere(nu) if cap is None else _cap_grid(nu, *cap)
     # a cap, or the whole sphere at the default resolution, is traced
     # trial after trial; any other grid's plan is dropped after this trace
-    kind = type(fieldobj)
-    if cap is None and nu != default_options(fieldobj.degree).grid_resolution:
-        verts, charts = _grid_plan(kind, grid)
+    kind, n = type(fieldobj), fieldobj.degree
+    if cap is None and nu != default_options(n).grid_resolution:
+        verts, charts = _grid_plan(kind, n, grid)
     else:
-        verts, charts = _kept_plan(kind, nu, cap)
+        verts, charts = _kept_plan(kind, n, nu, cap)
 
     F = fieldobj.values(verts, charts)
     pos = F > 0.0  # exact zeros count as positive; jitter makes them moot

@@ -7,11 +7,11 @@ import sys
 
 import lemnilab.constructor  # noqa: F401  (loads every traced module)
 import lemnilab.experiments  # noqa: F401
-from lemnilab.ensemble import RandomStream, sample_rational_pair
+from lemnilab.ensemble import RandomStream, sample_rational_pair, sample_real_kostlan
 from lemnilab.experiments import trial_stream
 from lemnilab.geomstats import meridian_stats
 from lemnilab.topology import Arrangement
-from lemnilab.tracer import trace
+from lemnilab.tracer import default_options, trace
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
 import spans  # noqa: E402
@@ -45,6 +45,23 @@ def test_traced_layers_see_the_pipeline():
     assert ("field.curve_tangents", "geomstats.meridian_stats") in parents
     # the recorder restores the originals on exit
     assert tracer.trace is trace and geomstats.meridian_stats is meridian_stats
+
+
+def test_real_layers_are_traced():
+    # kostlan-compare's trace: the grid pass hands eval_real_many the kept
+    # chart data by keyword, and the span still counts its points
+    poly = sample_real_kostlan(50, trial_stream(404, 50, 0))
+    rec = spans.Recorder()
+    with rec.installed(spans.full_targets()):
+        from lemnilab import tracer
+
+        tracer.trace(poly)
+    parents = [(s[0], rec.spans[s[3]][0]) for s in rec.spans if s[3] >= 0]
+    assert ("field.eval_real_many", "tracer.trace") in parents
+    assert ("field.real_newton_correct", "tracer.trace") in parents
+    grid_pass = rec.spans[[s[0] for s in rec.spans].index("field.eval_real_many")]
+    assert rec.spans[grid_pass[3]][0] == "tracer.trace"
+    assert grid_pass[4]["points"] == 10 * default_options(50).grid_resolution ** 2 + 2
 
 
 def test_bridge_walk_is_traced():

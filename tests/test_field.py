@@ -1,3 +1,5 @@
+import itertools
+
 import mpmath
 import numpy as np
 
@@ -10,8 +12,11 @@ from lemnilab.field import (
     eval_real_many,
     newton_correct,
     poly_jets_many,
+    real_charts,
     real_curve_tangents,
 )
+from lemnilab.icogrid import icosphere
+from lemnilab.tracer import GRID_JITTER
 from lemnilab.ensemble import rotate_pair
 from lemnilab.sphere import Rotation, from_homogeneous
 
@@ -258,6 +263,21 @@ def test_eval_real_many_oracle():
 
             fd = (8 * (F(1) - F(-1)) - (F(2) - F(-2))) / (12 * h)
             assert np.max(np.abs(grad[:, k] - fd) / (n * sc)) < 1e-9
+
+
+def test_eval_real_many_kept_charts_change_no_bit():
+    # the kept chart data against the data eval_real_many builds itself, on
+    # the kostlan-compare n=50 grid and on subsets of it
+    poly = sample_real_kostlan(50, RandomStream(404).substream(50))
+    grid = GRID_JITTER.apply(icosphere(64).verts)
+    for pts in (grid, grid[:1], grid[7:23], grid[::8][:5003]):
+        charts = real_charts(pts, 50)
+        for grad, scale in itertools.product((False, True), repeat=2):
+            warm = eval_real_many(poly, pts, grad, scale, charts=charts)
+            cold = eval_real_many(poly, pts, grad, scale)
+            if not (grad or scale):
+                warm, cold = (warm,), (cold,)
+            assert len(warm) == len(cold) and all(map(np.array_equal, warm, cold))
 
 
 def test_real_curve_tangents_bits():

@@ -9,6 +9,7 @@ from lemnilab.ensemble import (
     KostlanPolynomial,
     RandomStream,
     RationalPair,
+    RealKostlanPolynomial,
     sample_rational_pair,
 )
 from lemnilab.topology import (
@@ -49,6 +50,27 @@ def test_point_on_curve_rejected():
     tree = nesting_tree(t)
     with pytest.raises(PointOnCurve):
         rooted_canonical_form(tree, (1.0, 0.0, 0.0))
+
+
+def test_real_curve_roots_through_its_field():
+    # f = x^2 + y^2 - z^2 (exponents (a, b, c) of x^a y^b z^c in
+    # lexicographic order): the circles z = +-1/sqrt(2) bound a northern
+    # cap, a band and a southern cap
+    poly = RealKostlanPolynomial(2, np.array([-1.0, 0.0, 1.0, 0.0, 0.0, 1.0]))
+    t = trace(poly)
+    tree = nesting_tree(t)
+    assert len(t.sizes) == 2 and tree.n_faces == 3
+    assert rooted_canonical_form(tree, (0, 0, 1)) == Arrangement("((()))")
+    assert rooted_canonical_form(tree, (1, 0, 0)) == Arrangement("(()())")
+    # f is exactly 0 there
+    with pytest.raises(PointOnCurve):
+        rooted_canonical_form(tree, (math.sqrt(0.5), 0.0, math.sqrt(0.5)))
+    # f = x^2 - yz: at the north pole f and every monomial, so the scale,
+    # are 0
+    tree = nesting_tree(trace(RealKostlanPolynomial(2, np.array([0.0, -1.0, 0, 0, 0, 1.0]))))
+    assert tree.n_faces == 3
+    with pytest.raises(PointOnCurve):
+        rooted_canonical_form(tree, (0, 0, 1))
 
 
 def test_alexander_duality_and_tree_property():

@@ -324,11 +324,13 @@ def _same_trace(a, b):
 
 def test_kept_plan_changes_no_bit():
     # a trace with a warm plan against one that builds it: the global
-    # length n=25 grid and the local stage's rho=3 cap at n=100
+    # length n=25 grid, the local stage's rho=3 cap at n=100 and the
+    # kostlan-compare n=50 grid
     n = 100
     cap = (NORTH, 0.3 + icosphere(default_options(n).grid_resolution).max_edge_length)
     for rp, c in ((sample_rational_pair(25, trial_stream(101, 25, 0)), None),
-                  (sample_rational_pair(n, RandomStream(505).substream(n).substream(0)), cap)):
+                  (sample_rational_pair(n, RandomStream(505).substream(n).substream(0)), cap),
+                  (sample_real_kostlan(50, trial_stream(404, 50, 0)), None)):
         tracer._kept_plan.cache_clear()
         cold = trace(rp, cap=c)
         hits = tracer._kept_plan.cache_info().hits
@@ -338,13 +340,31 @@ def test_kept_plan_changes_no_bit():
         _same_trace(cold, warm)
 
 
+def test_real_plans_of_two_degrees_on_one_grid():
+    # n=50 and n=60 both trace the nu=64 grid, but their power tables
+    # differ in width: each degree keeps its own plan
+    polys = [sample_real_kostlan(n, trial_stream(404, n, 0)) for n in (50, 60)]
+    assert {default_options(p.degree).grid_resolution for p in polys} == {64}
+    tracer._kept_plan.cache_clear()
+    cold = [trace(p) for p in polys]
+    assert tracer._kept_plan.cache_info().currsize == 2
+    for p, c in zip(polys, cold):
+        assert len(c.sizes) >= 1
+        _same_trace(c, trace(p))
+    assert tracer._kept_plan.cache_info().hits == 2
+
+
 def test_other_resolutions_keep_no_plan():
     # the constructor's explicit nu, and a retry on a doubled grid, use
-    # their plan once and leave the kept ones as they were
+    # their plan once and leave the kept ones as they were; so does a real
+    # trace at a configured grid
     rp = sample_rational_pair(25, trial_stream(101, 25, 0))
     trace(rp)
     before = tracer._kept_plan.cache_info()
     t = trace(rp, TraceOptions(96))
+    assert t.grid_resolution == 96 and len(t.sizes) >= 1
+    assert tracer._kept_plan.cache_info() == before
+    t = trace(sample_real_kostlan(50, trial_stream(404, 50, 0)), TraceOptions(96))
     assert t.grid_resolution == 96 and len(t.sizes) >= 1
     assert tracer._kept_plan.cache_info() == before
     tracer._kept_plan.cache_clear()
