@@ -38,17 +38,17 @@ def pair_n200():
 
 def test_eval_real_many_values(benchmark, real_n50):
     poly, pts = real_n50
-    benchmark(eval_real_many, poly, pts)
+    benchmark(eval_real_many, RealField(poly), pts)
 
 
 def test_eval_real_many_grad(benchmark, real_n50):
     poly, pts = real_n50
-    benchmark(eval_real_many, poly, pts, with_grad=True)
+    benchmark(eval_real_many, RealField(poly), pts, with_grad=True)
 
 
 def test_eval_f_many(benchmark, pair_n200):
     rp, pts = pair_n200
-    benchmark(eval_f_many, rp, pts)
+    benchmark(eval_f_many, PairField(rp), pts)
 
 
 @pytest.mark.parametrize("n, seed", [(25, 101), (200, 202)], ids=["n25", "n200"])
@@ -56,11 +56,11 @@ def test_eval_f_many_kept_plan(benchmark, n, seed):
     # length n=25 on the nu=64 grid, tangents n=200 on nu=78; trial 0
     rp = sample_rational_pair(n, trial_stream(seed, n, 0))
     verts, charts = _kept_plan(PairField, n, default_options(n).grid_resolution, None)
-    benchmark(eval_f_many, rp, verts, charts=charts)
+    benchmark(eval_f_many, PairField(rp), verts, charts=charts)
 
 
 def test_eval_real_many_kept_plan(benchmark):
     # kostlan-compare n=50 on the nu=64 grid, seed 404, trial 0
     poly = sample_real_kostlan(50, trial_stream(404, 50, 0))
     verts, charts = _kept_plan(RealField, 50, default_options(50).grid_resolution, None)
-    benchmark(eval_real_many, poly, verts, charts=charts)
+    benchmark(eval_real_many, RealField(poly), verts, charts=charts)

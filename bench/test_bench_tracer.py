@@ -64,7 +64,7 @@ def stages():
     ends = (verts[e0[cids]], verts[e1[cids]], F[e0[cids]], F[e1[cids]])
     refined = _edge_roots(fieldobj, *ends)
     return dict(
-        rp=rp, fieldobj=fieldobj, pair_rows=pair_rows,
+        fieldobj=fieldobj, pair_rows=pair_rows,
         ends=ends, loops=refined[np.concatenate(cycles)],
         sizes=np.array([len(c) for c in cycles]),
         target=_ARC_STEP * grid.mean_edge_length, traced=trace(rp),
@@ -73,12 +73,12 @@ def stages():
 
 def test_chart_jets_crossings(benchmark, stages):
     # one Newton pass over every crossing of the grid (10,071 points)
-    benchmark(chart_jets, stages["rp"], stages["loops"])
+    benchmark(chart_jets, stages["fieldobj"], stages["loops"])
 
 
 def test_chart_jets_walk_step(benchmark, stages):
     # the few points of one tangent-walk step
-    benchmark(chart_jets, stages["rp"], stages["loops"][:16])
+    benchmark(chart_jets, stages["fieldobj"], stages["loops"][:16])
 
 
 def test_edge_roots(benchmark, stages):

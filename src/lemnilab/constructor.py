@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import KostlanPolynomial, RationalPair, mobius_polynomials
-from .field import PairField, chart_jets, newton_correct, poly_jets_many
+from .field import PairField, chart_jets, jet_blocks, newton_correct, poly_jets_many
 from .sphere import Rotation, from_homogeneous, homogeneous_coords
 from .tracer import _MAX_RESOLUTION, DegenerateLemniscate, TraceOptions, ray_solve, trace
 from .topology import (
@@ -189,7 +189,8 @@ def _add_circle(frame: _Frame, key, shrink: float = 1.0):
     rr = delta * np.sqrt(np.linspace(0.02, 1.0, 16))
     th = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 32, endpoint=False))
     zs = np.concatenate([[0.0 + 0j], np.outer(rr, th).ravel()])
-    (pv,), (qv,) = poly_jets_many([p, q], zs)
+    blocks = jet_blocks([p, q])
+    (pv,), (qv,) = poly_jets_many(blocks, zs)
     c0 = float(np.abs(pv / qv).max())
     if c0 >= 1.0:
         raise EpsilonExhausted("pole disk touches the current lemniscate")
@@ -202,7 +203,7 @@ def _add_circle(frame: _Frame, key, shrink: float = 1.0):
         pc[: n + 1] += eps * q
         qc = np.zeros(n + 2, dtype=complex)
         qc[1:] = q
-        cand = _pair(n + 1, pc, qc)
+        cand = PairField(_pair(n + 1, pc, qc))
         # local checks only; they are scale free, so deep nests cost the
         # same as shallow ones.  Correctness of the global picture follows
         # from the count bound: degree-(n+1) lemniscates have at most n+1
@@ -217,33 +218,34 @@ def _add_circle(frame: _Frame, key, shrink: float = 1.0):
             continue
         zh, wh = homogeneous_coords(oval)
         oval_z = zh / wh
-        (p0, p1), (q0, q1) = poly_jets_many([p, q], oval_z, order=1)
+        (p0, p1), (q0, q1) = poly_jets_many(blocks, oval_z, order=1)
         r_prime = (p1 * q0 - p0 * q1) / q0**2
         cert = float((eps / np.abs(oval_z) ** 2 - np.abs(r_prime)).min())
         if cert > 0.0:
             markers = {**frame.markers, key: np.array([0.0, 1.0 + 0j])}
             verts = np.concatenate([moved, oval])
-            return _Frame(cand, markers, verts, np.append(frame.sizes, len(oval))), eps, cert
+            return _Frame(cand.rp, markers, verts, np.append(frame.sizes, len(oval))), eps, cert
         eps *= 0.5
     raise EpsilonExhausted("no epsilon passed after 60 halvings")
 
 
-def _local_oval(cand: RationalPair, eps: float, delta: float):
-    """The new oval of cand about the pole at the origin, solved along
-    _OVAL_RAYS rays at chart radii from eps/8 to delta (tracer.ray_solve).
+def _local_oval(cand: PairField, eps: float, delta: float):
+    """The new oval of the candidate pair's field cand about the pole at
+    the origin, solved along _OVAL_RAYS rays at chart radii from eps/8 to
+    delta (tracer.ray_solve).
 
     Requires one star-shaped oval about the origin, f > 0 throughout the
     inner ring and f <= 0 at radius delta; returns its points, in ray
     order, or None.
     """
     radii = 2.0 * np.arctan(np.geomspace(eps / 8.0, delta, 96))
-    X, ok, F = ray_solve(PairField(cand), _ORIGIN[None], *_ORIGIN_FRAME, radii[None], _OVAL_RAYS)
+    X, ok, F = ray_solve(cand, _ORIGIN[None], *_ORIGIN_FRAME, radii[None], _OVAL_RAYS)
     if not ok[0] or not np.all(F[0, :, 1] > 0) or np.any(F[0, :, -1] > 0):
         return None
     return X
 
 
-def _persisted_components(cand: RationalPair, verts: np.ndarray, sizes: np.ndarray):
+def _persisted_components(cand: PairField, verts: np.ndarray, sizes: np.ndarray):
     """Newton-project the old ovals (stored back to back, sizes vertices
     each) onto the perturbed curve.
 
@@ -353,7 +355,7 @@ def certify_nondegenerate(c: ConstructedLemniscate) -> bool:
     t = c.tree.trace
     if len(t.sizes) != c.degree:
         return False
-    f, gx, gy, sc, _, _ = chart_jets(c.pair, t.vertices)
+    f, gx, gy, sc, _, _ = chart_jets(t.fieldobj, t.vertices)
     return bool((np.hypot(gx, gy) / sc).min() >= _MIN_REL_GRADIENT)
 
 

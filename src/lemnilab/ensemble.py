@@ -3,13 +3,13 @@
 Coefficients are complex Gaussians with E|a_k|^2 = C(n, k) (one complex
 variable) or real Gaussians with variance n!/(a! b! c!) (homogeneous in
 three real variables).  Sampling is driven by counter-based streams so a
-trial's draws are reproducible regardless of scheduling.
+trial's draws are reproducible regardless of scheduling.  Sampling and
+the curves' data only: what an evaluator builds from them is its field's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -106,17 +106,12 @@ class RationalPair:
         )
 
 
-# The two other axes, in index order, when axis d dominates a point.
-CHART_AXES = ((1, 2), (0, 2), (0, 1))
-
-
 @dataclass(frozen=True)
 class RealKostlanPolynomial:
     """Homogeneous real polynomial sum c_abc x^a y^b z^c, a+b+c = n."""
 
     degree: int
     coeffs: np.ndarray  # aligned with exponents(degree)
-    _exps: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -124,29 +119,6 @@ class RealKostlanPolynomial:
         if c.shape != ((n + 1) * (n + 2) // 2,):
             raise ValueError("need exactly (n+1)(n+2)/2 coefficients")
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "_exps", exponents(n))
-
-    @property
-    def exps(self) -> np.ndarray:
-        return self._exps
-
-    @cached_property
-    def chart_matrices(self) -> tuple:
-        """Per dominant axis d, with (i, j) = CHART_AXES[d]: the matrix C
-        with C[a, b] the coefficient of x_i^a x_j^b x_d^(n-a-b), the
-        matrices of the partial derivatives along x_j and x_d stacked,
-        [(b + 1) C[a, b + 1]; (n - a - b) C[a, b]], and C * C.  Built on
-        first use, once per curve."""
-        n = self.degree
-        k = np.arange(n + 1.0)
-        out = []
-        for i, j in CHART_AXES:
-            C = np.zeros((n + 1, n + 1))
-            C[self._exps[:, i], self._exps[:, j]] = self.coeffs
-            Cj = np.zeros_like(C)
-            Cj[:, :n] = C[:, 1:] * k[1:]
-            out.append((C, np.concatenate([Cj, C * (n - k[:, None] - k[None, :])]), C * C))
-        return tuple(out)
 
 
 def exponents(n: int) -> np.ndarray:

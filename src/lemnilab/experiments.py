@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -65,6 +66,11 @@ TRIAL_COLUMNS = (
     "flags",
 )
 
+# the type of each config field that a --config file can get wrong
+_FIELD_TYPES = {"n_values": list, "trials": Integral, "seed": Integral,
+                "workers": Integral, "grid_resolution": Integral | None,
+                "rho": Real | None, "target": str | None}
+
 _AXIS = np.array([0.0, 0.0, 1.0])
 # summary statistic of each trial experiment: its name, its trial column
 # and its theory value at degree n
@@ -92,8 +98,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError("unknown experiment %r" % (self.experiment,))
+        # a --config file may give any JSON type, and true is no number
+        for name, kind in _FIELD_TYPES.items():
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, kind):
+                raise ConfigError("%s has the wrong type: %r" % (name, v))
+        if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in self.n_values):
+            raise ConfigError("n_values must hold integers")
         if not self.n_values:
             raise ConfigError("n_values must be nonempty")
+        if len(set(self.n_values)) < len(self.n_values):
+            # one summary row per (n, statistic), one local stage per n
+            raise ConfigError("n_values repeats a degree")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.workers < 1:

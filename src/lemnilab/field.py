@@ -12,11 +12,11 @@ northern chart.  One evaluator, poly_jets_many, serves them all: a
 baby-step/giant-step scheme that keeps about 2 sqrt(n) powers per point
 instead of n + 1.  The real-Kostlan evaluator (eval_real_many) multiplies
 the full power matrices of its separable charts by the curve's chart
-coefficient matrices, which the polynomial builds once
-(RealKostlanPolynomial.chart_matrices).  One builder, _powers, makes every
-table of powers by doubling.  PairField and RealField (see as_field) give
-the tracer and the tangent counter one interface to either kind of curve;
-a trace carries the one it was traced with.
+coefficient matrices.  One builder, _powers, makes every table of powers
+by doubling.  A field object, PairField or RealField (see as_field), owns
+its curve's coefficient data, built once: the pair's blocks of both
+charts (jet_blocks), the real curve's chart matrices.  Every evaluator
+takes the field object, and a trace carries the one it was traced with.
 
 Each evaluator's chart data depends on the points alone, and the real
 one's on the degree too: eval_f_many's (pair_charts: each point's chart,
@@ -36,11 +36,13 @@ import math
 
 import numpy as np
 
-from .ensemble import CHART_AXES, RationalPair, RealKostlanPolynomial
+from .ensemble import RationalPair, RealKostlanPolynomial, exponents
 from .sphere import homogeneous_coords
 
 
 _CHUNK = 8192
+# The two other axes, in index order, when axis d dominates a point.
+CHART_AXES = ((1, 2), (0, 2), (0, 1))
 
 
 def _blocks(rows: np.ndarray, b: int) -> np.ndarray:
@@ -68,9 +70,22 @@ def _powers(z: np.ndarray, b: int) -> np.ndarray:
     return Z
 
 
-def poly_jets_many(coeff_rows, z: np.ndarray, order: int = 0):
+def jet_blocks(coeff_rows) -> tuple:
+    """poly_jets_many's coefficient data of several equal-degree
+    polynomials: (r, b, value blocks, derivative blocks), with r the number
+    of rows and b the block length; the blocks are _blocks of the rows and
+    of their derivative rows."""
+    rows = np.array(coeff_rows, dtype=complex)
+    r, n = len(rows), rows.shape[1] - 1
+    # b = 29 at n = 200; a function of the degree only, never of the
+    # number of points
+    b = min(n + 1, math.ceil(2.0 * math.sqrt(n + 1)))
+    return r, b, _blocks(rows, b), _blocks(rows[:, 1:] * np.arange(1.0, n + 1.0), b)
+
+
+def poly_jets_many(blocks: tuple, z: np.ndarray, order: int = 0):
     """Values (order 0) or values and first derivatives (order 1) of several
-    equal-degree polynomials at z.
+    equal-degree polynomials at z; blocks is their jet_blocks.
 
     Returns a list (one entry per coefficient row) of lists [p] or
     [p, p'].  Baby-step/giant-step scheme (Paterson and Stockmeyer, 1973):
@@ -93,14 +108,8 @@ def poly_jets_many(coeff_rows, z: np.ndarray, order: int = 0):
     about 1e-16, not bit for bit.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    rows = np.array(coeff_rows, dtype=complex)
-    r, n = len(rows), rows.shape[1] - 1
-    # b = 29 at n = 200; a function of the degree only, never of the
-    # number of points
-    b = min(n + 1, math.ceil(2.0 * math.sqrt(n + 1)))
-    mats = [_blocks(rows, b)]
-    if order and n >= 1:
-        mats.append(_blocks(rows[:, 1:] * np.arange(1.0, n + 1.0), b))
+    r, b, *mats = blocks
+    mats = mats[: order + 1]
     out = np.zeros((order + 1, r, len(z)), dtype=complex)
     for lo in range(0, len(z), _CHUNK):
         zc = z[lo : lo + _CHUNK]
@@ -113,15 +122,14 @@ def poly_jets_many(coeff_rows, z: np.ndarray, order: int = 0):
     return [[out[o, i] for o in range(order + 1)] for i in range(r)]
 
 
-def _pair_jets(rp: RationalPair, charts, order: int):
+def _pair_jets(fld: PairField, charts, order: int):
     """Yield (chart, jets) for each nonempty chart of charts, the
     (mask, z, ...) data of the southern and then the northern chart: the
     jets are poly_jets_many's of p and q at z, of the reversed pair in the
     northern chart (f times |u|^(2n) > 0 at u = 1/z: same zero set, sign)."""
-    p, q = rp.p.coeffs, rp.q.coeffs
-    for chart, pc, qc in zip(charts, (p, p[::-1]), (q, q[::-1])):
+    for chart, blocks in zip(charts, fld.blocks):
         if len(chart[1]):
-            yield chart, poly_jets_many([pc, qc], chart[1], order)
+            yield chart, poly_jets_many(blocks, chart[1], order)
 
 
 def pair_charts(points: np.ndarray):
@@ -136,7 +144,7 @@ def pair_charts(points: np.ndarray):
                  for mask, num, den in ((south, zh, wh), (~south, wh, zh)))
 
 
-def eval_f_many(rp: RationalPair, points: np.ndarray, with_scale: bool = False,
+def eval_f_many(fld: PairField, points: np.ndarray, with_scale: bool = False,
                 charts=None):
     """f = |hp|^2 - |hq|^2 at unit-norm homogeneous representatives.
 
@@ -147,11 +155,11 @@ def eval_f_many(rp: RationalPair, points: np.ndarray, with_scale: bool = False,
     """
     if charts is None:
         charts = pair_charts(points)
-    n = rp.degree
+    n = fld.degree
     shape = charts[0][0].shape
     ap = np.empty(shape)
     aq = np.empty(shape)
-    for (mask, _, logden), ((pv,), (qv,)) in _pair_jets(rp, charts, 0):
+    for (mask, _, logden), ((pv,), (qv,)) in _pair_jets(fld, charts, 0):
         # |den|^(2n) factor from homogenization; |den| >= 1/sqrt(2)
         amp = np.exp(2.0 * n * logden)
         ap[mask] = amp * (pv.real**2 + pv.imag**2)
@@ -184,7 +192,7 @@ def _lift_chart(coord: np.ndarray, north: np.ndarray) -> np.ndarray:
     ) / (1.0 + m2)[..., None]
 
 
-def chart_jets(rp: RationalPair, points: np.ndarray):
+def chart_jets(fld: PairField, points: np.ndarray):
     """(f, fx, fy, scale, coord, north) of f in the per-point chart of
     _chart_coords, the northern chart's of the reversed pair (_pair_jets)."""
     coord, north = _chart_coords(np.asarray(points, dtype=float))
@@ -193,7 +201,7 @@ def chart_jets(rp: RationalPair, points: np.ndarray):
     gy = np.empty(coord.shape)
     sc = np.empty(coord.shape)
     charts = ((~north, coord[~north]), (north, coord[north]))
-    for (mask, _), ((p0, p1), (q0, q1)) in _pair_jets(rp, charts, 1):
+    for (mask, _), ((p0, p1), (q0, q1)) in _pair_jets(fld, charts, 1):
         a = p1 * np.conj(p0) - q1 * np.conj(q0)
         f[mask] = np.abs(p0) ** 2 - np.abs(q0) ** 2
         gx[mask] = 2.0 * a.real
@@ -223,7 +231,7 @@ def real_charts(points: np.ndarray, n: int):
 
 
 def eval_real_many(
-    poly: RealKostlanPolynomial,
+    fld: RealField,
     points: np.ndarray,
     with_grad: bool = False,
     with_scale: bool = False,
@@ -234,14 +242,14 @@ def eval_real_many(
     Separable in the chart of each point's dominant coordinate t: with u,
     v the other two coordinates over t (so |u|, |v| <= 1), U, V their
     power matrices and C[a, b] the coefficient of u^a v^b
-    (poly.chart_matrices), f = t^n rowsum(U * (V C^T)).  Returns the
+    (fld.chart_matrices), f = t^n rowsum(U * (V C^T)).  Returns the
     values, followed by the gradient with with_grad=True and the scale
     with with_scale=True: the gradient components are t^(n-1) times the
     same product with C weighted by a, b and n - a - b, and the scale is
     the root-sum-square of the monomial terms,
     |t|^n sqrt(rowsum(U^2 * (V^2 (C*C)^T))).
 
-    charts, if given, is real_charts(points, poly.degree), kept from an
+    charts, if given, is real_charts(points, fld.degree), kept from an
     earlier call on the same points: only V is built then.  V enters the
     products as the transpose of _powers' table; U stays contiguous, as
     the summation order of the row sums depends on its layout.  The values
@@ -250,7 +258,7 @@ def eval_real_many(
     the BLAS picks its product kernel by the operands' layout, so a
     contiguous copy of V gives other last bits at 2 or 16 points.
     """
-    n = poly.degree
+    n = fld.degree
     if charts is None:
         charts = real_charts(points, n)
     N = len(points)
@@ -259,7 +267,7 @@ def eval_real_many(
     grad = np.empty((N, 3))
     k = np.arange(n + 1.0)
     for d, ((i, j), (idx, t, U, v), (C, Cjd, C2)) in enumerate(
-            zip(CHART_AXES, charts, poly.chart_matrices)):
+            zip(CHART_AXES, charts, fld.chart_matrices)):
         if not len(idx):
             continue
         V = _powers(v, n).T
@@ -309,7 +317,7 @@ def _project(jet, points, tol_rel, max_iters):
 
 
 def newton_correct(
-    rp: RationalPair,
+    fld: PairField,
     points: np.ndarray,
     tol_rel: float = 1e-11,
     max_iters: int = 12,
@@ -322,14 +330,14 @@ def newton_correct(
     """
 
     def jet(v):
-        f, gx, gy, sc, coord, north = chart_jets(rp, v)
+        f, gx, gy, sc, coord, north = chart_jets(fld, v)
         return f, gx * gx + gy * gy, sc, lambda s: _lift_chart(coord - s * (gx + 1j * gy), north)
 
     return _project(jet, points, tol_rel, max_iters)
 
 
 def real_newton_correct(
-    poly: RealKostlanPolynomial,
+    fld: RealField,
     points: np.ndarray,
     tol_rel: float = 1e-11,
     max_iters: int = 12,
@@ -342,7 +350,7 @@ def real_newton_correct(
     """
 
     def jet(v):
-        f, g, sc = eval_real_many(poly, v, with_grad=True, with_scale=True)
+        f, g, sc = eval_real_many(fld, v, with_grad=True, with_scale=True)
         gt = g - np.einsum("ij,ij->i", g, v)[:, None] * v
 
         def move(step):
@@ -361,22 +369,22 @@ def _unit_cross(points, g3) -> np.ndarray:
     return t / np.where(nrm > 0, nrm, 1.0)[:, None]
 
 
-def curve_tangents(rp: RationalPair, points: np.ndarray) -> np.ndarray:
+def curve_tangents(fld: PairField, points: np.ndarray) -> np.ndarray:
     """Unit 3-vectors tangent to {f = 0} at points assumed on the curve.
 
     The chart gradient is pushed forward to R^3 through the chart lift and
     rotated by 90 degrees in the tangent plane; the overall sign is
     arbitrary.
     """
-    f, gx, gy, sc, coord, north = chart_jets(rp, points)
+    f, gx, gy, sc, coord, north = chart_jets(fld, points)
     h = 1e-7
     e1 = (_lift_chart(coord + h, north) - _lift_chart(coord - h, north)) / (2 * h)
     e2 = (_lift_chart(coord + 1j * h, north) - _lift_chart(coord - 1j * h, north)) / (2 * h)
     return _unit_cross(points, gx[:, None] * e1 + gy[:, None] * e2)
 
 
-def real_curve_tangents(poly: RealKostlanPolynomial, points: np.ndarray) -> np.ndarray:
-    _, g = eval_real_many(poly, points, with_grad=True)
+def real_curve_tangents(fld: RealField, points: np.ndarray) -> np.ndarray:
+    _, g = eval_real_many(fld, points, with_grad=True)
     return _unit_cross(points, g)
 
 
@@ -386,47 +394,67 @@ TRACE_NEWTON = (1e-9, 12)
 
 
 class PairField:
-    """f = |p|^2 - |q|^2 of a rational pair."""
+    """f = |p|^2 - |q|^2 of a rational pair.  It builds the pair's
+    jet_blocks once: the southern chart's of (p, q), the northern chart's
+    of the reversed rows."""
 
     def __init__(self, rp: RationalPair):
         self.rp = rp
         self.degree = rp.degree
+        p, q = rp.p.coeffs, rp.q.coeffs
+        self.blocks = (jet_blocks([p, q]), jet_blocks([p[::-1], q[::-1]]))
 
     @staticmethod
     def charts(pts, n):
         return pair_charts(pts)  # the same at every degree
 
     def values(self, pts, charts=None, with_scale=False):
-        return eval_f_many(self.rp, pts, with_scale, charts)
+        return eval_f_many(self, pts, with_scale, charts)
 
     def newton(self, pts):
-        return newton_correct(self.rp, pts, *TRACE_NEWTON)
+        return newton_correct(self, pts, *TRACE_NEWTON)
 
     def tangents(self, pts):
-        return curve_tangents(self.rp, pts)
+        return curve_tangents(self, pts)
 
 
 class RealField:
     """A homogeneous real polynomial restricted to S^2.  Its chart data
     (real_charts) holds a power table of n + 1 columns, so it is kept per
-    degree."""
+    degree.
+
+    It builds the chart matrices once: per dominant axis d, with
+    (i, j) = CHART_AXES[d], the matrix C with C[a, b] the coefficient of
+    x_i^a x_j^b x_d^(n-a-b), the matrices of the partial derivatives along
+    x_j and x_d stacked, [(b + 1) C[a, b + 1]; (n - a - b) C[a, b]], and
+    C * C."""
 
     def __init__(self, poly: RealKostlanPolynomial):
         self.poly = poly
-        self.degree = poly.degree
+        self.degree = n = poly.degree
+        exps = exponents(n)
+        k = np.arange(n + 1.0)
+        mats = []
+        for i, j in CHART_AXES:
+            C = np.zeros((n + 1, n + 1))
+            C[exps[:, i], exps[:, j]] = poly.coeffs
+            Cj = np.zeros_like(C)
+            Cj[:, :n] = C[:, 1:] * k[1:]
+            mats.append((C, np.concatenate([Cj, C * (n - k[:, None] - k[None, :])]), C * C))
+        self.chart_matrices = tuple(mats)
 
     @staticmethod
     def charts(pts, n):
         return real_charts(pts, n)
 
     def values(self, pts, charts=None, with_scale=False):
-        return eval_real_many(self.poly, pts, with_scale=with_scale, charts=charts)
+        return eval_real_many(self, pts, with_scale=with_scale, charts=charts)
 
     def newton(self, pts):
-        return real_newton_correct(self.poly, pts, *TRACE_NEWTON)
+        return real_newton_correct(self, pts, *TRACE_NEWTON)
 
     def tangents(self, pts):
-        return real_curve_tangents(self.poly, pts)
+        return real_curve_tangents(self, pts)
 
 
 def as_field(curve):

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .ensemble import RationalPair
-from .field import eval_f_many
+from .field import PairField, eval_f_many
 from .sphere import GreatCircle, orthonormal_frame, unit_vector
 from .tracer import TracedLemniscate, default_options, ray_solve, ring, subdivide, walk
 
@@ -285,11 +285,12 @@ def great_circle_intersections(rp: RationalPair, g: GreatCircle) -> int:
     TangencySuspected when the circle lies on the curve or a crossing has
     a vanishing derivative of f along the circle.
     """
+    fld = PairField(rp)
     # match the tracer's default cell size along the circle
     samples = max(512, 8 * default_options(rp.degree).grid_resolution)
     tgrid = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     pts = g.point(tgrid)
-    f, sc = eval_f_many(rp, pts, with_scale=True)
+    f, sc = eval_f_many(fld, pts, with_scale=True)
     if np.max(np.abs(f) / sc) < _TANGENCY_TOL:
         raise TangencySuspected("f vanishes along the whole circle")
     s = f > 0
@@ -305,12 +306,12 @@ def great_circle_intersections(rp: RationalPair, g: GreatCircle) -> int:
     # bracket is halved until it is narrower than h/64
     for _ in range(math.ceil(math.log2(64.0 * width / h))):
         tm = 0.5 * (lo + hi)
-        fm = eval_f_many(rp, g.point(tm))
+        fm = eval_f_many(fld, g.point(tm))
         up = (fm > 0) == (flo > 0)
         lo = np.where(up, tm, lo)
         hi = np.where(up, hi, tm)
     troot = 0.5 * (lo + hi)
-    fpm, scpm = eval_f_many(rp, g.point(np.concatenate([troot + h, troot - h])),
+    fpm, scpm = eval_f_many(fld, g.point(np.concatenate([troot + h, troot - h])),
                             with_scale=True)
     k = len(change)
     deriv = np.abs(fpm[:k] - fpm[k:]) / (2.0 * h * scpm[:k])

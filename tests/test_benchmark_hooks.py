@@ -43,6 +43,11 @@ def test_traced_layers_see_the_pipeline():
     assert ("field.eval_f_many", "tracer.trace") in parents
     assert ("field.newton_correct", "tracer.trace") in parents
     assert ("field.curve_tangents", "geomstats.meridian_stats") in parents
+    # the pair's FLOP and byte counts read the degree and the point count
+    # from the field object and the points passed
+    evals = [s[4] for s in rec.spans if s[0] == "field.eval_f_many"]
+    assert all(info["degree"] == 8 for info in evals)
+    assert evals[0]["points"] == 10 * default_options(8).grid_resolution ** 2 + 2
     # the recorder restores the originals on exit
     assert tracer.trace is trace and geomstats.meridian_stats is meridian_stats
 
@@ -62,6 +67,7 @@ def test_real_layers_are_traced():
     grid_pass = rec.spans[[s[0] for s in rec.spans].index("field.eval_real_many")]
     assert rec.spans[grid_pass[3]][0] == "tracer.trace"
     assert grid_pass[4]["points"] == 10 * default_options(50).grid_resolution ** 2 + 2
+    assert all(s[4]["degree"] == 50 for s in rec.spans if s[0] == "field.eval_real_many")
 
 
 def test_bridge_walk_is_traced():
@@ -93,3 +99,5 @@ def test_constructor_layers_are_traced():
     assert ("tracer.trace", "constructor.realize") in parents
     assert ("field.newton_correct", "constructor.realize") in parents
     assert ("field.chart_jets", "constructor.certify_nondegenerate") in parents
+    cert = [s[4] for s in rec.spans if s[0] == "field.chart_jets"][-1]
+    assert cert == {"points": len(c.tree.trace.vertices), "degree": c.degree}

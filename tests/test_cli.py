@@ -64,21 +64,33 @@ LOCAL = ["--experiment", "local-arrangement", "--n", "100", "--rho", "3"]
 LENGTH = ["--experiment", "length", "--n", "4", "--trials", "1"]
 
 
+def _config(**entries):
+    """--config flags of a length run with entries set; the test writes
+    the file."""
+    return ["--config", {"experiment": "length", "n_values": [4], **entries}]
+
+
 @pytest.mark.parametrize("flags", [
     LENGTH + ["--grid-resolution", "32"],
     LOCAL + ["--trials", "50", "--target", "(())"],
     LOCAL + ["--trials", "100", "--target", "(()"],
     ["--experiment", "construct", "--n", "3", "--target", "(()"],
-    ["--config", "{cfg}"],
+    _config(trails=3),
     LENGTH + ["--workers", "0"],
     LENGTH + ["--workers", "-1"],
+    ["--experiment", "length", "--n", "4", "4", "--trials", "3", "--seed", "7"],
+    _config(n_values=4),
+    _config(trials="2"),
+    _config(n_values=[4.5]),
 ], ids=["grid", "local-trials", "local-target", "construct-target", "config-key",
-        "workers-0", "workers-negative"])
+        "workers-0", "workers-negative", "repeated-n", "config-n-values-int",
+        "config-trials-str", "config-n-values-float"])
 def test_run_refuses_a_bad_config_before_any_output(tmp_path, flags):
     out = str(tmp_path / "res")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "length", "n_values": [4], "trails": 3,
-                               "output_dir": out}))
+    if isinstance(flags[-1], dict):
+        cfg.write_text(json.dumps({**flags[-1], "output_dir": out}))
+        flags = flags[:-1] + [str(cfg)]
     with pytest.raises(ConfigError):
-        main(["run", "--out", out] + [f.format(cfg=cfg) for f in flags])
+        main(["run", "--out", out] + flags)
     assert not os.path.exists(out)

@@ -18,7 +18,7 @@ from lemnilab.ensemble import (
     RationalPair,
     sample_rational_pair,
 )
-from lemnilab.field import eval_f_many, newton_correct
+from lemnilab.field import PairField, eval_f_many, newton_correct
 from lemnilab.sphere import Rotation, from_homogeneous, homogeneous_coords
 from lemnilab.topology import Arrangement, nesting_tree, rooted_canonical_form
 from lemnilab.tracer import TraceOptions, trace
@@ -171,7 +171,7 @@ def test_new_oval_lies_on_the_curve_in_ray_order():
     frame, _, _ = _add_circle(frame, (("root", 0), 0))
     assert frame.sizes.tolist() == [constructor._OVAL_RAYS] * 2
     oval = frame.verts[-frame.sizes[-1]:]
-    f, sc = eval_f_many(frame.rp, oval, with_scale=True)
+    f, sc = eval_f_many(PairField(frame.rp), oval, with_scale=True)
     assert np.max(np.abs(f) / sc) <= 1e-9
     zh, wh = homogeneous_coords(oval)
     turn = np.angle(np.roll(zh / wh, -1) / (zh / wh))  # from each ray to the next
@@ -188,7 +188,7 @@ def _frame_on_curve():
     # markers: one random point and both poles
     rp = sample_rational_pair(4, RandomStream(11))
     t = trace(rp)
-    verts = newton_correct(rp, t.vertices, tol_rel=1e-14)[0]
+    verts = newton_correct(PairField(rp), t.vertices, tol_rel=1e-14)[0]
     h = homogeneous_coords(np.array([0.6, -0.48, 0.64]))
     markers = {
         "a": np.array([h[0], h[1]]),
@@ -213,7 +213,8 @@ def test_moved_ovals_stay_on_the_moved_curve():
     for M in _one_of_each_move(frame):
         frame = frame.moved(M)
         # one Newton pass records the residual of the points as given
-        _, rel, _, _ = newton_correct(frame.rp, frame.verts, tol_rel=1e-9, max_iters=1)
+        _, rel, _, _ = newton_correct(PairField(frame.rp), frame.verts, tol_rel=1e-9,
+                                     max_iters=1)
         assert rel.max() <= 1e-9
     # the unfold sends marker "a" to infinity
     assert np.allclose(from_homogeneous(frame.markers["a"]), [0.0, 0.0, 1.0])

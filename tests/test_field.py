@@ -3,13 +3,16 @@ import itertools
 import mpmath
 import numpy as np
 
-from lemnilab.ensemble import RandomStream, sample_rational_pair, sample_real_kostlan
+from lemnilab.ensemble import RandomStream, exponents, sample_rational_pair, sample_real_kostlan
 from lemnilab.field import (
     _CHUNK,
+    PairField,
+    RealField,
     chart_jets,
     curve_tangents,
     eval_f_many,
     eval_real_many,
+    jet_blocks,
     newton_correct,
     poly_jets_many,
     real_charts,
@@ -32,7 +35,7 @@ def test_horner_matches_polyval():
     # poly_jets_many values (order 0) against np.polyval, two rows at once
     rows = [rng.normal(size=7) + 1j * rng.normal(size=7) for _ in range(2)]
     z = rng.normal(size=20) + 1j * rng.normal(size=20)
-    for c, (v,) in zip(rows, poly_jets_many(rows, z)):
+    for c, (v,) in zip(rows, poly_jets_many(jet_blocks(rows), z)):
         ref = np.polyval(c[::-1], z)
         assert np.max(np.abs(v - ref)) < 1e-10 * np.max(np.abs(ref))
 
@@ -44,9 +47,9 @@ def test_horner_jet_derivatives():
     z = rng.normal(size=10) + 1j * rng.normal(size=10)
     dc = c[1:] * np.arange(1, 6)
     ddc = dc[1:] * np.arange(1, 5)
-    (v0,), = poly_jets_many([c], z)
-    (v, d1), = poly_jets_many([c], z, order=1)
-    (_, d2), = poly_jets_many([dc], z, order=1)
+    (v0,), = poly_jets_many(jet_blocks([c]), z)
+    (v, d1), = poly_jets_many(jet_blocks([c]), z, order=1)
+    (_, d2), = poly_jets_many(jet_blocks([dc]), z, order=1)
     assert np.array_equal(v, v0)
     assert np.max(np.abs(d1 - np.polyval(dc[::-1], z))) < 1e-9
     assert np.max(np.abs(d2 - np.polyval(ddc[::-1], z))) < 1e-9
@@ -85,8 +88,8 @@ def test_poly_jets_mpmath_oracle():
         rp = sample_rational_pair(n, RandomStream(11).substream(n))
         k = np.arange(n + 1.0)
         for c in (rp.p.coeffs, rp.q.coeffs[::-1]):
-            (v, d), = poly_jets_many([c], pts, order=1)
-            (wv, wd), = poly_jets_many([c], wide, order=1)
+            (v, d), = poly_jets_many(jet_blocks([c]), pts, order=1)
+            (wv, wd), = poly_jets_many(jet_blocks([c]), wide, order=1)
             for z, v, d in ((pts, v, d), (wide[at], wv[at], wd[at])):
                 err_v, err_d = _mpmath_errors(c, z, v, d)
                 az = np.abs(z)[:, None]
@@ -104,9 +107,9 @@ def test_poly_jets_point_alone_and_in_a_crowd():
     rp = sample_rational_pair(n, RandomStream(12))
     rows = [rp.p.coeffs, rp.q.coeffs]
     k = np.arange(n + 1.0)
-    big = poly_jets_many(rows, crowd, order=1)
+    big = poly_jets_many(jet_blocks(rows), crowd, order=1)
     for i in (0, 1, _CHUNK - 1, _CHUNK, 12345, 19999):
-        alone = poly_jets_many(rows, crowd[i : i + 1], order=1)
+        alone = poly_jets_many(jet_blocks(rows), crowd[i : i + 1], order=1)
         az = abs(crowd[i])
         for c, (v, d), (v1, d1) in zip(rows, big, alone):
             assert abs(v[i] - v1[0]) <= 1e-13 * np.sum(np.abs(c) * az**k)
@@ -114,10 +117,10 @@ def test_poly_jets_point_alone_and_in_a_crowd():
 
 
 def test_eval_f_single_vs_many():
-    rp = sample_rational_pair(8, RandomStream(2))
+    fld = PairField(sample_rational_pair(8, RandomStream(2)))
     pts = random_sphere(40)
-    many = eval_f_many(rp, pts)
-    singles = np.array([eval_f_many(rp, p[None, :])[0] for p in pts])
+    many = eval_f_many(fld, pts)
+    singles = np.array([eval_f_many(fld, p[None, :])[0] for p in pts])
     assert np.max(np.abs(many - singles)) < 1e-12 * max(1.0, np.max(np.abs(many)))
 
 
@@ -126,8 +129,8 @@ def test_rotation_equivariance():
     r = Rotation.random(np.random.default_rng(9))
     rot = rotate_pair(rp, r)
     pts = random_sphere(80)
-    f0, s0 = eval_f_many(rp, pts, with_scale=True)
-    f1, s1 = eval_f_many(rot, r.apply(pts), with_scale=True)
+    f0, s0 = eval_f_many(PairField(rp), pts, with_scale=True)
+    f1, s1 = eval_f_many(PairField(rot), r.apply(pts), with_scale=True)
     assert np.max(np.abs(f0 / s0 - f1 / s1)) < 1e-8
 
 
@@ -136,7 +139,7 @@ def test_jet_finite_difference_oracle():
     # in the southern chart z and the northern chart u = 1/z, where f is
     # that of the reversed-coefficient pair
     rp = sample_rational_pair(6, RandomStream(21))
-    f, gx, gy, sc, coord, north = chart_jets(rp, random_sphere(40))
+    f, gx, gy, sc, coord, north = chart_jets(PairField(rp), random_sphere(40))
     assert north.any() and (~north).any()
     h = 1e-5
     for is_north in (False, True):
@@ -166,7 +169,7 @@ def test_newton_correct_projects_onto_curve():
     pts = t.vertices[: t.sizes[0]]
     noisy = pts + 1e-3 * rng.normal(size=pts.shape)
     noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
-    corrected, rel, relgrad, conv = newton_correct(rp, noisy)
+    corrected, rel, relgrad, conv = newton_correct(PairField(rp), noisy)
     assert conv.all()
     assert rel.max() <= 1e-11
     assert np.allclose(np.linalg.norm(corrected, axis=1), 1.0, atol=1e-12)
@@ -178,7 +181,8 @@ def test_curve_tangents_annihilate_gradient():
 
     t = trace(rp)
     pts = t.vertices[: t.sizes[0]]
-    tan = curve_tangents(rp, pts)
+    fld = PairField(rp)
+    tan = curve_tangents(fld, pts)
     # unit, tangent to the sphere, and f is stationary along them
     assert np.allclose(np.linalg.norm(tan, axis=1), 1.0, atol=1e-9)
     assert np.max(np.abs(np.sum(tan * pts, axis=1))) < 1e-9
@@ -187,14 +191,14 @@ def test_curve_tangents_annihilate_gradient():
     fwd /= np.linalg.norm(fwd, axis=1, keepdims=True)
     bwd = pts - h * tan
     bwd /= np.linalg.norm(bwd, axis=1, keepdims=True)
-    ffwd, sc = eval_f_many(rp, fwd, with_scale=True)
-    fbwd, _ = eval_f_many(rp, bwd, with_scale=True)
+    ffwd, sc = eval_f_many(fld, fwd, with_scale=True)
+    fbwd, _ = eval_f_many(fld, bwd, with_scale=True)
     deriv_along = np.abs(ffwd - fbwd) / (2 * h * sc)
     # compare against the gradient magnitude seen by one normal step
     nrm = np.cross(pts, tan)
     up = pts + h * nrm
     up /= np.linalg.norm(up, axis=1, keepdims=True)
-    fup, _ = eval_f_many(rp, up, with_scale=True)
+    fup, _ = eval_f_many(fld, up, with_scale=True)
     deriv_across = np.abs(fup - ffwd) / (h * sc)
     assert np.median(deriv_along / np.maximum(deriv_across, 1e-30)) < 1e-3
 
@@ -208,7 +212,7 @@ def test_unit_circle_pair_zero_on_equator():
     )
     theta = np.linspace(0, 2 * np.pi, 17)
     pts = from_homogeneous(np.stack([np.exp(1j * theta), np.ones(17)], axis=-1))
-    vals = eval_f_many(rp, pts)
+    vals = eval_f_many(PairField(rp), pts)
     assert np.max(np.abs(vals)) < 1e-12
 
 
@@ -237,15 +241,16 @@ def test_eval_real_many_oracle():
     pts = _real_oracle_points(r)
     for n in (1, 2, 7, 50):
         poly = sample_real_kostlan(n, RandomStream(17).substream(n))
-        f, grad, sc = eval_real_many(poly, pts, with_grad=True, with_scale=True)
-        assert np.array_equal(f, eval_real_many(poly, pts))
+        fld = RealField(poly)
+        f, grad, sc = eval_real_many(fld, pts, with_grad=True, with_scale=True)
+        assert np.array_equal(f, eval_real_many(fld, pts))
         # the gradient and the scale are the same bits without the other
-        assert np.array_equal(eval_real_many(poly, pts, with_grad=True)[1], grad)
-        assert np.array_equal(eval_real_many(poly, pts, with_scale=True)[1], sc)
+        assert np.array_equal(eval_real_many(fld, pts, with_grad=True)[1], grad)
+        assert np.array_equal(eval_real_many(fld, pts, with_scale=True)[1], sc)
         P = pts.astype(np.longdouble)
         ref = np.zeros(len(pts), dtype=np.longdouble)
         ref2 = np.zeros(len(pts), dtype=np.longdouble)
-        for (a, b, c), co in zip(poly.exps, poly.coeffs):
+        for (a, b, c), co in zip(exponents(n), poly.coeffs):
             term = np.longdouble(co) * P[:, 0] ** a * P[:, 1] ** b * P[:, 2] ** c
             ref += term
             ref2 += term * term
@@ -259,7 +264,7 @@ def test_eval_real_many_oracle():
             e = h * np.eye(3)[k]
 
             def F(m):
-                return eval_real_many(poly, pts + m * e)
+                return eval_real_many(fld, pts + m * e)
 
             fd = (8 * (F(1) - F(-1)) - (F(2) - F(-2))) / (12 * h)
             assert np.max(np.abs(grad[:, k] - fd) / (n * sc)) < 1e-9
@@ -268,13 +273,13 @@ def test_eval_real_many_oracle():
 def test_eval_real_many_kept_charts_change_no_bit():
     # the kept chart data against the data eval_real_many builds itself, on
     # the kostlan-compare n=50 grid and on subsets of it
-    poly = sample_real_kostlan(50, RandomStream(404).substream(50))
+    fld = RealField(sample_real_kostlan(50, RandomStream(404).substream(50)))
     grid = GRID_JITTER.apply(icosphere(64).verts)
     for pts in (grid, grid[:1], grid[7:23], grid[::8][:5003]):
         charts = real_charts(pts, 50)
         for grad, scale in itertools.product((False, True), repeat=2):
-            warm = eval_real_many(poly, pts, grad, scale, charts=charts)
-            cold = eval_real_many(poly, pts, grad, scale)
+            warm = eval_real_many(fld, pts, grad, scale, charts=charts)
+            cold = eval_real_many(fld, pts, grad, scale)
             if not (grad or scale):
                 warm, cold = (warm,), (cold,)
             assert len(warm) == len(cold) and all(map(np.array_equal, warm, cold))
@@ -286,8 +291,61 @@ def test_real_curve_tangents_bits():
     # tangent's call changes no bit
     pts = _real_oracle_points(np.random.default_rng(99))
     for n in (2, 50):
-        poly = sample_real_kostlan(n, RandomStream(404).substream(n))
-        _, grad, _ = eval_real_many(poly, pts, with_grad=True, with_scale=True)
+        fld = RealField(sample_real_kostlan(n, RandomStream(404).substream(n)))
+        _, grad, _ = eval_real_many(fld, pts, with_grad=True, with_scale=True)
         t = np.cross(pts, grad)
-        assert np.array_equal(real_curve_tangents(poly, pts),
+        assert np.array_equal(real_curve_tangents(fld, pts),
                               t / np.linalg.norm(t, axis=1)[:, None])
+
+
+def test_a_pair_field_builds_its_blocks_once(monkeypatch):
+    # the trace and the tangent count of one tangents n=200 trial build
+    # the pair's coefficient blocks once: values and derivatives of each
+    # of the two charts
+    from lemnilab import field
+    from lemnilab.experiments import trial_stream
+    from lemnilab.geomstats import meridian_stats
+    from lemnilab.tracer import trace
+
+    calls = []
+    blocks = field._blocks
+    monkeypatch.setattr(field, "_blocks", lambda *a: calls.append(1) or blocks(*a))
+    t = trace(sample_rational_pair(200, trial_stream(202, 200, 0)))
+    meridian_stats(t, np.array([0.0, 0.0, 1.0]))
+    assert len(calls) == 4
+
+
+def test_a_real_field_builds_its_chart_matrices_once(monkeypatch):
+    from lemnilab import field
+
+    poly = sample_real_kostlan(7, RandomStream(5))
+    built = []
+    exps = field.exponents
+    monkeypatch.setattr(field, "exponents", lambda n: built.append(n) or exps(n))
+    fld = RealField(poly)
+    mats = fld.chart_matrices
+    pts = random_sphere(30)
+    fld.values(pts)
+    fld.newton(pts)
+    fld.tangents(pts)
+    assert built == [7] and fld.chart_matrices is mats
+
+
+def test_raw_row_blocks_match_a_pair_fields_charts():
+    # the constructor's raw-row path against a PairField's two charts (the
+    # reversed rows in the northern one), at both orders, in batches of 1,
+    # 16 and 5,003 points of the closed unit disk
+    from lemnilab.field import _pair_jets
+
+    rp = sample_rational_pair(200, RandomStream(202))
+    fld = PairField(rp)
+    p, q = rp.p.coeffs, rp.q.coeffs
+    z = _disk_points(np.random.default_rng(22), 5003)
+    none = (np.zeros(0, dtype=bool), z[:0])
+    for m in (1, 16, 5003):
+        chart = (np.ones(m, dtype=bool), z[:m])
+        for order in (0, 1):
+            for rows, charts in (([p, q], (chart, none)), ([p[::-1], q[::-1]], (none, chart))):
+                (_, jets), = _pair_jets(fld, charts, order)
+                raw = poly_jets_many(jet_blocks(rows), z[:m], order)
+                assert all(map(np.array_equal, sum(jets, []), sum(raw, [])))

@@ -91,12 +91,12 @@ def test_options_validation():
 def test_components_closed_and_on_curve():
     rp = sample_rational_pair(8, RandomStream(13))
     t = trace(rp)
-    from lemnilab.field import eval_f_many
+    from lemnilab.field import PairField, eval_f_many
 
     for v in t.components:
         assert np.allclose(v[0], v[-1])
         assert np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)
-        f, sc = eval_f_many(rp, v, with_scale=True)
+        f, sc = eval_f_many(PairField(rp), v, with_scale=True)
         assert np.max(np.abs(f) / sc) < 1e-8
 
 
