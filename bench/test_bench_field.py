@@ -4,11 +4,11 @@ Outside the tier-1 `testpaths`; run from the repository root with
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest bench -q
 
-Each case evaluates one fixed-seed field on the jittered grid that
-`tracer.trace` would use at its degree.  The kept-plan cases time the grid
-pass of every trace after the first at its default grid, on the chart data
-`tracer._kept_plan` keeps: the pair products alone, and the real products
-with the second power table.
+Each case evaluates one fixed-seed field on the grid that `tracer.trace`
+would use at its degree (`icosphere`'s vertices, already rotated).  The
+kept-plan cases time the grid pass of every trace after the first at its
+default grid, on the chart data `tracer._kept_plan` keeps: the pair
+products alone, and the real products with the second power table.
 """
 
 import pytest
@@ -17,11 +17,11 @@ from lemnilab.ensemble import sample_rational_pair, sample_real_kostlan
 from lemnilab.experiments import trial_stream
 from lemnilab.field import PairField, RealField, eval_f_many, eval_real_many
 from lemnilab.icogrid import icosphere
-from lemnilab.tracer import GRID_JITTER, _kept_plan, default_options
+from lemnilab.tracer import _kept_plan, default_options
 
 
 def _grid(n):
-    return GRID_JITTER.apply(icosphere(default_options(n).grid_resolution).verts)
+    return icosphere(default_options(n).grid_resolution).verts
 
 
 @pytest.fixture(scope="module")
@@ -55,12 +55,12 @@ def test_eval_f_many(benchmark, pair_n200):
 def test_eval_f_many_kept_plan(benchmark, n, seed):
     # length n=25 on the nu=64 grid, tangents n=200 on nu=78; trial 0
     rp = sample_rational_pair(n, trial_stream(seed, n, 0))
-    verts, charts = _kept_plan(PairField, n, default_options(n).grid_resolution, None)
-    benchmark(eval_f_many, PairField(rp), verts, charts=charts)
+    charts = _kept_plan(PairField, n, default_options(n).grid_resolution, None)
+    benchmark(eval_f_many, PairField(rp), _grid(n), charts=charts)
 
 
 def test_eval_real_many_kept_plan(benchmark):
     # kostlan-compare n=50 on the nu=64 grid, seed 404, trial 0
     poly = sample_real_kostlan(50, trial_stream(404, 50, 0))
-    verts, charts = _kept_plan(RealField, 50, default_options(50).grid_resolution, None)
-    benchmark(eval_real_many, RealField(poly), verts, charts=charts)
+    charts = _kept_plan(RealField, 50, default_options(50).grid_resolution, None)
+    benchmark(eval_real_many, RealField(poly), _grid(50), charts=charts)

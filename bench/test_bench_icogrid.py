@@ -4,9 +4,9 @@ Outside the tier-1 `testpaths`; run from the repository root with
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest bench -q
 
-Each case times an uncached build (`icosphere.__wrapped__`) at the default
-n=200 grid (nu=78), its 2x fallback (nu=156) and nu=280, the finest grid a
-construct-6 form asks for.
+Each case times an uncached build (`icosphere.__wrapped__`, the lattice
+and its one rotation) at the default n=200 grid (nu=78), its 2x fallback
+(nu=156) and nu=280, the finest grid a construct-6 form asks for.
 """
 
 import pytest

@@ -34,7 +34,6 @@ from lemnilab.icogrid import icosphere
 from lemnilab.sphere import random_great_circle
 from lemnilab.tracer import (
     _ARC_STEP,
-    GRID_JITTER,
     _densify,
     _edge_roots,
     _link_cycles,
@@ -49,7 +48,7 @@ def stages():
     rp = sample_rational_pair(200, trial_stream(202, 200, 0))
     fieldobj = as_field(rp)
     grid = icosphere(default_options(200).grid_resolution)
-    verts = GRID_JITTER.apply(grid.verts)
+    verts = grid.verts
     F = fieldobj.values(verts)
     pos = F > 0.0
     e0, e1 = grid.edges[:, 0], grid.edges[:, 1]

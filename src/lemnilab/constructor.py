@@ -66,7 +66,7 @@ _EMPTY = RationalPair(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstructedLemniscate:
     pair: RationalPair
     spec: Arrangement
@@ -74,7 +74,7 @@ class ConstructedLemniscate:
     certificates: tuple  # min eps/|z|^2 - |r'| over the new oval, per step
     root_point: np.ndarray  # a point of the outer face
     # the nesting tree that verified spec, with its trace (not serialized)
-    tree: NestingTree = field(repr=False, compare=False)
+    tree: NestingTree = field(repr=False)
 
     @property
     def degree(self) -> int:
@@ -121,7 +121,7 @@ def _diameters(verts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return 2.0 * np.maximum.reduceat(r, starts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Frame:
     """The pair plus everything that must ride along under Mobius moves:
     homogeneous markers [z : w] of the faces placed so far, and the ovals,

@@ -50,7 +50,7 @@ def sqrt_binomial(n: int, k) -> np.ndarray:
     return np.exp(0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KostlanPolynomial:
     """A degree-n polynomial sum a_k z^k in the monomial basis."""
 
@@ -79,7 +79,7 @@ class KostlanPolynomial:
         return KostlanPolynomial(d["degree"], coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalPair:
     """An ordered pair (p, q) of equal degree defining f = |p|^2 - |q|^2."""
 
@@ -106,7 +106,7 @@ class RationalPair:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealKostlanPolynomial:
     """Homogeneous real polynomial sum c_abc x^a y^b z^c, a+b+c = n."""
 

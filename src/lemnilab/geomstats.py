@@ -22,6 +22,7 @@ import numpy as np
 
 from .ensemble import RationalPair
 from .field import PairField, eval_f_many
+from .icogrid import icosphere
 from .sphere import GreatCircle, orthonormal_frame, unit_vector
 from .tracer import TracedLemniscate, default_options, ray_solve, ring, subdivide, walk
 
@@ -269,9 +270,7 @@ def meridian_stats(t: TracedLemniscate, axis):
     e1, e2 = orthonormal_frame(axis)
     P, sizes = _refine_near_axis(t.vertices, t.sizes, axis, t.fieldobj)
     windings = _windings(P, sizes, e1, e2)
-    # mean edge of the tracer's icosahedral grid: 10 nu^2 + 2 vertices,
-    # 20 nu^2 near-equilateral faces on the unit sphere
-    edge = math.sqrt(16.0 * math.pi / (20.0 * math.sqrt(3.0))) / t.grid_resolution
+    edge = icosphere(t.grid_resolution).mean_edge_length
     nu, _, _ = _tangent_count(P, sizes, axis, t.fieldobj, _SMALL_LOOP_EDGES * edge, windings)
     return nu, int(np.count_nonzero(windings)), windings
 

@@ -15,6 +15,13 @@ triples (`tri_edges`), the one form the tracer and topology read; no
 vertex-triple table is stored.  Ids are int64, numpy's index type: a
 narrower id array is cast on every fancy index the tracer makes.
 
+icosphere returns the grid turned by one fixed rotation, GRID_JITTER.  The
+unrotated lattice (_lattice, which also measures the edges) is symmetric
+in the coordinate planes and, at even nu, has a vertex on each pole, where
+the local stage and the constructor centre their curves; the rotation
+makes a vertex on a curve or on a cap's rim a measure-zero event.  It is
+applied once per build, and no reader of the grid rotates it again.
+
 On glibc the import also sets malloc's mmap threshold to 32 MiB and its
 trim threshold to 64 MiB, the caps glibc's dynamic thresholds reach once
 a 32 MiB block has been freed.  The grid build frees no block that large,
@@ -29,10 +36,13 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+
+from .ensemble import RandomStream
+from .sphere import Rotation
 
 
 def _pin_malloc_thresholds():
@@ -83,8 +93,11 @@ del _pairs
 
 _CHUNK = 1 << 16  # edges per gather in the mean edge length
 
+# the rotation of every grid icosphere returns (tie-breaking, see the module doc)
+GRID_JITTER = Rotation.random(RandomStream(0x1CE5_9E0D, 0).generator())
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class IcoGrid:
     nu: int
     verts: np.ndarray      # (V, 3) unit vectors
@@ -131,7 +144,13 @@ def _vertex_ids(nu, i, j):
 
 @lru_cache(maxsize=3)
 def icosphere(nu: int) -> IcoGrid:
-    """Build (or fetch) the geodesic grid of frequency nu >= 1."""
+    """Build (or fetch) the geodesic grid of frequency nu >= 1, rotated."""
+    g = _lattice(nu)
+    return replace(g, verts=GRID_JITTER.apply(g.verts))
+
+
+def _lattice(nu: int) -> IcoGrid:
+    """The unrotated geodesic grid of frequency nu >= 1."""
     if nu < 1:
         raise ValueError("frequency must be >= 1")
     n_verts = 10 * nu * nu + 2

@@ -27,7 +27,7 @@ def _quad(*args, **kwargs):
     return quad(*args, **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianFormSpec:
     """q(v) = v Q conj(v)^T with v complex Gaussian, Var(v_j) = L_jj."""
 

@@ -159,7 +159,7 @@ class Rotation:
         return np.asarray(p, dtype=float) @ self.matrix().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreatCircle:
     """A parametrized great circle with a distinguished axis."""
 

@@ -22,7 +22,6 @@ from .icogrid import icosphere
 from .sphere import orthonormal_frame, unit_vector
 from .tracer import (
     _ARC_STEP,
-    GRID_JITTER,
     DegenerateLemniscate,
     TracedLemniscate,
     TraceOptions,
@@ -99,7 +98,7 @@ def _canonicalize(s: str) -> str:
     return _render(_parse(s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NestingTree:
     """Faces of the complement with adjacency across curve components."""
 
@@ -107,8 +106,8 @@ class NestingTree:
     edges: np.ndarray  # (b0, 2) face ids joined by component i
     # lookup payload for rooting at a point: each grid vertex's face, and
     # the trace the faces were flood-filled from, which carries the pair
-    face_of_vertex: np.ndarray = field(repr=False, compare=False)
-    trace: TracedLemniscate = field(repr=False, compare=False)
+    face_of_vertex: np.ndarray = field(repr=False)
+    trace: TracedLemniscate = field(repr=False)
 
     @property
     def n_components(self) -> int:
@@ -190,9 +189,8 @@ def face_of_point(tree: NestingTree, point) -> int:
         raise PointOnCurve("point lies on the lemniscate")
     want = f[0] > 0
     # nearest grid vertex on the same side of the curve, by the signs the
-    # faces were flood-filled from; (J v) . p = v . (J^-1 p) for the
-    # jitter J, so one point is rotated instead of the whole grid
-    d = icosphere(t.grid_resolution).verts @ GRID_JITTER.inverse().apply(point)
+    # faces were flood-filled from
+    d = icosphere(t.grid_resolution).verts @ point
     order = np.argpartition(-d, min(64, len(d) - 1))[:64]
     order = order[np.argsort(-d[order])]
     same = order[t.vertex_signs[order] == want]

@@ -4,25 +4,24 @@ The tracer samples f on an icosahedral geodesic grid, detects sign changes
 on grid edges, links crossing edges into cycles (each sign-split triangle
 contributes exactly one pass of the curve between two of its edges), then
 refines every crossing by bisection plus Newton and densifies to an
-arc-step of 0.6 grid edges.  A fixed jitter rotation of the grid removes
-the measure-zero event of a vertex landing exactly on the curve.
+arc-step of 0.6 grid edges.  The grid's own rotation (see icogrid) keeps
+its vertices off the curve.
 
 A cap trace evaluates f only on the part of the same grid that lies in a
 spherical cap and returns the loops whose grid triangles all lie inside
 it; the arcs cut by the cap's rim are dropped.  Its loops are the whole
 sphere's loops there, up to the last bits of the field's batched values.
 
-A grid that trials trace again and again keeps its plan: the jittered
-vertices (24 bytes a vertex) and the field's chart data of them
-(kind.charts): about 26 bytes a vertex for the pair field, 8(n + 4) for
-the real field of degree n, 17.7 MB for the whole sphere at n = 50.  These
-grids are every cap, and the whole sphere at the curve's default_options
-resolution (_kept_plan, four entries, keyed by the field's kind and
-degree).  Any other whole-sphere grid computes its plan and drops it after
-the trace: the constructor's resolutions, trace's retries at 2 and 4 times
-the default, and a configured grid_resolution, so large grids add no
-memory.  A kept plan holds the arrays the trace would compute, so the
-traces are the same bits.
+A grid that trials trace again and again keeps its plan: the field's
+chart data of its vertices (kind.charts), about 26 bytes a vertex for the
+pair field and 8(n + 4) for the real field of degree n, 17.7 MB for the
+whole sphere at n = 50.  These grids are every cap, and the whole sphere
+at the curve's default_options resolution (_kept_plan, four entries,
+keyed by the field's kind and degree).  On any other whole-sphere grid
+(the constructor's resolutions, trace's retries at 2 and 4 times the
+default, a configured grid_resolution) the field builds that data and
+drops it, so large grids add no memory.  A kept plan holds the arrays
+the evaluators would build, so the traces are the same bits.
 
 Besides the grid trace, ray_solve finds a known oval directly: the one
 crossing of f on each of a fan of rays from its centre.  The tangent
@@ -37,13 +36,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensemble import RandomStream
 from .field import as_field
 from .icogrid import IcoGrid, icosphere
-from .sphere import Rotation, spherical_distance_many, unit_vector
+from .sphere import spherical_distance_many, unit_vector
 
-# the grid rotation every trace uses (tie-breaking, see the module doc)
-GRID_JITTER = Rotation.random(RandomStream(0x1CE5_9E0D, 0).generator())
 # polyline arc-step, as a share of the mean grid edge
 _ARC_STEP = 0.6
 _BISECT_ITERS = 45  # halvings in the bisection restart: 2^-45 of an edge
@@ -74,7 +70,7 @@ def default_options(n: int) -> TraceOptions:
     return TraceOptions(grid_resolution=nu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TracedLemniscate:
     """The traced loops, stored open and back to back: loop j holds
     sizes[j] vertices of `vertices` (tracer.ring indexes them), its first
@@ -84,15 +80,15 @@ class TracedLemniscate:
     and loop_edges index the cap's part of the grid (tracer._cap_grid).
     """
 
-    vertices: np.ndarray = field(repr=False, compare=False)  # (sum(sizes), 3)
-    sizes: np.ndarray = field(compare=False)
-    lengths: np.ndarray = field(compare=False)
+    vertices: np.ndarray = field(repr=False)  # (sum(sizes), 3)
+    sizes: np.ndarray
+    lengths: np.ndarray
     grid_resolution: int
     # combinatorial payload consumed by the topology module
-    vertex_signs: np.ndarray = field(default=None, repr=False, compare=False)
-    loop_edges: list = field(default=None, repr=False, compare=False)
+    vertex_signs: np.ndarray = field(default=None, repr=False)
+    loop_edges: list = field(default=None, repr=False)
     cap: tuple | None = None
-    fieldobj: object = field(default=None, repr=False, compare=False)  # as_field(curve)
+    fieldobj: object = field(default=None, repr=False)  # as_field(curve)
 
     @property
     def components(self) -> list:
@@ -381,13 +377,11 @@ def trace(rp, opts: TraceOptions | None = None, cap=None) -> TracedLemniscate:
 
 @lru_cache(maxsize=4)
 def _cap_grid(nu: int, centre: tuple, radius: float) -> IcoGrid:
-    """The part of icosphere(nu) whose jittered vertices lie within radius
-    of centre: those vertices, the edges and triangles between them, each
+    """The part of icosphere(nu) whose vertices lie within radius of
+    centre: those vertices, the edges and triangles between them, each
     kept in the grid's order, and the whole grid's edge lengths."""
     grid = icosphere(nu)
-    # (J v) . c = v . (J^-1 c) for the jitter J, as in topology.face_of_point
-    d = grid.verts @ GRID_JITTER.inverse().apply(np.array(centre))
-    inside = np.clip(d, -1.0, 1.0) >= math.cos(radius)
+    inside = np.clip(grid.verts @ np.array(centre), -1.0, 1.0) >= math.cos(radius)
     edge_in = inside[grid.edges].all(axis=1)
     tri_in = edge_in[grid.tri_edges].all(axis=1)
     return IcoGrid(nu, grid.verts[inside], (np.cumsum(inside) - 1)[grid.edges[edge_in]],
@@ -395,31 +389,20 @@ def _cap_grid(nu: int, centre: tuple, radius: float) -> IcoGrid:
                    grid.mean_edge_length, grid.max_edge_length)
 
 
-def _grid_plan(kind, n: int, grid: IcoGrid) -> tuple:
-    """The jittered vertices of grid and the chart data of them of a field
-    of kind and degree n (kind.charts), which depend on these alone."""
-    verts = GRID_JITTER.apply(grid.verts)
-    return verts, kind.charts(verts, n)
-
-
 @lru_cache(maxsize=4)
-def _kept_plan(kind, n: int, nu: int, cap) -> tuple:
-    """_grid_plan of the grid a trace at (nu, cap) evaluates, kept."""
-    return _grid_plan(kind, n, icosphere(nu) if cap is None else _cap_grid(nu, *cap))
+def _kept_plan(kind, n: int, nu: int, cap):
+    """kind.charts, at degree n, of the grid a trace at (nu, cap) evaluates."""
+    return kind.charts((icosphere(nu) if cap is None else _cap_grid(nu, *cap)).verts, n)
 
 
 def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
     grid = icosphere(nu) if cap is None else _cap_grid(nu, *cap)
     # a cap, or the whole sphere at the default resolution, is traced
-    # trial after trial; any other grid's plan is dropped after this trace
-    kind, n = type(fieldobj), fieldobj.degree
-    if cap is None and nu != default_options(n).grid_resolution:
-        verts, charts = _grid_plan(kind, n, grid)
-    else:
-        verts, charts = _kept_plan(kind, n, nu, cap)
-
-    F = fieldobj.values(verts, charts)
-    pos = F > 0.0  # exact zeros count as positive; jitter makes them moot
+    # trial after trial; the field builds any other grid's chart data
+    n = fieldobj.degree
+    kept = cap is not None or nu == default_options(n).grid_resolution
+    F = fieldobj.values(grid.verts, _kept_plan(type(fieldobj), n, nu, cap) if kept else None)
+    pos = F > 0.0  # exact zeros count as positive; the grid's rotation makes them moot
 
     e0, e1 = grid.edges[:, 0], grid.edges[:, 1]
     cross = pos[e0] != pos[e1]
@@ -452,7 +435,7 @@ def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
     keep[nodes] = True
     a, b = e0[cids[keep]], e1[cids[keep]]
     refined = np.empty((len(cids), 3))
-    refined[keep] = _edge_roots(fieldobj, verts[a], verts[b], F[a], F[b])
+    refined[keep] = _edge_roots(fieldobj, grid.verts[a], grid.verts[b], F[a], F[b])
 
     sizes = np.array([len(c) for c in cycles])
     P, sizes = _densify(fieldobj, refined[nodes], sizes,

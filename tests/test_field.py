@@ -19,7 +19,6 @@ from lemnilab.field import (
     real_curve_tangents,
 )
 from lemnilab.icogrid import icosphere
-from lemnilab.tracer import GRID_JITTER
 from lemnilab.ensemble import rotate_pair
 from lemnilab.sphere import Rotation, from_homogeneous
 
@@ -274,7 +273,7 @@ def test_eval_real_many_kept_charts_change_no_bit():
     # the kept chart data against the data eval_real_many builds itself, on
     # the kostlan-compare n=50 grid and on subsets of it
     fld = RealField(sample_real_kostlan(50, RandomStream(404).substream(50)))
-    grid = GRID_JITTER.apply(icosphere(64).verts)
+    grid = icosphere(64).verts
     for pts in (grid, grid[:1], grid[7:23], grid[::8][:5003]):
         charts = real_charts(pts, 50)
         for grad, scale in itertools.product((False, True), repeat=2):

@@ -8,10 +8,10 @@ import pytest
 
 from lemnilab import icogrid
 
-build = icogrid.icosphere.__wrapped__  # uncached, so the tests leave the cache alone
+build = icogrid._lattice  # the unrotated grid; uncached, so the tests leave the cache alone
 
 # SHA-256 of verts, edges and tri_edges (.tobytes()) and mean_edge_length.hex()
-# of the grids built by the face-by-face construction this one replaced
+# of the unrotated grids built by the face-by-face construction this one replaced
 GOLDEN = {
     1: ("25c2ce4291cc17ab13b6dc4303a96f09245fc2e636869cc7bd20cc1cae129df8",
         "a7c0408d8d770b057faba5b55ed530c3104b4e8fdb813eda27a4386d82455f2a",
@@ -58,6 +58,17 @@ def test_golden_digests(nu):
     g = build(nu)
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (g.verts, g.edges, g.tri_edges))
     assert got + (g.mean_edge_length.hex(),) == GOLDEN[nu]
+
+
+@pytest.mark.parametrize("nu", [5, 78])
+def test_icosphere_is_the_rotated_lattice(nu):
+    # the grid every trace reads: the lattice's vertices turned by the
+    # jitter, its edges, triangles and edge lengths as built
+    g, lat = icogrid.icosphere.__wrapped__(nu), build(nu)
+    assert np.array_equal(g.verts, icogrid.GRID_JITTER.apply(lat.verts))
+    assert np.array_equal(g.edges, lat.edges) and np.array_equal(g.tri_edges, lat.tri_edges)
+    assert (g.nu, g.mean_edge_length, g.max_edge_length) == (
+        lat.nu, lat.mean_edge_length, lat.max_edge_length)
 
 
 _TRACE_FAULTS = """

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import os
 
@@ -15,7 +17,7 @@ from lemnilab.experiments import TRIAL_COLUMNS, ResultsTable, run_trial, trial_s
 from lemnilab.field import PairField, RealField, as_field
 from lemnilab.icogrid import icosphere
 from lemnilab.sphere import homogeneous_coords, spherical_distance_many
-from lemnilab.topology import _local_tree
+from lemnilab.topology import _local_tree, nesting_tree
 from lemnilab import tracer
 from lemnilab.tracer import (
     _ARC_STEP,
@@ -145,6 +147,20 @@ def test_unit_circle_trace_on_equator():
     t = trace(unit_circle_pair())
     v = t.vertices
     assert np.max(np.abs(v[:, 2])) < 1e-8
+
+
+def test_records_with_arrays_compare_by_identity():
+    # two traces of different pairs at one grid are different records; a
+    # pair, a trace and a nesting tree hash, and compare to a copy
+    a, b = (trace(sample_rational_pair(8, RandomStream(s))) for s in (1, 2))
+    assert a.grid_resolution == b.grid_resolution and a.cap == b.cap
+    assert a != b and len(a.sizes) != len(b.sizes)
+    rp = sample_rational_pair(8, RandomStream(1))
+    tree = nesting_tree(a)
+    for obj, copy in ((rp, RationalPair.from_json(rp.to_json())),
+                      (a, dataclasses.replace(a)), (tree, dataclasses.replace(tree))):
+        assert isinstance(hash(obj), int)
+        assert obj == obj and obj != copy
 
 
 def test_jitter_determinism():
@@ -315,6 +331,19 @@ def test_cap_trace_returns_no_open_arc():
     last = np.cumsum(t.sizes) - 1
     gap = spherical_distance_many(t.vertices[last], t.vertices[last - t.sizes + 1])
     assert (gap <= 1.9 * _ARC_STEP * grid.mean_edge_length).all()
+
+
+def test_cap_grid_selects_the_rotated_grid():
+    # the local stage's caps at n=100 (rho = 3, 4 and 7, one longest edge
+    # wider), at the default grid and twice it: the cap's vertices are the
+    # grid's own, selected by their distance to the centre alone
+    n = 100
+    nu = default_options(n).grid_resolution
+    for rho, k in itertools.product((3.0, 4.0, 7.0), (1, 2)):
+        radius = rho / math.sqrt(n) + icosphere(nu).max_edge_length
+        verts = icosphere(k * nu).verts
+        inside = np.clip(verts @ np.array(NORTH), -1.0, 1.0) >= math.cos(radius)
+        assert np.array_equal(_cap_grid(k * nu, NORTH, radius).verts, verts[inside])
 
 
 def _same_trace(a, b):
