@@ -115,7 +115,7 @@ def test_great_circle_intersections(benchmark):
     stream = trial_stream(101, 25, 0)
     rp = sample_rational_pair(25, stream)
     g = random_great_circle(stream.substream(999).generator())
-    assert benchmark(great_circle_intersections, rp, g) == 10
+    assert benchmark(great_circle_intersections, as_field(rp), g) == 10
 
 
 @pytest.mark.parametrize("rho", [None, 3.0, 7.0], ids=["global", "rho3", "rho7"])

@@ -48,9 +48,8 @@ def _cmd_run(args) -> int:
         cfg = ExperimentConfig.from_json(args.config, **fields)
     else:
         cfg = ExperimentConfig(**{k: v for k, v in fields.items() if v is not None})
-    table = run(cfg)
     bad = 0
-    for r in table.rows:
+    for r in run(cfg):
         print(" ".join("%s=%s" % kv for kv in r.items()))
         z = r.get("z_score")
         if args.check and isinstance(z, float) and not math.isnan(z) and abs(z) >= 3:
@@ -83,8 +82,7 @@ def _add_compare(sub):
 
 
 def _cmd_compare(args) -> int:
-    table = compare_table(args.out)
-    for r in table.rows:
+    for r in compare_table(args.out):
         print(" ".join("%s=%s" % kv for kv in r.items()))
     return 0
 

@@ -187,22 +187,14 @@ def mobius_polynomials(
     return [np.asarray(row, dtype=complex) @ basis for row in coeff_rows]
 
 
-def rotate_polynomials(
-    coeff_rows: list[np.ndarray], n: int, r: Rotation
-) -> list[np.ndarray]:
-    """Compose homogenizations with the SU(2) action of r, de-homogenized:
-    the Mobius pull-back by (lam z + mu)/(-conj(mu) z + conj(lam)).
-    """
-    (a, b), (c, d) = r.su2()
-    return mobius_polynomials(coeff_rows, n, a, b, c, d)
-
-
 def rotate_pair(rp: RationalPair, r: Rotation) -> RationalPair:
     """The pair whose lemniscate is the r-rotated lemniscate of rp.
 
-    Composing with the inverse Mobius map pulls the field back, so the
+    Composing with the inverse Mobius map, the SU(2) action of r^-1
+    (lam z + mu)/(-conj(mu) z + conj(lam)), pulls the field back, so the
     new field satisfies f_new(x) = f_old(r^-1 x) on the sphere.
     """
     n = rp.degree
-    pc, qc = rotate_polynomials([rp.p.coeffs, rp.q.coeffs], n, r.inverse())
+    (a, b), (c, d) = r.inverse().su2()
+    pc, qc = mobius_polynomials([rp.p.coeffs, rp.q.coeffs], n, a, b, c, d)
     return RationalPair(KostlanPolynomial(n, pc), KostlanPolynomial(n, qc))

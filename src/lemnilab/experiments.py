@@ -14,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -85,8 +85,9 @@ _STATISTICS = {
 
 @dataclass
 class ExperimentConfig:
-    experiment: str
-    n_values: list
+    # required; None only so that a config without them is a ConfigError
+    experiment: str | None = None
+    n_values: list | None = None
     trials: int = 100
     seed: int = 1
     rho: float | None = None
@@ -96,6 +97,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("experiment", "n_values"):
+            if getattr(self, name) is None:
+                raise ConfigError("the config gives no %s" % name)
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError("unknown experiment %r" % (self.experiment,))
         # a --config file may give any JSON type, and true is no number
@@ -151,26 +155,15 @@ class ExperimentConfig:
         return ExperimentConfig(**d)
 
 
-@dataclass
-class ResultsTable:
-    rows: list
-    metadata: dict = field(default_factory=dict)
-
-    def write_csv(self, path: str):
-        if not self.rows:
-            raise ValueError("no rows to write")
-        cols = list(self.rows[0].keys())
-        with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=cols, lineterminator="\n")
-            w.writeheader()
-            for r in self.rows:
-                w.writerow({k: _fmt(v) for k, v in r.items()})
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return "%.12g" % v
-    return v
+def write_csv(path: str, rows: list):
+    """rows (dicts with the keys of the first) as CSV, floats to 12 digits."""
+    if not rows:
+        raise ValueError("no rows to write")
+    with open(path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        w.writeheader()
+        for r in rows:
+            w.writerow({k: "%.12g" % v if isinstance(v, float) else v for k, v in r.items()})
 
 
 def trial_stream(seed: int, n: int, trial: int) -> RandomStream:
@@ -197,7 +190,7 @@ def run_trial(experiment: str, n: int, seed: int, trial: int,
                    b0=len(t.sizes))
         if experiment == "length":
             g = random_great_circle(stream.substream(999).generator())
-            row["crossings"] = great_circle_intersections(curve, g)
+            row["crossings"] = great_circle_intersections(t.fieldobj, g)
     except DegenerateLemniscate:
         row["flags"] = "degenerate"
     except TangencySuspected:
@@ -278,9 +271,9 @@ def _read_trials(path: str) -> list:
         return rows
 
 
-def run(config: ExperimentConfig) -> ResultsTable:
-    """Execute one experiment across its n grid; returns the summary table
-    it wrote, which keeps the rows of earlier calls (see _write_summary).
+def run(config: ExperimentConfig) -> list:
+    """Execute one experiment across its n grid; returns the summary rows
+    it wrote, which keep the rows of earlier calls (see _write_summary).
 
     A per-n trial CSV already on disk is reused if it holds exactly this
     run's trials, which makes long runs resumable; one that holds others
@@ -294,14 +287,14 @@ def run(config: ExperimentConfig) -> ResultsTable:
             "construct": _construct_rows}.get(config.experiment, _trial_rows)(config)
     rejected = sum(r["rejected"] for r in rows)
     total = rejected + sum(r["trials_used"] for r in rows)
-    table = _write_summary(config, rows, dict(
+    summary = _write_summary(config, rows, dict(
         seed=config.seed, experiment=config.experiment, trials=config.trials,
         wall_time=time.time() - t0, rejections=rejected))
     if total and rejected / total > 1e-3:
         raise RuntimeError(
             "rejection rate %.2g%% exceeds 0.1%%" % (100 * rejected / total)
         )
-    return table
+    return summary
 
 
 def _trial_rows(config: ExperimentConfig) -> list:
@@ -321,7 +314,7 @@ def _trial_rows(config: ExperimentConfig) -> list:
             else:
                 rows = [run_trial(*a) for a in args]
             rows.sort(key=lambda r: (r["n"], r["trial"]))
-            ResultsTable([{k: r[k] for k in TRIAL_COLUMNS} for r in rows]).write_csv(path)
+            write_csv(path, [{k: r[k] for k in TRIAL_COLUMNS} for r in rows])
         rows = _read_trials(path)
         want = [(n, i, config.seed) for i in range(config.trials)]
         if [(r["n"], r["trial"], r["seed"]) for r in rows] != want:
@@ -392,19 +385,19 @@ def _merged(old: list, new: list, key) -> list:
     return [r for r in old if key(r) not in keys] + new
 
 
-def _write_summary(config: ExperimentConfig, rows: list, metadata: dict) -> ResultsTable:
-    """Write {experiment}_summary.csv and .json.  A row replaces the row on
-    disk with the same (n, statistic), every other row on disk is kept, and
-    the rows are stably sorted by n; the metadata describes this call."""
+def _write_summary(config: ExperimentConfig, rows: list, metadata: dict) -> list:
+    """Write {experiment}_summary.csv and .json and return their rows.  A
+    row replaces the row on disk with the same (n, statistic), every other
+    row on disk is kept, and the rows are stably sorted by n; the metadata,
+    in the JSON only, describes this call."""
     stem = os.path.join(config.output_dir, "%s_summary" % config.experiment)
     old = _read_json(stem + ".json", {"rows": []})["rows"]
     rows = sorted(_merged(old, rows, lambda r: (r["n"], r["statistic"])),
                   key=lambda r: r["n"])
-    table = ResultsTable(rows, metadata)
-    table.write_csv(stem + ".csv")
+    write_csv(stem + ".csv", rows)
     with open(stem + ".json", "w") as fh:
         json.dump({"rows": rows, "metadata": metadata}, fh, indent=1)
-    return table
+    return rows
 
 
 def render_svg(t, projection_point, path: str):
@@ -445,8 +438,9 @@ def render_svg(t, projection_point, path: str):
     return path
 
 
-def compare_table(output_dir: str) -> ResultsTable:
-    """Three-row lemniscate vs Kostlan comparison from prior runs."""
+def compare_table(output_dir: str) -> list:
+    """Three-row lemniscate vs Kostlan comparison from prior runs, written
+    to compare_table.csv; returns the rows."""
     need = {
         "length": "length_summary.json",
         "tangents": "tangents_summary.json",
@@ -484,6 +478,5 @@ def compare_table(output_dir: str) -> ResultsTable:
              lemniscate_theory=math.nan,
              kostlan_empirical=math.nan, kostlan_theory=math.nan),
     ]
-    table = ResultsTable(rows, dict(source=output_dir))
-    table.write_csv(os.path.join(output_dir, "compare_table.csv"))
-    return table
+    write_csv(os.path.join(output_dir, "compare_table.csv"), rows)
+    return rows

@@ -2,6 +2,10 @@
 
 Meridian-tangent counts, axis-looping components and great-circle
 crossings (pi times their mean is the length, by integral geometry).
+Every count reads the field object the trace carries (t.fieldobj), built
+once per curve.  The great-circle count takes that field object alone,
+never the trace: it samples f along the circle and shares no tracer
+code, so its Crofton length checks the traced polyline's independently.
 Tangents are counted as sign changes of the meridian derivative
 G = T . (axis x P), read from the field tangent T at every polyline
 vertex, never from differences of polyline positions, so noise in the
@@ -20,8 +24,6 @@ import math
 
 import numpy as np
 
-from .ensemble import RationalPair
-from .field import PairField, eval_f_many
 from .icogrid import icosphere
 from .sphere import GreatCircle, orthonormal_frame, unit_vector
 from .tracer import TracedLemniscate, default_options, ray_solve, ring, subdivide, walk
@@ -275,21 +277,21 @@ def meridian_stats(t: TracedLemniscate, axis):
     return nu, int(np.count_nonzero(windings)), windings
 
 
-def great_circle_intersections(rp: RationalPair, g: GreatCircle) -> int:
+def great_circle_intersections(fieldobj, g: GreatCircle) -> int:
     """Transversal crossings of Gamma with the great circle g.
 
-    The number of sign changes of f along a dense sampling of g.  Each
+    The number of sign changes of f along a dense sampling of g, read
+    through the field object's values (the trace's t.fieldobj).  Each
     change is bisected in the circle parameter only as far as the check
     reads it: to h/64 of the step h at which f is differenced.  Raises
     TangencySuspected when the circle lies on the curve or a crossing has
     a vanishing derivative of f along the circle.
     """
-    fld = PairField(rp)
     # match the tracer's default cell size along the circle
-    samples = max(512, 8 * default_options(rp.degree).grid_resolution)
+    samples = max(512, 8 * default_options(fieldobj.degree).grid_resolution)
     tgrid = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     pts = g.point(tgrid)
-    f, sc = eval_f_many(fld, pts, with_scale=True)
+    f, sc = fieldobj.values(pts, with_scale=True)
     if np.max(np.abs(f) / sc) < _TANGENCY_TOL:
         raise TangencySuspected("f vanishes along the whole circle")
     s = f > 0
@@ -305,13 +307,13 @@ def great_circle_intersections(rp: RationalPair, g: GreatCircle) -> int:
     # bracket is halved until it is narrower than h/64
     for _ in range(math.ceil(math.log2(64.0 * width / h))):
         tm = 0.5 * (lo + hi)
-        fm = eval_f_many(fld, g.point(tm))
+        fm = fieldobj.values(g.point(tm))
         up = (fm > 0) == (flo > 0)
         lo = np.where(up, tm, lo)
         hi = np.where(up, hi, tm)
     troot = 0.5 * (lo + hi)
-    fpm, scpm = eval_f_many(fld, g.point(np.concatenate([troot + h, troot - h])),
-                            with_scale=True)
+    fpm, scpm = fieldobj.values(g.point(np.concatenate([troot + h, troot - h])),
+                                with_scale=True)
     k = len(change)
     deriv = np.abs(fpm[:k] - fpm[k:]) / (2.0 * h * scpm[:k])
     if np.any(deriv < _TANGENCY_TOL):

@@ -12,7 +12,7 @@ and their matrix acts on pairs as the sphere rotation does on points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class Rotation:
 
     lam: complex
     mu: complex
-    _matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         norm = abs(self.lam) ** 2 + abs(self.mu) ** 2
@@ -140,19 +139,16 @@ class Rotation:
         return np.array([[lam, mu], [-np.conj(mu), np.conj(lam)]])
 
     def matrix(self) -> np.ndarray:
-        """The SO(3) matrix of this rotation."""
-        if self._matrix is None:
-            w, z = self.lam.real, self.lam.imag
-            y, x = -self.mu.real, self.mu.imag
-            m = np.array(
-                [
-                    [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-                    [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-                    [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-                ]
-            )
-            object.__setattr__(self, "_matrix", m)
-        return self._matrix
+        """The SO(3) matrix of this rotation, built on each call."""
+        w, z = self.lam.real, self.lam.imag
+        y, x = -self.mu.real, self.mu.imag
+        return np.array(
+            [
+                [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+            ]
+        )
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         """Rotate one or many sphere points."""

@@ -50,7 +50,7 @@ class Arrangement:
     canonical: str
 
     def __post_init__(self):
-        object.__setattr__(self, "canonical", _canonicalize(self.canonical))
+        object.__setattr__(self, "canonical", _render(_parse(self.canonical)))
 
     @property
     def n_nodes(self) -> int:
@@ -92,10 +92,6 @@ def _parse(s: str) -> list:
 
 def _render(children: list) -> str:
     return "(" + "".join(sorted(_render(c) for c in children)) + ")"
-
-
-def _canonicalize(s: str) -> str:
-    return _render(_parse(s))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,9 @@ on grid edges, links crossing edges into cycles (each sign-split triangle
 contributes exactly one pass of the curve between two of its edges), then
 refines every crossing by bisection plus Newton and densifies to an
 arc-step of 0.6 grid edges.  The grid's own rotation (see icogrid) keeps
-its vertices off the curve.
+its vertices off the curve.  A trace carries the field object it was
+traced with (fieldobj, built once by as_field), and every consumer of the
+curve takes the field from it.
 
 A cap trace evaluates f only on the part of the same grid that lies in a
 spherical cap and returns the loops whose grid triangles all lie inside
@@ -102,14 +104,11 @@ class TracedLemniscate:
 
 
 def _slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    dot = np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0)
-    om = np.arccos(dot)
+    """Points at fractions t along the geodesics a -> b; a and b are grid
+    edge ends, never nearly parallel."""
+    om = np.arccos(np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0))
     so = np.sin(om)
-    # nearly parallel endpoints: fall back to normalized lerp
-    small = so < 1e-9
-    wa = np.where(small, 1.0 - t, np.sin((1.0 - t) * om) / np.where(small, 1.0, so))
-    wb = np.where(small, t, np.sin(t * om) / np.where(small, 1.0, so))
-    out = wa[:, None] * a + wb[:, None] * b
+    out = (np.sin((1.0 - t) * om) / so)[:, None] * a + (np.sin(t * om) / so)[:, None] * b
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 

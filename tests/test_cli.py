@@ -82,9 +82,13 @@ def _config(**entries):
     _config(n_values=4),
     _config(trials="2"),
     _config(n_values=[4.5]),
+    ["--n", "4"],
+    ["--experiment", "length"],
+    ["--config", {"n_values": [4]}],
 ], ids=["grid", "local-trials", "local-target", "construct-target", "config-key",
         "workers-0", "workers-negative", "repeated-n", "config-n-values-int",
-        "config-trials-str", "config-n-values-float"])
+        "config-trials-str", "config-n-values-float", "no-experiment", "no-n",
+        "config-no-experiment"])
 def test_run_refuses_a_bad_config_before_any_output(tmp_path, flags):
     out = str(tmp_path / "res")
     cfg = tmp_path / "cfg.json"

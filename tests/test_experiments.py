@@ -16,7 +16,6 @@ from lemnilab.experiments import (
     ConfigError,
     ExperimentConfig,
     MissingResults,
-    ResultsTable,
     _axis_stats,
     _read_trials,
     _summarize,
@@ -25,6 +24,7 @@ from lemnilab.experiments import (
     run,
     run_trial,
     trial_stream,
+    write_csv,
 )
 from lemnilab.geomstats import AxisTooClose, meridian_stats
 from lemnilab.topology import ArrangementEstimate
@@ -124,7 +124,7 @@ def test_determinism_across_worker_counts(tmp_path):
 def _assert_rows_match_committed(tmp_path, experiment, n, seed, trials):
     rows = [run_trial(experiment, n, seed, i) for i in trials]
     path = tmp_path / "rows.csv"
-    ResultsTable([{k: r[k] for k in TRIAL_COLUMNS} for r in rows]).write_csv(str(path))
+    write_csv(str(path), [{k: r[k] for k in TRIAL_COLUMNS} for r in rows])
     results = os.path.join(os.path.dirname(__file__), os.pardir, "results")
     with open(os.path.join(results, "%s_n%d_trials.csv" % (experiment, n))) as fh:
         committed = fh.read().splitlines()[1:]
@@ -154,6 +154,14 @@ def test_pair_walk_rows_match_committed(tmp_path):
     _assert_rows_match_committed(tmp_path, "kostlan-compare", 50, 404, [20])
 
 
+def test_swap_rows_match_committed(tmp_path):
+    # the trials of 0-199 in which _tangent_count swaps a lone backward
+    # chord's vertices (9 swaps, two in trial 178); trial 90 counts 64
+    # tangents with the swap and would count 66 without it
+    _assert_rows_match_committed(tmp_path, "tangents", 50, 202,
+                                 [56, 90, 99, 106, 132, 140, 158, 178])
+
+
 def test_summary_contents(tmp_path):
     out = run_tiny(tmp_path, "a")
     with open(os.path.join(out, "length_summary.json")) as fh:
@@ -171,12 +179,12 @@ def test_summary_keeps_rows_of_earlier_calls(tmp_path):
     out = str(tmp_path)
 
     def call(n):
-        table = run(ExperimentConfig("length", [n], trials=20, seed=7, output_dir=out))
+        rows = run(ExperimentConfig("length", [n], trials=20, seed=7, output_dir=out))
         with open(os.path.join(out, "length_summary.json")) as fh:
             d = json.load(fh)
         with open(os.path.join(out, "length_summary.csv")) as fh:
             lines = fh.read().splitlines()[1:]
-        assert [r["n"] for r in table.rows] == [r["n"] for r in d["rows"]]
+        assert [r["n"] for r in rows] == [r["n"] for r in d["rows"]]
         assert d["metadata"]["trials"] == 20
         return [r["n"] for r in d["rows"]], lines
 
@@ -225,9 +233,8 @@ def test_committed_summaries_cover_their_trial_csvs():
 
 
 def test_components_run_within_degree(tmp_path):
-    table = run(ExperimentConfig("components", [12], trials=100, seed=7,
-                                 output_dir=str(tmp_path)))
-    row = table.rows[0]
+    (row,) = run(ExperimentConfig("components", [12], trials=100, seed=7,
+                                  output_dir=str(tmp_path)))
     assert row["b0_over_degree"] == 0
     assert row["trials_used"] == 100 and row["estimate"] > 0
     # no closed-form mean: nothing to score the estimate against
@@ -256,9 +263,9 @@ def test_grid_run_resumes_from_its_own_trials(tmp_path):
     base = dict(experiment="length", n_values=[4], trials=20, seed=7)
     out = run_tiny(tmp_path, "a")
     default = open(os.path.join(out, "length_n4_trials.csv"), "rb").read()
-    shared = run(ExperimentConfig(**base, grid_resolution=96, output_dir=out)).rows
+    shared = run(ExperimentConfig(**base, grid_resolution=96, output_dir=out))
     fresh = run(ExperimentConfig(**base, grid_resolution=96,
-                                 output_dir=str(tmp_path / "b"))).rows
+                                 output_dir=str(tmp_path / "b")))
     assert shared == fresh and fresh[0]["flags"] == "grid_resolution=96"
     assert open(os.path.join(out, "length_n4_trials.csv"), "rb").read() == default
     grid = open(os.path.join(out, "length_n4_nu96_trials.csv"), "rb").read()
@@ -322,7 +329,7 @@ def test_committed_summaries_reproduce_from_trial_csvs(tmp_path, experiment):
     want = [_summarize(experiment, r["n"], _read_trials(
         os.path.join(RESULTS, "%s_n%d_trials.csv" % (experiment, r["n"])))) for r in rows]
     assert json.dumps(rows) == json.dumps(want)  # as text, so NaN theories compare equal
-    ResultsTable(want).write_csv(str(tmp_path / "s.csv"))
+    write_csv(str(tmp_path / "s.csv"), want)
     assert (tmp_path / "s.csv").read_bytes() == open(stem + ".csv", "rb").read()
 
 

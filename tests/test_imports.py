@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name is used somewhere in the package."""
+"""Every name a module of the package imports is used in that module,
+every private module-level name is used somewhere in the package, and
+only a curve's field owners build a field object."""
 
 import ast
 import glob
@@ -80,3 +81,46 @@ def test_orphan_private_helper_is_caught():
         "b.py": "from .a import _used\n_used()\n",
     }
     assert _orphan_privates(sources) == [("a.py", "_gone"), ("a.py", "_self")]
+
+
+# a curve's field is built once: by as_field, by the trace (which every
+# consumer takes it from) and by the constructor's candidate pairs
+FIELD_BUILDERS = {"PairField", "RealField", "as_field"}
+FIELD_OWNERS = {("field", "as_field"), ("tracer", "trace"), ("constructor", "_add_circle")}
+
+
+def _field_builds(sources: dict) -> list:
+    """(module, top-level def or None, line) of each call of a field
+    builder in the modules, a call in a method or nested function counted
+    under its outermost def."""
+    out = []
+    for mod, src in sources.items():
+        for stmt in ast.parse(src).body:
+            owner = stmt.name if isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Call):
+                    f = n.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name in FIELD_BUILDERS:
+                        out.append((mod, owner, n.lineno))
+    return sorted(out)
+
+
+def test_only_the_field_owners_build_a_field():
+    sources = {}
+    for path in MODULES:
+        with open(path) as fh:
+            sources[os.path.basename(path)[:-3]] = fh.read()
+    builds = _field_builds(sources)
+    assert builds and [b for b in builds if b[:2] not in FIELD_OWNERS] == []
+
+
+def test_second_field_build_is_caught():
+    sources = {
+        "tracer": "def trace(rp):\n    return as_field(rp)\n",
+        "geomstats": "def count(rp):\n    return field.PairField(rp).values(0)\n",
+        "topology": "class Tree:\n    def f(self, rp):\n        return RealField(rp)\n",
+    }
+    assert _field_builds(sources) == [
+        ("geomstats", "count", 2), ("topology", "Tree", 3), ("tracer", "trace", 2)]

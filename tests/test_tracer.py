@@ -13,7 +13,7 @@ from lemnilab.ensemble import (
     sample_rational_pair,
     sample_real_kostlan,
 )
-from lemnilab.experiments import TRIAL_COLUMNS, ResultsTable, run_trial, trial_stream
+from lemnilab.experiments import TRIAL_COLUMNS, run_trial, trial_stream, write_csv
 from lemnilab.field import PairField, RealField, as_field
 from lemnilab.icogrid import icosphere
 from lemnilab.sphere import homogeneous_coords, spherical_distance_many
@@ -250,7 +250,7 @@ def test_walk_drops_lost_walks_from_the_layout():
 def test_bridged_trials_match_committed_rows(tmp_path):
     rows = [run_trial("tangents", 200, 202, i) for i in BRIDGED]
     path = tmp_path / "rows.csv"
-    ResultsTable([{k: r[k] for k in TRIAL_COLUMNS} for r in rows]).write_csv(str(path))
+    write_csv(str(path), [{k: r[k] for k in TRIAL_COLUMNS} for r in rows])
     with open(os.path.join(RESULTS, "tangents_n200_trials.csv")) as fh:
         committed = {ln.split(",")[1]: ln for ln in fh.read().splitlines()[1:]}
     assert path.read_text().splitlines()[1:] == [committed[str(i)] for i in BRIDGED]
