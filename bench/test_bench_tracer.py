@@ -53,12 +53,10 @@ def stages():
     pos = F > 0.0
     e0, e1 = grid.edges[:, 0], grid.edges[:, 1]
     cross = pos[e0] != pos[e1]
-    ce = cross[grid.tri_edges]
-    split = ce.sum(axis=1) == 2
     cids = np.flatnonzero(cross)
     remap = np.full(len(grid.edges), -1, dtype=np.int64)
     remap[cids] = np.arange(len(cids))
-    pair_rows = remap[grid.tri_edges[split][ce[split]].reshape(-1, 2)]
+    pair_rows = remap[grid.tri_edges[cross[grid.tri_edges]].reshape(-1, 2)]
     cycles = _link_cycles(pair_rows)
     ends = (verts[e0[cids]], verts[e1[cids]], F[e0[cids]], F[e1[cids]])
     refined = _edge_roots(fieldobj, *ends)

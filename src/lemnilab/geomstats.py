@@ -40,6 +40,8 @@ class TangencySuspected(RuntimeError):
 _POLE_FLOOR = 1e-5
 # great_circle_intersections: least relative |f|, and |df/dt| at a crossing
 _TANGENCY_TOL = 1e-7
+# great_circle_intersections: bracket halvings read per field call
+_HALVINGS_PER_CALL = 4
 
 
 def _refine_near_axis(P, sizes, axis, field) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +285,11 @@ def great_circle_intersections(fieldobj, g: GreatCircle) -> int:
     The number of sign changes of f along a dense sampling of g, read
     through the field object's values (the trace's t.fieldobj).  Each
     change is bisected in the circle parameter only as far as the check
-    reads it: to h/64 of the step h at which f is differenced.  Raises
+    reads it: to h/64 of the step h at which f is differenced.  The
+    bisection reads f at every midpoint _HALVINGS_PER_CALL halvings could
+    visit in one call, then descends through them; each midpoint is
+    0.5 * (lo + hi) of its parent bracket, so the descent ends on the
+    brackets of the one-halving-per-call loop, bit for bit.  Raises
     TangencySuspected when the circle lies on the curve or a crossing has
     a vanishing derivative of f along the circle.
     """
@@ -298,23 +304,38 @@ def great_circle_intersections(fieldobj, g: GreatCircle) -> int:
     change = np.flatnonzero(s != np.roll(s, -1))
     if len(change) == 0:
         return 0
+    k = len(change)
     lo = tgrid[change]
     width = 2.0 * math.pi / samples
     hi = lo + width
-    flo = f[change]
     h = 1e-6
     # the roots only place the derivative check at troot +- h, so each
     # bracket is halved until it is narrower than h/64
-    for _ in range(math.ceil(math.log2(64.0 * width / h))):
-        tm = 0.5 * (lo + hi)
-        fm = fieldobj.values(g.point(tm))
-        up = (fm > 0) == (flo > 0)
-        lo = np.where(up, tm, lo)
-        hi = np.where(up, hi, tm)
+    rows = np.arange(k)
+    steps = math.ceil(math.log2(64.0 * width / h))
+    while steps > 0:
+        d = min(steps, _HALVINGS_PER_CALL)
+        steps -= d
+        # the midpoints of level l's 2^l brackets, heap order: bracket i
+        # splits into 2i (lo half) and 2i + 1 (hi half)
+        L, H, mids = lo[:, None], hi[:, None], []
+        for _ in range(d):
+            m = 0.5 * (L + H)
+            mids.append(m)
+            L = np.stack([L, m], axis=2).reshape(k, -1)
+            H = np.stack([m, H], axis=2).reshape(k, -1)
+        tm = np.concatenate(mids, axis=1)
+        up = (fieldobj.values(g.point(tm.ravel())) > 0).reshape(k, -1) == s[change, None]
+        i = np.zeros(k, dtype=np.int64)
+        for level in range(d):
+            node = (1 << level) - 1 + i
+            at, keep = tm[rows, node], up[rows, node]
+            lo = np.where(keep, at, lo)
+            hi = np.where(keep, hi, at)
+            i = 2 * i + keep
     troot = 0.5 * (lo + hi)
     fpm, scpm = fieldobj.values(g.point(np.concatenate([troot + h, troot - h])),
                                 with_scale=True)
-    k = len(change)
     deriv = np.abs(fpm[:k] - fpm[k:]) / (2.0 * h * scpm[:k])
     if np.any(deriv < _TANGENCY_TOL):
         raise TangencySuspected("near-tangential crossing")

@@ -195,6 +195,7 @@ def _lattice(nu: int) -> IcoGrid:
     d = np.empty(len(edges))
     for lo in range(0, len(edges), _CHUNK):
         e = edges[lo : lo + _CHUNK]
-        d[lo : lo + _CHUNK] = np.einsum("ij,ij->i", verts[e[:, 0]], verts[e[:, 1]])
+        d[lo : lo + _CHUNK] = np.einsum("ij,ij->i", np.take(verts, e[:, 0], axis=0),
+                                        np.take(verts, e[:, 1], axis=0))
     np.arccos(np.clip(d, -1, 1, out=d), out=d)
     return IcoGrid(nu, verts, edges, tri_edges.reshape(-1, 3), float(np.mean(d)), float(d.max()))

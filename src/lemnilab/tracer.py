@@ -193,34 +193,32 @@ def _link_cycles(pair_rows: np.ndarray) -> list:
     Cycles come in the order of their minimum node; each starts there and
     leaves by that node's first edge in row order; no rows give no cycles.
     Half-edge h = 2u + s leaves node u by the edge of u's s-th entry in row
-    order, and succ(h) leaves that edge's other end by its other edge.
-    succ is a permutation, 2-cycles included, that walks every cycle once
-    in each direction.
-    Pointer doubling gives each half-edge the least half-edge of its walk,
-    2s on the walk that leaves the minimum node s by its first edge, and
-    its distance to that walk's end, which orders the walk.
+    order, and succ(h) leaves that edge's other end by its other edge, so
+    succ is a permutation that walks every cycle once in each direction (a
+    self-loop row (u, u) is a fixed point, a cycle of size 1).  One walk in
+    ascending node order follows succ from half-edge 2s of each node s no
+    earlier cycle holds.
     """
     if not len(pair_rows):
         return []
     order = np.argsort(pair_rows.ravel(), kind="stable")
     half = np.empty_like(order)
     half[order] = np.arange(len(order))
-    succ = half[order ^ 1] ^ 1
-    rounds = max(1, len(succ) - 1).bit_length()
-    least, nxt = np.arange(len(succ)), succ
-    for _ in range(rounds):
-        least = np.minimum(least, least[nxt])
-        nxt = nxt[nxt]
-    last = succ == least
-    dist = (~last).astype(np.int64)
-    nxt = np.where(last, np.arange(len(succ)), succ)
-    for _ in range(rounds):
-        dist += dist[nxt]
-        nxt = nxt[nxt]
-    fwd = np.flatnonzero(least % 2 == 0)
-    walk_order = fwd[np.lexsort((-dist[fwd], least[fwd]))]
-    _, sizes = np.unique(least[walk_order], return_counts=True)
-    return np.split(walk_order // 2, np.cumsum(sizes)[:-1])
+    succ = (half[order ^ 1] ^ 1).tolist()
+    seen = bytearray(len(succ) // 2)
+    walked, ends = [], []
+    for s in range(len(seen)):
+        if seen[s]:
+            continue
+        h = start = 2 * s
+        while True:
+            walked.append(h)
+            seen[h >> 1] = 1
+            h = succ[h]
+            if h == start:
+                break
+        ends.append(len(walked))
+    return np.split(np.array(walked, dtype=np.int64) >> 1, ends[:-1])
 
 
 def ring(sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -381,8 +379,9 @@ def _cap_grid(nu: int, centre: tuple, radius: float) -> IcoGrid:
     kept in the grid's order, and the whole grid's edge lengths."""
     grid = icosphere(nu)
     inside = np.clip(grid.verts @ np.array(centre), -1.0, 1.0) >= math.cos(radius)
-    edge_in = inside[grid.edges].all(axis=1)
-    tri_in = edge_in[grid.tri_edges].all(axis=1)
+    edge_in = inside[grid.edges[:, 0]] & inside[grid.edges[:, 1]]
+    te = grid.tri_edges
+    tri_in = edge_in[te[:, 0]] & edge_in[te[:, 1]] & edge_in[te[:, 2]]
     return IcoGrid(nu, grid.verts[inside], (np.cumsum(inside) - 1)[grid.edges[edge_in]],
                    (np.cumsum(edge_in) - 1)[grid.tri_edges[tri_in]],
                    grid.mean_edge_length, grid.max_edge_length)
@@ -405,9 +404,10 @@ def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
 
     e0, e1 = grid.edges[:, 0], grid.edges[:, 1]
     cross = pos[e0] != pos[e1]
-    ce = cross[grid.tri_edges]
-    split = ce.sum(axis=1) == 2
-    pairs = grid.tri_edges[split][ce[split]].reshape(-1, 2)
+    # a triangle's three vertex signs change an even number of times around
+    # it, so it crosses on no edge or on two: its crossing edges, read row
+    # by row, come in pairs
+    pairs = grid.tri_edges[cross[grid.tri_edges]].reshape(-1, 2)
 
     cids = np.flatnonzero(cross)
     remap = np.full(len(grid.edges), -1, dtype=np.int64)

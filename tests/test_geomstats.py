@@ -27,7 +27,7 @@ from lemnilab.sphere import (
     random_great_circle,
     spherical_distance_many,
 )
-from lemnilab.tracer import TracedLemniscate, ring, trace, walk
+from lemnilab.tracer import TracedLemniscate, default_options, ring, trace, walk
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -230,6 +230,51 @@ def test_great_circle_counts_match_committed_crossings():
         rp = sample_rational_pair(25, stream)
         g = random_great_circle(stream.substream(999).generator())
         assert great_circle_intersections(as_field(rp), g) == int(r["crossings"]), r["trial"]
+
+
+class _SpyField:
+    """A field object that records the points of every values call."""
+
+    def __init__(self, fieldobj):
+        self.fieldobj, self.degree, self.calls = fieldobj, fieldobj.degree, []
+
+    def values(self, pts, charts=None, with_scale=False):
+        self.calls.append(pts)
+        return self.fieldobj.values(pts, charts, with_scale)
+
+
+def _sequential_crofton(fieldobj, g):
+    """The Crofton count with one bracket halving per field call: the
+    count and the points of its derivative check."""
+    samples = max(512, 8 * default_options(fieldobj.degree).grid_resolution)
+    tgrid = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    s = fieldobj.values(g.point(tgrid), with_scale=True)[0] > 0
+    change = np.flatnonzero(s != np.roll(s, -1))
+    width, h = 2.0 * math.pi / samples, 1e-6
+    lo = tgrid[change]
+    hi = lo + width
+    for _ in range(math.ceil(math.log2(64.0 * width / h))):
+        tm = 0.5 * (lo + hi)
+        up = (fieldobj.values(g.point(tm)) > 0) == s[change]
+        lo, hi = np.where(up, tm, lo), np.where(up, hi, tm)
+    troot = 0.5 * (lo + hi)
+    return len(change), g.point(np.concatenate([troot + h, troot - h]))
+
+
+def test_crofton_halving_matches_sequential():
+    # length n=25, seed 101: reading several halvings per field call ends
+    # on the brackets, and so the derivative-check points, of one halving
+    # per call
+    for trial in range(20):
+        stream = trial_stream(101, 25, trial)
+        rp = sample_rational_pair(25, stream)
+        g = random_great_circle(stream.substream(999).generator())
+        spy = _SpyField(as_field(rp))
+        count = great_circle_intersections(spy, g)
+        want, points = _sequential_crofton(as_field(rp), g)
+        assert count == want > 0, trial
+        assert spy.calls[-1].tobytes() == points.tobytes(), trial
+        assert len(spy.calls) <= 7, trial
 
 
 def test_crossing_parity_even():

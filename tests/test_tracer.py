@@ -198,10 +198,11 @@ def _walk_cycles(pair_rows, n_nodes):
 def test_link_cycles_matches_plain_walk():
     gen = np.random.default_rng(7)
     for _ in range(200):
-        # a random 2-regular multigraph: random cycle sizes >= 2, so
-        # 2-cycles (a doubled edge) are common, in shuffled row order
-        # and orientation
-        sizes = gen.integers(2, 9, size=gen.integers(1, 8))
+        # a random 2-regular multigraph: random cycle sizes >= 1, so
+        # 2-cycles (a doubled edge) and 1-cycles (a self-loop row (u, u),
+        # as a trace closes a lone cap crossing) are common, in shuffled
+        # row order and orientation
+        sizes = gen.integers(1, 9, size=gen.integers(1, 8))
         nodes = gen.permutation(int(sizes.sum()))
         rows = []
         for c in np.split(nodes, np.cumsum(sizes)[:-1]):
@@ -331,6 +332,23 @@ def test_cap_trace_returns_no_open_arc():
     last = np.cumsum(t.sizes) - 1
     gap = spherical_distance_many(t.vertices[last], t.vertices[last - t.sizes + 1])
     assert (gap <= 1.9 * _ARC_STEP * grid.mean_edge_length).all()
+
+
+def test_triangles_cross_on_no_edge_or_two():
+    # the parity the tracer pairs crossings by: whole-sphere traces at
+    # n=25 and n=200, and the local stage's rho=3 cap at n=100
+    n = 100
+    cap = (NORTH, 3.0 / math.sqrt(n) + icosphere(default_options(n).grid_resolution).max_edge_length)
+    for rp, c in ((sample_rational_pair(25, trial_stream(101, 25, 0)), None),
+                  (sample_rational_pair(200, trial_stream(202, 200, 0)), None),
+                  (sample_rational_pair(n, RandomStream(505).substream(n).substream(0)), cap)):
+        t = trace(rp, cap=c)
+        nu = t.grid_resolution
+        grid = icosphere(nu) if c is None else _cap_grid(nu, *t.cap)
+        pos = t.vertex_signs
+        cross = pos[grid.edges[:, 0]] != pos[grid.edges[:, 1]]
+        count = np.bincount(cross[grid.tri_edges].sum(axis=1), minlength=4)
+        assert count[0] > 0 and count[2] > 0 and count[1] == count[3] == 0
 
 
 def test_cap_grid_selects_the_rotated_grid():
