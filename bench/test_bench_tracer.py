@@ -6,7 +6,10 @@ Outside the tier-1 `testpaths`; run from the repository root with
 
 The stage cases read one fixed input: seed 202, n=200, trial 0 at the
 default grid (nu=78), the tangents workload's first trial, taken apart the
-way `tracer._trace_once` takes it apart.  Two meridian cases time the
+way `tracer._trace_once` takes it apart.  The real crossings case refines
+the crossings of the kostlan-compare workload's first trial (real field,
+seed 404, n=50, nu=64), the largest layer of a real trial.  Two meridian
+cases time the
 tangent count of trial 19, which has seven small loops, and of the
 kostlan-compare workload's first trial (real field, seed 404, n=50).  The
 cap cases trace the local stage's first n=100 trial (seed 505) whole and
@@ -43,11 +46,9 @@ from lemnilab.tracer import (
 )
 
 
-@pytest.fixture(scope="module")
-def stages():
-    rp = sample_rational_pair(200, trial_stream(202, 200, 0))
-    fieldobj = as_field(rp)
-    grid = icosphere(default_options(200).grid_resolution)
+def _crossings(fieldobj, grid):
+    """The crossing edges of the field's grid pass: their (a, b, fa, fb)
+    as _edge_roots takes them, and the linker's pair rows."""
     verts = grid.verts
     F = fieldobj.values(verts)
     pos = F > 0.0
@@ -57,12 +58,21 @@ def stages():
     remap = np.full(len(grid.edges), -1, dtype=np.int64)
     remap[cids] = np.arange(len(cids))
     pair_rows = remap[grid.tri_edges[cross[grid.tri_edges]].reshape(-1, 2)]
+    return (verts[e0[cids]], verts[e1[cids]], F[e0[cids]], F[e1[cids]]), pair_rows
+
+
+@pytest.fixture(scope="module")
+def stages():
+    rp = sample_rational_pair(200, trial_stream(202, 200, 0))
+    fieldobj = as_field(rp)
+    grid = icosphere(default_options(200).grid_resolution)
+    ends, pair_rows = _crossings(fieldobj, grid)
     cycles = _link_cycles(pair_rows)
-    ends = (verts[e0[cids]], verts[e1[cids]], F[e0[cids]], F[e1[cids]])
-    refined = _edge_roots(fieldobj, *ends)
+    nodes = np.concatenate(cycles)
+    X, G = _edge_roots(fieldobj, *ends)
     return dict(
         fieldobj=fieldobj, pair_rows=pair_rows,
-        ends=ends, loops=refined[np.concatenate(cycles)],
+        ends=ends, loops=X[nodes], grads=G[nodes],
         sizes=np.array([len(c) for c in cycles]),
         target=_ARC_STEP * grid.mean_edge_length, traced=trace(rp),
     )
@@ -82,13 +92,21 @@ def test_edge_roots(benchmark, stages):
     benchmark(_edge_roots, stages["fieldobj"], *stages["ends"])
 
 
+def test_real_edge_roots(benchmark):
+    # the real Newton on every crossing of the kostlan-compare trial
+    fieldobj = as_field(sample_real_kostlan(50, trial_stream(404, 50, 0)))
+    ends, _ = _crossings(fieldobj, icosphere(default_options(50).grid_resolution))
+    X, G = benchmark(_edge_roots, fieldobj, *ends)
+    assert len(X) == len(ends[0]) and np.isfinite(G).all()
+
+
 def test_link_cycles(benchmark, stages):
     cycles = benchmark(_link_cycles, stages["pair_rows"])
     assert sum(len(c) for c in cycles) == stages["pair_rows"].size // 2
 
 
 def test_densify(benchmark, stages):
-    benchmark(_densify, stages["fieldobj"], stages["loops"], stages["sizes"],
+    benchmark(_densify, stages["fieldobj"], stages["loops"], stages["grads"], stages["sizes"],
               stages["target"])
 
 
@@ -148,7 +166,7 @@ def test_ray_solve_small_loops(benchmark):
     rp = sample_rational_pair(200, trial_stream(202, 200, 19))
     (args,) = _ray_solve_calls(geomstats, lambda: meridian_stats(
         trace(rp), np.array([0.0, 0.0, 1.0])))
-    X, ok, _ = benchmark(ray_solve, *args)
+    X, _, ok, _ = benchmark(ray_solve, *args)
     assert ok.tolist() == [True, False] + [True] * 5 and len(X) == 48 * 6
 
 
@@ -159,5 +177,5 @@ def test_ray_solve_new_oval(benchmark):
     frame, _, _ = constructor._add_circle(frame, ("root", 0))
     args = _ray_solve_calls(constructor, lambda: constructor._add_circle(
         frame, (("root", 0), 0)))[-1]
-    X, ok, _ = benchmark(ray_solve, *args)
+    X, _, ok, _ = benchmark(ray_solve, *args)
     assert ok.all() and len(X) == constructor._OVAL_RAYS

@@ -239,7 +239,7 @@ def _local_oval(cand: PairField, eps: float, delta: float):
     order, or None.
     """
     radii = 2.0 * np.arctan(np.geomspace(eps / 8.0, delta, 96))
-    X, ok, F = ray_solve(cand, _ORIGIN[None], *_ORIGIN_FRAME, radii[None], _OVAL_RAYS)
+    X, _, ok, F = ray_solve(cand, _ORIGIN[None], *_ORIGIN_FRAME, radii[None], _OVAL_RAYS)
     if not ok[0] or not np.all(F[0, :, 1] > 0) or np.any(F[0, :, -1] > 0):
         return None
     return X
@@ -257,7 +257,7 @@ def _persisted_components(cand: PairField, verts: np.ndarray, sizes: np.ndarray)
         return verts
     # 1e-7 residual at healthy gradient puts the point within ~1e-9
     # of the curve, plenty below the drift threshold
-    pts, rel, relgrad, conv = newton_correct(cand, verts, tol_rel=1e-8)
+    pts, rel, relgrad, _, _ = newton_correct(cand, verts, tol_rel=1e-8)
     if rel.max() > 1e-7 or relgrad.min() < 1e-9:
         return None
     drift = np.maximum.reduceat(np.linalg.norm(pts - verts, axis=1), np.cumsum(sizes) - sizes)
@@ -355,8 +355,8 @@ def certify_nondegenerate(c: ConstructedLemniscate) -> bool:
     t = c.tree.trace
     if len(t.sizes) != c.degree:
         return False
-    f, gx, gy, sc, _, _ = chart_jets(t.fieldobj, t.vertices)
-    return bool((np.hypot(gx, gy) / sc).min() >= _MIN_REL_GRADIENT)
+    _, g, sc, _, _ = chart_jets(t.fieldobj, t.vertices)
+    return bool((np.hypot(g[:, 0], g[:, 1]) / sc).min() >= _MIN_REL_GRADIENT)
 
 
 def realized_tree(c: ConstructedLemniscate) -> Arrangement:

@@ -122,6 +122,12 @@ class ExperimentConfig:
         least = 2 if self.experiment in ("tangents", "kostlan-compare", "construct") else 1
         if min(self.n_values) < least:
             raise ConfigError("%s needs every n >= %d" % (self.experiment, least))
+        # a stage that ignores rho or target would write rows as if the
+        # flag were not given
+        if self.rho is not None and self.experiment != "local-arrangement":
+            raise ConfigError("%s takes no rho" % self.experiment)
+        if self.target is not None and self.experiment not in ("local-arrangement", "construct"):
+            raise ConfigError("%s takes no target" % self.experiment)
         if self.experiment == "local-arrangement":
             if self.rho is None or self.rho <= 0:
                 raise ConfigError("local-arrangement needs rho > 0")

@@ -12,11 +12,13 @@ northern chart.  One evaluator, poly_jets_many, serves them all: a
 baby-step/giant-step scheme that keeps about 2 sqrt(n) powers per point
 instead of n + 1.  The real-Kostlan evaluator (eval_real_many) multiplies
 the full power matrices of its separable charts by the curve's chart
-coefficient matrices.  One builder, _powers, makes every table of powers
-by doubling.  A field object, PairField or RealField (see as_field), owns
-its curve's coefficient data, built once: the pair's blocks of both
-charts (jet_blocks), the real curve's chart matrices.  Every evaluator
-takes the field object, and a trace carries the one it was traced with.
+coefficient matrices, in blocks of _REAL_BLOCK points of a chart, so its
+temporaries stay in cache; the blocks give the bits of one pass.  One
+builder, _powers, makes every table of powers by doubling.  A field
+object, PairField or RealField (see as_field), owns its curve's
+coefficient data, built once: the pair's blocks of both charts
+(jet_blocks), the real curve's chart matrices.  Every evaluator takes the
+field object, and a trace carries the one it was traced with.
 
 Each evaluator's chart data depends on the points alone, and the real
 one's on the degree too: eval_f_many's (pair_charts: each point's chart,
@@ -28,6 +30,14 @@ coefficient products (the pair field) or builds only the second power
 table before them (the real field).  They run on the same data with the
 same expressions, so the values are the same bits as without the kept
 data.
+
+One Newton loop (_project) serves both fields.  Besides the points it
+returns the gradient row it read at each point it accepted: the chart
+gradient (fx, fy) for the pair, the ambient gradient for the real field,
+NaN where a point did not converge.  The tangents (curve_tangents,
+real_curve_tangents, a field's tangents) are formed from such rows
+without evaluating f again; only their last bits can differ from a fresh
+evaluation's, as the rows come from another batch.
 """
 
 from __future__ import annotations
@@ -41,6 +51,9 @@ from .sphere import homogeneous_coords
 
 
 _CHUNK = 8192
+# points per block of one chart in eval_real_many: its temporaries, a few
+# (points, n + 1) tables, stay in cache at the degrees traced
+_REAL_BLOCK = 2048
 # The two other axes, in index order, when axis d dominates a point.
 CHART_AXES = ((1, 2), (0, 2), (0, 1))
 
@@ -193,21 +206,21 @@ def _lift_chart(coord: np.ndarray, north: np.ndarray) -> np.ndarray:
 
 
 def chart_jets(fld: PairField, points: np.ndarray):
-    """(f, fx, fy, scale, coord, north) of f in the per-point chart of
-    _chart_coords, the northern chart's of the reversed pair (_pair_jets)."""
+    """(f, grad, scale, coord, north) of f in the per-point chart of
+    _chart_coords, the northern chart's of the reversed pair (_pair_jets):
+    grad is the (points, 2) array of the chart gradient rows (fx, fy)."""
     coord, north = _chart_coords(np.asarray(points, dtype=float))
     f = np.empty(coord.shape)
-    gx = np.empty(coord.shape)
-    gy = np.empty(coord.shape)
+    g = np.empty((2,) + coord.shape)  # returned transposed: fx, fy columns
     sc = np.empty(coord.shape)
     charts = ((~north, coord[~north]), (north, coord[north]))
     for (mask, _), ((p0, p1), (q0, q1)) in _pair_jets(fld, charts, 1):
         a = p1 * np.conj(p0) - q1 * np.conj(q0)
         f[mask] = np.abs(p0) ** 2 - np.abs(q0) ** 2
-        gx[mask] = 2.0 * a.real
-        gy[mask] = -2.0 * a.imag
+        g[0][mask] = 2.0 * a.real
+        g[1][mask] = -2.0 * a.imag
         sc[mask] = np.abs(p0) ** 2 + np.abs(q0) ** 2
-    return f, gx, gy, sc, coord, north
+    return f, g.T, sc, coord, north
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,6 +270,11 @@ def eval_real_many(
     point's value depends on its batch in the last bit: for a few points
     the BLAS picks its product kernel by the operands' layout, so a
     contiguous copy of V gives other last bits at 2 or 16 points.
+
+    Each chart runs in blocks of _REAL_BLOCK points (a kept U is cut into
+    row blocks, still contiguous).  The blocks give the bits of one pass
+    over the chart, and, unlike one pass, the same bits under one BLAS
+    thread or two (tests/test_field.py pins them).
     """
     n = fld.degree
     if charts is None:
@@ -266,45 +284,52 @@ def eval_real_many(
     scale = np.empty(N)
     grad = np.empty((N, 3))
     k = np.arange(n + 1.0)
-    for d, ((i, j), (idx, t, U, v), (C, Cjd, C2)) in enumerate(
+    for d, ((i, j), chart, (C, Cjd, C2)) in enumerate(
             zip(CHART_AXES, charts, fld.chart_matrices)):
-        if not len(idx):
-            continue
-        V = _powers(v, n).T
-        W = V @ C.T
-        tn = t**n
-        vals[idx] = tn * _rowdot(U, W)
-        if with_scale:
-            scale[idx] = np.abs(tn) * np.sqrt(_rowdot(U * U, (V * V) @ C2.T))
-        if with_grad:
-            # d/du reuses V C^T: column a + 1 weighted by a + 1 meets u^a;
-            # d/dv and d/dt: the stacked derivative matrices
-            Wvt = V @ Cjd.T
-            tn1 = t ** (n - 1)
-            grad[idx, i] = tn1 * ((U[:, :n] * W[:, 1:]) @ k[1:])
-            grad[idx, j] = tn1 * _rowdot(U, Wvt[:, : n + 1])
-            grad[idx, d] = tn1 * _rowdot(U, Wvt[:, n + 1 :])
+        for lo in range(0, len(chart[0]), _REAL_BLOCK):
+            idx, t, U, v = (a[lo : lo + _REAL_BLOCK] for a in chart)
+            V = _powers(v, n).T
+            W = V @ C.T
+            tn = t**n
+            vals[idx] = tn * _rowdot(U, W)
+            if with_scale:
+                scale[idx] = np.abs(tn) * np.sqrt(_rowdot(U * U, (V * V) @ C2.T))
+            if with_grad:
+                # d/du reuses V C^T: column a + 1 weighted by a + 1 meets
+                # u^a; d/dv and d/dt: the stacked derivative matrices
+                Wvt = V @ Cjd.T
+                tn1 = t ** (n - 1)
+                grad[idx, i] = tn1 * ((U[:, :n] * W[:, 1:]) @ k[1:])
+                grad[idx, j] = tn1 * _rowdot(U, Wvt[:, : n + 1])
+                grad[idx, d] = tn1 * _rowdot(U, Wvt[:, n + 1 :])
     out = (vals,) + (grad,) * with_grad + (scale,) * with_scale
     return out if len(out) > 1 else vals
 
 
-def _project(jet, points, tol_rel, max_iters):
+def _project(jet, points, tol_rel, max_iters, width):
     """Newton projection onto {f = 0}, shared by both fields.
 
-    jet(v) returns (f, |grad f|^2, scale, move) at the points v, where
-    move(step) gives the points moved by step * grad f back on the sphere.
-    Only the points still above tol_rel are evaluated again.  Returns
-    (points, relative residual, relative gradient norm, converged mask).
+    jet(v) returns (f, |grad f|^2, scale, grad, move) at the points v,
+    where grad holds the field's gradient rows there, width columns each,
+    and move(step) gives the points moved by step * grad f back on the
+    sphere.  Only the points still above tol_rel are evaluated again.
+    Returns (points, relative residual, relative gradient norm, converged
+    mask, gradient rows): each row is the one jet read at the point it
+    accepted, NaN where the point did not converge.
     """
     pts = np.array(points, dtype=float)
     rel = np.full(len(pts), np.inf)
     relgrad = np.full(len(pts), np.inf)
+    grads = np.empty((len(pts), width))
     active = np.arange(len(pts))
     for _ in range(max_iters):
-        f, g2, sc, move = jet(pts[active])
+        f, g2, sc, g, move = jet(pts[active])
         r = np.abs(f) / sc
         rel[active] = r
         relgrad[active] = np.sqrt(g2) / sc
+        # a point's row is that of its last evaluation, the accepted one
+        # if it converged
+        grads[active] = g
         pending = r > tol_rel
         if not np.any(pending):
             break
@@ -313,7 +338,9 @@ def _project(jet, points, tol_rel, max_iters):
         upd = active[pending]
         pts[upd] = move(step)[pending]
         active = upd
-    return pts, rel, relgrad, rel <= tol_rel
+    conv = rel <= tol_rel
+    grads[~conv] = np.nan
+    return pts, rel, relgrad, conv, grads
 
 
 def newton_correct(
@@ -325,15 +352,17 @@ def newton_correct(
     """Project sphere points onto {f = 0} by chart Newton steps.
 
     Returns (corrected points, relative residual, relative gradient norm,
-    converged mask).  Residuals and gradients are measured against the
-    local field scale |p|^2 + |q|^2.
+    converged mask, chart gradient rows (fx, fy) at the corrected points).
+    Residuals and gradients are measured against the local field scale
+    |p|^2 + |q|^2.
     """
 
     def jet(v):
-        f, gx, gy, sc, coord, north = chart_jets(fld, v)
-        return f, gx * gx + gy * gy, sc, lambda s: _lift_chart(coord - s * (gx + 1j * gy), north)
+        f, g, sc, coord, north = chart_jets(fld, v)
+        gx, gy = g[:, 0], g[:, 1]
+        return f, gx * gx + gy * gy, sc, g, lambda s: _lift_chart(coord - s * (gx + 1j * gy), north)
 
-    return _project(jet, points, tol_rel, max_iters)
+    return _project(jet, points, tol_rel, max_iters, PairField.grad_width)
 
 
 def real_newton_correct(
@@ -344,9 +373,10 @@ def real_newton_correct(
 ):
     """Project sphere points onto {poly = 0} by tangential Newton steps.
 
-    Same return convention as :func:`newton_correct`; the gradient is the
-    ambient gradient projected to the tangent plane, and residuals are
-    measured against the root-sum-square of the monomial terms.
+    Same return convention as :func:`newton_correct`, with the ambient
+    gradient as the rows; the step follows that gradient projected to the
+    tangent plane, and residuals are measured against the root-sum-square
+    of the monomial terms.
     """
 
     def jet(v):
@@ -357,9 +387,9 @@ def real_newton_correct(
             moved = v - step[:, None] * gt
             return moved / np.linalg.norm(moved, axis=1)[:, None]
 
-        return f, np.einsum("ij,ij->i", gt, gt), np.maximum(sc, 1e-300), move
+        return f, np.einsum("ij,ij->i", gt, gt), np.maximum(sc, 1e-300), g, move
 
-    return _project(jet, points, tol_rel, max_iters)
+    return _project(jet, points, tol_rel, max_iters, RealField.grad_width)
 
 
 def _unit_cross(points, g3) -> np.ndarray:
@@ -369,23 +399,33 @@ def _unit_cross(points, g3) -> np.ndarray:
     return t / np.where(nrm > 0, nrm, 1.0)[:, None]
 
 
-def curve_tangents(fld: PairField, points: np.ndarray) -> np.ndarray:
+def curve_tangents(fld: PairField, points: np.ndarray, grads=None) -> np.ndarray:
     """Unit 3-vectors tangent to {f = 0} at points assumed on the curve.
 
     The chart gradient is pushed forward to R^3 through the chart lift and
     rotated by 90 degrees in the tangent plane; the overall sign is
-    arbitrary.
+    arbitrary.  grads, if given, holds the chart gradient rows at the
+    points (newton_correct's); f is then not evaluated.  The chart's two
+    difference quotients come from one lift of the four offset copies.
     """
-    f, gx, gy, sc, coord, north = chart_jets(fld, points)
+    if grads is None:
+        _, grads, _, coord, north = chart_jets(fld, points)
+    else:
+        coord, north = _chart_coords(np.asarray(points, dtype=float))
     h = 1e-7
-    e1 = (_lift_chart(coord + h, north) - _lift_chart(coord - h, north)) / (2 * h)
-    e2 = (_lift_chart(coord + 1j * h, north) - _lift_chart(coord - 1j * h, north)) / (2 * h)
-    return _unit_cross(points, gx[:, None] * e1 + gy[:, None] * e2)
+    L = _lift_chart(np.stack([coord + h, coord - h, coord + 1j * h, coord - 1j * h]), north)
+    e1 = (L[0] - L[1]) / (2 * h)
+    e2 = (L[2] - L[3]) / (2 * h)
+    return _unit_cross(points, grads[:, :1] * e1 + grads[:, 1:] * e2)
 
 
-def real_curve_tangents(fld: RealField, points: np.ndarray) -> np.ndarray:
-    _, g = eval_real_many(fld, points, with_grad=True)
-    return _unit_cross(points, g)
+def real_curve_tangents(fld: RealField, points: np.ndarray, grads=None) -> np.ndarray:
+    """points x grad f, normalized; grads, if given, holds the ambient
+    gradient rows at the points (real_newton_correct's), so f is not
+    evaluated."""
+    if grads is None:
+        _, grads = eval_real_many(fld, points, with_grad=True)
+    return _unit_cross(points, grads)
 
 
 # Relative residual and iteration limit of the Newton projections made by
@@ -397,6 +437,8 @@ class PairField:
     """f = |p|^2 - |q|^2 of a rational pair.  It builds the pair's
     jet_blocks once: the southern chart's of (p, q), the northern chart's
     of the reversed rows."""
+
+    grad_width = 2  # a gradient row: the chart's (fx, fy)
 
     def __init__(self, rp: RationalPair):
         self.rp = rp
@@ -414,8 +456,8 @@ class PairField:
     def newton(self, pts):
         return newton_correct(self, pts, *TRACE_NEWTON)
 
-    def tangents(self, pts):
-        return curve_tangents(self, pts)
+    def tangents(self, pts, grads=None):
+        return curve_tangents(self, pts, grads)
 
 
 class RealField:
@@ -428,6 +470,8 @@ class RealField:
     x_i^a x_j^b x_d^(n-a-b), the matrices of the partial derivatives along
     x_j and x_d stacked, [(b + 1) C[a, b + 1]; (n - a - b) C[a, b]], and
     C * C."""
+
+    grad_width = 3  # a gradient row: the ambient gradient
 
     def __init__(self, poly: RealKostlanPolynomial):
         self.poly = poly
@@ -453,8 +497,8 @@ class RealField:
     def newton(self, pts):
         return real_newton_correct(self, pts, *TRACE_NEWTON)
 
-    def tangents(self, pts):
-        return real_curve_tangents(self, pts)
+    def tangents(self, pts, grads=None):
+        return real_curve_tangents(self, pts, grads)
 
 
 def as_field(curve):

@@ -44,10 +44,11 @@ _TANGENCY_TOL = 1e-7
 _HALVINGS_PER_CALL = 4
 
 
-def _refine_near_axis(P, sizes, axis, field) -> tuple[np.ndarray, np.ndarray]:
+def _refine_near_axis(P, grads, sizes, axis, field) -> tuple:
     """Subdivide the closed vertex loops P (stored back to back, with sizes
-    vertices each) so each arc-step stays below a fifth of its distance to
-    the axis poles.
+    vertices each, and grads their gradient rows) so each arc-step stays
+    below a fifth of its distance to the axis poles; returns (P, grads,
+    sizes).
 
     Longitude about the axis varies by at most ~step/dist per segment, so
     this keeps the per-segment longitude change small even where the curve
@@ -62,10 +63,10 @@ def _refine_near_axis(P, sizes, axis, field) -> tuple[np.ndarray, np.ndarray]:
         step = np.arccos(np.clip(np.einsum("ij,ij->i", P, P[nxt]), -1.0, 1.0))
         return step > 0.2 * np.minimum(d, d[nxt])
 
-    P, sizes, settled = subdivide(field, P, sizes, too_long, 40)
+    P, grads, sizes, settled = subdivide(field, P, grads, sizes, too_long, 40)
     if not settled:
         raise AxisTooClose("axis refinement did not settle")
-    return P, sizes
+    return P, grads, sizes
 
 
 # Tangent counting.  Along the curve the meridian derivative is
@@ -140,22 +141,25 @@ def _radial_tangents(P, sizes, axis, field) -> tuple[np.ndarray, np.ndarray]:
     e1 = P[starts] - _dot(P[starts], c)[:, None] * c
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
     radii = (2.0 * R)[:, None] * (np.arange(1, _RADII + 1) / _RADII)
-    X, ok, _ = ray_solve(field, c, e1, np.cross(c, e1), radii, _RAYS)
-    g = _sign(_dot(field.tangents(X), _east(X, axis))).reshape(-1, _RAYS)
+    X, rows, ok, _ = ray_solve(field, c, e1, np.cross(c, e1), radii, _RAYS)
+    g = _sign(_dot(field.tangents(X, rows), _east(X, axis))).reshape(-1, _RAYS)
     counts = np.zeros(len(sizes), dtype=np.int64)
     counts[ok] = np.count_nonzero(g != np.roll(g, -1, axis=1), axis=1)
     return counts, ok
 
 
-def _tangent_count(P, sizes, axis, field, small_length, windings) -> tuple[int, int, int]:
+def _tangent_count(P, grads, sizes, axis, field, small_length, windings) -> tuple[int, int, int]:
     """Meridian tangents of closed vertex loops: cyclic sign changes of G.
 
-    P holds the loops back to back, with sizes vertices each.  G = T . east
+    P holds the loops back to back, with sizes vertices each, and grads
+    the field's gradient rows at them (fieldobj.newton's).  G = T . east
     is taken with the field's own tangent orientation T, so it is a
     function on the curve whatever the direction in which the polyline
     runs, and its sign changes are counted in polyline order.
 
-    G's sign at every vertex is read from the field tangent there.  A
+    G's sign at every vertex is read from the field tangent there, formed
+    from the vertex's gradient row; a walk forms its tangents from its
+    own projections' rows, so no curve point is evaluated twice.  A
     lone short chord that runs against its neighbours joins two vertices
     out of arc order, and their places are swapped.
 
@@ -188,7 +192,7 @@ def _tangent_count(P, sizes, axis, field, small_length, windings) -> tuple[int, 
     d = P[nxt] - P
     h = np.linalg.norm(d, axis=1)
     u = d / np.maximum(h, 1e-300)[:, None]
-    T = field.tangents(P)
+    T = field.tangents(P, grads)
     tu0, tu1 = _dot(T, u), _dot(T[nxt], u)
     o = np.sign(tu0)  # direction of the polyline against T on chord i
     val = _dot(T, E)
@@ -232,8 +236,8 @@ def _tangent_count(P, sizes, axis, field, small_length, windings) -> tuple[int, 
     # their chords, then the loops from their first vertex round to it
     k = len(seg)
     first, last = np.concatenate([seg, heads]), np.concatenate([nxt[seg], heads])
-    pts, tans, owner, lost, _ = walk(
-        field, P[first], P[last], np.concatenate([u[seg], T[heads]]),
+    pts, _, tans, owner, lost, _ = walk(
+        field, P[first], grads[first], P[last], np.concatenate([u[seg], T[heads]]),
         np.concatenate([_WALK_SHARE * h[seg], length[walked] / 24.0]),
         np.repeat([2.0, 12.0], [k, len(heads)]), np.repeat([20.0, 80.0], [k, len(heads)]))
     # a segment's walk tangents run along its chord, i.e. along o * T
@@ -272,10 +276,11 @@ def meridian_stats(t: TracedLemniscate, axis):
         return 0, 0, np.zeros(0, dtype=np.int64)
     axis = unit_vector(axis)
     e1, e2 = orthonormal_frame(axis)
-    P, sizes = _refine_near_axis(t.vertices, t.sizes, axis, t.fieldobj)
+    P, grads, sizes = _refine_near_axis(t.vertices, t.grads, t.sizes, axis, t.fieldobj)
     windings = _windings(P, sizes, e1, e2)
     edge = icosphere(t.grid_resolution).mean_edge_length
-    nu, _, _ = _tangent_count(P, sizes, axis, t.fieldobj, _SMALL_LOOP_EDGES * edge, windings)
+    nu, _, _ = _tangent_count(P, grads, sizes, axis, t.fieldobj, _SMALL_LOOP_EDGES * edge,
+                              windings)
     return nu, int(np.count_nonzero(windings)), windings
 
 

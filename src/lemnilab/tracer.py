@@ -9,6 +9,13 @@ its vertices off the curve.  A trace carries the field object it was
 traced with (fieldobj, built once by as_field), and every consumer of the
 curve takes the field from it.
 
+Each curve point comes with the gradient row the Newton projection that
+placed it read there (fieldobj.newton's fifth item).  The crossings,
+subdivide's midpoints, the walks' points and ray_solve's crossings all
+carry their rows, a trace holds one per vertex (grads), and the tangents
+along a walk and in the tangent counter are formed from them, so no curve
+point is evaluated twice.
+
 A cap trace evaluates f only on the part of the same grid that lies in a
 spherical cap and returns the loops whose grid triangles all lie inside
 it; the arcs cut by the cap's rim are dropped.  Its loops are the whole
@@ -76,13 +83,16 @@ def default_options(n: int) -> TraceOptions:
 class TracedLemniscate:
     """The traced loops, stored open and back to back: loop j holds
     sizes[j] vertices of `vertices` (tracer.ring indexes them), its first
-    vertex not repeated, and lengths[j] is its spherical length.
+    vertex not repeated, and lengths[j] is its spherical length.  grads
+    holds one row per vertex: the field's gradient there, as the Newton
+    projection that placed the vertex read it (fieldobj.newton).
 
     A cap trace records its cap as ((x, y, z), radius); its vertex_signs
     and loop_edges index the cap's part of the grid (tracer._cap_grid).
     """
 
     vertices: np.ndarray = field(repr=False)  # (sum(sizes), 3)
+    grads: np.ndarray = field(repr=False)  # (sum(sizes), fieldobj.grad_width)
     sizes: np.ndarray
     lengths: np.ndarray
     grid_resolution: int
@@ -126,27 +136,29 @@ def _bisect(fieldobj, a, b):
 
 
 def _edge_roots(fieldobj, a, b, fa, fb):
-    """Roots of f on the geodesic edges (a, b), with sign(fa) != sign(fb).
+    """Roots of f on the geodesic edges (a, b), with sign(fa) != sign(fb),
+    and the field's gradient rows there (fieldobj.newton's).
 
     Linear interpolation seeds a Newton polish; the handful of points where
     Newton stalls get a full bisection restart before a second polish.
     """
     t0 = np.clip(fa / (fa - fb), 0.02, 0.98)
     start = _slerp(a, b, t0)
-    pts, _, _, conv = fieldobj.newton(start)
+    pts, _, _, conv, grads = fieldobj.newton(start)
     if not conv.all():
         bad = ~conv
         neg = fa[bad] <= 0
         aa = np.where(neg[:, None], a[bad], b[bad])
         bb = np.where(neg[:, None], b[bad], a[bad])
         retry = _bisect(fieldobj, aa, bb)
-        pts2, _, _, conv2 = fieldobj.newton(retry)
+        pts2, _, _, conv2, grads2 = fieldobj.newton(retry)
         if not conv2.all():
             raise DegenerateLemniscate(
                 f"{int((~conv2).sum())} crossing(s) failed to converge"
             )
         pts[bad] = pts2
-    return pts
+        grads[bad] = grads2
+    return pts, grads
 
 
 def ray_solve(fieldobj, c, e1, e2, radii, rays):
@@ -159,9 +171,10 @@ def ray_solve(fieldobj, c, e1, e2, radii, rays):
     solved when f, its value at the centre first, changes sign exactly
     once along each ray (one oval, star-shaped about the centre), and
     Newton, seeded by linear interpolation in each bracket, converges
-    within the bracket's width of every seed.  Returns (X, ok, F): the
+    within the bracket's width of every seed.  Returns (X, G, ok, F): the
     polished points of the solved centres, back to back in ray order; the
-    solved mask; the samples, (centres, rays, 1 + radii).
+    field's gradient rows there (fieldobj.newton's); the solved mask; the
+    samples, (centres, rays, 1 + radii).
     """
     m, K = radii.shape
     ang = 2.0 * math.pi * np.arange(rays) / rays
@@ -181,10 +194,12 @@ def ray_solve(fieldobj, c, e1, e2, radii, rays):
     f0, f1 = F[rows, k], F[rows, k + 1]
     r = r0 + (r1 - r0) * f0 / (f0 - f1)
     seed = np.cos(r)[:, None] * o[rows] + np.sin(r)[:, None] * d[rows]
-    X, _, _, conv = fieldobj.newton(seed)
+    X, _, _, conv, G = fieldobj.newton(seed)
     held = (conv & (np.linalg.norm(X - seed, axis=1) <= r1 - r0)).reshape(-1, rays).all(axis=1)
     ok[ok] = held
-    return X.reshape(-1, rays, 3)[held].reshape(-1, 3), ok, F.reshape(m, rays, K + 1)
+    w = G.shape[1]
+    X, G = X.reshape(-1, rays, 3)[held], G.reshape(-1, rays, w)[held]
+    return X.reshape(-1, 3), G.reshape(-1, w), ok, F.reshape(m, rays, K + 1)
 
 
 def _link_cycles(pair_rows: np.ndarray) -> list:
@@ -230,34 +245,40 @@ def ring(sizes) -> tuple[np.ndarray, np.ndarray]:
     return loop, first + (np.arange(len(loop)) - first + 1) % np.asarray(sizes)[loop]
 
 
-def walk(fieldobj, starts, targets, dirs, steps, min_steps, caps):
+def walk(fieldobj, starts, grads, targets, dirs, steps, min_steps, caps):
     """Tangent continuation from each start point to its target, in lockstep.
 
     Each walk steps `steps[k]` along the field tangent oriented by its
     previous step (`dirs[k]` for the first) and Newton-projects back onto
-    the curve, so its points are ordered along the arc.  A walk ends at the
-    first point past `min_steps[k]` steps within 1.2 steps of its target.
-    Returns (points, tangents, owner, lost, stalled): the points the walks
-    visited after their starts and the oriented unit tangents there, back
-    to back walk by walk like a trace's loops, owner[i] the walk of point
-    i; and per walk whether it is lost, i.e. its projection stalled
-    (marked in stalled too) or it took `caps[k]` steps without arriving.
-    A lost walk contributes no points.
+    the curve, so its points are ordered along the arc.  The tangent at a
+    point is formed from the gradient row the point came with: grads[k]
+    at the start (fieldobj.newton's), then the projection's.  A walk ends
+    at the first point past `min_steps[k]` steps within 1.2 steps of its
+    target.  Returns (points, rows, tangents, owner, lost, stalled): the
+    points the walks visited after their starts, their gradient rows and
+    the oriented unit tangents there, back to back walk by walk like a
+    trace's loops, owner[i] the walk of point i; and per walk whether it
+    is lost, i.e. its projection stalled (marked in stalled too) or it
+    took `caps[k]` steps without arriving.  A lost walk contributes no
+    points.
     """
     m = len(starts)
     cur = np.array(starts, dtype=float)
+    G = np.array(grads, dtype=float)
     last = np.array(dirs, dtype=float)
     k = np.zeros(m, dtype=np.int64)
     lost = np.zeros(m, dtype=bool)
     stalled = np.zeros(m, dtype=bool)
-    who, pts, tans = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 3))], [np.zeros((0, 3))]
+    who = [np.zeros(0, dtype=np.int64)]
+    pts, rows, tans = [np.zeros((0, 3))], [np.zeros((0, G.shape[1]))], [np.zeros((0, 3))]
     active = np.arange(m)
     while len(active):
-        T = fieldobj.tangents(cur[active])
+        T = fieldobj.tangents(cur[active], G[active])
         T *= np.where(np.einsum("ij,ij->i", T, last[active]) < 0.0, -1.0, 1.0)[:, None]
         moved = k[active] > 0
         who.append(active[moved])
         pts.append(cur[active[moved]])
+        rows.append(G[active[moved]])
         tans.append(T[moved])
         gap = np.linalg.norm(cur[active] - targets[active], axis=1)
         done = (k[active] >= min_steps[active]) & (gap < 1.2 * steps[active])
@@ -268,49 +289,52 @@ def walk(fieldobj, starts, targets, dirs, steps, min_steps, caps):
             break
         pred = cur[active] + steps[active, None] * T
         pred /= np.linalg.norm(pred, axis=1)[:, None]
-        nxt, _, _, conv = fieldobj.newton(pred)
+        nxt, _, _, conv, g = fieldobj.newton(pred)
         lost[active[~conv]] = stalled[active[~conv]] = True
         active, nxt = active[conv], nxt[conv]
         last[active] = nxt - cur[active]
         cur[active] = nxt
+        G[active] = g[conv]
         k[active] += 1
     who = np.concatenate(who)
     order = np.argsort(who, kind="stable")
     order = order[~lost[who[order]]]
-    return np.concatenate(pts)[order], np.concatenate(tans)[order], who[order], lost, stalled
+    return (np.concatenate(pts)[order], np.concatenate(rows)[order], np.concatenate(tans)[order],
+            who[order], lost, stalled)
 
 
-def subdivide(fieldobj, P, sizes, too_long, rounds):
+def subdivide(fieldobj, P, G, sizes, too_long, rounds):
     """Split the segments of the loops P (stored back to back, with sizes
-    vertices each) at geodesic midpoints, Newton-projected back onto the
-    curve, in up to `rounds` passes.  too_long(P, next) marks the segments
-    (vertex i to next[i]) a pass splits.  A pass whose midpoint projection
-    stalls keeps the midpoints that converged and ends the passes.
-    Returns (P, sizes, settled), settled when a pass found nothing to
-    split."""
+    vertices each, and G their gradient rows) at geodesic midpoints,
+    Newton-projected back onto the curve, in up to `rounds` passes.
+    too_long(P, next) marks the segments (vertex i to next[i]) a pass
+    splits.  A pass whose midpoint projection stalls keeps the midpoints
+    that converged and ends the passes.  Returns (P, G, sizes, settled),
+    settled when a pass found nothing to split."""
     for _ in range(rounds):
         _, nxt = ring(sizes)
         over = too_long(P, nxt)
         if not over.any():
-            return P, sizes, True
+            return P, G, sizes, True
         s = P[over] + P[nxt[over]]
-        corrected, _, _, conv = fieldobj.newton(s / np.linalg.norm(s, axis=1)[:, None])
-        P, sizes = _insert_after(P, sizes, np.flatnonzero(over)[conv], corrected[conv])
+        corrected, _, _, conv, rows = fieldobj.newton(s / np.linalg.norm(s, axis=1)[:, None])
+        P, G, sizes = _insert_after(P, G, sizes, np.flatnonzero(over)[conv], corrected[conv],
+                                    rows[conv])
         if not conv.all():
             break
-    return P, sizes, False
+    return P, G, sizes, False
 
 
-def _densify(fieldobj, P, sizes, target):
+def _densify(fieldobj, P, G, sizes, target):
     """Split over-long segments of the loops P (stored back to back, with
-    sizes vertices each) at geodesic midpoints until none exceed roughly
-    twice the target arc-step, then walk the ones that stay over.
-    Returns (P, sizes)."""
+    sizes vertices each, and G their gradient rows) at geodesic midpoints
+    until none exceed roughly twice the target arc-step, then walk the
+    ones that stay over.  Returns (P, G, sizes)."""
     thresh = 1.9 * target
     # midpoints that stall (vanishing gradient near a hairpin tip) are
     # left for the tangent walk below
-    P, sizes, _ = subdivide(
-        fieldobj, P, sizes, lambda P, nxt: spherical_distance_many(P, P[nxt]) > thresh, 12)
+    P, G, sizes, _ = subdivide(
+        fieldobj, P, G, sizes, lambda P, nxt: spherical_distance_many(P, P[nxt]) > thresh, 12)
 
     # stubborn segments remain when the curve hairpins away from the chord
     # and midpoints keep projecting onto one endpoint; walk those along the
@@ -319,7 +343,7 @@ def _densify(fieldobj, P, sizes, target):
     gap = spherical_distance_many(P, P[nxt])
     bad = np.flatnonzero(gap > thresh)
     if not len(bad):
-        return P, sizes
+        return P, G, sizes
     a, b = P[bad], P[nxt[bad]]
     dirs = a - P[np.argsort(nxt)[bad]]  # from the previous vertex
     short = np.linalg.norm(dirs, axis=1) < 1e-13
@@ -328,19 +352,20 @@ def _densify(fieldobj, P, sizes, target):
     # a genuine hairpin detour is a few gap lengths; anything longer means
     # the linkage jumped between distinct strands
     caps = np.maximum(16, ((8.0 * gap[bad] + 6.0 * step) / step).astype(np.int64)) - 1
-    pts, _, owner, lost, stalled = walk(fieldobj, a, b, dirs, np.full(len(bad), step),
-                                        np.ones(len(bad)), caps)
+    pts, rows, _, owner, lost, stalled = walk(fieldobj, a, G[bad], b, dirs,
+                                              np.full(len(bad), step), np.ones(len(bad)), caps)
     if lost.any():
         # the first lost walk in vertex order decides
         if stalled[np.argmax(lost)]:
             raise DegenerateLemniscate("continuation step failed to converge")
         raise _StubbornSegment
-    return _insert_after(P, sizes, bad[owner], pts)
+    return _insert_after(P, G, sizes, bad[owner], pts, rows)
 
 
-def _insert_after(P, sizes, at, points):
-    """Insert points after the vertices at (ascending) of the loops P."""
-    return (np.insert(P, at + 1, points, axis=0),
+def _insert_after(P, G, sizes, at, points, rows):
+    """Insert points, with their gradient rows, after the vertices at
+    (ascending) of the loops P, whose rows are G."""
+    return (np.insert(P, at + 1, points, axis=0), np.insert(G, at + 1, rows, axis=0),
             sizes + np.bincount(ring(sizes)[0][at], minlength=len(sizes)))
 
 
@@ -424,8 +449,9 @@ def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
                            np.stack([lone, lone], axis=1)])
     cycles = [c for c in _link_cycles(rows) if (deg[c] == 2).all()]
     if not cycles:
-        return TracedLemniscate(np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
-                                np.zeros(0), nu, pos, [], cap, fieldobj)
+        return TracedLemniscate(np.zeros((0, 3)), np.zeros((0, fieldobj.grad_width)),
+                                np.zeros(0, dtype=np.int64), np.zeros(0), nu, pos, [], cap,
+                                fieldobj)
 
     # refine only the crossings of kept cycles, in crossing order; a global
     # trace keeps them all, in the one batch its refined bits depend on
@@ -433,15 +459,14 @@ def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
     keep = np.zeros(len(cids), dtype=bool)
     keep[nodes] = True
     a, b = e0[cids[keep]], e1[cids[keep]]
-    refined = np.empty((len(cids), 3))
-    refined[keep] = _edge_roots(fieldobj, grid.verts[a], grid.verts[b], F[a], F[b])
+    X, G = _edge_roots(fieldobj, grid.verts[a], grid.verts[b], F[a], F[b])
+    at = (np.cumsum(keep) - 1)[nodes]  # each node's row among the kept crossings
 
     sizes = np.array([len(c) for c in cycles])
-    P, sizes = _densify(fieldobj, refined[nodes], sizes,
-                        _ARC_STEP * grid.mean_edge_length)
+    P, G, sizes = _densify(fieldobj, X[at], G[at], sizes, _ARC_STEP * grid.mean_edge_length)
 
     # one sum per loop slice: pairwise, like a sum over the loop alone
     seg = spherical_distance_many(P, P[ring(sizes)[1]])
     lengths = np.array([d.sum() for d in np.split(seg, np.cumsum(sizes)[:-1])])
     loop_edges = [cids[c] for c in cycles]
-    return TracedLemniscate(P, sizes, lengths, nu, pos, loop_edges, cap, fieldobj)
+    return TracedLemniscate(P, G, sizes, lengths, nu, pos, loop_edges, cap, fieldobj)

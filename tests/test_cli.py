@@ -85,10 +85,16 @@ def _config(**entries):
     ["--n", "4"],
     ["--experiment", "length"],
     ["--config", {"n_values": [4]}],
+    LENGTH + ["--rho", "3"],
+    LENGTH + ["--target", "(())"],
+    ["--experiment", "construct", "--n", "3", "--rho", "3"],
+    _config(rho=3.0),
+    _config(target="(())"),
 ], ids=["grid", "local-trials", "local-target", "construct-target", "config-key",
         "workers-0", "workers-negative", "repeated-n", "config-n-values-int",
         "config-trials-str", "config-n-values-float", "no-experiment", "no-n",
-        "config-no-experiment"])
+        "config-no-experiment", "length-rho", "length-target", "construct-rho",
+        "config-rho", "config-target"])
 def test_run_refuses_a_bad_config_before_any_output(tmp_path, flags):
     out = str(tmp_path / "res")
     cfg = tmp_path / "cfg.json"

@@ -213,8 +213,8 @@ def test_moved_ovals_stay_on_the_moved_curve():
     for M in _one_of_each_move(frame):
         frame = frame.moved(M)
         # one Newton pass records the residual of the points as given
-        _, rel, _, _ = newton_correct(PairField(frame.rp), frame.verts, tol_rel=1e-9,
-                                     max_iters=1)
+        _, rel, _, _, _ = newton_correct(PairField(frame.rp), frame.verts, tol_rel=1e-9,
+                                        max_iters=1)
         assert rel.max() <= 1e-9
     # the unfold sends marker "a" to infinity
     assert np.allclose(from_homogeneous(frame.markers["a"]), [0.0, 0.0, 1.0])

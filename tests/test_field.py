@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import mpmath
@@ -8,6 +9,8 @@ from lemnilab.field import (
     _CHUNK,
     PairField,
     RealField,
+    _lift_chart,
+    _unit_cross,
     chart_jets,
     curve_tangents,
     eval_f_many,
@@ -17,6 +20,7 @@ from lemnilab.field import (
     poly_jets_many,
     real_charts,
     real_curve_tangents,
+    real_newton_correct,
 )
 from lemnilab.icogrid import icosphere
 from lemnilab.ensemble import rotate_pair
@@ -138,7 +142,8 @@ def test_jet_finite_difference_oracle():
     # in the southern chart z and the northern chart u = 1/z, where f is
     # that of the reversed-coefficient pair
     rp = sample_rational_pair(6, RandomStream(21))
-    f, gx, gy, sc, coord, north = chart_jets(PairField(rp), random_sphere(40))
+    f, g, sc, coord, north = chart_jets(PairField(rp), random_sphere(40))
+    gx, gy = g[:, 0], g[:, 1]
     assert north.any() and (~north).any()
     h = 1e-5
     for is_north in (False, True):
@@ -168,7 +173,7 @@ def test_newton_correct_projects_onto_curve():
     pts = t.vertices[: t.sizes[0]]
     noisy = pts + 1e-3 * rng.normal(size=pts.shape)
     noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
-    corrected, rel, relgrad, conv = newton_correct(PairField(rp), noisy)
+    corrected, rel, relgrad, conv, _ = newton_correct(PairField(rp), noisy)
     assert conv.all()
     assert rel.max() <= 1e-11
     assert np.allclose(np.linalg.norm(corrected, axis=1), 1.0, atol=1e-12)
@@ -282,6 +287,82 @@ def test_eval_real_many_kept_charts_change_no_bit():
             if not (grad or scale):
                 warm, cold = (warm,), (cold,)
             assert len(warm) == len(cold) and all(map(np.array_equal, warm, cold))
+
+
+# SHA-256 of eval_real_many's outputs at each degree (_real_digest), as
+# the evaluator gave them, under one BLAS thread, before it ran each chart
+# in blocks of points.  (A 2-thread BLAS then changed the last bits of 7
+# gradient entries of the n=50 grid pass; in blocks they are the same
+# bits under one thread and two.)
+_REAL_DIGESTS = {
+    1: "eb97be9ad39a6685e3a9f6d3f7698a9cac9f97b13f2952064f7d2c1058a0a015",
+    7: "8fa396b6f39fb3f13c73cc3f09ca0816cf2c81f16415a993904e574d509740a2",
+    50: "8bb1eba57f067555090ed5c43ced35338ea26047b27021725cd113f7435c3db8",
+    60: "8393b47a4f77cefe0e96f3ec73d93b0ac925f973f3b86a2dadd6e50fe69c4b75",
+}
+
+
+def _real_digest(n):
+    """Digest of the values, gradients and scales of a real field of
+    degree n at every with_grad/with_scale combination, on the nu=64
+    grid (with and without its kept chart data) and on fixed random sets
+    of 1, 16, 2,047, 2,049, 5,003 and 20,003 points."""
+    fld = RealField(sample_real_kostlan(n, RandomStream(404).substream(n)))
+    grid = icosphere(64).verts
+    r = np.random.default_rng(2048)
+    sets = [(grid, None), (grid, real_charts(grid, n))]
+    for m in (1, 16, 2047, 2049, 5003, 20003):
+        v = r.normal(size=(m, 3))
+        sets.append((v / np.linalg.norm(v, axis=1)[:, None], None))
+    h = hashlib.sha256()
+    for pts, charts in sets:
+        for grad, scale in itertools.product((False, True), repeat=2):
+            out = eval_real_many(fld, pts, grad, scale, charts=charts)
+            for a in out if grad or scale else (out,):
+                h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_eval_real_many_blocks_change_no_bit():
+    # the blocks of _REAL_BLOCK points give the bits of one pass over each
+    # chart, on both sides of a block's edge and over many blocks
+    for n, digest in _REAL_DIGESTS.items():
+        assert _real_digest(n) == digest, n
+
+
+def test_curve_tangents_bits():
+    # the one lift of the four offset chart points against four lifts,
+    # with the gradient rows evaluated or given: the same bits
+    fld = PairField(sample_rational_pair(30, RandomStream(404)))
+    pts = random_sphere(300)
+    _, g, _, coord, north = chart_jets(fld, pts)
+    assert north.any() and (~north).any()
+    h = 1e-7
+    e1 = (_lift_chart(coord + h, north) - _lift_chart(coord - h, north)) / (2 * h)
+    e2 = (_lift_chart(coord + 1j * h, north) - _lift_chart(coord - 1j * h, north)) / (2 * h)
+    want = _unit_cross(pts, g[:, 0, None] * e1 + g[:, 1, None] * e2)
+    assert np.array_equal(curve_tangents(fld, pts), want)
+    assert np.array_equal(curve_tangents(fld, pts, g), want)
+    # a walk step's few points: the lift alone (chart_jets' values depend
+    # on the batch in the last bits)
+    assert np.array_equal(curve_tangents(fld, pts[:2], g[:2]), want[:2])
+
+
+def test_newton_rows_are_nan_where_it_did_not_converge():
+    # one iteration from points half on the curve, half 1e-3 off it: the
+    # points off it do not converge, and only they get NaN rows
+    from lemnilab.tracer import trace
+
+    for curve, newton in ((sample_rational_pair(7, RandomStream(31)), newton_correct),
+                          (sample_real_kostlan(7, RandomStream(31)), real_newton_correct)):
+        t = trace(curve)
+        pts = t.vertices[::2].copy()
+        pts[1::2] += 1e-3 * rng.normal(size=pts[1::2].shape)
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        _, _, _, conv, rows = newton(t.fieldobj, pts, tol_rel=1e-9, max_iters=1)
+        assert conv.any() and not conv.all()
+        assert rows.shape == (len(pts), t.fieldobj.grad_width)
+        assert np.isfinite(rows[conv]).all() and np.isnan(rows[~conv]).all()
 
 
 def test_real_curve_tangents_bits():

@@ -58,26 +58,30 @@ def test_small_circle_two_tangents():
 
 
 def _loops(t):
-    """The open loops of a trace."""
-    return np.split(t.vertices, np.cumsum(t.sizes)[:-1])
+    """The open loops of a trace, each with its gradient rows."""
+    cut = np.cumsum(t.sizes)[:-1]
+    return list(zip(np.split(t.vertices, cut), np.split(t.grads, cut)))
 
 
 def _traced(loops, t):
-    """A trace of the open loops, on t's grid."""
-    sizes = np.array([len(L) for L in loops])
-    P = np.concatenate(loops)
+    """A trace of the open loops (each with its gradient rows), on t's grid."""
+    sizes = np.array([len(L) for L, _ in loops])
+    P = np.concatenate([L for L, _ in loops])
     lengths = np.bincount(ring(sizes)[0], spherical_distance_many(P, P[ring(sizes)[1]]))
-    return TracedLemniscate(P, sizes, lengths, t.grid_resolution, fieldobj=t.fieldobj)
+    return TracedLemniscate(P, np.concatenate([g for _, g in loops]), sizes, lengths,
+                            t.grid_resolution, fieldobj=t.fieldobj)
 
 
 def _radial_count(rp, pick=None):
     """_tangent_count with every loop small: (count, lost walks, fallbacks)."""
     loops = _loops(trace(rp))
     loops = loops if pick is None else [loops[i] for i in pick]
-    sizes = np.array([len(L) for L in loops])
-    P = np.concatenate(loops)
+    sizes = np.array([len(L) for L, _ in loops])
+    P = np.concatenate([L for L, _ in loops])
+    grads = np.concatenate([g for _, g in loops])
     e1, e2 = orthonormal_frame(Z)
-    return _tangent_count(P, sizes, Z, as_field(rp), math.inf, _windings(P, sizes, e1, e2))
+    return _tangent_count(P, grads, sizes, Z, as_field(rp), math.inf,
+                          _windings(P, sizes, e1, e2))
 
 
 def test_radial_count_off_axis_circle():
@@ -133,12 +137,12 @@ def test_axis_refinement_batches_loops():
     t = trace(rp)
     loops = _loops(t)
     assert len(loops) == 2
-    v = loops[0][0]
-    out = v - loops[0].mean(axis=0)
+    v = loops[0][0][0]
+    out = v - loops[0][0].mean(axis=0)
     out -= (out @ v) * v
     axis = math.cos(1e-3) * v + math.sin(1e-3) * out / np.linalg.norm(out)
     counting = _CountingField(f)
-    _, refined = _refine_near_axis(t.vertices, t.sizes, axis, counting)
+    _, _, refined = _refine_near_axis(t.vertices, t.grads, t.sizes, axis, counting)
     assert counting.newtons >= 5
     assert refined[0] > t.sizes[0] and refined[1] == t.sizes[1]
     nu, looping, w = meridian_stats(t, axis)
@@ -161,7 +165,7 @@ def _densify_ordered(t, field, parts):
     """The trace with `parts - 1` walked curve points inserted into every
     segment whose chord runs along the curve tangent at both its ends."""
     loops = []
-    for P in _loops(t):
+    for P, R in _loops(t):
         Q = np.roll(P, -1, axis=0)
         d = Q - P
         h = np.linalg.norm(d, axis=1)
@@ -171,10 +175,12 @@ def _densify_ordered(t, field, parts):
             o * np.einsum("ij,ij->i", np.roll(T, -1, axis=0), d) > 0.9 * h
         )
         k = np.flatnonzero(along)
-        pts, _, owner, _, _ = walk(field, P[k], Q[k], d[k], h[k] / parts,
-                                   np.full(len(k), parts - 1.0), np.full(len(k), 4.0 * parts))
+        pts, rows, _, owner, _, _ = walk(field, P[k], R[k], Q[k], d[k], h[k] / parts,
+                                         np.full(len(k), parts - 1.0),
+                                         np.full(len(k), 4.0 * parts))
         far = np.linalg.norm(pts - Q[k][owner], axis=1) > 0.5 * h[k][owner] / parts
-        loops.append(np.insert(P, k[owner][far] + 1, pts[far], axis=0))
+        at = k[owner][far] + 1
+        loops.append((np.insert(P, at, pts[far], axis=0), np.insert(R, at, rows[far], axis=0)))
     return _traced(loops, t)
 
 

@@ -15,6 +15,7 @@ from lemnilab.ensemble import (
 )
 from lemnilab.experiments import TRIAL_COLUMNS, run_trial, trial_stream, write_csv
 from lemnilab.field import PairField, RealField, as_field
+from lemnilab.geomstats import meridian_stats
 from lemnilab.icogrid import icosphere
 from lemnilab.sphere import homogeneous_coords, spherical_distance_many
 from lemnilab.topology import _local_tree, nesting_tree
@@ -220,8 +221,11 @@ def _walk_equator(*caps):
     circle, one per cap."""
     m = len(caps)
     start, target = np.tile([1.0, 0.0, 0.0], (m, 1)), np.tile([0.0, 1.0, 0.0], (m, 1))
-    return walk(as_field(unit_circle_pair()), start, target, target - start,
-                np.full(m, 0.1), np.ones(m, dtype=np.int64), np.array(caps))
+    fieldobj = as_field(unit_circle_pair())
+    pts, _, tans, owner, lost, stalled = walk(
+        fieldobj, start, fieldobj.newton(start)[4], target, target - start,
+        np.full(m, 0.1), np.ones(m, dtype=np.int64), np.array(caps))
+    return pts, tans, owner, lost, stalled
 
 
 def test_walk_arrives_along_the_curve():
@@ -255,6 +259,29 @@ def test_bridged_trials_match_committed_rows(tmp_path):
     with open(os.path.join(RESULTS, "tangents_n200_trials.csv")) as fh:
         committed = {ln.split(",")[1]: ln for ln in fh.read().splitlines()[1:]}
     assert path.read_text().splitlines()[1:] == [committed[str(i)] for i in BRIDGED]
+
+
+# (seed, n, trial): (meridian tangents, looping components) about the z
+# axis.  Seed-202 trials 0 and 5 have small loops, and trial 26 a bridge
+# walk; seed 404 is kostlan-compare's real field.
+CARRIED = {(202, 200, 0): (246, 0), (202, 200, 5): (258, 0), (202, 200, 26): (252, 0),
+           (404, 50, 0): (104, 0), (404, 50, 20): (80, 2)}
+
+
+def test_traces_carry_the_gradient_rows_newton_read():
+    # every vertex has its Newton projection's gradient row, and tangents
+    # formed from the rows are those of a fresh evaluation at the
+    # vertices, up to the last bits of the evaluation's batch
+    for (seed, n, i), counts in CARRIED.items():
+        sample = sample_rational_pair if seed == 202 else sample_real_kostlan
+        t = trace(sample(n, trial_stream(seed, n, i)))
+        assert t.grads.shape == (len(t.vertices), t.fieldobj.grad_width)
+        assert np.isfinite(t.grads).all()
+        carried = t.fieldobj.tangents(t.vertices, t.grads)
+        fresh = t.fieldobj.tangents(t.vertices)
+        assert np.max(np.abs(carried - fresh)) <= 1e-12
+        assert np.count_nonzero((carried == fresh).all(axis=1)) >= 0.99 * len(carried)
+        assert meridian_stats(t, NORTH)[:2] == counts
 
 
 def test_bridged_trace_resolution():
@@ -431,7 +458,7 @@ def _ray_solve_about_zero(p, q, rays=32):
 def test_ray_solve_circle_about_its_centre():
     # |z| = rho: one point per ray on the circle, in ray order
     rho = 0.1
-    X, ok, F = _ray_solve_about_zero([0.0, 1.0], [rho, 0.0])
+    X, _, ok, F = _ray_solve_about_zero([0.0, 1.0], [rho, 0.0])
     assert ok.tolist() == [True] and X.shape == (32, 3) and F.shape == (1, 32, 41)
     assert np.all(F[0, :, 0] < 0)  # |p| < |q| at the centre
     zh, wh = homogeneous_coords(X)
@@ -445,5 +472,5 @@ def test_ray_solve_refuses_two_ovals():
     # |z^2 - a^2| = rho < a^2: two ovals about +-a, so the rays towards
     # them cross the curve twice and the others not at all
     a2, rho = 0.25, 0.1
-    X, ok, _ = _ray_solve_about_zero([-a2, 0.0, 1.0], [rho, 0.0, 0.0])
+    X, _, ok, _ = _ray_solve_about_zero([-a2, 0.0, 1.0], [rho, 0.0, 0.0])
     assert ok.tolist() == [False] and X.shape == (0, 3)
