@@ -8,12 +8,21 @@ tracer reuses the same frequency across Monte Carlo trials.
 All 20 faces share one local lattice: points (i, j) with i + j <= nu, and
 up cells (i, j) with i + j <= nu - 1.  Each up cell owns three lattice
 edges, its i-edge (i,j)-(i+1,j), j-edge (i,j)-(i,j+1) and d-edge
-(i+1,j)-(i,j+1), so one sort of their keys min*V + max numbers the edges
-in sorted (e0, e1) order, and each triangle's edge ids are read from the
-sort's inverse in closed form.  A grid keeps its triangles only as edge
-triples (`tri_edges`), the one form the tracer and topology read; no
-vertex-triple table is stored.  Ids are int64, numpy's index type: a
-narrower id array is cast on every fancy index the tracer makes.
+(i+1,j)-(i,j+1).  Vertex ids put the rim first (the 12 corners, then each
+icosahedron edge's nu - 1 inner points) and then each face's interior row
+by row, so the edges come numbered in sorted (e0, e1) order without
+sorting them all.  An edge with a rim end sorts before every other; those
+are O(nu), and one sort of their keys min*V + max numbers them and gives
+each triangle's edge ids there.  The rest join two interior points of one
+face and run, face after face, in the order of their first end and then
+of the direction to (i, j+1), (i+1, j-1) or (i+1, j): their ids, and the
+triangles' edge ids, are one face-independent rank table (an exclusive
+cumsum of which directions stay inside) plus a per-face offset.
+Positions are built face by face in a (3, P) column layout.  A grid
+keeps its triangles only as edge triples (`tri_edges`), the one form the
+tracer and topology read; no vertex-triple table is stored.  Ids are
+int64, numpy's index type: a narrower id array is cast on every fancy
+index the tracer makes.
 
 icosphere returns the grid turned by one fixed rotation, GRID_JITTER.  The
 unrotated lattice (_lattice, which also measures the edges) is symmetric
@@ -35,6 +44,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -118,14 +128,11 @@ def _triangle(m):
     return i, j, lambda i, j: i * m - i * (i - 1) // 2 + j
 
 
-def _vertex_ids(nu, i, j):
-    """(20, P) global ids of every face's lattice points (i, j): corners
-    first, then each icosahedron edge's nu - 1 inner points from its lower
-    corner, then each face's interior row by row."""
+def _rim_ids(nu, i, j):
+    """(20, len(i)) global ids of every face's rim points (i, j), those on
+    an icosahedron edge: corners first, then each icosahedron edge's
+    nu - 1 inner points from its lower corner."""
     ids = np.empty((20, len(i)), dtype=np.int64)
-    inner = (i > 0) & (j > 0) & (i + j < nu)
-    n_int = np.count_nonzero(inner)
-    ids[:, inner] = 12 + 30 * (nu - 1) + np.arange(20 * n_int).reshape(20, n_int)
     on = (i > 0) & (i < nu)
     for mask, (s, t), k in (
         ((j == 0) & on, (0, 1), i),
@@ -138,7 +145,8 @@ def _vertex_ids(nu, i, j):
         eid = _EDGE_ID[np.minimum(u, v), np.maximum(u, v)]
         kk = np.where((u > v)[:, None], nu - k[mask], k[mask])
         ids[:, mask] = 12 + eid[:, None] * (nu - 1) + (kk - 1)
-    ids[:, [0, len(i) - 1, nu]] = _FACES  # (0,0), (nu,0), (0,nu)
+    for s, corner in enumerate(((i == 0) & (j == 0), i == nu, j == nu)):
+        ids[:, corner] = _FACES[:, [s]]
     return ids
 
 
@@ -151,46 +159,80 @@ def icosphere(nu: int) -> IcoGrid:
 
 def _lattice(nu: int) -> IcoGrid:
     """The unrotated geodesic grid of frequency nu >= 1."""
+    if isinstance(nu, bool) or not isinstance(nu, numbers.Integral):
+        raise ValueError(f"frequency must be an integer, got {nu!r}")
     if nu < 1:
-        raise ValueError("frequency must be >= 1")
+        raise ValueError(f"frequency must be >= 1, got {nu!r}")
+    nu = int(nu)
     n_verts = 10 * nu * nu + 2
+    n_int = (nu - 1) * (nu - 2) // 2  # interior points per face
+    first = 12 + 30 * (nu - 1) + n_int * np.arange(20)  # each face's first interior id
 
+    # local points in id order: the interior row by row, then the rim
     i, j, point = _triangle(nu + 1)
-    ids = _vertex_ids(nu, i, j)
-    a, b, c = (_CORNERS[_FACES[:, k]][:, None, :] for k in range(3))
-    pos = (
-        (nu - i - j)[None, :, None] * a + i[None, :, None] * b + j[None, :, None] * c
-    ).reshape(-1, 3) / nu
-    pos /= np.linalg.norm(pos, axis=1)[:, None]
-    verts = np.empty((n_verts, 3))
-    verts[ids.ravel()] = pos  # faces in order; a shared point keeps the last face's
-    del pos
+    inner = (i > 0) & (j > 0) & (i + j < nu)
+    order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    rim_ids = _rim_ids(nu, i[order[n_int:]], j[order[n_int:]])
 
-    # three lattice edges per up cell: i-edge, j-edge, d-edge
+    def ids(s):
+        """(20, len(s)) global ids of the local points order[s]."""
+        out = first[:, None] + s
+        on = s >= n_int
+        out[:, on] = rim_ids[:, s[on] - n_int]
+        return out
+
+    # x = ((fk a + fi b) + fj c) / nu over the corners a, b, c, divided by
+    # sqrt((x0 x0 + x1 x1) + x2 x2), the sum order of np.linalg.norm(axis=1)
+    fk, fi, fj = (w[order].astype(float) for w in (nu - i - j, i, j))
+    verts = np.empty((n_verts, 3))
+    for f, (a, b, c) in enumerate(_CORNERS[_FACES]):
+        x = (fk * a[:, None] + fi * b[:, None] + fj * c[:, None]) / nu
+        x /= np.sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2])
+        verts[first[f] : first[f] + n_int] = x[:, :n_int].T
+        verts[rim_ids[f]] = x[:, n_int:].T  # a shared point keeps the last face's
+
+    # An interior point's edges to later interior points, to (i, j+1),
+    # (i+1, j-1) and (i+1, j), run in sorted (e0, e1) order, face after
+    # face; every edge with a rim end sorts before them.
+    ii, jj = i[order[:n_int]], j[order[:n_int]]
+    later = slot[np.stack([point(ii, jj + 1), point(ii + 1, jj - 1), point(ii + 1, jj)], axis=1)]
+    keep = later < n_int
+    local = np.cumsum(keep.ravel()).reshape(keep.shape) - 1  # id within the face
+    n_face = np.count_nonzero(keep)
+
+    # three lattice edges per up cell: i-edge (i,j)-(i+1,j), j-edge
+    # (i,j)-(i,j+1), d-edge (i,j+1)-(i+1,j), each named by its first end
+    # and its direction from there
     ci, cj, cell = _triangle(nu)
-    g0, g1, g2 = ids[:, point(ci, cj)], ids[:, point(ci + 1, cj)], ids[:, point(ci, cj + 1)]
-    del ids
-    keys = np.empty((20, len(ci), 3), dtype=np.int64)
-    for col, (u, v) in enumerate(((g0, g1), (g0, g2), (g1, g2))):
-        keys[:, :, col] = np.minimum(u, v) * n_verts + np.maximum(u, v)
-    del g0, g1, g2
-    uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
-    del keys
-    edges = np.empty((len(uniq), 2), dtype=np.int64)
-    np.divmod(uniq, n_verts, out=(edges[:, 0], edges[:, 1]))
-    del uniq
-    lattice = inverse.reshape(20, len(ci), 3)
+    p00, p10, p01 = point(ci, cj), point(ci + 1, cj), point(ci, cj + 1)
+    end0 = slot[np.stack([p00, p00, p01], axis=1)].ravel()
+    end1 = slot[np.stack([p10, p01, p10], axis=1)].ravel()
+    way = np.tile([2, 0, 1], len(ci))
+    both = (end0 < n_int) & (end1 < n_int)
+    up = np.full(len(end0), -1, dtype=np.int64)
+    up[both] = local[end0[both], way[both]]
+
+    # the up-cell edges with a rim end, in every face: the only keys sorted
+    u, v = ids(end0[~both]), ids(end1[~both])
+    uniq, inverse = np.unique(np.minimum(u, v) * n_verts + np.maximum(u, v), return_inverse=True)
+    inverse = inverse.reshape(u.shape)
+    n_rim = len(uniq)
+
+    edges = np.empty((30 * nu * nu, 2), dtype=np.int64)
+    np.divmod(uniq, n_verts, out=(edges[:n_rim, 0], edges[:n_rim, 1]))
+    np.add(np.stack([np.nonzero(keep)[0], later[keep]], axis=1), first[:, None, None],
+           out=edges[n_rim:].reshape(20, n_face, 2))
 
     # per face: the up cells, then the down cells (i,j) with i + j <= nu - 2,
     # bounded by the j-edge of (i+1,j), the d-edge of (i,j), the i-edge of (i,j+1)
     di, dj, _ = _triangle(nu - 1)
-    tri_edges = np.empty((20, nu * nu, 3), dtype=np.int64)
-    tri_edges[:, : len(ci)] = lattice
-    down = tri_edges[:, len(ci):]
-    down[:, :, 0] = lattice[:, cell(di + 1, dj), 1]
-    down[:, :, 1] = lattice[:, cell(di, dj), 2]
-    down[:, :, 2] = lattice[:, cell(di, dj + 1), 0]
-    del inverse, lattice
+    down = 3 * np.stack([cell(di + 1, dj), cell(di, dj), cell(di, dj + 1)], axis=1) + [1, 2, 0]
+    src = np.concatenate([np.arange(len(up)), down.ravel()])
+    tri_edges = np.add.outer(n_rim + n_face * np.arange(20), up[src])
+    hit = np.flatnonzero(~both[src])
+    tri_edges[:, hit] = inverse[:, (np.cumsum(~both) - 1)[src[hit]]]
 
     d = np.empty(len(edges))
     for lo in range(0, len(edges), _CHUNK):

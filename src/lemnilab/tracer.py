@@ -40,6 +40,7 @@ counter solves its small loops with it, and the constructor its new ovals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -69,7 +70,10 @@ class TraceOptions:
     grid_resolution: int = 64
 
     def __post_init__(self):
-        if self.grid_resolution < 64:
+        nu = self.grid_resolution
+        if isinstance(nu, bool) or not isinstance(nu, numbers.Integral):
+            raise ValueError(f"grid_resolution must be an integer, got {nu!r}")
+        if nu < 64:
             raise ValueError("grid_resolution must be >= 64")
 
 

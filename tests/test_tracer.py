@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,13 @@ def test_options_validation():
     with pytest.raises(ValueError):
         TraceOptions(grid_resolution=10)
     assert default_options(100).grid_resolution >= 55
+
+
+def test_grid_resolution_must_be_an_integer():
+    for nu in (100.5, 96.0, True, "96", None):
+        with pytest.raises(ValueError, match=re.escape(repr(nu))):
+            TraceOptions(grid_resolution=nu)
+    assert TraceOptions(np.int64(96)).grid_resolution == 96  # numpy integers are integers
 
 
 def test_components_closed_and_on_curve():
