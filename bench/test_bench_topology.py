@@ -4,18 +4,23 @@ Outside the tier-1 `testpaths`; run from the repository root with
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest bench -q
 
-Both cases read one fixed trace: seed 202, n=200, trial 0, at the default
-grid (nu=78), the tangents workload's first trial.  `nesting_tree` never
-re-traces, so it costs the flood fill plus one tree edge per loop and the
-tree check.
+The first two cases read one fixed trace: seed 202, n=200, trial 0, at
+the default grid (nu=78), the tangents workload's first trial.
+`nesting_tree` never re-traces, so it costs the flood fill plus one tree
+edge per loop and the tree check.  The third fills the cap the local stage
+traces at rho=7, n=100 (seed 606, trial 0): the 2nu=128 cap of 20,675
+vertices, one longest default-grid edge wider than the disk.
 """
+
+import math
 
 import pytest
 
 from lemnilab.ensemble import sample_rational_pair
 from lemnilab.experiments import trial_stream
-from lemnilab.topology import _build_faces, nesting_tree
-from lemnilab.tracer import trace
+from lemnilab.icogrid import icosphere
+from lemnilab.topology import _build_faces, _grid, nesting_tree
+from lemnilab.tracer import TraceOptions, default_options, trace
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +40,13 @@ def test_nesting_tree(benchmark, traced_n200):
     tree = benchmark(nesting_tree, t)
     assert tree.n_faces == len(t.components) + 1
     assert tree.n_components == len(t.components)
+
+
+def test_cap_nesting_tree(benchmark):
+    n = 100
+    nu = default_options(n).grid_resolution
+    cap = ((0.0, 0.0, 1.0), 7.0 / math.sqrt(n) + icosphere(nu).max_edge_length)
+    t = trace(sample_rational_pair(n, trial_stream(606, n, 0)), TraceOptions(2 * nu), cap)
+    assert _grid(t).n_vertices == 20675
+    tree = benchmark(nesting_tree, t)
+    assert tree.n_faces == len(t.components) + 1

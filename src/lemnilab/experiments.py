@@ -32,7 +32,8 @@ from .geomstats import (
     meridian_stats,
 )
 from .sphere import Rotation, homogeneous_coords, random_great_circle, unit_vector
-from .topology import LOCAL_MIN_TRIALS, Arrangement, local_arrangement_probability
+from .topology import (LOCAL_MAX_RADIUS, LOCAL_MIN_TRIALS, Arrangement,
+                       local_arrangement_probability)
 from .tracer import DegenerateLemniscate, TraceOptions, trace
 
 
@@ -131,6 +132,8 @@ class ExperimentConfig:
         if self.experiment == "local-arrangement":
             if self.rho is None or self.rho <= 0:
                 raise ConfigError("local-arrangement needs rho > 0")
+            if self.rho / math.sqrt(min(self.n_values)) >= LOCAL_MAX_RADIUS:
+                raise ConfigError("local-arrangement needs rho/sqrt(n) < pi/2 for every n")
             if not self.target:
                 raise ConfigError("local-arrangement needs a target form")
             if self.trials < LOCAL_MIN_TRIALS:

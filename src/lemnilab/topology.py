@@ -2,10 +2,13 @@
 
 The complement of a disjoint union of circles on the sphere is a forest of
 faces; adjacency across each circle makes it a tree with b0 + 1 nodes.
-Faces are recovered combinatorially from the tracer's grid: vertices keep
-their sign of f, crossing edges are walls, and a flood fill groups the
-rest.  Rooted trees are compared through AHU canonical strings (balanced
-parentheses, children sorted), which are the stable cross-run identifier.
+Faces are recovered combinatorially from the grid the curve was traced on
+(the whole sphere, or a cap): the crossing edges of the traced loops are
+walls, and a flood fill groups the rest.  On a whole sphere those walls
+are exactly the grid's sign changes; on a cap, the arcs its rim cuts are
+no walls, so the faces are those of the cap minus its loops.  Rooted
+trees are compared through AHU canonical strings (balanced parentheses,
+children sorted), which are the stable cross-run identifier.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from scipy.sparse.csgraph import connected_components
 
 from .ensemble import RandomStream, sample_rational_pair
 from .icogrid import icosphere
-from .sphere import orthonormal_frame, unit_vector
+from .sphere import unit_vector
 from .tracer import (
     _ARC_STEP,
     DegenerateLemniscate,
     TracedLemniscate,
     TraceOptions,
+    _cap_grid,
     default_options,
     trace,
 )
@@ -32,6 +36,7 @@ from .tracer import (
 
 _DISK_CENTER = np.array([0.0, 0.0, 1.0])  # local_arrangement_probability
 LOCAL_MIN_TRIALS = 100  # the fewest trials local_arrangement_probability takes
+LOCAL_MAX_RADIUS = math.pi / 2  # rho/sqrt(n) below it: the cap has a rim to root at
 
 
 class InconsistentTopology(RuntimeError):
@@ -117,15 +122,21 @@ class NestingTree:
         return adj
 
 
+def _grid(t: TracedLemniscate):
+    """The grid t was traced on: icosphere(nu), or its part in t's cap."""
+    nu = t.grid_resolution
+    return icosphere(nu) if t.cap is None else _cap_grid(nu, *t.cap)
+
+
 def _build_faces(t: TracedLemniscate):
-    grid = icosphere(t.grid_resolution)
-    pos = t.vertex_signs
+    grid = _grid(t)
+    keep = np.ones(len(grid.edges), dtype=bool)
+    for cids in t.loop_edges:
+        keep[cids] = False
     e0, e1 = grid.edges[:, 0], grid.edges[:, 1]
-    keep = pos[e0] == pos[e1]
     nv = grid.n_vertices
-    m = coo_matrix(
-        (np.ones(keep.sum(), dtype=np.int8), (e0[keep], e1[keep])), shape=(nv, nv)
-    )
+    # gathered inline, so only coo_matrix's int32 copies outlive this line
+    m = coo_matrix((np.ones(keep.sum(), dtype=np.int8), (e0[keep], e1[keep])), shape=(nv, nv))
     n_faces, labels = connected_components(m, directed=False)
     return grid, labels, n_faces
 
@@ -148,16 +159,13 @@ def _tree_edges(t: TracedLemniscate, grid, labels):
 
 
 def nesting_tree(t: TracedLemniscate) -> NestingTree:
-    """The tree of faces of S^2 minus the traced curve t.
+    """The tree of faces of S^2, or of t's cap, minus t's traced loops.
 
     Raises InconsistentTopology when the flood fill disagrees with t: the
     face count is not b0 + 1, a loop borders more than two faces, or the
     face graph is not a tree.  It never re-traces; a caller that needs a
-    finer grid traces again itself.  Raises ValueError on a cap trace,
-    whose vertex signs and loop edges cover only its cap.
+    finer grid traces again itself.
     """
-    if t.cap is not None:
-        raise ValueError("nesting_tree needs a whole-sphere trace, not a cap trace")
     grid, labels, n_faces = _build_faces(t)
     b0 = len(t.sizes)
     if n_faces != b0 + 1:
@@ -184,9 +192,9 @@ def face_of_point(tree: NestingTree, point) -> int:
     if abs(f[0]) <= 1e-12 * sc[0]:
         raise PointOnCurve("point lies on the lemniscate")
     want = f[0] > 0
-    # nearest grid vertex on the same side of the curve, by the signs the
-    # faces were flood-filled from
-    d = icosphere(t.grid_resolution).verts @ point
+    # nearest vertex of the trace's grid on the same side of the curve, by
+    # the trace's vertex signs
+    d = _grid(t).verts @ point
     order = np.argpartition(-d, min(64, len(d) - 1))[:64]
     order = order[np.argsort(-d[order])]
     same = order[t.vertex_signs[order] == want]
@@ -195,14 +203,19 @@ def face_of_point(tree: NestingTree, point) -> int:
     return int(tree.face_of_vertex[same[0]])
 
 
-def rooted_canonical_form(tree: NestingTree, root_point) -> Arrangement:
-    """AHU canonical string of the face tree rooted at root_point's face."""
+def _rooted(tree: NestingTree, face: int) -> Arrangement:
+    """AHU canonical string of the face tree rooted at face."""
     adj = tree.adjacency()
 
     def kids(v, parent):
         return [kids(w, v) for w in adj[v] if w != parent]
 
-    return Arrangement(_render(kids(face_of_point(tree, root_point), -1)))
+    return Arrangement(_render(kids(face, -1)))
+
+
+def rooted_canonical_form(tree: NestingTree, root_point) -> Arrangement:
+    """AHU canonical string of the face tree rooted at root_point's face."""
+    return _rooted(tree, face_of_point(tree, root_point))
 
 
 @dataclass(frozen=True)
@@ -215,42 +228,6 @@ class ArrangementEstimate:
     regridded: int  # trials whose tree at the default grid differs at 2x
 
 
-def _local_tree(loops_xy: list) -> str:
-    """Canonical rooted parenthesization of planar loops nested by containment.
-
-    loops_xy: closed polylines in chart coordinates, first vertex not
-    repeated.
-    """
-    k = len(loops_xy)
-
-    def contains(b, pt) -> bool:
-        x, y = b[:, 0] - pt[0], b[:, 1] - pt[1]
-        x2, y2 = np.roll(x, -1), np.roll(y, -1)
-        ang = np.arctan2(x * y2 - y * x2, x * x2 + y * y2)
-        return abs(ang.sum()) > math.pi
-
-    inside = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                inside[i, j] = contains(loops_xy[j], loops_xy[i][0])
-    depth = inside.sum(axis=1)
-    children = [[] for _ in range(k + 1)]  # index k = the disk face (root)
-    for i in range(k):
-        cand = [j for j in range(k) if inside[i, j]]
-        if cand:
-            # immediate container = the deepest loop containing i
-            par = max(cand, key=lambda j: depth[j])
-            children[par].append(i)
-        else:
-            children[k].append(i)
-
-    def nested(v):
-        return [nested(c) for c in children[v]]
-
-    return _render(nested(k))
-
-
 def local_arrangement_probability(
     target: Arrangement,
     n: int,
@@ -261,46 +238,53 @@ def local_arrangement_probability(
     """Frequency of the target arrangement inside a shrinking disk.
 
     Each trial restricts the lemniscate to the spherical disk of radius
-    rho / sqrt(n) about the north pole, keeps only the components lying
-    entirely inside with a one-arc-step margin of the default grid, and
-    compares the rooted containment tree (rooted at the disk-boundary face)
-    against the target.  Only a cap one longest grid edge wider than the
-    disk is traced, which holds every grid triangle of a kept component.
-    The trial is traced at the default grid and at twice its resolution;
-    the finer tree is counted, and `regridded` counts the trials whose two
-    trees differ.
+    rho / sqrt(n) (below LOCAL_MAX_RADIUS) about the north pole, keeps only
+    the components lying entirely inside with a one-arc-step margin of the
+    default grid, and compares their nesting tree, flood-filled on the cap
+    grid and rooted at the face of its rim, against the target.  Only a
+    cap one longest grid edge wider than the disk is traced, which holds
+    every grid triangle of a kept component.  The trial is traced at the
+    default grid and at twice its resolution; the finer tree is counted,
+    and `regridded` counts the trials whose two trees differ.  A trial
+    whose trace degenerates or whose faces do not form the tree is
+    rejected.
     """
     if trials < LOCAL_MIN_TRIALS:
         raise ValueError("need at least %d trials" % LOCAL_MIN_TRIALS)
     if rho <= 0:
         raise ValueError("rho must be positive")
     radius = rho / math.sqrt(n)
-    # chart axes for the planar containment test
-    e1, e2 = orthonormal_frame(_DISK_CENTER)
+    if radius >= LOCAL_MAX_RADIUS:
+        raise ValueError("rho/sqrt(n) must be below pi/2")
 
     opts = default_options(n)
     levels = (opts, TraceOptions(2 * opts.grid_resolution))
     grid = icosphere(opts.grid_resolution)
     margin = _ARC_STEP * grid.mean_edge_length
-    cap = (_DISK_CENTER, min(math.pi, radius + grid.max_edge_length))
+    cap = (_DISK_CENTER, radius + grid.max_edge_length)
 
     def local_tree(t):
         V, starts = t.vertices, np.cumsum(t.sizes) - t.sizes
         far = np.maximum.reduceat(np.arccos(np.clip(V @ _DISK_CENTER, -1.0, 1.0)), starts)
-        xy = np.split(np.stack([V @ e1, V @ e2], axis=1), starts[1:])
-        return _local_tree([L for L, d in zip(xy, far) if d <= radius - margin])
+        keep = far <= radius - margin
+        k = np.count_nonzero(keep)
+        if k < 2:
+            return Arrangement.chain(k)  # no loop, or one: no fill needed
+        tree = nesting_tree(t.select(keep))
+        # the cap's vertex farthest from the centre lies outside every kept loop
+        return _rooted(tree, tree.face_of_vertex[np.argmin(_grid(t).verts @ _DISK_CENTER)])
 
     hits = used = rejected = regridded = 0
     for i in range(trials):
         rp = sample_rational_pair(n, rng.substream(i))
         try:
             coarse, fine = [local_tree(trace(rp, o, cap)) for o in levels]
-        except DegenerateLemniscate:
+        except (DegenerateLemniscate, InconsistentTopology):
             rejected += 1
             continue
         used += 1
         regridded += coarse != fine
-        hits += fine == target.canonical
+        hits += fine == target
     if used == 0:
         raise DegenerateLemniscate("all trials rejected")
     p = hits / used

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -115,6 +115,14 @@ class TracedLemniscate:
     @property
     def total_length(self) -> float:
         return float(self.lengths.sum())
+
+    def select(self, keep) -> "TracedLemniscate":
+        """The trace of the loops j with keep[j], on the same grid and signs."""
+        keep = np.asarray(keep, dtype=bool)
+        on = np.repeat(keep, self.sizes)
+        return replace(self, vertices=self.vertices[on], grads=self.grads[on],
+                       sizes=self.sizes[keep], lengths=self.lengths[keep],
+                       loop_edges=[e for e, k in zip(self.loop_edges, keep) if k])
 
 
 def _slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -65,6 +65,15 @@ def test_config_rejects_options_the_serial_experiments_ignore():
             ExperimentConfig(experiment, [4], grid_resolution=128, **extra)
 
 
+def test_config_rejects_a_local_disk_past_a_hemisphere():
+    # rho/sqrt(n) < pi/2 for every n, checked before any output
+    local = dict(rho=3.0, target="(())")
+    ExperimentConfig("local-arrangement", [4, 100], **local)
+    for rho in (math.pi, 5.0):
+        with pytest.raises(ConfigError, match="pi/2"):
+            ExperimentConfig("local-arrangement", [100, 4], rho=rho, target="(())")
+
+
 def test_axis_stats_retries_about_a_random_axis():
     # |p_2| = |q_2|: f vanishes at the north pole, so the curve passes
     # through the z axis and the count moves to another axis

@@ -12,6 +12,7 @@ from lemnilab.ensemble import (
     RealKostlanPolynomial,
     sample_rational_pair,
 )
+from lemnilab.constructor import realize
 from lemnilab.topology import (
     Arrangement,
     InconsistentTopology,
@@ -22,7 +23,46 @@ from lemnilab.topology import (
 )
 from lemnilab.experiments import trial_stream
 from lemnilab.icogrid import icosphere
+from lemnilab.sphere import spherical_distance_many
 from lemnilab.tracer import _ARC_STEP, TraceOptions, default_options, trace
+
+
+def _winding_tree(loops_xy: list) -> str:
+    """Canonical rooted parenthesization of planar loops nested by
+    containment: a reference for the local stage's tree that shares no
+    code with the flood fill.
+
+    loops_xy: closed polylines in chart coordinates, first vertex not
+    repeated; the root is the plane outside every loop.
+    """
+    k = len(loops_xy)
+
+    def contains(b, pt) -> bool:
+        x, y = b[:, 0] - pt[0], b[:, 1] - pt[1]
+        x2, y2 = np.roll(x, -1), np.roll(y, -1)
+        ang = np.arctan2(x * y2 - y * x2, x * x2 + y * y2)
+        return abs(ang.sum()) > math.pi
+
+    inside = np.zeros((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                inside[i, j] = contains(loops_xy[j], loops_xy[i][0])
+    depth = inside.sum(axis=1)
+    children = [[] for _ in range(k + 1)]  # index k = the outside (root)
+    for i in range(k):
+        cand = [j for j in range(k) if inside[i, j]]
+        if cand:
+            # immediate container = the deepest loop containing i
+            par = max(cand, key=lambda j: depth[j])
+            children[par].append(i)
+        else:
+            children[k].append(i)
+
+    def nested(v):
+        return [nested(c) for c in children[v]]
+
+    return topology._render(nested(k))
 
 
 def circle_pair():
@@ -99,13 +139,35 @@ def test_nesting_tree_is_the_tree_of_the_given_trace(monkeypatch):
     assert tree.n_faces == 53
 
 
-def test_nesting_tree_rejects_a_cap_trace():
-    # the cap holds the whole equator, but its signs cover only the cap
-    rp = circle_pair()
-    t = trace(rp, cap=((0.0, 0.0, 1.0), 2.0))
+def test_nesting_tree_of_a_cap_trace():
+    # the cap holds the whole equator: the cap minus it is two faces
+    t = trace(circle_pair(), cap=((0.0, 0.0, 1.0), 2.0))
     assert len(t.components) == 1
-    with pytest.raises(ValueError):
-        nesting_tree(t)
+    tree = nesting_tree(t)
+    assert tree.n_faces == 2
+    assert rooted_canonical_form(tree, (0, 0, 1)) == Arrangement("(())")
+
+
+def test_nesting_tree_of_a_cap_of_radius_pi_is_the_global_tree():
+    rp = sample_rational_pair(10, RandomStream(83).substream(0))
+    g, c = nesting_tree(trace(rp)), nesting_tree(trace(rp, cap=((0.0, 0.0, 1.0), math.pi)))
+    assert c.trace.cap is not None and c.n_faces == g.n_faces > 2
+    assert np.array_equal(c.edges, g.edges)
+    assert np.array_equal(c.face_of_vertex, g.face_of_vertex)
+
+
+@pytest.mark.parametrize("spec", ["((())())", "(()()())", "(((())))"])
+def test_cap_tree_about_the_outer_face_reads_the_spec(spec):
+    # the cap leaves out a disk about the root point that misses the curve;
+    # its vertex farthest from the centre lies in the outer face
+    c = realize(Arrangement(spec))
+    t = c.tree.trace
+    d = spherical_distance_many(t.vertices, np.broadcast_to(c.root_point, t.vertices.shape))
+    centre = -c.root_point
+    ct = trace(c.pair, TraceOptions(t.grid_resolution), (centre, math.pi - d.min() / 2))
+    tree = nesting_tree(ct)
+    rim = np.argmin(topology._grid(ct).verts @ ct.cap[0])
+    assert topology._rooted(tree, tree.face_of_vertex[rim]) == c.spec
 
 
 def test_nesting_tree_rejects_a_repeated_loop_edge(monkeypatch):
@@ -166,7 +228,7 @@ def test_local_tree_nests_by_containment():
     th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     ring = np.stack([np.cos(th), np.sin(th)], axis=1)
     loops = [ring, 0.5 * ring, 0.2 * ring + [3.0, 0.0]]
-    assert topology._local_tree(loops) == "((())())"
+    assert _winding_tree(loops) == "((())())"
 
 
 def test_local_arrangement_requires_trials():
@@ -174,6 +236,28 @@ def test_local_arrangement_requires_trials():
         local_arrangement_probability(
             Arrangement("(())"), 20, 1.0, 10, RandomStream(1)
         )
+
+
+def test_local_arrangement_requires_a_disk_within_a_hemisphere():
+    # n = 4: rho/sqrt(n) = pi/2 exactly, and beyond
+    for rho in (math.pi, 5.0):
+        with pytest.raises(ValueError):
+            local_arrangement_probability(Arrangement("(())"), 4, rho, 100, RandomStream(11))
+
+
+def test_local_arrangement_rejects_a_trial_whose_faces_are_no_tree(monkeypatch):
+    # a repeated tree edge leaves a face unreached, in every disk with two
+    # or more loops; each rejected trial fails its first fill
+    fills = []
+
+    def repeated(t, grid, labels):
+        fills.append(len(t.sizes))
+        return [(0, 1)] * len(t.sizes)
+
+    monkeypatch.setattr(topology, "_tree_edges", repeated)
+    est = local_arrangement_probability(Arrangement("(())"), 30, 4.0, 100, RandomStream(5))
+    assert est.trials_used + est.rejected == 100
+    assert est.rejected == len(fills) > 0 and min(fills) >= 2
 
 
 def test_local_arrangement_single_circle_positive():
@@ -188,22 +272,24 @@ def test_local_arrangement_single_circle_positive():
 
 
 def test_regridded_counts_the_trials_whose_two_trees_differ():
+    # the stage's flood-filled trees against the winding-sum reference
     n, rho, seed = 100, 7.0, 606
-    est = local_arrangement_probability(
-        Arrangement("(())"), n, rho, 100, RandomStream(seed)
-    )
+    target = Arrangement("(()())")
+    est = local_arrangement_probability(target, n, rho, 100, RandomStream(seed))
     radius = rho / math.sqrt(n)
     nu = default_options(n).grid_resolution
     grid = icosphere(nu)
     cap = ((0.0, 0.0, 1.0), radius + grid.max_edge_length)
     inner = radius - _ARC_STEP * grid.mean_edge_length
-    differ = 0
+    differ = hits = 0
     for i in range(100):
         rp = sample_rational_pair(n, RandomStream(seed).substream(i))
         trees = []
         for res in (nu, 2 * nu):
             loops = [c[:-1, :2] for c in trace(rp, TraceOptions(res), cap).components
                      if np.arccos(np.clip(c[:, 2], -1.0, 1.0)).max() <= inner]
-            trees.append(topology._local_tree(loops))
+            trees.append(_winding_tree(loops))
         differ += trees[0] != trees[1]
+        hits += trees[1] == target.canonical
     assert est.trials_used == 100 and est.regridded == differ > 0
+    assert est.hits == hits > 0

@@ -19,7 +19,7 @@ from lemnilab.field import PairField, RealField, as_field
 from lemnilab.geomstats import meridian_stats
 from lemnilab.icogrid import icosphere
 from lemnilab.sphere import homogeneous_coords, spherical_distance_many
-from lemnilab.topology import _local_tree, nesting_tree
+from lemnilab.topology import nesting_tree
 from lemnilab import tracer
 from lemnilab.tracer import (
     _ARC_STEP,
@@ -33,6 +33,7 @@ from lemnilab.tracer import (
     trace,
     walk,
 )
+from test_topology import _winding_tree
 
 RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "results")
 
@@ -323,6 +324,21 @@ def test_stubborn_segment_retries_stop_at_the_resolution_cap(monkeypatch):
         assert tried == want
 
 
+def test_select_keeps_the_chosen_loops_on_the_same_grid():
+    t = trace(sample_rational_pair(20, RandomStream(3)))
+    keep = np.arange(len(t.sizes)) % 2 == 0
+    s = t.select(keep)
+    assert len(t.sizes) >= 3 and len(s.sizes) == keep.sum()
+    for a, b in zip(s.components, [c for c, k in zip(t.components, keep) if k], strict=True):
+        assert np.array_equal(a, b)
+    on = np.repeat(keep, t.sizes)
+    assert np.array_equal(s.grads, t.grads[on]) and np.array_equal(s.lengths, t.lengths[keep])
+    assert all(np.array_equal(a, b) for a, b in zip(
+        s.loop_edges, [e for e, k in zip(t.loop_edges, keep) if k], strict=True))
+    assert s.vertex_signs is t.vertex_signs and s.fieldobj is t.fieldobj
+    assert (s.grid_resolution, s.cap) == (t.grid_resolution, t.cap)
+
+
 def test_cap_of_radius_pi_is_the_global_trace():
     rp = sample_rational_pair(50, RandomStream(7))
     g, c = trace(rp), trace(rp, cap=(NORTH, math.pi))
@@ -345,7 +361,7 @@ def test_cap_loops_are_the_global_loops_in_the_disk():
         assert [len(L) for L in g] == [len(L) for L in c], i
         for a, b in zip(g, c):
             assert np.abs(a - b).max() < 1e-12, i
-        assert _local_tree([L[:, :2] for L in g]) == _local_tree([L[:, :2] for L in c])
+        assert _winding_tree([L[:, :2] for L in g]) == _winding_tree([L[:, :2] for L in c])
         found += len(g)
     assert found >= 10
 
