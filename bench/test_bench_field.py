@@ -9,15 +9,23 @@ would use at its degree (`icosphere`'s vertices, already rotated).  The
 kept-plan cases time the grid pass of every trace after the first at its
 default grid, on the chart data `tracer._kept_plan` keeps: the pair
 products alone, and the real products with the second power table.
+
+The per-call cases time the pair field on the few points of a walk step
+or a Newton tail, where a call's fixed cost outweighs its points: the
+Newton projection of 2 and 60 points 1e-3 off the first trial's curve of
+the length workload (n=25) and of the tangents workload (n=200), the
+tangents and the values of 16 such points, and the chart data of the
+largest grid the constructor builds (nu=280).
 """
 
+import numpy as np
 import pytest
 
 from lemnilab.ensemble import sample_rational_pair, sample_real_kostlan
 from lemnilab.experiments import trial_stream
-from lemnilab.field import PairField, RealField, eval_f_many, eval_real_many
+from lemnilab.field import PairField, RealField, eval_f_many, eval_real_many, pair_charts
 from lemnilab.icogrid import icosphere
-from lemnilab.tracer import _kept_plan, default_options
+from lemnilab.tracer import _kept_plan, default_options, trace
 
 
 def _grid(n):
@@ -64,3 +72,33 @@ def test_eval_real_many_kept_plan(benchmark):
     poly = sample_real_kostlan(50, trial_stream(404, 50, 0))
     charts = _kept_plan(RealField, 50, default_options(50).grid_resolution, None)
     benchmark(eval_real_many, RealField(poly), _grid(50), charts=charts)
+
+
+@pytest.fixture(scope="module", params=[(25, 101), (200, 202)], ids=["n25", "n200"])
+def near_curve(request):
+    # trial 0 of the length (n=25) or tangents (n=200) workload: its field
+    # and its curve's vertices moved 1e-3 off the curve at random
+    n, seed = request.param
+    t = trace(sample_rational_pair(n, trial_stream(seed, n, 0)))
+    v = t.vertices + 1e-3 * np.random.default_rng(7).normal(size=t.vertices.shape)
+    return t.fieldobj, v / np.linalg.norm(v, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("m", [2, 60])
+def test_newton_per_call(benchmark, near_curve, m):
+    fld, pts = near_curve
+    benchmark(fld.newton, pts[:m])
+
+
+def test_tangents_per_call(benchmark, near_curve):
+    fld, pts = near_curve
+    benchmark(fld.tangents, pts[:16])
+
+
+def test_values_per_call(benchmark, near_curve):
+    fld, pts = near_curve
+    benchmark(fld.values, pts[:16])
+
+
+def test_pair_charts_nu280(benchmark):
+    benchmark(pair_charts, icosphere(280).verts)

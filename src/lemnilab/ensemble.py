@@ -10,6 +10,7 @@ the curves' data only: what an evaluator builds from them is its field's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -50,6 +51,20 @@ def sqrt_binomial(n: int, k) -> np.ndarray:
     return np.exp(0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a table cached per degree is shared by every
+    caller."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=8)
+def binomial_std(n: int) -> np.ndarray:
+    """sqrt(C(n, k)) for k = 0..n: the coefficient scales of the complex
+    ensemble of degree n."""
+    return _read_only(sqrt_binomial(n, np.arange(n + 1)))
+
+
 @dataclass(frozen=True, eq=False)
 class KostlanPolynomial:
     """A degree-n polynomial sum a_k z^k in the monomial basis."""
@@ -65,7 +80,7 @@ class KostlanPolynomial:
 
     def variance_profile(self) -> np.ndarray:
         """E|a_k|^2 of the ensemble this degree belongs to: C(n, k)."""
-        return sqrt_binomial(self.degree, np.arange(self.degree + 1)) ** 2
+        return binomial_std(self.degree) ** 2
 
     def to_json(self) -> dict:
         return {
@@ -121,10 +136,11 @@ class RealKostlanPolynomial:
         object.__setattr__(self, "coeffs", c)
 
 
+@lru_cache(maxsize=8)
 def exponents(n: int) -> np.ndarray:
     """All (a, b, c) with a+b+c = n, lexicographic in (a, b)."""
     out = [(a, b, n - a - b) for a in range(n + 1) for b in range(n - a + 1)]
-    return np.array(out, dtype=np.int64)
+    return _read_only(np.array(out, dtype=np.int64))
 
 
 def multinomial_std(n: int, exps: np.ndarray) -> np.ndarray:
@@ -133,12 +149,19 @@ def multinomial_std(n: int, exps: np.ndarray) -> np.ndarray:
     return np.exp(0.5 * (gammaln(n + 1) - gammaln(e + 1).sum(axis=1)))
 
 
+@lru_cache(maxsize=8)
+def real_kostlan_std(n: int) -> np.ndarray:
+    """multinomial_std over exponents(n): the coefficient scales of the
+    real ensemble of degree n."""
+    return _read_only(multinomial_std(n, exponents(n)))
+
+
 def sample_kostlan(n: int, stream: RandomStream) -> KostlanPolynomial:
     """Draw from the complex ensemble: a_k ~ N_C(0, C(n, k))."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     rng = stream.generator()
-    sd = sqrt_binomial(n, np.arange(n + 1)) / np.sqrt(2.0)
+    sd = binomial_std(n) / np.sqrt(2.0)
     re = rng.normal(size=n + 1)
     im = rng.normal(size=n + 1)
     return KostlanPolynomial(n, sd * (re + 1j * im))
@@ -157,8 +180,7 @@ def sample_real_kostlan(n: int, stream: RandomStream) -> RealKostlanPolynomial:
     if n < 1:
         raise ValueError("degree must be >= 1")
     rng = stream.generator()
-    exps = exponents(n)
-    sd = multinomial_std(n, exps)
+    sd = real_kostlan_std(n)
     return RealKostlanPolynomial(n, sd * rng.normal(size=len(sd)))
 
 

@@ -10,10 +10,12 @@ _pair_jets, runs the pair's two charts for the values and the jets alike:
 the forward coefficients in the southern chart, the reversed ones in the
 northern chart.  One evaluator, poly_jets_many, serves them all: a
 baby-step/giant-step scheme that keeps about 2 sqrt(n) powers per point
-instead of n + 1.  The real-Kostlan evaluator (eval_real_many) multiplies
-the full power matrices of its separable charts by the curve's chart
-coefficient matrices, in blocks of _REAL_BLOCK points of a chart, so its
-temporaries stay in cache; the blocks give the bits of one pass.  One
+instead of n + 1.  A jet is one product: jet_blocks stacks the blocks of
+the derivative rows under those of the rows, and the values are the same
+bits at either order.  The real-Kostlan evaluator (eval_real_many)
+multiplies the full power matrices of its separable charts by the curve's
+chart coefficient matrices, in blocks of _REAL_BLOCK points of a chart, so
+its temporaries stay in cache; the blocks give the bits of one pass.  One
 builder, _powers, makes every table of powers by doubling.  A field
 object, PairField or RealField (see as_field), owns its curve's
 coefficient data, built once: the pair's blocks of both charts
@@ -31,6 +33,14 @@ table before them (the real field).  They run on the same data with the
 same expressions, so the values are the same bits as without the kept
 data.
 
+Walk steps and Newton tails evaluate a few points per call, so there a
+call's array operations cost more than its arithmetic.  The chart maps
+(pair_charts, _chart_coords, _lift_chart) work on real and imaginary parts
+in place, with the bits of the complex expressions they stand for; a call
+whose points all lie in one chart takes that chart's outputs as they are,
+without scattering them (_by_point); and Newton lifts only the points it
+moves.
+
 One Newton loop (_project) serves both fields.  Besides the points it
 returns the gradient row it read at each point it accepted: the chart
 gradient (fx, fy) for the pair, the ambient gradient for the real field,
@@ -47,7 +57,6 @@ import math
 import numpy as np
 
 from .ensemble import RationalPair, RealKostlanPolynomial, exponents
-from .sphere import homogeneous_coords
 
 
 _CHUNK = 8192
@@ -58,11 +67,10 @@ _REAL_BLOCK = 2048
 CHART_AXES = ((1, 2), (0, 2), (0, 1))
 
 
-def _blocks(rows: np.ndarray, b: int) -> np.ndarray:
-    """(r * nb, b) matrix of coefficient rows cut into nb = ceil(L/b) blocks
-    of length b (the last one zero-padded); rows is (r, L)."""
+def _blocks(rows: np.ndarray, b: int, nb: int) -> np.ndarray:
+    """(r * nb, b) matrix of coefficient rows cut into nb >= L/b blocks of
+    length b (zero-padded at the end); rows is (r, L)."""
     r, L = rows.shape
-    nb = -(-L // b)
     C = np.zeros((r, nb * b), dtype=complex)
     C[:, :L] = rows
     return C.reshape(r * nb, b)
@@ -85,15 +93,17 @@ def _powers(z: np.ndarray, b: int) -> np.ndarray:
 
 def jet_blocks(coeff_rows) -> tuple:
     """poly_jets_many's coefficient data of several equal-degree
-    polynomials: (r, b, value blocks, derivative blocks), with r the number
-    of rows and b the block length; the blocks are _blocks of the rows and
-    of their derivative rows."""
+    polynomials: (r, b, blocks), with r the number of rows, b the block
+    length and blocks the _blocks of the rows stacked on those of their
+    derivative rows, both cut into the same number of blocks."""
     rows = np.array(coeff_rows, dtype=complex)
     r, n = len(rows), rows.shape[1] - 1
     # b = 29 at n = 200; a function of the degree only, never of the
     # number of points
     b = min(n + 1, math.ceil(2.0 * math.sqrt(n + 1)))
-    return r, b, _blocks(rows, b), _blocks(rows[:, 1:] * np.arange(1.0, n + 1.0), b)
+    nb = -(-(n + 1) // b)
+    ders = rows[:, 1:] * np.arange(1.0, n + 1.0)
+    return r, b, np.concatenate([_blocks(rows, b, nb), _blocks(ders, b, nb)])
 
 
 def poly_jets_many(blocks: tuple, z: np.ndarray, order: int = 0):
@@ -108,8 +118,10 @@ def poly_jets_many(blocks: tuple, z: np.ndarray, order: int = 0):
     steps (z^b)^j, built by doubling like the baby steps, combine them:
     p = sum_j B_j (z^b)^j.  A single pass over the blocks costs fewer
     array operations than Horner in z^b, which matters at the few points
-    of a walk step.  The derivative rows get their own product, so the
-    values are the same bits at either order.
+    of a walk step.  At order 1 one product takes the value blocks and
+    the derivative blocks stacked under them, and one combine sums both;
+    order 0 takes the value blocks alone.  Each row of the product is
+    summed alone, so the values are the same bits at either order.
 
     A point's value depends on its call in the last bits only: the block
     size is fixed by the degree, but the product's kernel sums a point's
@@ -121,17 +133,16 @@ def poly_jets_many(blocks: tuple, z: np.ndarray, order: int = 0):
     about 1e-16, not bit for bit.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    r, b, *mats = blocks
-    mats = mats[: order + 1]
-    out = np.zeros((order + 1, r, len(z)), dtype=complex)
+    r, b, C = blocks
+    nb = len(C) // (2 * r)
+    C = C[: (order + 1) * r * nb]
+    out = np.empty((order + 1, r, len(z)), dtype=complex)
     for lo in range(0, len(z), _CHUNK):
         zc = z[lo : lo + _CHUNK]
         Z = _powers(zc, b)
-        G = _powers(Z[b], len(mats[0]) // r - 1)
-        for o, C in enumerate(mats):
-            B = (C @ Z[:b]).reshape(r, -1, len(zc))
-            B *= G[: B.shape[1]]
-            out[o, :, lo : lo + len(zc)] = B.sum(axis=1)
+        B = (C @ Z[:b]).reshape(order + 1, r, nb, len(zc))
+        B *= _powers(Z[b], nb - 1)
+        np.add.reduce(B, axis=2, out=out[:, :, lo : lo + len(zc)])
     return [[out[o, i] for o in range(order + 1)] for i in range(r)]
 
 
@@ -145,16 +156,62 @@ def _pair_jets(fld: PairField, charts, order: int):
             yield chart, poly_jets_many(blocks, chart[1], order)
 
 
+def _by_point(parts, full):
+    """Per-point outputs from parts, the (mask, outputs) of each nonempty
+    chart: the outputs of a chart that holds every point as they are, else
+    full, empty per-point arrays, filled chart by chart."""
+    if len(parts) == 1:
+        return parts[0][1]
+    for mask, outs in parts:
+        for a, o in zip(full, outs):
+            a[mask] = o
+    return full
+
+
+def _xy(x: np.ndarray, y: np.ndarray, north: np.ndarray) -> np.ndarray:
+    """x + iy, and x - iy where north, with +0 as the imaginary part at
+    y = +-0: divided by a positive real (which numpy does by multiplying
+    with its reciprocal), it gives the bits of the complex expression."""
+    c = np.empty(x.shape, dtype=complex)
+    c.real = x
+    np.add(y, 0.0, out=c.imag)
+    np.subtract(0.0, c.imag, out=c.imag, where=north)
+    return c
+
+
 def pair_charts(points: np.ndarray):
     """eval_f_many's chart data of points, which depends on the points
     alone: per chart, the mask of its points (|z_h| <= |w_h| first, then
-    the rest), their chart coordinates num/den and log|den|."""
-    zh, wh = homogeneous_coords(points)
-    zh = np.atleast_1d(zh)
-    wh = np.atleast_1d(wh)
-    south = np.abs(zh) <= np.abs(wh)
-    return tuple((mask, num[mask] / den[mask], np.log(np.abs(den[mask])))
-                 for mask, num, den in ((south, zh, wh), (~south, wh, zh)))
+    the rest), their chart coordinates num/den and log|den|.
+
+    [z_h : w_h] is sphere.homogeneous_coords' pair, [x + iy : 1 - t] in
+    the south and [1 + t : x - iy] in the north over its norm, here with
+    its real entry a kept real.  A point's chart coordinate is u/a, u the
+    complex entry, except on the rim t ~ 0, where rounding can put a point
+    in the other chart and its coordinate is a/u.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    x, y, t = pts.T
+    up = t > 0.0
+    a = np.abs(t)
+    a += 1.0
+    u = _xy(x, y, up)
+    norm = np.abs(u)
+    norm *= norm
+    norm += a * a
+    np.sqrt(norm, out=norm)
+    # numpy divides u by the real norm through its reciprocal, and so does
+    # a here, as a + 0j would be
+    u /= norm
+    a *= np.divide(1.0, norm, out=norm)
+    ru = np.abs(u)
+    south = np.where(up, a <= ru, ru <= a)
+    flip = south == up
+    coord = u / a
+    coord[flip] = a[flip] / u[flip]
+    a[flip] = ru[flip]
+    logden = np.log(a, out=a)
+    return tuple((mask, coord[mask], logden[mask]) for mask in (south, ~south))
 
 
 def eval_f_many(fld: PairField, points: np.ndarray, with_scale: bool = False,
@@ -169,40 +226,44 @@ def eval_f_many(fld: PairField, points: np.ndarray, with_scale: bool = False,
     if charts is None:
         charts = pair_charts(points)
     n = fld.degree
-    shape = charts[0][0].shape
-    ap = np.empty(shape)
-    aq = np.empty(shape)
+    parts = []
     for (mask, _, logden), ((pv,), (qv,)) in _pair_jets(fld, charts, 0):
         # |den|^(2n) factor from homogenization; |den| >= 1/sqrt(2)
         amp = np.exp(2.0 * n * logden)
-        ap[mask] = amp * (pv.real**2 + pv.imag**2)
-        aq[mask] = amp * (qv.real**2 + qv.imag**2)
-    if with_scale:
-        return ap - aq, ap + aq
-    return ap - aq
+        ap = amp * (pv.real**2 + pv.imag**2)
+        aq = amp * (qv.real**2 + qv.imag**2)
+        parts.append((mask, (ap - aq, ap + aq) if with_scale else (ap - aq,)))
+    m = len(charts[0][0])
+    out = _by_point(parts, [np.empty(m) for _ in range(1 + with_scale)])
+    return tuple(out) if with_scale else out[0]
 
 
 def _chart_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-point chart coordinate with modulus <= 1.
 
     Southern points use z = (x + iy)/(1 - t), northern ones the reciprocal
-    chart u = (x - iy)/(1 + t) = 1/z.  Returns (coords, north_mask).
+    chart u = (x - iy)/(1 + t) = 1/z.  Returns (coords, north_mask).  The
+    numerator is written in place (_xy) and divided by the real 1 + |t|.
     Newton keeps this chart rather than pair_charts': the two differ in the
     last bit at most grid points, and the committed trial bytes rest on it.
     """
     x, y, t = points[..., 0], points[..., 1], points[..., 2]
     north = t > 0.0
-    coord = np.where(north, (x - 1j * y) / (1.0 + np.abs(t)), (x + 1j * y) / (1.0 + np.abs(t)))
+    coord = _xy(x, y, north)
+    coord /= 1.0 + np.abs(t)
     return coord, north
 
 
 def _lift_chart(coord: np.ndarray, north: np.ndarray) -> np.ndarray:
     """Inverse of _chart_coords."""
-    m2 = coord.real**2 + coord.imag**2
-    sgn = np.where(north, -1.0, 1.0)
-    return np.stack(
-        [2.0 * coord.real, sgn * 2.0 * coord.imag, -sgn * (1.0 - m2)], axis=-1
-    ) / (1.0 + m2)[..., None]
+    cr, ci = coord.real, coord.imag
+    m2 = cr * cr + ci * ci
+    out = np.empty(coord.shape + (3,))
+    np.multiply(2.0, cr, out=out[..., 0])
+    np.multiply(np.where(north, -2.0, 2.0), ci, out=out[..., 1])
+    np.multiply(np.where(north, 1.0, -1.0), 1.0 - m2, out=out[..., 2])
+    out /= (1.0 + m2)[..., None]
+    return out
 
 
 def chart_jets(fld: PairField, points: np.ndarray):
@@ -210,17 +271,19 @@ def chart_jets(fld: PairField, points: np.ndarray):
     _chart_coords, the northern chart's of the reversed pair (_pair_jets):
     grad is the (points, 2) array of the chart gradient rows (fx, fy)."""
     coord, north = _chart_coords(np.asarray(points, dtype=float))
-    f = np.empty(coord.shape)
-    g = np.empty((2,) + coord.shape)  # returned transposed: fx, fy columns
-    sc = np.empty(coord.shape)
-    charts = ((~north, coord[~north]), (north, coord[north]))
+    south = ~north
+    charts = ((south, coord[south]), (north, coord[north]))
+    parts = []
     for (mask, _), ((p0, p1), (q0, q1)) in _pair_jets(fld, charts, 1):
-        a = p1 * np.conj(p0) - q1 * np.conj(q0)
-        f[mask] = np.abs(p0) ** 2 - np.abs(q0) ** 2
-        g[0][mask] = 2.0 * a.real
-        g[1][mask] = -2.0 * a.imag
-        sc[mask] = np.abs(p0) ** 2 + np.abs(q0) ** 2
-    return f, g.T, sc, coord, north
+        pp = np.abs(p0) ** 2
+        qq = np.abs(q0) ** 2
+        parts.append((mask, (pp - qq, p1 * np.conj(p0) - q1 * np.conj(q0), pp + qq)))
+    m = coord.shape
+    f, a, sc = _by_point(parts, (np.empty(m), np.empty(m, dtype=complex), np.empty(m)))
+    g = np.empty(m + (2,))
+    np.multiply(2.0, a.real, out=g[..., 0])
+    np.multiply(-2.0, a.imag, out=g[..., 1])
+    return f, g, sc, coord, north
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -311,8 +374,9 @@ def _project(jet, points, tol_rel, max_iters, width):
 
     jet(v) returns (f, |grad f|^2, scale, grad, move) at the points v,
     where grad holds the field's gradient rows there, width columns each,
-    and move(step) gives the points moved by step * grad f back on the
-    sphere.  Only the points still above tol_rel are evaluated again.
+    and move(step, k) gives the points v[k] moved by step[k] * grad f back
+    on the sphere.  Only the points still above tol_rel are moved and
+    evaluated again.
     Returns (points, relative residual, relative gradient norm, converged
     mask, gradient rows): each row is the one jet read at the point it
     accepted, NaN where the point did not converge.
@@ -331,12 +395,11 @@ def _project(jet, points, tol_rel, max_iters, width):
         # if it converged
         grads[active] = g
         pending = r > tol_rel
-        if not np.any(pending):
+        if not pending.any():
             break
-        ok = g2 > 0
-        step = np.where(ok, f / np.where(ok, g2, 1.0), 0.0)
+        step = np.divide(f, g2, out=np.zeros_like(f), where=g2 > 0)
         upd = active[pending]
-        pts[upd] = move(step)[pending]
+        pts[upd] = move(step, pending)
         active = upd
     conv = rel <= tol_rel
     grads[~conv] = np.nan
@@ -360,7 +423,11 @@ def newton_correct(
     def jet(v):
         f, g, sc, coord, north = chart_jets(fld, v)
         gx, gy = g[:, 0], g[:, 1]
-        return f, gx * gx + gy * gy, sc, g, lambda s: _lift_chart(coord - s * (gx + 1j * gy), north)
+
+        def move(step, k):
+            return _lift_chart((coord - step * (gx + 1j * gy))[k], north[k])
+
+        return f, gx * gx + gy * gy, sc, g, move
 
     return _project(jet, points, tol_rel, max_iters, PairField.grad_width)
 
@@ -383,8 +450,8 @@ def real_newton_correct(
         f, g, sc = eval_real_many(fld, v, with_grad=True, with_scale=True)
         gt = g - np.einsum("ij,ij->i", g, v)[:, None] * v
 
-        def move(step):
-            moved = v - step[:, None] * gt
+        def move(step, k):
+            moved = v[k] - step[k, None] * gt[k]
             return moved / np.linalg.norm(moved, axis=1)[:, None]
 
         return f, np.einsum("ij,ij->i", gt, gt), np.maximum(sc, 1e-300), g, move
@@ -393,10 +460,18 @@ def real_newton_correct(
 
 
 def _unit_cross(points, g3) -> np.ndarray:
-    """points x g3, normalized; zero rows stay zero."""
-    t = np.cross(np.asarray(points, dtype=float), g3)
-    nrm = np.linalg.norm(t, axis=1)
-    return t / np.where(nrm > 0, nrm, 1.0)[:, None]
+    """points x g3, normalized; zero rows stay zero.  The components are
+    np.cross's, and the norm sums the squares in np.linalg.norm's order."""
+    a0, a1, a2 = np.asarray(points, dtype=float).T
+    b0, b1, b2 = np.asarray(g3).T
+    t = np.empty((len(a0), 3))
+    t0, t1, t2 = t.T
+    np.subtract(a1 * b2, a2 * b1, out=t0)
+    np.subtract(a2 * b0, a0 * b2, out=t1)
+    np.subtract(a0 * b1, a1 * b0, out=t2)
+    nrm = np.sqrt((t0 * t0 + t1 * t1) + t2 * t2)
+    t /= np.where(nrm > 0, nrm, 1.0)[:, None]
+    return t
 
 
 def curve_tangents(fld: PairField, points: np.ndarray, grads=None) -> np.ndarray:
@@ -413,9 +488,9 @@ def curve_tangents(fld: PairField, points: np.ndarray, grads=None) -> np.ndarray
     else:
         coord, north = _chart_coords(np.asarray(points, dtype=float))
     h = 1e-7
-    L = _lift_chart(np.stack([coord + h, coord - h, coord + 1j * h, coord - 1j * h]), north)
-    e1 = (L[0] - L[1]) / (2 * h)
-    e2 = (L[2] - L[3]) / (2 * h)
+    d = np.array([[h], [1j * h]])
+    L = _lift_chart(np.concatenate([coord + d, coord - d]), north)
+    e1, e2 = (L[:2] - L[2:]) / (2 * h)
     return _unit_cross(points, grads[:, :1] * e1 + grads[:, 1:] * e2)
 
 

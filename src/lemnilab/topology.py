@@ -87,12 +87,26 @@ def _parse(s: str) -> list:
             if depth == 0:
                 children.append(_parse(s[start : i + 1]))
             if depth < 0:
+                if _balanced(s):
+                    raise ValueError("not a single rooted tree: %r" % s)
                 raise ValueError("unbalanced parentheses")
         else:
             raise ValueError("unexpected character %r" % ch)
     if depth != 0:
         raise ValueError("unbalanced parentheses")
     return children
+
+
+def _balanced(s: str) -> bool:
+    """Whether s is a balanced string of parentheses (a forest)."""
+    depth = 0
+    for ch in s:
+        if ch not in "()":
+            return False
+        depth += 1 if ch == "(" else -1
+        if depth < 0:
+            return False
+    return depth == 0
 
 
 def _render(children: list) -> str:

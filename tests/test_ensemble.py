@@ -4,8 +4,10 @@ from lemnilab.ensemble import (
     KostlanPolynomial,
     RandomStream,
     RationalPair,
+    binomial_std,
     exponents,
     multinomial_std,
+    real_kostlan_std,
     rotate_pair,
     sample_kostlan,
     sample_rational_pair,
@@ -99,3 +101,19 @@ def test_pair_json_round_trip():
 def test_variance_profile_property():
     kp = KostlanPolynomial(3, np.ones(4, dtype=complex))
     assert np.allclose(kp.variance_profile(), [1, 3, 3, 1])
+
+
+def test_per_degree_tables_are_cached_read_only_and_unchanged():
+    # each degree's exponents and coefficient scales are built once, shared
+    # read-only, and hold the bits of the uncached formulas
+    for n in (1, 7, 50):
+        want = np.array([(a, b, n - a - b) for a in range(n + 1) for b in range(n - a + 1)])
+        tables = [
+            (exponents, want),
+            (binomial_std, sqrt_binomial(n, np.arange(n + 1))),
+            (real_kostlan_std, multinomial_std(n, want)),
+        ]
+        for table, ref in tables:
+            a = table(n)
+            assert a is table(n) and not a.flags.writeable
+            assert a.dtype == ref.dtype and np.array_equal(a, ref)

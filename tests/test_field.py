@@ -17,6 +17,7 @@ from lemnilab.field import (
     eval_real_many,
     jet_blocks,
     newton_correct,
+    pair_charts,
     poly_jets_many,
     real_charts,
     real_curve_tangents,
@@ -429,3 +430,92 @@ def test_raw_row_blocks_match_a_pair_fields_charts():
                 (_, jets), = _pair_jets(fld, charts, order)
                 raw = poly_jets_many(jet_blocks(rows), z[:m], order)
                 assert all(map(np.array_equal, sum(jets, []), sum(raw, [])))
+
+
+# SHA-256 of poly_jets_many's values and derivatives (_jets_digest) and of
+# the pair field's chart data, values, jets, Newton projection and
+# tangents (_pair_digest) per degree, as the field layer gave them before
+# it stacked the value and derivative blocks into one product and mapped
+# charts in real arithmetic.
+_JETS_DIGESTS = {
+    1: "4b2b15d9cf8751b83fa91c022421a7a73c764059ae1362d96c7f10e616c2d142",
+    5: "83a280a77cac97abf09a6d321028600505b510fbb8cd543de151146b99e4eced",
+    25: "ca04f94041b63904e9bb2a9cdddc8d6295bfa82b61290998c40bf8df2227e626",
+    100: "7786909b1ed6ddbc681cbb1a3b074b0e6ebe2ab0fcbe734dc570ebf1076f9a9b",
+    200: "00fd408dee335e4b5d39a879dba6dd2595f0cace1c38bae14945f0e10b584c21",
+}
+_PAIR_DIGESTS = {
+    5: "b4be42477bb700fdb876989a4325a6892db6985437e419e53be9ff6621344ebb",
+    25: "4cdb9550930ab730ed92932616704ba43921eb393282aa418f9d058fefd9f33f",
+    200: "6e1f8fbd75718c71a0da902e224494f730537a46f6c12ae8303bdc1e05b00d3e",
+}
+
+
+def _jets_digest(n):
+    """Digest of poly_jets_many at orders 0 and 1 for the rows (p, q) of a
+    degree-n pair, on the first 1, 2, 16, 63, 8,192, 8,193 and 20,001 of
+    fixed points of the closed unit disk."""
+    rp = sample_rational_pair(n, RandomStream(303).substream(n))
+    blocks = jet_blocks([rp.p.coeffs, rp.q.coeffs])
+    z = _disk_points(np.random.default_rng(8193), 20001)
+    h = hashlib.sha256()
+    for m in (1, 2, 16, 63, 8192, 8193, 20001):
+        for order in (0, 1):
+            for a in sum(poly_jets_many(blocks, z[:m], order), []):
+                h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _signed_zero_points():
+    """The 48 unit points whose components are 0.6, 0.8, 1 or 0 with each
+    sign, zeros included: the poles, points on t = +-0 and points with
+    x = +-0 or y = +-0."""
+    base = [(0.6, 0.8, 0.0), (0.6, 0.0, 0.8), (0.0, 0.6, 0.8),
+            (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    signs = list(itertools.product((1.0, -1.0), repeat=3))
+    return np.array([np.multiply(b, s) for b in base for s in signs])
+
+
+def _fixed_sphere_points():
+    """5,003 fixed sphere points: _signed_zero_points, 200 points each on
+    the rims t = 0, -0 and +-1e-17 (where the two homogeneous charts of
+    pair_charts tie up to rounding), and random points."""
+    r = np.random.default_rng(5003)
+    theta = 2.0 * np.pi * r.uniform(size=(4, 200))
+    rims = [np.stack([np.cos(a), np.sin(a), np.full(200, t)], axis=1)
+            for a, t in zip(theta, (0.0, -0.0, 1e-17, -1e-17))]
+    v = r.normal(size=(5003 - 48 - 800, 3))
+    return np.concatenate([_signed_zero_points(), *rims, v / np.linalg.norm(v, axis=1)[:, None]])
+
+
+def _pair_digest(n):
+    """Digest of pair_charts, eval_f_many (with and without the kept
+    chart data, with and without the scale), chart_jets, the five outputs
+    of newton_correct and curve_tangents (with and without the gradient
+    rows) of a degree-n pair field, on _fixed_sphere_points, on its first
+    two points and on 16 points of one chart each."""
+    fld = PairField(sample_rational_pair(n, RandomStream(303).substream(n)))
+    pts = _fixed_sphere_points()
+    t = pts[:, 2]
+    h = hashlib.sha256()
+    for v in (pts, pts[:2], pts[t > 0][:16], pts[t <= 0][:16]):
+        charts = pair_charts(v)
+        out = [a for chart in charts for a in chart]
+        for kept in (None, charts):
+            out += [*eval_f_many(fld, v, True, kept), eval_f_many(fld, v, charts=kept)]
+        jets = chart_jets(fld, v)
+        newt = newton_correct(fld, v)
+        conv = newt[3]
+        out += [*jets, *newt, curve_tangents(fld, v), curve_tangents(fld, v, jets[1]),
+                curve_tangents(fld, newt[0][conv], newt[4][conv])]
+        for a in out:
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_pair_field_bits():
+    # the field layer's bits at every degree and batch pinned above
+    for n, digest in _JETS_DIGESTS.items():
+        assert _jets_digest(n) == digest, n
+    for n, digest in _PAIR_DIGESTS.items():
+        assert _pair_digest(n) == digest, n

@@ -223,6 +223,15 @@ def test_arrangement_validation():
         Arrangement(")(")
 
 
+def test_a_forest_is_not_called_unbalanced():
+    # "()()" is balanced, but two trees side by side; a string that does
+    # close below depth 0 is still unbalanced
+    with pytest.raises(ValueError, match=r"^not a single rooted tree: '\(\)\(\)'$"):
+        Arrangement("()()")
+    with pytest.raises(ValueError, match="^unbalanced parentheses$"):
+        Arrangement("())()")
+
+
 def test_local_tree_nests_by_containment():
     # a circle inside another plus a third beside them
     th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
