@@ -19,7 +19,7 @@ import pytest
 from lemnilab.ensemble import sample_rational_pair
 from lemnilab.experiments import trial_stream
 from lemnilab.icogrid import icosphere
-from lemnilab.topology import _build_faces, _grid, nesting_tree
+from lemnilab.topology import _build_faces, nesting_tree
 from lemnilab.tracer import TraceOptions, default_options, trace
 
 
@@ -31,7 +31,7 @@ def traced_n200():
 
 def test_build_faces(benchmark, traced_n200):
     _, t = traced_n200
-    _, _, n_faces = benchmark(_build_faces, t)
+    _, n_faces = benchmark(_build_faces, t)
     assert n_faces == len(t.components) + 1
 
 
@@ -47,6 +47,6 @@ def test_cap_nesting_tree(benchmark):
     nu = default_options(n).grid_resolution
     cap = ((0.0, 0.0, 1.0), 7.0 / math.sqrt(n) + icosphere(nu).max_edge_length)
     t = trace(sample_rational_pair(n, trial_stream(606, n, 0)), TraceOptions(2 * nu), cap)
-    assert _grid(t).n_vertices == 20675
+    assert t.grid.n_vertices == 20675
     tree = benchmark(nesting_tree, t)
     assert tree.n_faces == len(t.components) + 1

@@ -353,8 +353,8 @@ def _local_rows(config: ExperimentConfig) -> list:
 
 
 def _construct_rows(config: ExperimentConfig) -> list:
-    """One row per realized form; also writes the pairs to
-    construct_pairs.json, where a form replaces the entry with its spec."""
+    """One row per form, a rejected trial unless it round-trips and certifies;
+    also writes construct_pairs.json, where a form replaces its spec's entry."""
     from .constructor import all_rooted_trees, certify_nondegenerate, realize, realized_tree
 
     forms = (
@@ -367,12 +367,11 @@ def _construct_rows(config: ExperimentConfig) -> list:
     for s in forms:
         spec = Arrangement(s)
         c = realize(spec)
-        ok = realized_tree(c).canonical == spec.canonical
-        cert = certify_nondegenerate(c)
+        ok = (realized_tree(c).canonical == spec.canonical) & certify_nondegenerate(c)
         rows.append(dict(n=c.degree, statistic="construct[%s]" % s,
-                         estimate=float(ok and cert), stderr=math.nan,
-                         theory=1.0, z_score=math.nan, trials_used=1,
-                         rejected=0, flags="" if ok and cert else "failed"))
+                         estimate=float(ok), stderr=math.nan,
+                         theory=1.0, z_score=math.nan, trials_used=int(ok),
+                         rejected=int(not ok), flags="" if ok else "failed"))
         built.append(c.to_json())
     path = os.path.join(config.output_dir, "construct_pairs.json")
     built = _merged(_read_json(path, []), built, lambda c: c["spec"])

@@ -24,7 +24,6 @@ import math
 
 import numpy as np
 
-from .icogrid import icosphere
 from .sphere import GreatCircle, orthonormal_frame, unit_vector
 from .tracer import TracedLemniscate, default_options, ray_solve, ring, subdivide, walk
 
@@ -278,9 +277,8 @@ def meridian_stats(t: TracedLemniscate, axis):
     e1, e2 = orthonormal_frame(axis)
     P, grads, sizes = _refine_near_axis(t.vertices, t.grads, t.sizes, axis, t.fieldobj)
     windings = _windings(P, sizes, e1, e2)
-    edge = icosphere(t.grid_resolution).mean_edge_length
-    nu, _, _ = _tangent_count(P, grads, sizes, axis, t.fieldobj, _SMALL_LOOP_EDGES * edge,
-                              windings)
+    nu, _, _ = _tangent_count(P, grads, sizes, axis, t.fieldobj,
+                              _SMALL_LOOP_EDGES * t.grid.mean_edge_length, windings)
     return nu, int(np.count_nonzero(windings)), windings
 
 

@@ -2,13 +2,13 @@
 
 The complement of a disjoint union of circles on the sphere is a forest of
 faces; adjacency across each circle makes it a tree with b0 + 1 nodes.
-Faces are recovered combinatorially from the grid the curve was traced on
-(the whole sphere, or a cap): the crossing edges of the traced loops are
-walls, and a flood fill groups the rest.  On a whole sphere those walls
-are exactly the grid's sign changes; on a cap, the arcs its rim cuts are
-no walls, so the faces are those of the cap minus its loops.  Rooted
-trees are compared through AHU canonical strings (balanced parentheses,
-children sorted), which are the stable cross-run identifier.
+Faces are recovered combinatorially from the grid the curve was traced on,
+which the trace carries (t.grid, the whole sphere or a cap): the crossing
+edges of the traced loops are walls, and a flood fill groups the rest.  On
+a whole sphere those walls are exactly the grid's sign changes; on a cap,
+the arcs its rim cuts are no walls, so the faces are the cap's minus its
+loops.  Rooted trees are compared through AHU canonical strings (balanced
+parentheses, children sorted), which are the stable cross-run identifier.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .tracer import (
     DegenerateLemniscate,
     TracedLemniscate,
     TraceOptions,
-    _cap_grid,
     default_options,
     trace,
 )
@@ -120,7 +119,8 @@ class NestingTree:
     n_faces: int
     edges: np.ndarray  # (b0, 2) face ids joined by component i
     # lookup payload for rooting at a point: each grid vertex's face, and
-    # the trace the faces were flood-filled from, which carries the pair
+    # the trace the faces were flood-filled from, which carries the field
+    # and the grid
     face_of_vertex: np.ndarray = field(repr=False)
     trace: TracedLemniscate = field(repr=False)
 
@@ -136,31 +136,24 @@ class NestingTree:
         return adj
 
 
-def _grid(t: TracedLemniscate):
-    """The grid t was traced on: icosphere(nu), or its part in t's cap."""
-    nu = t.grid_resolution
-    return icosphere(nu) if t.cap is None else _cap_grid(nu, *t.cap)
-
-
 def _build_faces(t: TracedLemniscate):
-    grid = _grid(t)
-    keep = np.ones(len(grid.edges), dtype=bool)
+    keep = np.ones(len(t.grid.edges), dtype=bool)
     for cids in t.loop_edges:
         keep[cids] = False
-    e0, e1 = grid.edges[:, 0], grid.edges[:, 1]
-    nv = grid.n_vertices
+    e0, e1 = t.grid.edges[:, 0], t.grid.edges[:, 1]
+    nv = t.grid.n_vertices
     # gathered inline, so only coo_matrix's int32 copies outlive this line
     m = coo_matrix((np.ones(keep.sum(), dtype=np.int8), (e0[keep], e1[keep])), shape=(nv, nv))
     n_faces, labels = connected_components(m, directed=False)
-    return grid, labels, n_faces
+    return labels, n_faces
 
 
-def _tree_edges(t: TracedLemniscate, grid, labels):
+def _tree_edges(t: TracedLemniscate, labels):
     """One (negative-face, positive-face) pair per traced loop."""
     pos = t.vertex_signs
     edges = []
     for cids in t.loop_edges:
-        ends = grid.edges[cids]
+        ends = t.grid.edges[cids]
         s0 = pos[ends[:, 0]]
         neg = np.where(s0, ends[:, 1], ends[:, 0])
         ppos = np.where(s0, ends[:, 0], ends[:, 1])
@@ -180,13 +173,13 @@ def nesting_tree(t: TracedLemniscate) -> NestingTree:
     face graph is not a tree.  It never re-traces; a caller that needs a
     finer grid traces again itself.
     """
-    grid, labels, n_faces = _build_faces(t)
+    labels, n_faces = _build_faces(t)
     b0 = len(t.sizes)
     if n_faces != b0 + 1:
         raise InconsistentTopology(
             "expected %d faces, flood fill found %d" % (b0 + 1, n_faces)
         )
-    edges = np.array(_tree_edges(t, grid, labels), dtype=np.int64).reshape(-1, 2)
+    edges = np.array(_tree_edges(t, labels), dtype=np.int64).reshape(-1, 2)
     # b0 + 1 nodes and b0 edges: connected if and only if acyclic
     adj = coo_matrix(
         (np.ones(b0, dtype=np.int8), (edges[:, 0], edges[:, 1])),
@@ -208,7 +201,7 @@ def face_of_point(tree: NestingTree, point) -> int:
     want = f[0] > 0
     # nearest vertex of the trace's grid on the same side of the curve, by
     # the trace's vertex signs
-    d = _grid(t).verts @ point
+    d = t.grid.verts @ point
     order = np.argpartition(-d, min(64, len(d) - 1))[:64]
     order = order[np.argsort(-d[order])]
     same = order[t.vertex_signs[order] == want]
@@ -286,7 +279,7 @@ def local_arrangement_probability(
             return Arrangement.chain(k)  # no loop, or one: no fill needed
         tree = nesting_tree(t.select(keep))
         # the cap's vertex farthest from the centre lies outside every kept loop
-        return _rooted(tree, tree.face_of_vertex[np.argmin(_grid(t).verts @ _DISK_CENTER)])
+        return _rooted(tree, tree.face_of_vertex[np.argmin(t.grid.verts @ _DISK_CENTER)])
 
     hits = used = rejected = regridded = 0
     for i in range(trials):

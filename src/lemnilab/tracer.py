@@ -6,8 +6,8 @@ contributes exactly one pass of the curve between two of its edges), then
 refines every crossing by bisection plus Newton and densifies to an
 arc-step of 0.6 grid edges.  The grid's own rotation (see icogrid) keeps
 its vertices off the curve.  A trace carries the field object it was
-traced with (fieldobj, built once by as_field), and every consumer of the
-curve takes the field from it.
+traced with (fieldobj, built once by as_field) and the grid it evaluated
+(grid, from _trace_grid); every consumer of the curve takes both from it.
 
 Each curve point comes with the gradient row the Newton projection that
 placed it read there (fieldobj.newton's fifth item).  The crossings,
@@ -91,15 +91,15 @@ class TracedLemniscate:
     holds one row per vertex: the field's gradient there, as the Newton
     projection that placed the vertex read it (fieldobj.newton).
 
-    A cap trace records its cap as ((x, y, z), radius); its vertex_signs
-    and loop_edges index the cap's part of the grid (tracer._cap_grid).
+    grid is the grid f was evaluated on (_trace_grid's), and vertex_signs and
+    loop_edges index it; a cap trace records its cap as ((x, y, z), radius).
     """
 
     vertices: np.ndarray = field(repr=False)  # (sum(sizes), 3)
     grads: np.ndarray = field(repr=False)  # (sum(sizes), fieldobj.grad_width)
     sizes: np.ndarray
     lengths: np.ndarray
-    grid_resolution: int
+    grid: IcoGrid = field(repr=False)
     # combinatorial payload consumed by the topology module
     vertex_signs: np.ndarray = field(default=None, repr=False)
     loop_edges: list = field(default=None, repr=False)
@@ -111,6 +111,10 @@ class TracedLemniscate:
         """One closed (k + 1, 3) copy of each loop, first vertex repeated."""
         starts = np.cumsum(self.sizes) - self.sizes
         return [self.vertices[np.r_[a : a + k, a]] for a, k in zip(starts, self.sizes)]
+
+    @property
+    def grid_resolution(self) -> int:
+        return self.grid.nu
 
     @property
     def total_length(self) -> float:
@@ -424,14 +428,19 @@ def _cap_grid(nu: int, centre: tuple, radius: float) -> IcoGrid:
                    grid.mean_edge_length, grid.max_edge_length)
 
 
+def _trace_grid(nu: int, cap) -> IcoGrid:
+    """The grid a trace at (nu, cap) evaluates: icosphere(nu), or its cap."""
+    return icosphere(nu) if cap is None else _cap_grid(nu, *cap)
+
+
 @lru_cache(maxsize=4)
 def _kept_plan(kind, n: int, nu: int, cap):
     """kind.charts, at degree n, of the grid a trace at (nu, cap) evaluates."""
-    return kind.charts((icosphere(nu) if cap is None else _cap_grid(nu, *cap)).verts, n)
+    return kind.charts(_trace_grid(nu, cap).verts, n)
 
 
 def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
-    grid = icosphere(nu) if cap is None else _cap_grid(nu, *cap)
+    grid = _trace_grid(nu, cap)
     # a cap, or the whole sphere at the default resolution, is traced
     # trial after trial; the field builds any other grid's chart data
     n = fieldobj.degree
@@ -462,7 +471,7 @@ def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
     cycles = [c for c in _link_cycles(rows) if (deg[c] == 2).all()]
     if not cycles:
         return TracedLemniscate(np.zeros((0, 3)), np.zeros((0, fieldobj.grad_width)),
-                                np.zeros(0, dtype=np.int64), np.zeros(0), nu, pos, [], cap,
+                                np.zeros(0, dtype=np.int64), np.zeros(0), grid, pos, [], cap,
                                 fieldobj)
 
     # refine only the crossings of kept cycles, in crossing order; a global
@@ -481,4 +490,4 @@ def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
     seg = spherical_distance_many(P, P[ring(sizes)[1]])
     lengths = np.array([d.sum() for d in np.split(seg, np.cumsum(sizes)[:-1])])
     loop_edges = [cids[c] for c in cycles]
-    return TracedLemniscate(P, G, sizes, lengths, nu, pos, loop_edges, cap, fieldobj)
+    return TracedLemniscate(P, G, sizes, lengths, grid, pos, loop_edges, cap, fieldobj)

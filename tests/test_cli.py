@@ -29,6 +29,30 @@ def test_construct_round_trip(tmp_path, capsys):
     assert "roundtrip=True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("check", ["certify_nondegenerate", "realized_tree"])
+@pytest.mark.parametrize("flags", [[], ["--check"]], ids=["plain", "check"])
+def test_run_refuses_a_construct_form_that_fails_its_check(tmp_path, monkeypatch, check, flags):
+    # a form that fails its round trip or its certificate is a rejected
+    # trial: the summary is written, then the run is refused; a form that
+    # passes keeps its row
+    from lemnilab import constructor
+    from lemnilab.topology import Arrangement
+
+    out = str(tmp_path / "res")
+    run = ["run", "--experiment", "construct", "--n", "2", "--out", out] + flags
+    assert main(run + ["--target", "(())"]) == 0
+    fake = {"certify_nondegenerate": lambda c: False,
+            "realized_tree": lambda c: Arrangement("((()))")}[check]
+    monkeypatch.setattr(constructor, check, fake)
+    with pytest.raises(RuntimeError, match="rejection rate"):
+        main(run + ["--target", "(()())"])
+    with open(os.path.join(out, "construct_summary.csv")) as fh:
+        assert fh.read().splitlines()[1:] == [
+            "1,construct[(())],1,nan,1,nan,1,0,",
+            "2,construct[(()())],0,nan,1,nan,0,1,failed",
+        ]
+
+
 def test_run_and_render(tmp_path, capsys):
     out = str(tmp_path / "res")
     rc = main([

@@ -69,7 +69,7 @@ def _traced(loops, t):
     P = np.concatenate([L for L, _ in loops])
     lengths = np.bincount(ring(sizes)[0], spherical_distance_many(P, P[ring(sizes)[1]]))
     return TracedLemniscate(P, np.concatenate([g for _, g in loops]), sizes, lengths,
-                            t.grid_resolution, fieldobj=t.fieldobj)
+                            t.grid, fieldobj=t.fieldobj)
 
 
 def _radial_count(rp, pick=None):

@@ -166,7 +166,7 @@ def test_cap_tree_about_the_outer_face_reads_the_spec(spec):
     centre = -c.root_point
     ct = trace(c.pair, TraceOptions(t.grid_resolution), (centre, math.pi - d.min() / 2))
     tree = nesting_tree(ct)
-    rim = np.argmin(topology._grid(ct).verts @ ct.cap[0])
+    rim = np.argmin(ct.grid.verts @ ct.cap[0])
     assert topology._rooted(tree, tree.face_of_vertex[rim]) == c.spec
 
 
@@ -174,7 +174,7 @@ def test_nesting_tree_rejects_a_repeated_loop_edge(monkeypatch):
     # b0 edges on b0 + 1 faces: a repeated edge leaves a face unreached
     rp = sample_rational_pair(10, RandomStream(83).substream(0))
     t = trace(rp)
-    edges = topology._tree_edges(t, *topology._build_faces(t)[:2])
+    edges = topology._tree_edges(t, topology._build_faces(t)[0])
     assert len(edges) >= 2
     monkeypatch.setattr(
         topology, "_tree_edges", lambda *args: edges[:-1] + edges[:1]
@@ -259,7 +259,7 @@ def test_local_arrangement_rejects_a_trial_whose_faces_are_no_tree(monkeypatch):
     # or more loops; each rejected trial fails its first fill
     fills = []
 
-    def repeated(t, grid, labels):
+    def repeated(t, labels):
         fills.append(len(t.sizes))
         return [(0, 1)] * len(t.sizes)
 

@@ -19,7 +19,7 @@ from lemnilab.field import PairField, RealField, as_field
 from lemnilab.geomstats import meridian_stats
 from lemnilab.icogrid import icosphere
 from lemnilab.sphere import homogeneous_coords, spherical_distance_many
-from lemnilab.topology import nesting_tree
+from lemnilab.topology import nesting_tree, rooted_canonical_form
 from lemnilab import tracer
 from lemnilab.tracer import (
     _ARC_STEP,
@@ -336,7 +336,37 @@ def test_select_keeps_the_chosen_loops_on_the_same_grid():
     assert all(np.array_equal(a, b) for a, b in zip(
         s.loop_edges, [e for e, k in zip(t.loop_edges, keep) if k], strict=True))
     assert s.vertex_signs is t.vertex_signs and s.fieldobj is t.fieldobj
-    assert (s.grid_resolution, s.cap) == (t.grid_resolution, t.cap)
+    assert s.grid is t.grid and s.cap == t.cap
+
+
+def test_consumers_read_the_grid_the_trace_carries(monkeypatch):
+    # a trace holds the grid its field was evaluated on; with the grid
+    # caches emptied after tracing, the tangent counter, the flood fill and
+    # the rooting build no grid
+    evaluated = []
+    values = PairField.values
+
+    def spy(self, pts, *args, **kwargs):
+        evaluated.append(pts)
+        return values(self, pts, *args, **kwargs)
+
+    monkeypatch.setattr(PairField, "values", spy)
+    g = trace(sample_rational_pair(25, trial_stream(101, 25, 0)))
+    c = trace(sample_rational_pair(100, RandomStream(505).substream(100).substream(0)),
+              cap=(NORTH, 0.5))
+    assert g.grid is icosphere(g.grid_resolution) and g.cap is None
+    assert c.grid is _cap_grid(c.grid_resolution, *c.cap)
+    assert c.grid.n_vertices < g.grid.n_vertices == 10 * g.grid_resolution ** 2 + 2
+    for t in (g, c):
+        assert any(pts is t.grid.verts for pts in evaluated)
+    icosphere.cache_clear()
+    tracer._cap_grid.cache_clear()
+    assert meridian_stats(g, NORTH)[0] > 0
+    tree = nesting_tree(g)
+    assert rooted_canonical_form(tree, (0.6, 0.0, 0.8)).n_nodes == len(g.sizes) + 1
+    assert nesting_tree(c).n_faces == len(c.sizes) + 1 >= 2
+    assert icosphere.cache_info().misses == 0
+    assert tracer._cap_grid.cache_info().misses == 0
 
 
 def test_cap_of_radius_pi_is_the_global_trace():
@@ -369,7 +399,7 @@ def test_cap_loops_are_the_global_loops_in_the_disk():
 def test_cap_trace_returns_no_open_arc():
     rp = sample_rational_pair(100, RandomStream(505).substream(100).substream(0))
     t = trace(rp, cap=(NORTH, 0.5))
-    grid = _cap_grid(t.grid_resolution, *t.cap)
+    grid = t.grid
     pos = t.vertex_signs
     assert len(pos) == grid.n_vertices < icosphere(t.grid_resolution).n_vertices
     cross = pos[grid.edges[:, 0]] != pos[grid.edges[:, 1]]
@@ -394,8 +424,7 @@ def test_triangles_cross_on_no_edge_or_two():
                   (sample_rational_pair(200, trial_stream(202, 200, 0)), None),
                   (sample_rational_pair(n, RandomStream(505).substream(n).substream(0)), cap)):
         t = trace(rp, cap=c)
-        nu = t.grid_resolution
-        grid = icosphere(nu) if c is None else _cap_grid(nu, *t.cap)
+        grid = t.grid
         pos = t.vertex_signs
         cross = pos[grid.edges[:, 0]] != pos[grid.edges[:, 1]]
         count = np.bincount(cross[grid.tri_edges].sum(axis=1), minlength=4)
