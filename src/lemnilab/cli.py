@@ -15,7 +15,8 @@ import numpy as np
 
 from . import kacrice
 from .ensemble import sample_rational_pair
-from .experiments import ExperimentConfig, compare_table, render_svg, run, trial_stream
+from .experiments import (ExperimentConfig, RunRefused, compare_table, render_svg, run,
+                          trial_stream)
 from .topology import Arrangement
 from .tracer import trace
 
@@ -48,12 +49,18 @@ def _cmd_run(args) -> int:
         cfg = ExperimentConfig.from_json(args.config, **fields)
     else:
         cfg = ExperimentConfig(**{k: v for k, v in fields.items() if v is not None})
+    try:
+        rows, refused = run(cfg), None
+    except RunRefused as e:
+        rows, refused = e.rows, e
     bad = 0
-    for r in run(cfg):
+    for r in rows:
         print(" ".join("%s=%s" % kv for kv in r.items()))
         z = r.get("z_score")
         if args.check and isinstance(z, float) and not math.isnan(z) and abs(z) >= 3:
             bad += 1
+    if refused is not None:
+        raise refused
     return 1 if bad else 0
 
 

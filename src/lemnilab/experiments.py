@@ -41,6 +41,15 @@ class ConfigError(ValueError):
     pass
 
 
+class RunRefused(RuntimeError):
+    """run wrote its summary but rejected more than 0.1% of the trials;
+    rows holds the summary rows it wrote."""
+
+    def __init__(self, message: str, rows: list):
+        super().__init__(message)
+        self.rows = rows
+
+
 class MissingResults(FileNotFoundError):
     pass
 
@@ -287,8 +296,9 @@ def run(config: ExperimentConfig) -> list:
     A per-n trial CSV already on disk is reused if it holds exactly this
     run's trials, which makes long runs resumable; one that holds others
     (another seed or trial count) raises ConfigError.  A trial failure is
-    recorded and excluded; the run writes its summary, then aborts if more
-    than 0.1% of trials are rejected.
+    recorded and excluded; the run writes its summary, then raises
+    RunRefused, which carries the summary rows, if more than 0.1% of
+    trials are rejected.
     """
     os.makedirs(config.output_dir, exist_ok=True)
     t0 = time.time()
@@ -300,9 +310,8 @@ def run(config: ExperimentConfig) -> list:
         seed=config.seed, experiment=config.experiment, trials=config.trials,
         wall_time=time.time() - t0, rejections=rejected))
     if total and rejected / total > 1e-3:
-        raise RuntimeError(
-            "rejection rate %.2g%% exceeds 0.1%%" % (100 * rejected / total)
-        )
+        raise RunRefused("rejection rate %.2g%% exceeds 0.1%%" % (100 * rejected / total),
+                         summary)
     return summary
 
 
@@ -353,9 +362,11 @@ def _local_rows(config: ExperimentConfig) -> list:
 
 
 def _construct_rows(config: ExperimentConfig) -> list:
-    """One row per form, a rejected trial unless it round-trips and certifies;
-    also writes construct_pairs.json, where a form replaces its spec's entry."""
-    from .constructor import all_rooted_trees, certify_nondegenerate, realize, realized_tree
+    """One row per form, a rejected trial unless it realizes, round-trips and
+    certifies; also writes construct_pairs.json, where a realized form
+    replaces its spec's entry."""
+    from .constructor import (EpsilonExhausted, all_rooted_trees, certify_nondegenerate,
+                              realize, realized_tree)
 
     forms = (
         [config.target]
@@ -366,13 +377,18 @@ def _construct_rows(config: ExperimentConfig) -> list:
     built = []
     for s in forms:
         spec = Arrangement(s)
-        c = realize(spec)
-        ok = (realized_tree(c).canonical == spec.canonical) & certify_nondegenerate(c)
-        rows.append(dict(n=c.degree, statistic="construct[%s]" % s,
+        try:
+            c = realize(spec)
+        except EpsilonExhausted:
+            c = None
+        ok = c is not None and (
+            (realized_tree(c).canonical == spec.canonical) & certify_nondegenerate(c))
+        rows.append(dict(n=spec.n_nodes - 1, statistic="construct[%s]" % s,
                          estimate=float(ok), stderr=math.nan,
                          theory=1.0, z_score=math.nan, trials_used=int(ok),
                          rejected=int(not ok), flags="" if ok else "failed"))
-        built.append(c.to_json())
+        if c is not None:
+            built.append(c.to_json())
     path = os.path.join(config.output_dir, "construct_pairs.json")
     built = _merged(_read_json(path, []), built, lambda c: c["spec"])
     with open(path, "w") as fh:

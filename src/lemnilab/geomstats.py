@@ -9,13 +9,15 @@ code, so its Crofton length checks the traced polyline's independently.
 Tangents are counted as sign changes of the meridian derivative
 G = T . (axis x P), read from the field tangent T at every polyline
 vertex, never from differences of polyline positions, so noise in the
-vertex positions cannot fake or hide a tangency (see _tangent_count).
-On a loop too small for its chords to bracket its tangents, the curve
-points are the loop's crossings with rays from its centre, found for all
-small loops by one call of the tracer's ray solve; a loop that is
-not one oval, star-shaped about its centre, is walked whole along the
-curve instead, and counted.  All loops of a trace are handled together,
-stored back to back in one vertex array (tracer.ring).
+vertex positions cannot fake or hide a tangency.  Each loop's count is
+decided once (_tangent_count): the sum of its chords' sign changes, where
+a walk along the curve replaces a chord that may hide a pair of zeros.
+A loop too small for its chords to bracket its tangents takes instead
+its count at its crossings with rays from its centre (one ray solve of
+the tracer for all small loops), else that of a walk round it, else its
+chord count, or 2 if that is 0 and the loop does not wind about the
+axis.  All loops of a trace are handled together, stored back to back
+in one vertex array (tracer.ring).
 """
 
 from __future__ import annotations
@@ -154,36 +156,33 @@ def _tangent_count(P, grads, sizes, axis, field, small_length, windings) -> tupl
     the field's gradient rows at them (fieldobj.newton's).  G = T . east
     is taken with the field's own tangent orientation T, so it is a
     function on the curve whatever the direction in which the polyline
-    runs, and its sign changes are counted in polyline order.
+    runs.  G's sign at every vertex is read from the field tangent there,
+    formed from the vertex's gradient row; a walk forms its tangents from
+    its own projections' rows, so no curve point is evaluated twice.
 
-    G's sign at every vertex is read from the field tangent there, formed
-    from the vertex's gradient row; a walk forms its tangents from its
-    own projections' rows, so no curve point is evaluated twice.  A
-    lone short chord that runs against its neighbours joins two vertices
-    out of arc order, and their places are swapped.
+    A chord counts the sign change between its ends; a lone short chord
+    that runs against its neighbours joins two vertices out of arc
+    order, and their places are swapped first.  A smooth segment whose
+    ends share a sign but may hide a pair of zeros (_may_hide_pair) is
+    walked along the curve at a quarter of its length; if the walk
+    arrives, its count replaces the chord's.  A loop counts the sum over
+    its chords, unless it is shorter than small_length (too short for its
+    chords to bracket its tangents); such a small loop counts, in order:
 
-    A smooth segment whose ends share a sign but may hide a pair of zeros
-    of G (_may_hide_pair) is walked along the curve at a quarter of its
-    length.
-
-    A loop shorter than small_length turns too fast for its chords to
-    bracket its tangents.  All such loops are solved at once along rays
-    from their centres (_radial_tangents): where f changes sign exactly
-    once on each of a loop's _RAYS rays and Newton polishes every
-    crossing within its bracket, G is read at the crossings, in ray
-    order.  A loop that fails either check is walked whole instead, from
-    its first vertex along T at a 24th of its length.
+    - its ray count, if _radial_tangents solves it along rays from its
+      centre;
+    - else the count of a walk round it, from its first vertex along T at
+      a 24th of its length, if that walk arrives;
+    - else its chord count, or 2 (its longitude extremes) if that is 0 and
+      its winding (windings, one per loop) is 0.
 
     The segments and the loops are walked in one lockstep call, and G's
-    sign changes are counted along all walks at once, each from the sign
-    at its first vertex through G at its points to the sign at its last.
-    Returns (count, walks that did not arrive, small loops walked whole);
-    a segment or loop whose walk did not arrive keeps its vertex signs,
-    and such a loop with zero winding (windings, one per loop) counts at
-    least the 2 tangents of its longitude extremes.
+    sign changes are counted along all walks in one pass, each from the
+    sign at its first vertex through G at its points to the sign at its
+    last.  Returns (count, walks that did not arrive, small loops walked
+    whole).
     """
     loop_of, nxt = ring(sizes)
-    starts = np.cumsum(sizes) - sizes
     idx = np.arange(len(P))
     prv = np.argsort(nxt)  # the inverse permutation
     E = _east(P, axis)
@@ -220,16 +219,12 @@ def _tangent_count(P, grads, sizes, axis, field, small_length, windings) -> tupl
                          sv * val[nxt])
     )
 
-    # a small loop turns too fast for its chords: count G at its crossings
-    # with rays from its centre, or, where those do not make it one
-    # star-shaped oval, walk it whole from its first vertex along T
-    walked = np.flatnonzero(small)
-    if len(walked):
-        radial, solved = _radial_tangents(P[small[loop_of]], sizes[walked], axis, field)
-        changes[np.isin(loop_of, walked[solved])] = 0
-        changes[starts[walked[solved]]] = radial[solved]
-        walked = walked[~solved]
-    heads = starts[walked]
+    # small loops: solved along rays, or else walked whole
+    loops = np.flatnonzero(small)
+    radial, solved = (_radial_tangents(P[small[loop_of]], sizes[loops], axis, field)
+                      if len(loops) else (loops, np.zeros(0, dtype=bool)))
+    walked = loops[~solved]
+    heads = (np.cumsum(sizes) - sizes)[walked]
 
     # one walk: the pair segments (rows :k) from vertex to vertex along
     # their chords, then the loops from their first vertex round to it
@@ -239,27 +234,28 @@ def _tangent_count(P, grads, sizes, axis, field, small_length, windings) -> tupl
         field, P[first], grads[first], P[last], np.concatenate([u[seg], T[heads]]),
         np.concatenate([_WALK_SHARE * h[seg], length[walked] / 24.0]),
         np.repeat([2.0, 12.0], [k, len(heads)]), np.repeat([20.0, 80.0], [k, len(heads)]))
-    # a segment's walk tangents run along its chord, i.e. along o * T
+    # G's signs along each walk, grouped by walk with a stable sort: its
+    # first vertex, its points (a segment's walk tangents run along its
+    # chord, i.e. along o * T), its last vertex
     orient = np.concatenate([o[seg], np.ones(len(heads))])
-    g = _sign(orient[owner] * _dot(tans, _east(pts, axis)))
-    # cut[i]: points i - 1 and i are on different walks, or one is missing
-    cut = np.ones(len(g) + 1, dtype=bool)
-    cut[1:-1] = owner[1:] != owner[:-1]
-    prev = np.where(cut[:-1], sig[first][owner], np.roll(g, 1))
-    # as ints: a flip into a walk's last point and one out of it are two
-    flips = (g != prev).astype(np.int64) + (cut[1:] & (g != sig[last][owner]))
-    count = np.bincount(owner, flips, len(first)).astype(np.int64)
+    walks = np.arange(len(first))
+    key = np.concatenate([walks, owner, walks])
+    by = np.argsort(key, kind="stable")
+    key = key[by]
+    s = np.concatenate([sig[first], _sign(orient[owner] * _dot(tans, _east(pts, axis))),
+                        sig[last]])[by]
+    count = np.bincount(key[1:], (s[1:] != s[:-1]) & (key[1:] == key[:-1]),
+                        len(first)).astype(np.int64)
+
+    # each loop's count, decided once, in the docstring's rule order
     arrived = ~lost
     changes[seg[arrived[:k]]] = count[:k][arrived[:k]]
-    changes[np.isin(loop_of, walked[arrived[k:]])] = 0
-    changes[heads[arrived[k:]]] = count[k:][arrived[k:]]
-    # a loop whose walk left along a strand the trace did not close keeps
-    # its vertex signs, but one that does not wind about the axis has a
-    # longitude maximum and minimum
-    quiet = lost[k:] & (windings[walked] == 0)
-    quiet &= np.bincount(loop_of, changes, len(sizes))[walked] == 0
-    changes[heads[quiet]] = 2
-    return int(changes.sum()), int(lost.sum()), len(walked)
+    nu = np.bincount(loop_of, changes, len(sizes)).astype(np.int64)
+    nu[loops[solved]] = radial[solved]
+    chord = nu[walked]
+    nu[walked] = np.where(arrived[k:], count[k:],
+                          np.where((chord == 0) & (windings[walked] == 0), 2, chord))
+    return int(nu.sum()), int(lost.sum()), len(walked)
 
 
 def meridian_stats(t: TracedLemniscate, axis):

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from lemnilab.cli import main
+from lemnilab.constructor import EpsilonExhausted
 from lemnilab.experiments import ConfigError
 
 
@@ -29,12 +30,18 @@ def test_construct_round_trip(tmp_path, capsys):
     assert "roundtrip=True" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("check", ["certify_nondegenerate", "realized_tree"])
+def _exhausted(spec):
+    raise EpsilonExhausted("no epsilon passed after 60 halvings")
+
+
+@pytest.mark.parametrize("check", ["certify_nondegenerate", "realized_tree", "realize"])
 @pytest.mark.parametrize("flags", [[], ["--check"]], ids=["plain", "check"])
-def test_run_refuses_a_construct_form_that_fails_its_check(tmp_path, monkeypatch, check, flags):
-    # a form that fails its round trip or its certificate is a rejected
-    # trial: the summary is written, then the run is refused; a form that
-    # passes keeps its row
+def test_run_refuses_a_construct_form_that_fails_its_check(tmp_path, monkeypatch, capsys,
+                                                          check, flags):
+    # a form that fails its round trip or its certificate, or that realize
+    # gives up on, is a rejected trial: the summary is written and
+    # printed, then the run is refused; a form that passes keeps its row,
+    # and only a realized form has a pair
     from lemnilab import constructor
     from lemnilab.topology import Arrangement
 
@@ -42,15 +49,26 @@ def test_run_refuses_a_construct_form_that_fails_its_check(tmp_path, monkeypatch
     run = ["run", "--experiment", "construct", "--n", "2", "--out", out] + flags
     assert main(run + ["--target", "(())"]) == 0
     fake = {"certify_nondegenerate": lambda c: False,
-            "realized_tree": lambda c: Arrangement("((()))")}[check]
+            "realized_tree": lambda c: Arrangement("((()))"),
+            "realize": _exhausted}[check]
     monkeypatch.setattr(constructor, check, fake)
+    capsys.readouterr()
     with pytest.raises(RuntimeError, match="rejection rate"):
         main(run + ["--target", "(()())"])
+    assert capsys.readouterr().out.splitlines() == [
+        "n=1 statistic=construct[(())] estimate=1.0 stderr=nan theory=1.0 z_score=nan "
+        "trials_used=1 rejected=0 flags=",
+        "n=2 statistic=construct[(()())] estimate=0.0 stderr=nan theory=1.0 z_score=nan "
+        "trials_used=0 rejected=1 flags=failed",
+    ]
     with open(os.path.join(out, "construct_summary.csv")) as fh:
         assert fh.read().splitlines()[1:] == [
             "1,construct[(())],1,nan,1,nan,1,0,",
             "2,construct[(()())],0,nan,1,nan,0,1,failed",
         ]
+    with open(os.path.join(out, "construct_pairs.json")) as fh:
+        assert [c["spec"] for c in json.load(fh)] == (
+            ["(())"] if check == "realize" else ["(())", "(()())"])
 
 
 def test_run_and_render(tmp_path, capsys):

@@ -148,8 +148,23 @@ def test_kostlan_rows_match_committed(tmp_path):
 
 def test_small_loop_rows_match_committed(tmp_path):
     # small loops whose whole-loop walks get lost (one in trials 0 and 5,
-    # two in 37) or arrive only after 50-70 steps (5, 19, 32, 38)
-    _assert_rows_match_committed(tmp_path, "tangents", 200, 202, [0, 5, 19, 32, 37, 38])
+    # two in 37) or arrive only after 50-70 steps (5, 19, 32, 38); a lost
+    # loop counts 2 in 0, 5 and 37, and keeps its chord count (2) in 23,
+    # 31 and 34
+    _assert_rows_match_committed(tmp_path, "tangents", 200, 202,
+                                 [0, 5, 19, 23, 31, 32, 34, 37, 38])
+
+
+_COMMITTED_TRIALS = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), os.pardir, "results", "*_n*_trials.csv")))
+
+
+@pytest.mark.parametrize("path", _COMMITTED_TRIALS, ids=os.path.basename)
+def test_committed_trial_csvs_replay(tmp_path, path):
+    # every committed per-trial CSV: its first 20 rows re-run byte for byte
+    experiment, n = re.fullmatch(r"(.+)_n(\d+)_trials\.csv", os.path.basename(path)).groups()
+    seed = _read_trials(path)[0]["seed"]
+    _assert_rows_match_committed(tmp_path, experiment, int(n), seed, range(20))
 
 
 def test_pair_walk_rows_match_committed(tmp_path):
