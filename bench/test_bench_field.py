@@ -8,7 +8,10 @@ Each case evaluates one fixed-seed field on the grid that `tracer.trace`
 would use at its degree (`icosphere`'s vertices, already rotated).  The
 kept-plan cases time the grid pass of every trace after the first at its
 default grid, on the chart data `tracer._kept_plan` keeps: the pair
-products alone, and the real products with the second power table.
+products alone, and the real products with the second power table.  The
+cap-plan case times the local stage's grid pass on its finer cap, whose
+plan keeps the pair's power tables too: the products and the combine
+alone.
 
 The per-call cases time the pair field on the few points of a walk step
 or a Newton tail, where a call's fixed cost outweighs its points: the
@@ -18,14 +21,16 @@ tangents and the values of 16 such points, and the chart data of the
 largest grid the constructor builds (nu=280).
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from lemnilab.ensemble import sample_rational_pair, sample_real_kostlan
+from lemnilab.ensemble import RandomStream, sample_rational_pair, sample_real_kostlan
 from lemnilab.experiments import trial_stream
 from lemnilab.field import PairField, RealField, eval_f_many, eval_real_many, pair_charts
 from lemnilab.icogrid import icosphere
-from lemnilab.tracer import _kept_plan, default_options, trace
+from lemnilab.tracer import _cap_grid, _kept_plan, default_options, trace
 
 
 def _grid(n):
@@ -65,6 +70,17 @@ def test_eval_f_many_kept_plan(benchmark, n, seed):
     rp = sample_rational_pair(n, trial_stream(seed, n, 0))
     charts = _kept_plan(PairField, n, default_options(n).grid_resolution, None)
     benchmark(eval_f_many, PairField(rp), _grid(n), charts=charts)
+
+
+def test_eval_f_many_cap_plan(benchmark):
+    # local-arrangement n=100, rho=3, seed 505, trial 0: its cap, one
+    # longest default-grid edge wider than the disk, at 2nu (nu=128)
+    n = 100
+    nu = default_options(n).grid_resolution
+    rp = sample_rational_pair(n, RandomStream(505).substream(n).substream(0))
+    cap = ((0.0, 0.0, 1.0), 3.0 / math.sqrt(n) + icosphere(nu).max_edge_length)
+    plan = _kept_plan(PairField, n, 2 * nu, cap)
+    benchmark(eval_f_many, PairField(rp), _cap_grid(2 * nu, *cap).verts, charts=plan)
 
 
 def test_eval_real_many_kept_plan(benchmark):

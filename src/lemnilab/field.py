@@ -26,12 +26,16 @@ Each evaluator's chart data depends on the points alone, and the real
 one's on the degree too: eval_f_many's (pair_charts: each point's chart,
 its chart coordinate and log|den|) and eval_real_many's (real_charts: each
 point's dominant axis and coordinate, the power table of the first ratio
-and the second ratio).  The tracer keeps it for the grids it traces trial
-after trial and passes it back, so a repeated grid pass runs only the
-coefficient products (the pair field) or builds only the second power
-table before them (the real field).  They run on the same data with the
-same expressions, so the values are the same bits as without the kept
-data.
+and the second ratio).  The pair field's tables (pair_tables) add what
+its grid pass builds from the points and the degree alone: the factor
+|den|^(2n) and poly_jets_many's baby and giant steps per _CHUNK slice.
+The tracer keeps the chart data for the grids it traces trial after
+trial, and the tables for its caps, and passes them back.  A repeated
+grid pass then builds the baby and giant steps and the products (a
+whole-sphere pair grid), runs only the products and the combine (a cap),
+or builds only the second power table before the products (the real
+field).  They run on the same data with the same expressions, so the
+values are the same bits as without the kept data.
 
 Walk steps and Newton tails evaluate a few points per call, so there a
 call's array operations cost more than its arithmetic.  The chart maps
@@ -91,6 +95,14 @@ def _powers(z: np.ndarray, b: int) -> np.ndarray:
     return Z
 
 
+def _block_shape(n: int) -> tuple[int, int]:
+    """(b, nb): poly_jets_many's block length and number of blocks at
+    degree n, a function of the degree only, never of the number of
+    points; b = 29 and nb = 7 at n = 200, b = n + 1 and nb = 1 at n <= 3."""
+    b = min(n + 1, math.ceil(2.0 * math.sqrt(n + 1)))
+    return b, -(-(n + 1) // b)
+
+
 def jet_blocks(coeff_rows) -> tuple:
     """poly_jets_many's coefficient data of several equal-degree
     polynomials: (r, b, blocks), with r the number of rows, b the block
@@ -98,17 +110,31 @@ def jet_blocks(coeff_rows) -> tuple:
     derivative rows, both cut into the same number of blocks."""
     rows = np.array(coeff_rows, dtype=complex)
     r, n = len(rows), rows.shape[1] - 1
-    # b = 29 at n = 200; a function of the degree only, never of the
-    # number of points
-    b = min(n + 1, math.ceil(2.0 * math.sqrt(n + 1)))
-    nb = -(-(n + 1) // b)
+    b, nb = _block_shape(n)
     ders = rows[:, 1:] * np.arange(1.0, n + 1.0)
     return r, b, np.concatenate([_blocks(rows, b, nb), _blocks(ders, b, nb)])
 
 
-def poly_jets_many(blocks: tuple, z: np.ndarray, order: int = 0):
+def _jet_powers(z: np.ndarray, n: int) -> list:
+    """poly_jets_many's powers of the points z at degree n, which depend
+    on z and n alone, as it builds them when given none (there the giant
+    steps after the product): per _CHUNK slice of z, the baby steps z^0..z^b,
+    points last as a (b+1, m) array, and the giant steps (z^b)^0..
+    (z^b)^(nb-1), an (nb, m) array (b, nb: _block_shape(n))."""
+    b, nb = _block_shape(n)
+    out = []
+    for lo in range(0, len(z), _CHUNK):
+        Z = _powers(z[lo : lo + _CHUNK], b)
+        out.append((Z, _powers(Z[b], nb - 1)))
+    return out
+
+
+def poly_jets_many(blocks: tuple, z: np.ndarray, order: int = 0, powers=None):
     """Values (order 0) or values and first derivatives (order 1) of several
-    equal-degree polynomials at z; blocks is their jet_blocks.
+    equal-degree polynomials at z; blocks is their jet_blocks.  powers, if
+    given, is _jet_powers(z, n) at their degree n, kept from an earlier
+    call on the same points: the values are then the same bits without
+    building it.
 
     Returns a list (one entry per coefficient row) of lists [p] or
     [p, p'].  Baby-step/giant-step scheme (Paterson and Stockmeyer, 1973):
@@ -137,12 +163,14 @@ def poly_jets_many(blocks: tuple, z: np.ndarray, order: int = 0):
     nb = len(C) // (2 * r)
     C = C[: (order + 1) * r * nb]
     out = np.empty((order + 1, r, len(z)), dtype=complex)
-    for lo in range(0, len(z), _CHUNK):
-        zc = z[lo : lo + _CHUNK]
-        Z = _powers(zc, b)
-        B = (C @ Z[:b]).reshape(order + 1, r, nb, len(zc))
-        B *= _powers(Z[b], nb - 1)
-        np.add.reduce(B, axis=2, out=out[:, :, lo : lo + len(zc)])
+    for k, lo in enumerate(range(0, len(z), _CHUNK)):
+        Z = powers[k][0] if powers else _powers(z[lo : lo + _CHUNK], b)
+        m = Z.shape[1]
+        B = (C @ Z[:b]).reshape(order + 1, r, nb, m)
+        # the giant steps: built after the product, which would otherwise
+        # push them out of cache (3% of a grid pass at n = 200)
+        B *= powers[k][1] if powers else _powers(Z[b], nb - 1)
+        np.add.reduce(B, axis=2, out=out[:, :, lo : lo + m])
     return [[out[o, i] for o in range(order + 1)] for i in range(r)]
 
 
@@ -150,10 +178,11 @@ def _pair_jets(fld: PairField, charts, order: int):
     """Yield (chart, jets) for each nonempty chart of charts, the
     (mask, z, ...) data of the southern and then the northern chart: the
     jets are poly_jets_many's of p and q at z, of the reversed pair in the
-    northern chart (f times |u|^(2n) > 0 at u = 1/z: same zero set, sign)."""
+    northern chart (f times |u|^(2n) > 0 at u = 1/z: same zero set, sign),
+    on the chart's kept powers if it holds them (pair_tables)."""
     for chart, blocks in zip(charts, fld.blocks):
         if len(chart[1]):
-            yield chart, poly_jets_many(blocks, chart[1], order)
+            yield chart, poly_jets_many(blocks, chart[1], order, *chart[4:])
 
 
 def _by_point(parts, full):
@@ -214,22 +243,32 @@ def pair_charts(points: np.ndarray):
     return tuple((mask, coord[mask], logden[mask]) for mask in (south, ~south))
 
 
+def pair_tables(charts, n: int):
+    """charts, pair_charts' data, with what eval_f_many builds from the
+    points and the degree n alone appended to each chart: the factor
+    exp(2n log|den|) and poly_jets_many's powers of each _CHUNK slice,
+    (b + nb + 1) * 16 + 8 bytes a point (b, nb: _block_shape(n))."""
+    return tuple((mask, z, logden, np.exp(2.0 * n * logden), _jet_powers(z, n))
+                 for mask, z, logden in charts)
+
+
 def eval_f_many(fld: PairField, points: np.ndarray, with_scale: bool = False,
                 charts=None):
     """f = |hp|^2 - |hq|^2 at unit-norm homogeneous representatives.
 
     With with_scale=True also returns |hp|^2 + |hq|^2, the natural local
     magnitude against which |f| residuals should be measured.  charts, if
-    given, is pair_charts(points), kept from an earlier call on the same
-    points: the values are then the same bits without recomputing it.
+    given, is pair_charts(points), or pair_tables of it at fld.degree,
+    kept from an earlier call on the same points: the values are then the
+    same bits without recomputing it.
     """
     if charts is None:
         charts = pair_charts(points)
     n = fld.degree
     parts = []
-    for (mask, _, logden), ((pv,), (qv,)) in _pair_jets(fld, charts, 0):
+    for (mask, _, logden, *kept), ((pv,), (qv,)) in _pair_jets(fld, charts, 0):
         # |den|^(2n) factor from homogenization; |den| >= 1/sqrt(2)
-        amp = np.exp(2.0 * n * logden)
+        amp = kept[0] if kept else np.exp(2.0 * n * logden)
         ap = amp * (pv.real**2 + pv.imag**2)
         aq = amp * (qv.real**2 + qv.imag**2)
         parts.append((mask, (ap - aq, ap + aq) if with_scale else (ap - aq,)))
@@ -522,8 +561,10 @@ class PairField:
         self.blocks = (jet_blocks([p, q]), jet_blocks([p[::-1], q[::-1]]))
 
     @staticmethod
-    def charts(pts, n):
-        return pair_charts(pts)  # the same at every degree
+    def charts(pts, n, tables=False):
+        # the same at every degree, unless it holds the tables
+        charts = pair_charts(pts)
+        return pair_tables(charts, n) if tables else charts
 
     def values(self, pts, charts=None, with_scale=False):
         return eval_f_many(self, pts, with_scale, charts)
@@ -563,7 +604,9 @@ class RealField:
         self.chart_matrices = tuple(mats)
 
     @staticmethod
-    def charts(pts, n):
+    def charts(pts, n, tables=False):
+        # it holds its first power table at every grid; no stage traces the
+        # real field on a cap, so a cap keeps no other
         return real_charts(pts, n)
 
     def values(self, pts, charts=None, with_scale=False):

@@ -26,8 +26,13 @@ chart data of its vertices (kind.charts), about 26 bytes a vertex for the
 pair field and 8(n + 4) for the real field of degree n, 17.7 MB for the
 whole sphere at n = 50.  These grids are every cap, and the whole sphere
 at the curve's default_options resolution (_kept_plan, four entries,
-keyed by the field's kind and degree).  On any other whole-sphere grid
-(the constructor's resolutions, trace's retries at 2 and 4 times the
+keyed by the field's kind and degree).  A cap's pair plan adds the
+tables (field.pair_tables): everything the grid pass builds from the
+points and the degree alone, (b + nb + 1) * 16 + 8 bytes a vertex with
+b, nb the evaluator's block shape, about 2.2 MB for the local stage's two
+rho = 3 caps at n = 100 and about 11 MB for its rho = 7 caps; a
+whole-sphere plan holds the chart data alone.  On any other whole-sphere
+grid (the constructor's resolutions, trace's retries at 2 and 4 times the
 default, a configured grid_resolution) the field builds that data and
 drops it, so large grids add no memory.  A kept plan holds the arrays
 the evaluators would build, so the traces are the same bits.
@@ -435,8 +440,15 @@ def _trace_grid(nu: int, cap) -> IcoGrid:
 
 @lru_cache(maxsize=4)
 def _kept_plan(kind, n: int, nu: int, cap):
-    """kind.charts, at degree n, of the grid a trace at (nu, cap) evaluates."""
-    return kind.charts(_trace_grid(nu, cap).verts, n)
+    """kind.charts, at degree n, of the grid a trace at (nu, cap) evaluates.
+
+    A cap's plan holds the tables too: at n = 100 they take about a third
+    off the local stage's two cap grid passes (0.57-0.74 to 0.35-0.50 ms
+    on a 2-core host).  A whole-sphere plan holds the chart data only: at
+    n = 25 its tables would save 0.5 ms of a 2.2-3.1 ms grid pass, inside
+    the noise of a trial, and at n = 200 they would take 28 + 7 MB.
+    """
+    return kind.charts(_trace_grid(nu, cap).verts, n, tables=cap is not None)
 
 
 def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:

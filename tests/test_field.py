@@ -18,6 +18,7 @@ from lemnilab.field import (
     jet_blocks,
     newton_correct,
     pair_charts,
+    pair_tables,
     poly_jets_many,
     real_charts,
     real_curve_tangents,
@@ -126,6 +127,25 @@ def test_eval_f_single_vs_many():
     many = eval_f_many(fld, pts)
     singles = np.array([eval_f_many(fld, p[None, :])[0] for p in pts])
     assert np.max(np.abs(many - singles)) < 1e-12 * max(1.0, np.max(np.abs(many)))
+
+
+def test_eval_f_many_tabled_plan_changes_no_bit():
+    # eval_f_many on pair_tables' kept powers and factor against the call
+    # that builds them, with and without the scale: at n <= 3 there is a
+    # single giant step (b = n + 1, nb = 1); the counts straddle the
+    # chunks, on points of one chart (t < 0) and of both
+    for n in (1, 2, 5, 25, 100, 400):
+        fld = PairField(sample_rational_pair(n, RandomStream(303).substream(n)))
+        for m in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+            v = random_sphere(m)
+            v[:, 2] = -np.abs(v[:, 2])
+            for pts in (v, random_sphere(m)):
+                charts = pair_charts(pts)
+                tables = pair_tables(charts, n)
+                assert sum(len(c[1]) for c in charts) == m
+                for scale in (False, True):
+                    assert (np.array(eval_f_many(fld, pts, scale, tables)).tobytes()
+                            == np.array(eval_f_many(fld, pts, scale)).tobytes()), (n, m, scale)
 
 
 def test_rotation_equivariance():

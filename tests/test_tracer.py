@@ -15,7 +15,7 @@ from lemnilab.ensemble import (
     sample_real_kostlan,
 )
 from lemnilab.experiments import TRIAL_COLUMNS, run_trial, trial_stream, write_csv
-from lemnilab.field import PairField, RealField, as_field
+from lemnilab.field import _CHUNK, PairField, RealField, as_field
 from lemnilab.geomstats import meridian_stats
 from lemnilab.icogrid import icosphere
 from lemnilab.sphere import homogeneous_coords, spherical_distance_many
@@ -449,22 +449,66 @@ def _same_trace(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def _local_cap(rho, centre=NORTH, n=100):
+    """The local stage's cap of rho at degree n: one longest edge of the
+    default grid wider than the disk of radius rho / sqrt(n)."""
+    return (centre, rho / math.sqrt(n) + icosphere(default_options(n).grid_resolution).max_edge_length)
+
+
 def test_kept_plan_changes_no_bit():
     # a trace with a warm plan against one that builds it: the global
-    # length n=25 grid, the local stage's rho=3 cap at n=100 and the
-    # kostlan-compare n=50 grid
-    n = 100
-    cap = (NORTH, 0.3 + icosphere(default_options(n).grid_resolution).max_edge_length)
-    for rp, c in ((sample_rational_pair(25, trial_stream(101, 25, 0)), None),
-                  (sample_rational_pair(n, RandomStream(505).substream(n).substream(0)), cap),
-                  (sample_real_kostlan(50, trial_stream(404, 50, 0)), None)):
+    # length n=25 grid, the local stage's rho=3 cap at n=100, its rho=7
+    # cap at 2nu (20,675 vertices: one chart, three chunks), that cap
+    # centred on the equator (both charts) and the kostlan-compare n=50
+    # grid; the grid values on a cap's tabled plan are the bits of an
+    # evaluation without one
+    local = sample_rational_pair(100, RandomStream(505).substream(100).substream(0))
+    fine = TraceOptions(2 * default_options(100).grid_resolution)
+    for rp, opts, c in ((sample_rational_pair(25, trial_stream(101, 25, 0)), None, None),
+                        (local, None, _local_cap(3)),
+                        (local, fine, _local_cap(7)),
+                        (local, fine, _local_cap(7, (1.0, 0.0, 0.0))),
+                        (sample_real_kostlan(50, trial_stream(404, 50, 0)), None, None)):
         tracer._kept_plan.cache_clear()
-        cold = trace(rp, cap=c)
+        cold = trace(rp, opts, c)
         hits = tracer._kept_plan.cache_info().hits
-        warm = trace(rp, cap=c)
+        warm = trace(rp, opts, c)
         assert tracer._kept_plan.cache_info().hits == hits + 1
         assert len(cold.sizes) >= 1
         _same_trace(cold, warm)
+        if c is not None:
+            fld, verts = warm.fieldobj, warm.grid.verts
+            plan = tracer._kept_plan(PairField, 100, warm.grid_resolution, warm.cap)
+            for scale in (False, True):
+                assert (np.array(fld.values(verts, plan, scale)).tobytes()
+                        == np.array(fld.values(verts, None, scale)).tobytes())
+
+
+def test_cap_plans_keep_the_tables():
+    # a cap's plan holds, per chart, the factor exp(2n log|den|) and the
+    # baby and giant steps of each _CHUNK slice; a whole-sphere plan holds
+    # pair_charts' data alone
+    n, nu = 100, default_options(100).grid_resolution
+    b, nb = 21, 5  # _block_shape(100)
+    whole = tracer._kept_plan(PairField, n, nu, None)
+    assert [len(chart) for chart in whole] == [3, 3]
+    rp = sample_rational_pair(n, RandomStream(505).substream(n).substream(0))
+    for centre in (NORTH, (1.0, 0.0, 0.0)):
+        t = trace(rp, TraceOptions(2 * nu), _local_cap(7, centre))
+        plan = tracer._kept_plan(PairField, n, 2 * nu, t.cap)
+        assert [len(chart) for chart in plan] == [5, 5]
+        counts = [len(chart[1]) for chart in plan]
+        if centre == NORTH:
+            assert counts == [0, 20675]  # one chart, three chunks
+        else:
+            assert min(counts) > _CHUNK  # both charts, two chunks or more each
+        for mask, z, logden, amp, powers in plan:
+            assert np.array_equal(amp, np.exp(2.0 * n * logden))
+            assert len(powers) == -(-len(z) // _CHUNK)
+            for k, (Z, G) in enumerate(powers):
+                zc = z[k * _CHUNK : (k + 1) * _CHUNK]
+                assert Z.shape == (b + 1, len(zc)) and G.shape == (nb, len(zc))
+                assert np.array_equal(Z[1], zc) and np.array_equal(G[1], Z[b])
 
 
 def test_real_plans_of_two_degrees_on_one_grid():
