@@ -102,11 +102,16 @@ def _add_construct(sub):
 
 
 def _cmd_construct(args) -> int:
-    from .constructor import certify_nondegenerate, realize, realized_tree
+    from .constructor import EpsilonExhausted, certify_nondegenerate, realize, realized_tree
 
-    c = realize(Arrangement(args.spec))
+    try:
+        spec = Arrangement(args.spec)
+        c = realize(spec)
+    except (ValueError, EpsilonExhausted) as e:
+        print("%s: %s" % (args.spec, e), file=sys.stderr)
+        return 1
     back = realized_tree(c).canonical
-    ok = back == Arrangement(args.spec).canonical and certify_nondegenerate(c)
+    ok = back == spec.canonical and certify_nondegenerate(c)
     print("degree=%d realized=%s roundtrip=%s epsilons=%s"
           % (c.degree, back, ok, ["%.4g" % e for e in c.epsilons]))
     if args.out:

@@ -296,17 +296,16 @@ def _balance_frame(frame: _Frame, spec: Arrangement, anchor_key):
         nu = min(2 * nu, _MAX_RESOLUTION)
 
 
+def check_circles(m: int):
+    """InvalidSpec unless realize takes a tree of m circles."""
+    if not 1 <= m <= _MAX_CIRCLES:
+        raise InvalidSpec("construct realizes 1 to %d circles, not %d" % (_MAX_CIRCLES, m))
+
+
 def realize(spec: Arrangement) -> ConstructedLemniscate:
     """A nondegenerate rational pair whose lemniscate nests like spec."""
-    try:
-        root_children = _parse(spec.canonical)
-    except ValueError as e:
-        raise InvalidSpec(str(e))
-    m = spec.n_nodes - 1
-    if m > _MAX_CIRCLES:
-        raise InvalidSpec("at most %d circles supported" % _MAX_CIRCLES)
-    if m == 0:
-        raise InvalidSpec("spec must contain at least one circle")
+    check_circles(spec.n_nodes - 1)
+    root_children = _parse(spec.canonical)
 
     # parent-first order, deepest subtree first within each node
     order = []

@@ -19,7 +19,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from . import kacrice
+from . import constructor, kacrice
 from .ensemble import (
     RandomStream,
     sample_rational_pair,
@@ -32,8 +32,7 @@ from .geomstats import (
     meridian_stats,
 )
 from .sphere import Rotation, homogeneous_coords, random_great_circle, unit_vector
-from .topology import (LOCAL_MAX_RADIUS, LOCAL_MIN_TRIALS, Arrangement,
-                       local_arrangement_probability)
+from .topology import Arrangement, local_arrangement_probability, local_radius
 from .tracer import DegenerateLemniscate, TraceOptions, trace
 
 
@@ -54,15 +53,6 @@ class MissingResults(FileNotFoundError):
     pass
 
 
-_EXPERIMENTS = (
-    "length",
-    "tangents",
-    "components",
-    "local-arrangement",
-    "kostlan-compare",
-    "construct",
-)
-
 # frozen trial-row schema; summary files derive from these
 TRIAL_COLUMNS = (
     "n",
@@ -77,9 +67,9 @@ TRIAL_COLUMNS = (
 )
 
 # the type of each config field that a --config file can get wrong
-_FIELD_TYPES = {"n_values": list, "trials": Integral, "seed": Integral,
-                "workers": Integral, "grid_resolution": Integral | None,
-                "rho": Real | None, "target": str | None}
+_FIELD_TYPES = {"experiment": str, "n_values": list, "trials": Integral,
+                "seed": Integral, "workers": Integral, "grid_resolution": Integral | None,
+                "rho": Real | None, "target": str | None, "output_dir": str}
 
 _AXIS = np.array([0.0, 0.0, 1.0])
 # summary statistic of each trial experiment: its name, its trial column
@@ -110,13 +100,13 @@ class ExperimentConfig:
         for name in ("experiment", "n_values"):
             if getattr(self, name) is None:
                 raise ConfigError("the config gives no %s" % name)
-        if self.experiment not in _EXPERIMENTS:
-            raise ConfigError("unknown experiment %r" % (self.experiment,))
         # a --config file may give any JSON type, and true is no number
         for name, kind in _FIELD_TYPES.items():
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, kind):
                 raise ConfigError("%s has the wrong type: %r" % (name, v))
+        if self.experiment not in _STATISTICS and self.experiment not in _SERIAL:
+            raise ConfigError("unknown experiment %r" % (self.experiment,))
         if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in self.n_values):
             raise ConfigError("n_values must hold integers")
         if not self.n_values:
@@ -138,27 +128,23 @@ class ExperimentConfig:
             raise ConfigError("%s takes no rho" % self.experiment)
         if self.target is not None and self.experiment not in ("local-arrangement", "construct"):
             raise ConfigError("%s takes no target" % self.experiment)
-        if self.experiment == "local-arrangement":
-            if self.rho is None or self.rho <= 0:
-                raise ConfigError("local-arrangement needs rho > 0")
-            if self.rho / math.sqrt(min(self.n_values)) >= LOCAL_MAX_RADIUS:
-                raise ConfigError("local-arrangement needs rho/sqrt(n) < pi/2 for every n")
-            if not self.target:
-                raise ConfigError("local-arrangement needs a target form")
-            if self.trials < LOCAL_MIN_TRIALS:
-                raise ConfigError("local-arrangement needs at least %d trials"
-                                  % LOCAL_MIN_TRIALS)
-        serial = self.experiment in ("local-arrangement", "construct")
-        if serial and (self.grid_resolution is not None or self.workers != 1):
-            # both run serially, each trace at a grid of its own choosing
+        if self.experiment == "local-arrangement" and (self.rho is None or not self.target):
+            raise ConfigError("local-arrangement needs rho and a target form")
+        if self.experiment in _SERIAL and (self.grid_resolution is not None
+                                           or self.workers != 1):
             raise ConfigError("%s takes neither grid_resolution nor workers"
                               % self.experiment)
-        # the rules of the stages themselves, checked before any output
+        # the rules of the stages themselves, checked before any output; a
+        # rho/sqrt(n) that holds at the least n holds at every n
         try:
-            if self.target:
-                Arrangement(self.target)
+            spec = Arrangement(self.target) if self.target else None
             if self.grid_resolution is not None:
                 TraceOptions(self.grid_resolution)
+            if self.experiment == "local-arrangement":
+                local_radius(min(self.n_values), self.rho, self.trials)
+            elif self.experiment == "construct":
+                constructor.check_circles(
+                    spec.n_nodes - 1 if spec else max(self.n_values) - 1)
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
@@ -302,8 +288,7 @@ def run(config: ExperimentConfig) -> list:
     """
     os.makedirs(config.output_dir, exist_ok=True)
     t0 = time.time()
-    rows = {"local-arrangement": _local_rows,
-            "construct": _construct_rows}.get(config.experiment, _trial_rows)(config)
+    rows = _SERIAL.get(config.experiment, _trial_rows)(config)
     rejected = sum(r["rejected"] for r in rows)
     total = rejected + sum(r["trials_used"] for r in rows)
     summary = _write_summary(config, rows, dict(
@@ -365,24 +350,22 @@ def _construct_rows(config: ExperimentConfig) -> list:
     """One row per form, a rejected trial unless it realizes, round-trips and
     certifies; also writes construct_pairs.json, where a realized form
     replaces its spec's entry."""
-    from .constructor import (EpsilonExhausted, all_rooted_trees, certify_nondegenerate,
-                              realize, realized_tree)
-
     forms = (
         [config.target]
         if config.target
-        else [s for s in all_rooted_trees(max(config.n_values)) if s != "()"]
+        else [s for s in constructor.all_rooted_trees(max(config.n_values)) if s != "()"]
     )
     rows = []
     built = []
     for s in forms:
         spec = Arrangement(s)
         try:
-            c = realize(spec)
-        except EpsilonExhausted:
+            c = constructor.realize(spec)
+        except constructor.EpsilonExhausted:
             c = None
         ok = c is not None and (
-            (realized_tree(c).canonical == spec.canonical) & certify_nondegenerate(c))
+            (constructor.realized_tree(c).canonical == spec.canonical)
+            & constructor.certify_nondegenerate(c))
         rows.append(dict(n=spec.n_nodes - 1, statistic="construct[%s]" % s,
                          estimate=float(ok), stderr=math.nan,
                          theory=1.0, z_score=math.nan, trials_used=int(ok),
@@ -394,6 +377,11 @@ def _construct_rows(config: ExperimentConfig) -> list:
     with open(path, "w") as fh:
         json.dump(built, fh, indent=1)
     return rows
+
+
+# the stages that run serially, each trace at a grid of its own choosing;
+# every other experiment is a trial stage with a _STATISTICS entry
+_SERIAL = {"local-arrangement": _local_rows, "construct": _construct_rows}
 
 
 def _read_json(path: str, missing):

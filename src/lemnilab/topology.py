@@ -235,6 +235,19 @@ class ArrangementEstimate:
     regridded: int  # trials whose tree at the default grid differs at 2x
 
 
+def local_radius(n: int, rho: float, trials: int) -> float:
+    """The disk radius rho/sqrt(n) of local_arrangement_probability; a
+    ValueError unless trials >= LOCAL_MIN_TRIALS and the radius lies in
+    (0, LOCAL_MAX_RADIUS), so a NaN rho fails too."""
+    if trials < LOCAL_MIN_TRIALS:
+        raise ValueError("local-arrangement needs at least %d trials" % LOCAL_MIN_TRIALS)
+    radius = rho / math.sqrt(n)
+    if not 0 < radius < LOCAL_MAX_RADIUS:
+        raise ValueError("local-arrangement needs 0 < rho/sqrt(n) < pi/2, not %g at n=%d"
+                         % (radius, n))
+    return radius
+
+
 def local_arrangement_probability(
     target: Arrangement,
     n: int,
@@ -256,14 +269,7 @@ def local_arrangement_probability(
     whose trace degenerates or whose faces do not form the tree is
     rejected.
     """
-    if trials < LOCAL_MIN_TRIALS:
-        raise ValueError("need at least %d trials" % LOCAL_MIN_TRIALS)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    radius = rho / math.sqrt(n)
-    if radius >= LOCAL_MAX_RADIUS:
-        raise ValueError("rho/sqrt(n) must be below pi/2")
-
+    radius = local_radius(n, rho, trials)
     opts = default_options(n)
     levels = (opts, TraceOptions(2 * opts.grid_resolution))
     grid = icosphere(opts.grid_resolution)

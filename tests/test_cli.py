@@ -30,6 +30,17 @@ def test_construct_round_trip(tmp_path, capsys):
     assert "roundtrip=True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spec, error", [
+    ("((((((()))))))", "no epsilon passed"),
+    ("(" * 14 + ")" * 14, "1 to 12 circles, not 13"),
+    ("(()", "unbalanced"),
+], ids=["epsilon-exhausted", "13-circles", "malformed"])
+def test_construct_reports_a_spec_it_cannot_realize(capsys, spec, error):
+    assert main(["construct", spec]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(spec + ": ") and error in line
+
+
 def _exhausted(spec):
     raise EpsilonExhausted("no epsilon passed after 60 halvings")
 
@@ -132,12 +143,21 @@ def _config(**entries):
     ["--experiment", "construct", "--n", "3", "--rho", "3"],
     _config(rho=3.0),
     _config(target="(())"),
+    ["--experiment", "local-arrangement", "--n", "100", "--rho", "nan", "--trials", "100",
+     "--target", "(())"],
+    ["--experiment", "construct", "--n", "3", "--target", "(" * 14 + ")" * 14],
+    ["--experiment", "construct", "--n", "14"],
 ], ids=["grid", "local-trials", "local-target", "construct-target", "config-key",
         "workers-0", "workers-negative", "repeated-n", "config-n-values-int",
         "config-trials-str", "config-n-values-float", "no-experiment", "no-n",
         "config-no-experiment", "length-rho", "length-target", "construct-rho",
-        "config-rho", "config-target"])
-def test_run_refuses_a_bad_config_before_any_output(tmp_path, flags):
+        "config-rho", "config-target", "local-rho-nan", "construct-13-circles",
+        "construct-n-14"])
+def test_run_refuses_a_bad_config_before_any_output(tmp_path, monkeypatch, flags):
+    from lemnilab import constructor
+
+    # and it realizes no form: construct --n 14 would otherwise try some 20,000
+    monkeypatch.setattr(constructor, "realize", lambda spec: pytest.fail("realized a form"))
     out = str(tmp_path / "res")
     cfg = tmp_path / "cfg.json"
     if isinstance(flags[-1], dict):
@@ -146,3 +166,15 @@ def test_run_refuses_a_bad_config_before_any_output(tmp_path, flags):
     with pytest.raises(ConfigError):
         main(["run", "--out", out] + flags)
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("output_dir", [5, None])
+def test_run_refuses_a_config_output_dir_that_is_no_path(tmp_path, monkeypatch, output_dir):
+    # no --out, so the file's output_dir is the one run would create
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "length", "n_values": [4], "trials": 1,
+                               "output_dir": output_dir}))
+    with pytest.raises(ConfigError, match="output_dir"):
+        main(["run", "--config", str(cfg)])
+    assert os.listdir(tmp_path) == ["cfg.json"]

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from lemnilab.ensemble import KostlanPolynomial, RationalPair
+from lemnilab.ensemble import KostlanPolynomial, RandomStream, RationalPair
 from lemnilab import experiments
 from lemnilab.experiments import (
     TRIAL_COLUMNS,
@@ -27,7 +27,7 @@ from lemnilab.experiments import (
     write_csv,
 )
 from lemnilab.geomstats import AxisTooClose, meridian_stats
-from lemnilab.topology import ArrangementEstimate
+from lemnilab.topology import Arrangement, ArrangementEstimate, local_arrangement_probability
 from lemnilab.tracer import trace
 
 
@@ -72,6 +72,19 @@ def test_config_rejects_a_local_disk_past_a_hemisphere():
     for rho in (math.pi, 5.0):
         with pytest.raises(ConfigError, match="pi/2"):
             ExperimentConfig("local-arrangement", [100, 4], rho=rho, target="(())")
+
+
+@pytest.mark.parametrize("rho, trials, n", [
+    (0.0, 100, 100), (-1.0, 100, 100), (math.nan, 100, 100), (math.inf, 100, 100),
+    (3.0, 99, 100), (math.pi, 100, 4),
+], ids=["rho-0", "rho-negative", "rho-nan", "rho-inf", "trials-99", "radius-pi/2"])
+def test_config_refuses_a_local_run_in_the_stage_own_words(rho, trials, n):
+    # the config asks the local stage, so both refuse with the same text
+    with pytest.raises(ValueError) as stage:
+        local_arrangement_probability(Arrangement("(())"), n, rho, trials, RandomStream(1))
+    with pytest.raises(ConfigError) as config:
+        ExperimentConfig("local-arrangement", [n], trials=trials, rho=rho, target="(())")
+    assert str(config.value) == str(stage.value)
 
 
 def test_axis_stats_retries_about_a_random_axis():

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every private module-level name is used somewhere in the package, and
-only a curve's field owners build a field object."""
+every private module-level name is used somewhere in the package, only
+a curve's field owners build a field object, and only a stage's module
+states its input rules."""
 
 import ast
 import glob
@@ -124,3 +125,47 @@ def test_second_field_build_is_caught():
     }
     assert _field_builds(sources) == [
         ("geomstats", "count", 2), ("topology", "Tree", 3), ("tracer", "trace", 2)]
+
+
+# a stage's input rule is stated by its own module; the others call it
+RULE_OWNERS = {"LOCAL_MIN_TRIALS": "topology", "LOCAL_MAX_RADIUS": "topology",
+               "_MAX_CIRCLES": "constructor"}
+
+
+def _rule_uses(sources: dict) -> list:
+    """(module, name, line) of each reference to a rule constant outside
+    the module that owns it."""
+    out = []
+    for mod, src in sources.items():
+        for n in ast.walk(ast.parse(src)):
+            if isinstance(n, ast.Name):
+                names = [n.id]
+            elif isinstance(n, ast.Attribute):
+                names = [n.attr]
+            elif isinstance(n, ast.ImportFrom):
+                names = [a.name for a in n.names]
+            else:
+                continue
+            out += [(mod, name, n.lineno) for name in names
+                    if RULE_OWNERS.get(name, mod) != mod]
+    return sorted(out)
+
+
+def test_only_a_stage_states_its_input_rules():
+    sources = {}
+    for path in MODULES:
+        with open(path) as fh:
+            sources[os.path.basename(path)[:-3]] = fh.read()
+    assert _rule_uses(sources) == []
+
+
+def test_restated_rule_is_caught():
+    sources = {
+        "topology": "LOCAL_MIN_TRIALS = 100\n",
+        "experiments": "from .topology import LOCAL_MAX_RADIUS\n\n"
+                       "def check(c):\n    return c.trials < topology.LOCAL_MIN_TRIALS\n",
+        "cli": "x = constructor._MAX_CIRCLES\n",
+    }
+    assert _rule_uses(sources) == [
+        ("cli", "_MAX_CIRCLES", 1), ("experiments", "LOCAL_MAX_RADIUS", 1),
+        ("experiments", "LOCAL_MIN_TRIALS", 4)]

@@ -254,6 +254,13 @@ def test_local_arrangement_requires_a_disk_within_a_hemisphere():
             local_arrangement_probability(Arrangement("(())"), 4, rho, 100, RandomStream(11))
 
 
+def test_local_arrangement_refuses_a_nan_rho_before_any_trial(monkeypatch):
+    monkeypatch.setattr(topology, "sample_rational_pair",
+                        lambda n, rng: pytest.fail("sampled a pair"))
+    with pytest.raises(ValueError, match="rho/sqrt"):
+        local_arrangement_probability(Arrangement("(())"), 100, math.nan, 100, RandomStream(1))
+
+
 def test_local_arrangement_rejects_a_trial_whose_faces_are_no_tree(monkeypatch):
     # a repeated tree edge leaves a face unreached, in every disk with two
     # or more loops; each rejected trial fails its first fill
