@@ -21,8 +21,6 @@ tangents and the values of 16 such points, and the chart data of the
 largest grid the constructor builds (nu=280).
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -30,6 +28,7 @@ from lemnilab.ensemble import RandomStream, sample_rational_pair, sample_real_ko
 from lemnilab.experiments import trial_stream
 from lemnilab.field import PairField, RealField, eval_f_many, eval_real_many, pair_charts
 from lemnilab.icogrid import icosphere
+from lemnilab.topology import local_disk
 from lemnilab.tracer import _cap_grid, _kept_plan, default_options, trace
 
 
@@ -78,7 +77,7 @@ def test_eval_f_many_cap_plan(benchmark):
     n = 100
     nu = default_options(n).grid_resolution
     rp = sample_rational_pair(n, RandomStream(505).substream(n).substream(0))
-    cap = ((0.0, 0.0, 1.0), 3.0 / math.sqrt(n) + icosphere(nu).max_edge_length)
+    cap = local_disk(n, 3.0)[0]
     plan = _kept_plan(PairField, n, 2 * nu, cap)
     benchmark(eval_f_many, PairField(rp), _cap_grid(2 * nu, *cap).verts, charts=plan)
 

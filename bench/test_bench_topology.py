@@ -12,14 +12,11 @@ traces at rho=7, n=100 (seed 606, trial 0): the 2nu=128 cap of 20,675
 vertices, one longest default-grid edge wider than the disk.
 """
 
-import math
-
 import pytest
 
 from lemnilab.ensemble import sample_rational_pair
 from lemnilab.experiments import trial_stream
-from lemnilab.icogrid import icosphere
-from lemnilab.topology import _build_faces, nesting_tree
+from lemnilab.topology import _build_faces, local_disk, nesting_tree
 from lemnilab.tracer import TraceOptions, default_options, trace
 
 
@@ -45,7 +42,7 @@ def test_nesting_tree(benchmark, traced_n200):
 def test_cap_nesting_tree(benchmark):
     n = 100
     nu = default_options(n).grid_resolution
-    cap = ((0.0, 0.0, 1.0), 7.0 / math.sqrt(n) + icosphere(nu).max_edge_length)
+    cap = local_disk(n, 7.0)[0]
     t = trace(sample_rational_pair(n, trial_stream(606, n, 0)), TraceOptions(2 * nu), cap)
     assert t.grid.n_vertices == 20675
     tree = benchmark(nesting_tree, t)

@@ -23,8 +23,6 @@ step of the two-circle chain (the new oval), with their arguments as
 recorded.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -35,6 +33,7 @@ from lemnilab.field import as_field, chart_jets
 from lemnilab.geomstats import great_circle_intersections, meridian_stats
 from lemnilab.icogrid import icosphere
 from lemnilab.sphere import random_great_circle
+from lemnilab.topology import local_disk
 from lemnilab.tracer import (
     _ARC_STEP,
     _densify,
@@ -138,8 +137,7 @@ def test_great_circle_intersections(benchmark):
 def test_trace_cap(benchmark, rho):
     n = 100
     rp = sample_rational_pair(n, RandomStream(505).substream(n).substream(0))
-    grid = icosphere(default_options(n).grid_resolution)
-    cap = None if rho is None else ((0.0, 0.0, 1.0), rho / math.sqrt(n) + grid.max_edge_length)
+    cap = None if rho is None else local_disk(n, rho)[0]
     trace(rp, cap=cap)  # builds the cap's grid
     benchmark(trace, rp, cap=cap)
 

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -39,16 +40,9 @@ def _add_run(sub):
 
 
 def _cmd_run(args) -> int:
-    fields = dict(
-        experiment=args.experiment, n_values=args.n_values,
-        trials=args.trials, seed=args.seed, rho=args.rho,
-        target=args.target, grid_resolution=args.grid_resolution,
-        output_dir=args.output_dir, workers=args.workers,
-    )
-    if args.config:
-        cfg = ExperimentConfig.from_json(args.config, **fields)
-    else:
-        cfg = ExperimentConfig(**{k: v for k, v in fields.items() if v is not None})
+    # each config field's flag has the field's name as its dest
+    cfg = ExperimentConfig.from_json(
+        args.config, **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
     try:
         rows, refused = run(cfg), None
     except RunRefused as e:

@@ -149,9 +149,12 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from None
 
     @staticmethod
-    def from_json(path: str, **overrides) -> "ExperimentConfig":
-        with open(path) as fh:
-            d = json.load(fh)
+    def from_json(path: str | None = None, **overrides) -> "ExperimentConfig":
+        """The JSON config at path, if given, with the overrides not None."""
+        d = {}
+        if path is not None:
+            with open(path) as fh:
+                d = json.load(fh)
         d.update({k: v for k, v in overrides.items() if v is not None})
         unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
         if unknown:
@@ -219,10 +222,6 @@ def _axis_stats(t, stream: RandomStream) -> tuple:
                 raise
             v = gen.normal(size=3)
             axis = v / np.linalg.norm(v)
-
-
-def _trial_star(args):
-    return run_trial(*args)
 
 
 def _mean_stderr(x: np.ndarray) -> tuple:
@@ -307,13 +306,11 @@ def _trial_rows(config: ExperimentConfig) -> list:
     for n in config.n_values:
         path = _trials_path(config, n)
         if not os.path.exists(path):
-            args = [
-                (config.experiment, n, config.seed, i, config.grid_resolution)
-                for i in range(config.trials)
-            ]
+            args = [(config.experiment, n, config.seed, i, config.grid_resolution)
+                    for i in range(config.trials)]
             if config.workers > 1:
                 with ProcessPoolExecutor(max_workers=config.workers) as ex:
-                    rows = list(ex.map(_trial_star, args, chunksize=8))
+                    rows = list(ex.map(run_trial, *zip(*args), chunksize=8))
             else:
                 rows = [run_trial(*a) for a in args]
             rows.sort(key=lambda r: (r["n"], r["trial"]))

@@ -620,7 +620,9 @@ class RealField:
 
 
 def as_field(curve):
-    """The field object of a RationalPair or a RealKostlanPolynomial."""
+    """The field object of a RationalPair or a RealKostlanPolynomial; a field object as it is."""
+    if isinstance(curve, (PairField, RealField)):
+        return curve
     if isinstance(curve, RationalPair):
         return PairField(curve)
     if isinstance(curve, RealKostlanPolynomial):

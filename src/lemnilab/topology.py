@@ -33,7 +33,7 @@ from .tracer import (
 )
 
 
-_DISK_CENTER = np.array([0.0, 0.0, 1.0])  # local_arrangement_probability
+_DISK_CENTER = (0.0, 0.0, 1.0)  # local_disk's, as trace normalizes a cap's centre
 LOCAL_MIN_TRIALS = 100  # the fewest trials local_arrangement_probability takes
 LOCAL_MAX_RADIUS = math.pi / 2  # rho/sqrt(n) below it: the cap has a rim to root at
 
@@ -248,6 +248,18 @@ def local_radius(n: int, rho: float, trials: int) -> float:
     return radius
 
 
+def local_disk(n: int, rho: float) -> tuple:
+    """(cap, inner) of the local stage's disk of radius rho/sqrt(n) about
+    the north pole.  The cap is one longest default-grid edge wider than
+    the disk, so it holds every grid triangle of a loop in the disk; both
+    levels keep a loop whose vertices lie within inner, the default grid's
+    margin of one arc step inside the disk."""
+    grid = icosphere(default_options(n).grid_resolution)
+    radius = rho / math.sqrt(n)
+    cap = (_DISK_CENTER, radius + grid.max_edge_length)
+    return cap, radius - _ARC_STEP * grid.mean_edge_length
+
+
 def local_arrangement_probability(
     target: Arrangement,
     n: int,
@@ -259,27 +271,23 @@ def local_arrangement_probability(
 
     Each trial restricts the lemniscate to the spherical disk of radius
     rho / sqrt(n) (below LOCAL_MAX_RADIUS) about the north pole, keeps only
-    the components lying entirely inside with a one-arc-step margin of the
-    default grid, and compares their nesting tree, flood-filled on the cap
-    grid and rooted at the face of its rim, against the target.  Only a
-    cap one longest grid edge wider than the disk is traced, which holds
-    every grid triangle of a kept component.  The trial is traced at the
-    default grid and at twice its resolution; the finer tree is counted,
-    and `regridded` counts the trials whose two trees differ.  A trial
-    whose trace degenerates or whose faces do not form the tree is
-    rejected.
+    the components lying within local_disk's inner radius, and compares
+    their nesting tree, flood-filled on the grid of local_disk's cap and
+    rooted at the face of its rim, against the target.  The trial traces
+    that cap at the default grid and, with the same field, at twice its
+    resolution; the finer tree is counted, and `regridded` counts the
+    trials whose two trees differ.  A trial whose trace degenerates or
+    whose faces do not form the tree is rejected.
     """
-    radius = local_radius(n, rho, trials)
+    local_radius(n, rho, trials)
+    cap, inner = local_disk(n, rho)
     opts = default_options(n)
-    levels = (opts, TraceOptions(2 * opts.grid_resolution))
-    grid = icosphere(opts.grid_resolution)
-    margin = _ARC_STEP * grid.mean_edge_length
-    cap = (_DISK_CENTER, radius + grid.max_edge_length)
+    fine_opts = TraceOptions(2 * opts.grid_resolution)
 
     def local_tree(t):
         V, starts = t.vertices, np.cumsum(t.sizes) - t.sizes
         far = np.maximum.reduceat(np.arccos(np.clip(V @ _DISK_CENTER, -1.0, 1.0)), starts)
-        keep = far <= radius - margin
+        keep = far <= inner
         k = np.count_nonzero(keep)
         if k < 2:
             return Arrangement.chain(k)  # no loop, or one: no fill needed
@@ -291,7 +299,8 @@ def local_arrangement_probability(
     for i in range(trials):
         rp = sample_rational_pair(n, rng.substream(i))
         try:
-            coarse, fine = [local_tree(trace(rp, o, cap)) for o in levels]
+            t = trace(rp, opts, cap)
+            coarse, fine = local_tree(t), local_tree(trace(t.fieldobj, fine_opts, cap))
         except (DegenerateLemniscate, InconsistentTopology):
             rejected += 1
             continue

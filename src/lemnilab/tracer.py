@@ -6,8 +6,9 @@ contributes exactly one pass of the curve between two of its edges), then
 refines every crossing by bisection plus Newton and densifies to an
 arc-step of 0.6 grid edges.  The grid's own rotation (see icogrid) keeps
 its vertices off the curve.  A trace carries the field object it was
-traced with (fieldobj, built once by as_field) and the grid it evaluated
-(grid, from _trace_grid); every consumer of the curve takes both from it.
+traced with (fieldobj, built once by as_field; a re-trace takes it) and
+the grid it evaluated (grid, from _trace_grid); every consumer of the
+curve takes both from it.
 
 Each curve point comes with the gradient row the Newton projection that
 placed it read there (fieldobj.newton's fifth item).  The crossings,
@@ -96,8 +97,8 @@ class TracedLemniscate:
     holds one row per vertex: the field's gradient there, as the Newton
     projection that placed the vertex read it (fieldobj.newton).
 
-    grid is the grid f was evaluated on (_trace_grid's), and vertex_signs and
-    loop_edges index it; a cap trace records its cap as ((x, y, z), radius).
+    grid is the grid f was evaluated on (_trace_grid's, a cap's for a cap
+    trace), and vertex_signs and loop_edges index it.
     """
 
     vertices: np.ndarray = field(repr=False)  # (sum(sizes), 3)
@@ -108,7 +109,6 @@ class TracedLemniscate:
     # combinatorial payload consumed by the topology module
     vertex_signs: np.ndarray = field(default=None, repr=False)
     loop_edges: list = field(default=None, repr=False)
-    cap: tuple | None = None
     fieldobj: object = field(default=None, repr=False)  # as_field(curve)
 
     @property
@@ -394,12 +394,14 @@ def trace(rp, opts: TraceOptions | None = None, cap=None) -> TracedLemniscate:
     """All components of {f = 0} at the working resolution, or, with
     cap = (centre, radius), those whose grid triangles lie in that cap.
 
-    Accepts a RationalPair (f = |p|^2 - |q|^2) or a RealKostlanPolynomial
-    (f = p restricted to the sphere).  When two strands of the curve pass
-    closer together than the grid can separate, the trace is retried at up
-    to 4x the requested resolution, never above max(requested,
-    _MAX_RESOLUTION), before giving up.  Raises DegenerateLemniscate when
-    refinement fails to converge or the retries are exhausted.
+    Accepts a RationalPair (f = |p|^2 - |q|^2), a RealKostlanPolynomial
+    (f = p restricted to the sphere) or the field object of either, such
+    as a trace's fieldobj, which a re-trace then shares.  When two strands
+    of the curve pass closer together than the grid can separate, the
+    trace is retried at up to 4x the requested resolution, never above
+    max(requested, _MAX_RESOLUTION), before giving up.  Raises
+    DegenerateLemniscate when refinement fails to converge or the retries
+    are exhausted.
     """
     fieldobj = as_field(rp)
     if opts is None:
@@ -483,8 +485,7 @@ def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
     cycles = [c for c in _link_cycles(rows) if (deg[c] == 2).all()]
     if not cycles:
         return TracedLemniscate(np.zeros((0, 3)), np.zeros((0, fieldobj.grad_width)),
-                                np.zeros(0, dtype=np.int64), np.zeros(0), grid, pos, [], cap,
-                                fieldobj)
+                                np.zeros(0, dtype=np.int64), np.zeros(0), grid, pos, [], fieldobj)
 
     # refine only the crossings of kept cycles, in crossing order; a global
     # trace keeps them all, in the one batch its refined bits depend on
@@ -502,4 +503,4 @@ def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
     seg = spherical_distance_many(P, P[ring(sizes)[1]])
     lengths = np.array([d.sum() for d in np.split(seg, np.cumsum(sizes)[:-1])])
     loop_edges = [cids[c] for c in cycles]
-    return TracedLemniscate(P, G, sizes, lengths, grid, pos, loop_edges, cap, fieldobj)
+    return TracedLemniscate(P, G, sizes, lengths, grid, pos, loop_edges, fieldobj)

@@ -1,16 +1,23 @@
 """Every name a module of the package imports is used in that module,
 every private module-level name is used somewhere in the package, only
 a curve's field owners build a field object, and only a stage's module
-states its input rules."""
+states its input rules (local_disk alone the local disk's)."""
 
 import ast
 import glob
 import os
+import pathlib
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "lemnilab")
-MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+MODULES = sorted(glob.glob(os.path.join(ROOT, "src", "lemnilab", "*.py")))
+
+
+def _sources(*dirs) -> dict:
+    """The text of each .py file in the dirs, keyed by its name less .py."""
+    paths = sorted(p for d in dirs for p in glob.glob(os.path.join(ROOT, d, "*.py")))
+    return {os.path.basename(p)[:-3]: pathlib.Path(p).read_text() for p in paths}
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -68,11 +75,7 @@ def _orphan_privates(sources: dict) -> list:
 
 
 def test_no_private_helper_outlives_its_callers():
-    sources = {}
-    for path in MODULES:
-        with open(path) as fh:
-            sources[os.path.basename(path)] = fh.read()
-    assert _orphan_privates(sources) == []
+    assert _orphan_privates(_sources("src/lemnilab")) == []
 
 
 def test_orphan_private_helper_is_caught():
@@ -109,11 +112,7 @@ def _field_builds(sources: dict) -> list:
 
 
 def test_only_the_field_owners_build_a_field():
-    sources = {}
-    for path in MODULES:
-        with open(path) as fh:
-            sources[os.path.basename(path)[:-3]] = fh.read()
-    builds = _field_builds(sources)
+    builds = _field_builds(_sources("src/lemnilab"))
     assert builds and [b for b in builds if b[:2] not in FIELD_OWNERS] == []
 
 
@@ -127,45 +126,46 @@ def test_second_field_build_is_caught():
         ("geomstats", "count", 2), ("topology", "Tree", 3), ("tracer", "trace", 2)]
 
 
-# a stage's input rule is stated by its own module; the others call it
-RULE_OWNERS = {"LOCAL_MIN_TRIALS": "topology", "LOCAL_MAX_RADIUS": "topology",
-               "_MAX_CIRCLES": "constructor"}
+# a stage's input rule is stated by its own module, the others call it; a
+# grid's longest edge is read where icogrid measures it, where _cap_grid
+# passes it on and by local_disk, the local cap's one owner.  An owner is
+# a file of src, tests or bench, or one of its top-level defs
+RULE_OWNERS = {"LOCAL_MIN_TRIALS": {"topology"}, "LOCAL_MAX_RADIUS": {"topology"},
+               "_MAX_CIRCLES": {"constructor"},
+               "max_edge_length": {"icogrid", "tracer._cap_grid", "topology.local_disk",
+                                   "test_icogrid"}}
 
 
 def _rule_uses(sources: dict) -> list:
-    """(module, name, line) of each reference to a rule constant outside
-    the module that owns it."""
+    """(module, name, line) of each reference to a rule name outside its owners."""
     out = []
     for mod, src in sources.items():
-        for n in ast.walk(ast.parse(src)):
-            if isinstance(n, ast.Name):
-                names = [n.id]
-            elif isinstance(n, ast.Attribute):
-                names = [n.attr]
-            elif isinstance(n, ast.ImportFrom):
-                names = [a.name for a in n.names]
-            else:
-                continue
-            out += [(mod, name, n.lineno) for name in names
-                    if RULE_OWNERS.get(name, mod) != mod]
+        for stmt in ast.parse(src).body:
+            here = {mod, "%s.%s" % (mod, getattr(stmt, "name", ""))}
+            for n in ast.walk(stmt):
+                names = ([a.name for a in n.names] if isinstance(n, ast.ImportFrom)
+                         else [getattr(n, "id", getattr(n, "attr", None))])  # Name, Attribute
+                out += [(mod, name, n.lineno) for name in names
+                        if not here & RULE_OWNERS.get(name, here)]
     return sorted(out)
 
 
 def test_only_a_stage_states_its_input_rules():
-    sources = {}
-    for path in MODULES:
-        with open(path) as fh:
-            sources[os.path.basename(path)[:-3]] = fh.read()
-    assert _rule_uses(sources) == []
+    assert _rule_uses(_sources("src/lemnilab", "tests", "bench")) == []
 
 
 def test_restated_rule_is_caught():
     sources = {
-        "topology": "LOCAL_MIN_TRIALS = 100\n",
+        "topology": "LOCAL_MIN_TRIALS = 100\n\ndef local_disk(g, r):\n"
+                    "    return r + g.max_edge_length\n\ndef stage(g, r):\n"
+                    "    return r + g.max_edge_length\n",
         "experiments": "from .topology import LOCAL_MAX_RADIUS\n\n"
                        "def check(c):\n    return c.trials < topology.LOCAL_MIN_TRIALS\n",
         "cli": "x = constructor._MAX_CIRCLES\n",
+        "test_bench_x": "cap = ((0, 0, 1), 0.3 + icosphere(64).max_edge_length)\n",
+        "test_icogrid": "x = g.max_edge_length\n",
     }
     assert _rule_uses(sources) == [
         ("cli", "_MAX_CIRCLES", 1), ("experiments", "LOCAL_MAX_RADIUS", 1),
-        ("experiments", "LOCAL_MIN_TRIALS", 4)]
+        ("experiments", "LOCAL_MIN_TRIALS", 4), ("test_bench_x", "max_edge_length", 1),
+        ("topology", "max_edge_length", 7)]

@@ -13,18 +13,19 @@ from lemnilab.ensemble import (
     sample_rational_pair,
 )
 from lemnilab.constructor import realize
+from lemnilab.field import PairField
 from lemnilab.topology import (
     Arrangement,
     InconsistentTopology,
     PointOnCurve,
     local_arrangement_probability,
+    local_disk,
     nesting_tree,
     rooted_canonical_form,
 )
 from lemnilab.experiments import trial_stream
-from lemnilab.icogrid import icosphere
 from lemnilab.sphere import spherical_distance_many
-from lemnilab.tracer import _ARC_STEP, TraceOptions, default_options, trace
+from lemnilab.tracer import TraceOptions, _cap_grid, default_options, trace
 
 
 def _winding_tree(loops_xy: list) -> str:
@@ -151,7 +152,7 @@ def test_nesting_tree_of_a_cap_trace():
 def test_nesting_tree_of_a_cap_of_radius_pi_is_the_global_tree():
     rp = sample_rational_pair(10, RandomStream(83).substream(0))
     g, c = nesting_tree(trace(rp)), nesting_tree(trace(rp, cap=((0.0, 0.0, 1.0), math.pi)))
-    assert c.trace.cap is not None and c.n_faces == g.n_faces > 2
+    assert c.trace.grid is _cap_grid(64, (0.0, 0.0, 1.0), math.pi) and c.n_faces == g.n_faces > 2
     assert np.array_equal(c.edges, g.edges)
     assert np.array_equal(c.face_of_vertex, g.face_of_vertex)
 
@@ -166,7 +167,7 @@ def test_cap_tree_about_the_outer_face_reads_the_spec(spec):
     centre = -c.root_point
     ct = trace(c.pair, TraceOptions(t.grid_resolution), (centre, math.pi - d.min() / 2))
     tree = nesting_tree(ct)
-    rim = np.argmin(ct.grid.verts @ ct.cap[0])
+    rim = np.argmin(ct.grid.verts @ centre)
     assert topology._rooted(tree, tree.face_of_vertex[rim]) == c.spec
 
 
@@ -242,9 +243,7 @@ def test_local_tree_nests_by_containment():
 
 def test_local_arrangement_requires_trials():
     with pytest.raises(ValueError):
-        local_arrangement_probability(
-            Arrangement("(())"), 20, 1.0, 10, RandomStream(1)
-        )
+        local_arrangement_probability(Arrangement("(())"), 20, 1.0, 10, RandomStream(1))
 
 
 def test_local_arrangement_requires_a_disk_within_a_hemisphere():
@@ -277,14 +276,19 @@ def test_local_arrangement_rejects_a_trial_whose_faces_are_no_tree(monkeypatch):
 
 
 def test_local_arrangement_single_circle_positive():
-    est = local_arrangement_probability(
-        Arrangement("(())"), 30, 2.0, 200, RandomStream(5)
-    )
+    est = local_arrangement_probability(Arrangement("(())"), 30, 2.0, 200, RandomStream(5))
     assert est.trials_used + est.rejected == 200
     assert est.hits > 0
     assert 0 < est.estimate <= 1
     assert est.stderr > 0
 
+
+def test_a_local_trial_builds_one_field(monkeypatch):
+    # the trial's finer trace re-traces the field of its coarse one
+    builds, init = [], PairField.__init__
+    monkeypatch.setattr(PairField, "__init__", lambda self, rp: builds.append(init(self, rp)))
+    est = local_arrangement_probability(Arrangement("(())"), 100, 3.0, 100, RandomStream(505))
+    assert est.trials_used == len(builds) == 100
 
 
 def test_regridded_counts_the_trials_whose_two_trees_differ():
@@ -292,11 +296,8 @@ def test_regridded_counts_the_trials_whose_two_trees_differ():
     n, rho, seed = 100, 7.0, 606
     target = Arrangement("(()())")
     est = local_arrangement_probability(target, n, rho, 100, RandomStream(seed))
-    radius = rho / math.sqrt(n)
     nu = default_options(n).grid_resolution
-    grid = icosphere(nu)
-    cap = ((0.0, 0.0, 1.0), radius + grid.max_edge_length)
-    inner = radius - _ARC_STEP * grid.mean_edge_length
+    cap, inner = local_disk(n, rho)
     differ = hits = 0
     for i in range(100):
         rp = sample_rational_pair(n, RandomStream(seed).substream(i))

@@ -19,7 +19,7 @@ from lemnilab.field import _CHUNK, PairField, RealField, as_field
 from lemnilab.geomstats import meridian_stats
 from lemnilab.icogrid import icosphere
 from lemnilab.sphere import homogeneous_coords, spherical_distance_many
-from lemnilab.topology import nesting_tree, rooted_canonical_form
+from lemnilab.topology import local_disk, nesting_tree, rooted_canonical_form
 from lemnilab import tracer
 from lemnilab.tracer import (
     _ARC_STEP,
@@ -140,17 +140,25 @@ def test_real_kostlan_traceable():
 def test_trace_carries_the_field_it_traced():
     rp = sample_rational_pair(12, RandomStream(43))
     poly = sample_real_kostlan(12, RandomStream(43))
+    local = sample_rational_pair(100, RandomStream(505).substream(100).substream(0))
     # no loops: _trace_once returns before it refines a crossing
     empty = RationalPair(KostlanPolynomial(1, np.array([2, 0], complex)),
                          KostlanPolynomial(1, np.array([1, 0], complex)))
-    cases = [(rp, trace(rp), PairField, "rp"), (poly, trace(poly), RealField, "poly"),
-             (rp, trace(rp, cap=((0.0, 0.0, 1.0), 1.0)), PairField, "rp"),
-             (empty, trace(empty), PairField, "rp")]
-    assert cases[2][1].cap is not None and len(cases[3][1].sizes) == 0
-    pts = np.concatenate([cases[0][1].vertices, cases[1][1].vertices])
-    for curve, t, kind, attr in cases:
+    # the whole sphere, a cap, and the local stage's rho=3 cap at n=100, nu and 2nu
+    cases = [(rp, None, None), (poly, None, None), (rp, None, (NORTH, 1.0)), (empty, None, None),
+             (local, None, _local_cap(3)), (local, TraceOptions(128), _local_cap(3))]
+    traces = [trace(curve, opts, c) for curve, opts, c in cases]
+    assert traces[2].grid is _cap_grid(64, NORTH, 1.0)
+    assert len(traces[3].sizes) == 0 < len(traces[4].sizes)
+    pts = np.concatenate([traces[0].vertices, traces[1].vertices])
+    for (curve, opts, c), t in zip(cases, traces):
+        kind, attr = (RealField, "poly") if curve is poly else (PairField, "rp")
         assert type(t.fieldobj) is kind and getattr(t.fieldobj, attr) is curve
         assert np.array_equal(t.fieldobj.values(pts), as_field(curve).values(pts))
+        # a trace of the field object carries it and has the curve's bits
+        again = trace(t.fieldobj, opts, c)
+        assert again.fieldobj is t.fieldobj
+        _same_trace(again, t)
 
 
 def test_unit_circle_trace_on_equator():
@@ -163,7 +171,7 @@ def test_records_with_arrays_compare_by_identity():
     # two traces of different pairs at one grid are different records; a
     # pair, a trace and a nesting tree hash, and compare to a copy
     a, b = (trace(sample_rational_pair(8, RandomStream(s))) for s in (1, 2))
-    assert a.grid_resolution == b.grid_resolution and a.cap == b.cap
+    assert a.grid is b.grid
     assert a != b and len(a.sizes) != len(b.sizes)
     rp = sample_rational_pair(8, RandomStream(1))
     tree = nesting_tree(a)
@@ -336,7 +344,7 @@ def test_select_keeps_the_chosen_loops_on_the_same_grid():
     assert all(np.array_equal(a, b) for a, b in zip(
         s.loop_edges, [e for e, k in zip(t.loop_edges, keep) if k], strict=True))
     assert s.vertex_signs is t.vertex_signs and s.fieldobj is t.fieldobj
-    assert s.grid is t.grid and s.cap == t.cap
+    assert s.grid is t.grid
 
 
 def test_consumers_read_the_grid_the_trace_carries(monkeypatch):
@@ -354,8 +362,8 @@ def test_consumers_read_the_grid_the_trace_carries(monkeypatch):
     g = trace(sample_rational_pair(25, trial_stream(101, 25, 0)))
     c = trace(sample_rational_pair(100, RandomStream(505).substream(100).substream(0)),
               cap=(NORTH, 0.5))
-    assert g.grid is icosphere(g.grid_resolution) and g.cap is None
-    assert c.grid is _cap_grid(c.grid_resolution, *c.cap)
+    assert g.grid is icosphere(g.grid_resolution)
+    assert c.grid is _cap_grid(c.grid_resolution, NORTH, 0.5)
     assert c.grid.n_vertices < g.grid.n_vertices == 10 * g.grid_resolution ** 2 + 2
     for t in (g, c):
         assert any(pts is t.grid.verts for pts in evaluated)
@@ -372,9 +380,8 @@ def test_consumers_read_the_grid_the_trace_carries(monkeypatch):
 def test_cap_of_radius_pi_is_the_global_trace():
     rp = sample_rational_pair(50, RandomStream(7))
     g, c = trace(rp), trace(rp, cap=(NORTH, math.pi))
-    assert c.cap == (NORTH, math.pi) and g.cap is None
-    for name in ("vertices", "sizes", "lengths", "vertex_signs"):
-        assert np.array_equal(getattr(g, name), getattr(c, name)), name
+    assert c.grid is _cap_grid(64, NORTH, math.pi) and g.grid is icosphere(64)
+    _same_trace(g, c)
     assert all(np.array_equal(a, b) for a, b in zip(g.loop_edges, c.loop_edges, strict=True))
 
 
@@ -382,7 +389,7 @@ def test_cap_loops_are_the_global_loops_in_the_disk():
     # the local stage's trials at n=100, rho=3: a cap one longest grid edge
     # wider than the disk holds every grid triangle of a loop in the disk
     n, radius = 100, 3.0 / 10.0
-    cap = (NORTH, radius + icosphere(default_options(n).grid_resolution).max_edge_length)
+    cap = local_disk(n, 3.0)[0]
     stream = RandomStream(505).substream(n)
     found = 0
     for i in range(40):
@@ -418,11 +425,10 @@ def test_cap_trace_returns_no_open_arc():
 def test_triangles_cross_on_no_edge_or_two():
     # the parity the tracer pairs crossings by: whole-sphere traces at
     # n=25 and n=200, and the local stage's rho=3 cap at n=100
-    n = 100
-    cap = (NORTH, 3.0 / math.sqrt(n) + icosphere(default_options(n).grid_resolution).max_edge_length)
     for rp, c in ((sample_rational_pair(25, trial_stream(101, 25, 0)), None),
                   (sample_rational_pair(200, trial_stream(202, 200, 0)), None),
-                  (sample_rational_pair(n, RandomStream(505).substream(n).substream(0)), cap)):
+                  (sample_rational_pair(100, RandomStream(505).substream(100).substream(0)),
+                   _local_cap(3))):
         t = trace(rp, cap=c)
         grid = t.grid
         pos = t.vertex_signs
@@ -435,10 +441,9 @@ def test_cap_grid_selects_the_rotated_grid():
     # the local stage's caps at n=100 (rho = 3, 4 and 7, one longest edge
     # wider), at the default grid and twice it: the cap's vertices are the
     # grid's own, selected by their distance to the centre alone
-    n = 100
-    nu = default_options(n).grid_resolution
+    nu = default_options(100).grid_resolution
     for rho, k in itertools.product((3.0, 4.0, 7.0), (1, 2)):
-        radius = rho / math.sqrt(n) + icosphere(nu).max_edge_length
+        radius = _local_cap(rho)[1]
         verts = icosphere(k * nu).verts
         inside = np.clip(verts @ np.array(NORTH), -1.0, 1.0) >= math.cos(radius)
         assert np.array_equal(_cap_grid(k * nu, NORTH, radius).verts, verts[inside])
@@ -446,13 +451,12 @@ def test_cap_grid_selects_the_rotated_grid():
 
 def _same_trace(a, b):
     for name in ("vertices", "sizes", "lengths", "vertex_signs"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
-def _local_cap(rho, centre=NORTH, n=100):
-    """The local stage's cap of rho at degree n: one longest edge of the
-    default grid wider than the disk of radius rho / sqrt(n)."""
-    return (centre, rho / math.sqrt(n) + icosphere(default_options(n).grid_resolution).max_edge_length)
+def _local_cap(rho, centre=NORTH):
+    """The local stage's cap of rho at n=100, about centre."""
+    return (centre, local_disk(100, rho)[0][1])
 
 
 def test_kept_plan_changes_no_bit():
@@ -478,7 +482,7 @@ def test_kept_plan_changes_no_bit():
         _same_trace(cold, warm)
         if c is not None:
             fld, verts = warm.fieldobj, warm.grid.verts
-            plan = tracer._kept_plan(PairField, 100, warm.grid_resolution, warm.cap)
+            plan = tracer._kept_plan(PairField, 100, warm.grid_resolution, c)
             for scale in (False, True):
                 assert (np.array(fld.values(verts, plan, scale)).tobytes()
                         == np.array(fld.values(verts, None, scale)).tobytes())
@@ -494,8 +498,8 @@ def test_cap_plans_keep_the_tables():
     assert [len(chart) for chart in whole] == [3, 3]
     rp = sample_rational_pair(n, RandomStream(505).substream(n).substream(0))
     for centre in (NORTH, (1.0, 0.0, 0.0)):
-        t = trace(rp, TraceOptions(2 * nu), _local_cap(7, centre))
-        plan = tracer._kept_plan(PairField, n, 2 * nu, t.cap)
+        trace(rp, TraceOptions(2 * nu), _local_cap(7, centre))
+        plan = tracer._kept_plan(PairField, n, 2 * nu, _local_cap(7, centre))
         assert [len(chart) for chart in plan] == [5, 5]
         counts = [len(chart[1]) for chart in plan]
         if centre == NORTH:
