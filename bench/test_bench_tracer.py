@@ -6,7 +6,7 @@ Outside the tier-1 `testpaths`; run from the repository root with
 
 The stage cases read one fixed input: seed 202, n=200, trial 0 at the
 default grid (nu=78), the tangents workload's first trial, taken apart the
-way `tracer._trace_once` takes it apart.  The real crossings case refines
+way `tracer._trace_grids` takes it apart.  The real crossings case refines
 the crossings of the kostlan-compare workload's first trial (real field,
 seed 404, n=50, nu=64), the largest layer of a real trial.  Two meridian
 cases time the

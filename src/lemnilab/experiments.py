@@ -12,12 +12,14 @@ import csv
 import json
 import math
 import os
+import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
+import scipy
 
 from . import constructor, kacrice
 from .ensemble import (
@@ -283,20 +285,43 @@ def run(config: ExperimentConfig) -> list:
     (another seed or trial count) raises ConfigError.  A trial failure is
     recorded and excluded; the run writes its summary, then raises
     RunRefused, which carries the summary rows, if more than 0.1% of
-    trials are rejected.
+    trials are rejected.  The summary's metadata is the run's manifest
+    (_manifest).
     """
     os.makedirs(config.output_dir, exist_ok=True)
-    t0 = time.time()
+    t0, cpu0 = time.time(), os.times()
     rows = _SERIAL.get(config.experiment, _trial_rows)(config)
     rejected = sum(r["rejected"] for r in rows)
     total = rejected + sum(r["trials_used"] for r in rows)
     summary = _write_summary(config, rows, dict(
         seed=config.seed, experiment=config.experiment, trials=config.trials,
-        wall_time=time.time() - t0, rejections=rejected))
+        wall_time=time.time() - t0, rejections=rejected, **_manifest(config, cpu0)))
     if total and rejected / total > 1e-3:
         raise RunRefused("rejection rate %.2g%% exceeds 0.1%%" % (100 * rejected / total),
                          summary)
     return summary
+
+
+def _manifest(config: ExperimentConfig, cpu0) -> dict:
+    """What a run's figures were computed with and what they cost: the
+    numpy and scipy versions, the BLAS numpy was built with, the worker
+    count, the CPU seconds of this process and of its waited-for children
+    (worker processes) since os.times() read cpu0, and the commit of the
+    source tree, None where git cannot tell it."""
+    cpu = os.times()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                              cwd=os.path.dirname(os.path.abspath(__file__)), timeout=10)
+        commit = head.stdout.strip() if head.returncode == 0 else None
+    except (OSError, subprocess.SubprocessError):
+        commit = None
+    return dict(numpy=np.__version__, scipy=scipy.__version__, blas=blas.get("name"),
+                blas_version=blas.get("version"), workers=config.workers,
+                cpu_s=(cpu.user - cpu0.user) + (cpu.system - cpu0.system),
+                children_cpu_s=(cpu.children_user - cpu0.children_user)
+                + (cpu.children_system - cpu0.children_system),
+                git_commit=commit)
 
 
 def _trial_rows(config: ExperimentConfig) -> list:

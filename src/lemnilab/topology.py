@@ -9,6 +9,12 @@ a whole sphere those walls are exactly the grid's sign changes; on a cap,
 the arcs its rim cuts are no walls, so the faces are the cap's minus its
 loops.  Rooted trees are compared through AHU canonical strings (balanced
 parentheses, children sorted), which are the stable cross-run identifier.
+
+The local stage (local_arrangement_probability) traces each trial's cap
+at two resolutions in one tracer.trace_levels call, which refines both
+levels' crossings in one batch; each level agrees with its own trace up
+to the last bits of that batch, as a cap trace agrees with the whole
+sphere's.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .tracer import (
     TracedLemniscate,
     TraceOptions,
     default_options,
-    trace,
+    trace_levels,
 )
 
 
@@ -274,8 +280,10 @@ def local_arrangement_probability(
     the components lying within local_disk's inner radius, and compares
     their nesting tree, flood-filled on the grid of local_disk's cap and
     rooted at the face of its rim, against the target.  The trial traces
-    that cap at the default grid and, with the same field, at twice its
-    resolution; the finer tree is counted, and `regridded` counts the
+    that cap at the default grid and at twice its resolution in one
+    trace_levels call, with one field and one crossing refinement; each
+    level agrees with its own trace up to the last bits of that
+    refinement.  The finer tree is counted, and `regridded` counts the
     trials whose two trees differ.  A trial whose trace degenerates or
     whose faces do not form the tree is rejected.
     """
@@ -299,8 +307,7 @@ def local_arrangement_probability(
     for i in range(trials):
         rp = sample_rational_pair(n, rng.substream(i))
         try:
-            t = trace(rp, opts, cap)
-            coarse, fine = local_tree(t), local_tree(trace(t.fieldobj, fine_opts, cap))
+            coarse, fine = map(local_tree, trace_levels(rp, (opts, fine_opts), cap))
         except (DegenerateLemniscate, InconsistentTopology):
             rejected += 1
             continue

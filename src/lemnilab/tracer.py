@@ -6,9 +6,9 @@ contributes exactly one pass of the curve between two of its edges), then
 refines every crossing by bisection plus Newton and densifies to an
 arc-step of 0.6 grid edges.  The grid's own rotation (see icogrid) keeps
 its vertices off the curve.  A trace carries the field object it was
-traced with (fieldobj, built once by as_field; a re-trace takes it) and
-the grid it evaluated (grid, from _trace_grid); every consumer of the
-curve takes both from it.
+traced with (fieldobj, built once by as_field in trace_levels; a re-trace
+takes it) and the grid it evaluated (grid, from _trace_grid); every
+consumer of the curve takes both from it.
 
 Each curve point comes with the gradient row the Newton projection that
 placed it read there (fieldobj.newton's fifth item).  The crossings,
@@ -21,6 +21,11 @@ A cap trace evaluates f only on the part of the same grid that lies in a
 spherical cap and returns the loops whose grid triangles all lie inside
 it; the arcs cut by the cap's rim are dropped.  Its loops are the whole
 sphere's loops there, up to the last bits of the field's batched values.
+
+trace_levels traces one curve at several resolutions (the local stage's
+nu and 2nu) and refines the kept crossings of all levels in one Newton
+batch, so they share its per-call overhead.  Each level agrees with its
+one-level trace, trace's, up to the last bits of that batch.
 
 A grid that trials trace again and again keeps its plan: the field's
 chart data of its vertices (kind.charts), about 26 bytes a vertex for the
@@ -392,7 +397,8 @@ def _insert_after(P, G, sizes, at, points, rows):
 
 def trace(rp, opts: TraceOptions | None = None, cap=None) -> TracedLemniscate:
     """All components of {f = 0} at the working resolution, or, with
-    cap = (centre, radius), those whose grid triangles lie in that cap.
+    cap = (centre, radius), those whose grid triangles lie in that cap:
+    trace_levels' one-level case.
 
     Accepts a RationalPair (f = |p|^2 - |q|^2), a RealKostlanPolynomial
     (f = p restricted to the sphere) or the field object of either, such
@@ -403,15 +409,37 @@ def trace(rp, opts: TraceOptions | None = None, cap=None) -> TracedLemniscate:
     DegenerateLemniscate when refinement fails to converge or the retries
     are exhausted.
     """
-    fieldobj = as_field(rp)
-    if opts is None:
-        opts = default_options(fieldobj.degree)
+    return trace_levels(rp, (opts,), cap)[0]
+
+
+def trace_levels(curve, levels, cap=None) -> list:
+    """One trace of curve per TraceOptions in levels (None for
+    default_options), all on the same cap and with one field object.
+
+    Each level has its own grid pass, crossing graph, linker and
+    densification; the kept crossings of every level are refined in one
+    batch, in level order.  A level agrees with its one-level trace up to
+    the last bits of that batch, as a cap trace agrees with the whole
+    sphere's.  When a level meets close strands, every level is traced
+    alone through trace's retry ladder, and so has trace's bits.
+    """
+    fieldobj = as_field(curve)
     if cap is not None:
         centre, radius = cap
         if not 0.0 < radius <= math.pi:
             raise ValueError("cap radius must lie in (0, pi]")
         cap = (tuple(float(x) for x in unit_vector(centre)), float(radius))
-    nu = opts.grid_resolution
+    nus = [(o or default_options(fieldobj.degree)).grid_resolution for o in levels]
+    if len(nus) > 1:
+        try:
+            return _trace_grids(fieldobj, nus, cap)
+        except _StubbornSegment:
+            pass
+    return [_retried(fieldobj, nu, cap) for nu in nus]
+
+
+def _retried(fieldobj, nu: int, cap) -> TracedLemniscate:
+    """One level alone at nu, retried on close strands at 2 and 4 nu."""
     for nu in [nu] + [k * nu for k in (2, 4) if k * nu <= _MAX_RESOLUTION]:
         try:
             return _trace_once(fieldobj, nu, cap)
@@ -454,53 +482,72 @@ def _kept_plan(kind, n: int, nu: int, cap):
 
 
 def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
-    grid = _trace_grid(nu, cap)
-    # a cap, or the whole sphere at the default resolution, is traced
-    # trial after trial; the field builds any other grid's chart data
+    return _trace_grids(fieldobj, (nu,), cap)[0]
+
+
+def _trace_grids(fieldobj, nus, cap) -> list:
+    """One trace attempt per resolution in nus, on the same cap; raises
+    _StubbornSegment when any level meets close strands."""
     n = fieldobj.degree
-    kept = cap is not None or nu == default_options(n).grid_resolution
-    F = fieldobj.values(grid.verts, _kept_plan(type(fieldobj), n, nu, cap) if kept else None)
-    pos = F > 0.0  # exact zeros count as positive; the grid's rotation makes them moot
+    links, ends = [], []
+    for nu in nus:
+        grid = _trace_grid(nu, cap)
+        # a cap, or the whole sphere at the default resolution, is traced
+        # trial after trial; the field builds any other grid's chart data
+        kept = cap is not None or nu == default_options(n).grid_resolution
+        F = fieldobj.values(grid.verts, _kept_plan(type(fieldobj), n, nu, cap) if kept else None)
+        pos = F > 0.0  # exact zeros count as positive; the grid's rotation makes them moot
 
-    e0, e1 = grid.edges[:, 0], grid.edges[:, 1]
-    cross = pos[e0] != pos[e1]
-    # a triangle's three vertex signs change an even number of times around
-    # it, so it crosses on no edge or on two: its crossing edges, read row
-    # by row, come in pairs
-    pairs = grid.tri_edges[cross[grid.tri_edges]].reshape(-1, 2)
+        e0, e1 = grid.edges[:, 0], grid.edges[:, 1]
+        cross = pos[e0] != pos[e1]
+        # a triangle's three vertex signs change an even number of times
+        # around it, so it crosses on no edge or on two: its crossing
+        # edges, read row by row, come in pairs
+        pairs = grid.tri_edges[cross[grid.tri_edges]].reshape(-1, 2)
 
-    cids = np.flatnonzero(cross)
-    remap = np.full(len(grid.edges), -1, dtype=np.int64)
-    remap[cids] = np.arange(len(cids))
-    rows = remap[pairs]
-    # every crossing has two split triangles on the whole sphere; in a cap,
-    # one at the end of an arc cut by the rim has one, and a crossing on a
-    # rim edge may have none.  Pairing the arc ends and closing each lone
-    # crossing on itself makes every node's degree 2 for the linker; the
-    # cycles through those nodes are dropped.
-    deg = np.bincount(rows.ravel(), minlength=len(cids))
-    lone = np.flatnonzero(deg == 0)
-    rows = np.concatenate([rows, np.flatnonzero(deg == 1).reshape(-1, 2),
-                           np.stack([lone, lone], axis=1)])
-    cycles = [c for c in _link_cycles(rows) if (deg[c] == 2).all()]
-    if not cycles:
-        return TracedLemniscate(np.zeros((0, 3)), np.zeros((0, fieldobj.grad_width)),
-                                np.zeros(0, dtype=np.int64), np.zeros(0), grid, pos, [], fieldobj)
+        cids = np.flatnonzero(cross)
+        remap = np.full(len(grid.edges), -1, dtype=np.int64)
+        remap[cids] = np.arange(len(cids))
+        rows = remap[pairs]
+        # every crossing has two split triangles on the whole sphere; in a
+        # cap, one at the end of an arc cut by the rim has one, and a
+        # crossing on a rim edge may have none.  Pairing the arc ends and
+        # closing each lone crossing on itself makes every node's degree 2
+        # for the linker; the cycles through those nodes are dropped.
+        deg = np.bincount(rows.ravel(), minlength=len(cids))
+        lone = np.flatnonzero(deg == 0)
+        rows = np.concatenate([rows, np.flatnonzero(deg == 1).reshape(-1, 2),
+                               np.stack([lone, lone], axis=1)])
+        cycles = [c for c in _link_cycles(rows) if (deg[c] == 2).all()]
 
-    # refine only the crossings of kept cycles, in crossing order; a global
-    # trace keeps them all, in the one batch its refined bits depend on
-    nodes = np.concatenate(cycles)
-    keep = np.zeros(len(cids), dtype=bool)
-    keep[nodes] = True
-    a, b = e0[cids[keep]], e1[cids[keep]]
-    X, G = _edge_roots(fieldobj, grid.verts[a], grid.verts[b], F[a], F[b])
-    at = (np.cumsum(keep) - 1)[nodes]  # each node's row among the kept crossings
+        # refine only the crossings of kept cycles, in crossing order; a
+        # global trace keeps them all
+        nodes = np.concatenate(cycles or [np.zeros(0, dtype=np.int64)])
+        keep = np.zeros(len(cids), dtype=bool)
+        keep[nodes] = True
+        a, b = e0[cids[keep]], e1[cids[keep]]
+        # the last item: each node's row among the level's kept crossings
+        links.append((grid, pos, cids, cycles, (np.cumsum(keep) - 1)[nodes]))
+        ends.append((grid.verts[a], grid.verts[b], F[a], F[b]))
 
-    sizes = np.array([len(c) for c in cycles])
-    P, G, sizes = _densify(fieldobj, X[at], G[at], sizes, _ARC_STEP * grid.mean_edge_length)
-
-    # one sum per loop slice: pairwise, like a sum over the loop alone
-    seg = spherical_distance_many(P, P[ring(sizes)[1]])
-    lengths = np.array([d.sum() for d in np.split(seg, np.cumsum(sizes)[:-1])])
-    loop_edges = [cids[c] for c in cycles]
-    return TracedLemniscate(P, G, sizes, lengths, grid, pos, loop_edges, fieldobj)
+    # every level's kept crossings in one batch, the one its refined bits
+    # depend on
+    counts = np.array([len(e[2]) for e in ends])
+    if counts.any():
+        X, G = _edge_roots(fieldobj, *(np.concatenate(c) for c in zip(*ends)))
+    out = []
+    for (grid, pos, cids, cycles, at), first in zip(links, np.cumsum(counts) - counts):
+        if not cycles:
+            out.append(TracedLemniscate(np.zeros((0, 3)), np.zeros((0, fieldobj.grad_width)),
+                                        np.zeros(0, dtype=np.int64), np.zeros(0), grid, pos,
+                                        [], fieldobj))
+            continue
+        sizes = np.array([len(c) for c in cycles])
+        P, R, sizes = _densify(fieldobj, X[first + at], G[first + at], sizes,
+                               _ARC_STEP * grid.mean_edge_length)
+        # one sum per loop slice: pairwise, like a sum over the loop alone
+        seg = spherical_distance_many(P, P[ring(sizes)[1]])
+        lengths = np.array([d.sum() for d in np.split(seg, np.cumsum(sizes)[:-1])])
+        out.append(TracedLemniscate(P, R, sizes, lengths, grid, pos,
+                                    [cids[c] for c in cycles], fieldobj))
+    return out

@@ -74,7 +74,7 @@ def test_round_trip_and_certificate_read_the_verifying_trace(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(constructor, "trace", counted(trace))
-    monkeypatch.setattr(topology, "trace", counted(trace))
+    monkeypatch.setattr(topology, "trace_levels", counted(topology.trace_levels))
     monkeypatch.setattr(constructor, "nesting_tree", counted(nesting_tree))
     assert realized_tree(c) == spec
     assert certify_nondegenerate(c)
@@ -135,7 +135,7 @@ def test_verify_rejects_faces_under_four_grid_vertices(monkeypatch):
     def no_trace(*args, **kwargs):
         raise AssertionError("nesting_tree must not trace")
 
-    monkeypatch.setattr(topology, "trace", no_trace)
+    monkeypatch.setattr(topology, "trace_levels", no_trace)
     tree = nesting_tree(t)
     assert tree.n_components == len(t.components) == 1
     assert np.bincount(tree.face_of_vertex).min() < 4

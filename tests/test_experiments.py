@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from lemnilab.ensemble import KostlanPolynomial, RandomStream, RationalPair
 from lemnilab import experiments
@@ -210,6 +211,19 @@ def test_summary_contents(tmp_path):
     # z-score recomputes from the stored columns
     z = (row["estimate"] - row["theory"]) / row["stderr"]
     assert abs(z - row["z_score"]) < 1e-9
+
+
+def test_summary_metadata_is_the_run_manifest(tmp_path):
+    out = run_tiny(tmp_path, "a", workers=2)
+    with open(os.path.join(out, "length_summary.json")) as fh:
+        meta = json.load(fh)["metadata"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (meta["numpy"], meta["scipy"], meta["blas"], meta["blas_version"], meta["workers"]) \
+        == (np.__version__, scipy.__version__, blas["name"], blas["version"], 2)
+    assert meta["cpu_s"] >= 0 and meta["children_cpu_s"] >= 0
+    commit = meta["git_commit"]
+    assert commit is None or re.fullmatch("[0-9a-f]{40}", commit)
+    assert {"seed", "experiment", "trials", "wall_time", "rejections"} < meta.keys()
 
 
 def test_summary_keeps_rows_of_earlier_calls(tmp_path):

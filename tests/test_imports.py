@@ -87,10 +87,10 @@ def test_orphan_private_helper_is_caught():
     assert _orphan_privates(sources) == [("a.py", "_gone"), ("a.py", "_self")]
 
 
-# a curve's field is built once: by as_field, by the trace (which every
+# a curve's field is built once: by as_field, by trace_levels (which every
 # consumer takes it from) and by the constructor's candidate pairs
 FIELD_BUILDERS = {"PairField", "RealField", "as_field"}
-FIELD_OWNERS = {("field", "as_field"), ("tracer", "trace"), ("constructor", "_add_circle")}
+FIELD_OWNERS = {("field", "as_field"), ("tracer", "trace_levels"), ("constructor", "_add_circle")}
 
 
 def _field_builds(sources: dict) -> list:

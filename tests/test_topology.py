@@ -1,5 +1,7 @@
+import csv
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -134,7 +136,7 @@ def test_nesting_tree_is_the_tree_of_the_given_trace(monkeypatch):
     # grid vertices; its tree still has one edge per traced loop
     rp = sample_rational_pair(200, trial_stream(202, 200, 2))
     t = trace(rp)
-    monkeypatch.setattr(topology, "trace", _no_trace)
+    monkeypatch.setattr(topology, "trace_levels", _no_trace)
     tree = nesting_tree(t)
     assert tree.n_components == len(t.components) == 52
     assert tree.n_faces == 53
@@ -289,6 +291,19 @@ def test_a_local_trial_builds_one_field(monkeypatch):
     monkeypatch.setattr(PairField, "__init__", lambda self, rp: builds.append(init(self, rp)))
     est = local_arrangement_probability(Arrangement("(())"), 100, 3.0, 100, RandomStream(505))
     assert est.trials_used == len(builds) == 100
+
+
+def test_local_stage_replays_its_committed_row():
+    # results/local_1circle at n=100: rho=3, seed 505, target (()), 2,000 trials
+    est = local_arrangement_probability(Arrangement("(())"), 100, 3.0, 2000,
+                                        RandomStream(505).substream(100))
+    assert (est.hits, est.trials_used, est.rejected, est.regridded) == (453, 2000, 0, 10)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "results", "local_1circle",
+                        "local-arrangement_summary.csv")
+    with open(path, newline="") as fh:
+        (row,) = [r for r in csv.DictReader(fh) if r["n"] == "100"]
+    assert (float(row["estimate"]), row["trials_used"], row["rejected"], row["flags"]) == (
+        est.estimate, "2000", "0", "rho=3;regridded=10")
 
 
 def test_regridded_counts_the_trials_whose_two_trees_differ():

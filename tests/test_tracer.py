@@ -141,7 +141,7 @@ def test_trace_carries_the_field_it_traced():
     rp = sample_rational_pair(12, RandomStream(43))
     poly = sample_real_kostlan(12, RandomStream(43))
     local = sample_rational_pair(100, RandomStream(505).substream(100).substream(0))
-    # no loops: _trace_once returns before it refines a crossing
+    # no loops: the trace refines no crossing
     empty = RationalPair(KostlanPolynomial(1, np.array([2, 0], complex)),
                          KostlanPolynomial(1, np.array([1, 0], complex)))
     # the whole sphere, a cap, and the local stage's rho=3 cap at n=100, nu and 2nu
@@ -330,6 +330,65 @@ def test_stubborn_segment_retries_stop_at_the_resolution_cap(monkeypatch):
         with pytest.raises(DegenerateLemniscate):
             trace(unit_circle_pair(), TraceOptions(nu))
         assert tried == want
+
+
+def _identical(a, b):
+    """Whether traces a and b are the same bits on the same grid."""
+    assert a.grid is b.grid and a.fieldobj is b.fieldobj
+    _same_trace(a, b)
+    assert a.grads.tobytes() == b.grads.tobytes()
+    assert [e.tobytes() for e in a.loop_edges] == [e.tobytes() for e in b.loop_edges]
+
+
+def test_one_level_is_the_trace():
+    local = sample_rational_pair(100, RandomStream(505).substream(100).substream(0))
+    for curve, c in ((sample_rational_pair(25, trial_stream(101, 25, 0)), None),
+                     (sample_real_kostlan(50, trial_stream(404, 50, 0)), None),
+                     (local, _local_cap(3))):
+        fld = as_field(curve)
+        (t,) = tracer.trace_levels(fld, (None,), c)
+        assert len(t.sizes) >= 1
+        _identical(t, trace(fld, None, c))
+
+
+def test_two_levels_agree_with_two_traces():
+    # the local stage's trials at n=100: each level of a (nu, 2nu) trace
+    # against its own trace, up to the last bits of the shared refinement
+    n, stream = 100, RandomStream(505).substream(100)
+    nu = default_options(n).grid_resolution
+    levels = (TraceOptions(nu), TraceOptions(2 * nu))
+    for rho in (3.0, 7.0):
+        cap, inner = local_disk(n, rho)
+        loops = 0
+        for i in range(100):
+            fld = as_field(sample_rational_pair(n, stream.substream(i)))
+            for a, b in zip(tracer.trace_levels(fld, levels, cap),
+                            [trace(fld, o, cap) for o in levels], strict=True):
+                assert a.grid is b.grid, (rho, i)
+                for name in ("sizes", "vertex_signs"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), (rho, i)
+                assert all(np.array_equal(x, y) for x, y in zip(
+                    a.loop_edges, b.loop_edges, strict=True)), (rho, i)
+                assert np.abs(a.vertices - b.vertices).max(initial=0.0) < 1e-12, (rho, i)
+                trees = [_winding_tree([L[:, :2] for L in _loops_within(t, inner)])
+                         for t in (a, b)]
+                assert trees[0] == trees[1], (rho, i)
+                loops += len(a.sizes)
+        assert loops >= 50
+
+
+def test_close_strands_trace_every_level_alone():
+    # trials 366 and 516 of the local stage's stream meet close strands at
+    # nu=64 on the rho=3 cap: both levels are then the one-level traces
+    n, stream = 100, RandomStream(505).substream(100)
+    cap = local_disk(n, 3.0)[0]
+    levels = (TraceOptions(64), TraceOptions(128))
+    for i in (366, 516):
+        fld = as_field(sample_rational_pair(n, stream.substream(i)))
+        together = tracer.trace_levels(fld, levels, cap)
+        assert [t.grid_resolution for t in together] == [128, 128]
+        for a, b in zip(together, [trace(fld, o, cap) for o in levels], strict=True):
+            _identical(a, b)
 
 
 def test_select_keeps_the_chosen_loops_on_the_same_grid():
