@@ -12,14 +12,17 @@ traces at rho=7, n=100 (seed 606, trial 0): the 2nu=128 cap of 20,675
 vertices, one longest default-grid edge wider than the disk.  The last
 traces one local trial at rho=3, n=100 through trace_levels, at nu and 2nu
 with one refinement: trial 3 of the seed-505 stream, whose cap holds two
-loops at each level.
+loops at each level.  `test_build_faces_construct` fills the trace that
+verifies the realized ((()()()())) at nu=280, the costliest fill of
+construct-6 (784,002 vertices).
 """
 
 import pytest
 
+from lemnilab.constructor import realize
 from lemnilab.ensemble import RandomStream, sample_rational_pair
 from lemnilab.experiments import trial_stream
-from lemnilab.topology import _build_faces, local_disk, nesting_tree
+from lemnilab.topology import Arrangement, _build_faces, local_disk, nesting_tree
 from lemnilab.field import as_field
 from lemnilab.tracer import TraceOptions, default_options, trace, trace_levels
 
@@ -34,6 +37,13 @@ def test_build_faces(benchmark, traced_n200):
     _, t = traced_n200
     _, n_faces = benchmark(_build_faces, t)
     assert n_faces == len(t.components) + 1
+
+
+def test_build_faces_construct(benchmark):
+    t = realize(Arrangement("((()()()()))")).tree.trace
+    assert t.grid_resolution == 280
+    _, n_faces = benchmark(_build_faces, t)
+    assert n_faces == len(t.components) + 1 == 6
 
 
 def test_nesting_tree(benchmark, traced_n200):

@@ -258,11 +258,17 @@ def _summarize(experiment: str, n: int, rows: list) -> dict:
     return out
 
 
+def _grid_tag(cfg: ExperimentConfig) -> str:
+    """_nu{grid} for a run at a set grid_resolution, whose trials and
+    summary rows are other trials and rows; empty for any other run."""
+    return "_nu%d" % cfg.grid_resolution if cfg.grid_resolution else ""
+
+
 def _trials_path(cfg: ExperimentConfig, n: int) -> str:
     """{experiment}_n{n}_trials.csv, or _n{n}_nu{grid}_trials.csv for a run
-    at a set grid_resolution, whose trials are other trials."""
-    grid = "_nu%d" % cfg.grid_resolution if cfg.grid_resolution else ""
-    return os.path.join(cfg.output_dir, "%s_n%d%s_trials.csv" % (cfg.experiment, n, grid))
+    at a set grid_resolution."""
+    return os.path.join(cfg.output_dir, "%s_n%d%s_trials.csv" % (cfg.experiment, n,
+                                                                 _grid_tag(cfg)))
 
 
 def _read_trials(path: str) -> list:
@@ -285,8 +291,8 @@ def run(config: ExperimentConfig) -> list:
     (another seed or trial count) raises ConfigError.  A trial failure is
     recorded and excluded; the run writes its summary, then raises
     RunRefused, which carries the summary rows, if more than 0.1% of
-    trials are rejected.  The summary's metadata is the run's manifest
-    (_manifest).
+    trials are rejected.  The summary's metadata is the run's manifest:
+    every config field but output_dir, and the rest of _manifest.
     """
     os.makedirs(config.output_dir, exist_ok=True)
     t0, cpu0 = time.time(), os.times()
@@ -295,6 +301,8 @@ def run(config: ExperimentConfig) -> list:
     total = rejected + sum(r["trials_used"] for r in rows)
     summary = _write_summary(config, rows, dict(
         seed=config.seed, experiment=config.experiment, trials=config.trials,
+        n_values=config.n_values, rho=config.rho, target=config.target,
+        grid_resolution=config.grid_resolution,
         wall_time=time.time() - t0, rejections=rejected, **_manifest(config, cpu0)))
     if total and rejected / total > 1e-3:
         raise RunRefused("rejection rate %.2g%% exceeds 0.1%%" % (100 * rejected / total),
@@ -420,11 +428,13 @@ def _merged(old: list, new: list, key) -> list:
 
 
 def _write_summary(config: ExperimentConfig, rows: list, metadata: dict) -> list:
-    """Write {experiment}_summary.csv and .json and return their rows.  A
-    row replaces the row on disk with the same (n, statistic), every other
-    row on disk is kept, and the rows are stably sorted by n; the metadata,
-    in the JSON only, describes this call."""
-    stem = os.path.join(config.output_dir, "%s_summary" % config.experiment)
+    """Write {experiment}_summary.csv and .json, {experiment}_nu{grid}_...
+    for a run at a set grid_resolution, and return their rows.  A row
+    replaces the row on disk with the same (n, statistic), every other row
+    on disk is kept, and the rows are stably sorted by n; the metadata, in
+    the JSON only, describes this call."""
+    stem = os.path.join(config.output_dir, "%s%s_summary" % (config.experiment,
+                                                             _grid_tag(config)))
     old = _read_json(stem + ".json", {"rows": []})["rows"]
     rows = sorted(_merged(old, rows, lambda r: (r["n"], r["statistic"])),
                   key=lambda r: r["n"])

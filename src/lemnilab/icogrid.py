@@ -24,6 +24,21 @@ tracer and topology read; no vertex-triple table is stored.  Ids are
 int64, numpy's index type: a narrower id array is cast on every fancy
 index the tracer makes.
 
+A grid's raster lays its vertex ids out on the face lattice, face block
+after face block: lattice row i of face f is one raster row and j its
+column, with no vertex where i + j > nu and on one separator row after
+each block.  The hexagonal neighbourhood of a cell, its neighbours at
++-(1, 0), +-(0, 1) and +-(1, -1), then pairs exactly the grid's edges
+(an edge on an icosahedron edge in both of its faces' blocks), and a
+vertex on an icosahedron edge has a cell in each face that holds it.  The
+whole sphere's raster (SphereRaster) stores no id table: each face's
+interior ids are contiguous, row by row, so one face-independent table
+of block positions places them, and the rim's 3 nu ids per face are
+_rim_ids'.  A cap's raster (TableRaster, SphereRaster.crop) is an
+explicit id table cropped to the face blocks, rows and columns that hold
+the cap's vertices; the tracer's _cap_grid crops it once, and the cap
+grid keeps it (IcoGrid.cap_raster).
+
 icosphere returns the grid turned by one fixed rotation, GRID_JITTER.  The
 unrotated lattice (_lattice, which also measures the edges) is symmetric
 in the coordinate planes and, at even nu, has a vertex on each pole, where
@@ -46,7 +61,7 @@ import ctypes
 import math
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -115,10 +130,132 @@ class IcoGrid:
     tri_edges: np.ndarray  # (T, 3) edge ids
     mean_edge_length: float
     max_edge_length: float
+    # a cap's raster, cropped once where the cap grid is built; None on the
+    # whole sphere, whose raster needs no id table
+    cap_raster: TableRaster | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
         return len(self.verts)
+
+    def raster(self):
+        """The grid's face raster (see the module doc): a cap's kept crop,
+        or the whole sphere's SphereRaster, built afresh in O(nu^2)."""
+        return SphereRaster(self.nu) if self.cap_raster is None else self.cap_raster
+
+
+class SphereRaster:
+    """The raster of icosphere(nu): 20 blocks of nu + 2 rows (lattice rows
+    0..nu and a separator) by nu + 1 columns.
+
+    pos holds the block position i (nu + 1) + j of each local point in id
+    order, every face's interior row by row and then its rim, whose
+    global ids are rim_ids, one row per face; face f's k-th interior point
+    has id first + f n_int + k.
+    """
+
+    def __init__(self, nu: int):
+        i, j, _ = _triangle(nu + 1)
+        order, self.rim_ids = _id_order(nu, i, j)  # (20, 3 nu)
+        self.nu, self.pos = nu, (i * (nu + 1) + j)[order]
+        self.block = (nu + 2) * (nu + 1)  # cells per block
+
+    @property
+    def shape(self) -> tuple:
+        return 20 * (self.nu + 2), self.nu + 1
+
+    @property
+    def n_int(self) -> int:
+        return len(self.pos) - self.rim_ids.shape[1]
+
+    @property
+    def first(self) -> int:
+        """The first interior id, past the rim's."""
+        return 12 + 30 * (self.nu - 1)
+
+    def _blocks(self, a):
+        return a.reshape(20, self.block)
+
+    def scatter(self, values, fill):
+        """values[v] at every cell of vertex v, fill off the grid."""
+        out = np.full(self.shape, fill, dtype=values.dtype)
+        k = self.n_int
+        self._blocks(out)[:, self.pos[:k]] = values[self.first :].reshape(20, k)
+        self._blocks(out)[:, self.pos[k:]] = values[self.rim_ids]
+        return out
+
+    def gather(self, a):
+        """One value of the raster array a per vertex, read at one of its
+        cells."""
+        k = self.n_int
+        out = np.empty(self.first + 20 * k, dtype=a.dtype)
+        out[self.first :] = self._blocks(a)[:, self.pos[:k]].ravel()
+        out[self.rim_ids] = self._blocks(a)[:, self.pos[k:]]
+        return out
+
+    def ids_at(self, cells):
+        """The vertex ids at flat cells, each of which holds a vertex."""
+        f, q = np.divmod(cells, self.block)
+        rank = np.empty(self.block, dtype=np.int64)
+        rank[self.pos] = np.arange(len(self.pos))
+        r, k = rank[q], self.n_int
+        out = self.first + f * k + r
+        rim = r >= k
+        out[rim] = self.rim_ids[f[rim], r[rim] - k]
+        return out
+
+    def seams(self) -> tuple:
+        """(cells, ids): every cell of each vertex with cells in more than
+        one block, the rim's, and its vertex id."""
+        cells = np.arange(20)[:, None] * self.block + self.pos[self.n_int :]
+        return cells.ravel(), self.rim_ids.ravel()
+
+    def crop(self, inside) -> TableRaster:
+        """The raster of the grid's vertices with inside, numbered by their
+        rank among them: the blocks that hold any, each cut to its rows
+        that do and a separator row, all cut to the columns that do."""
+        part = np.where(inside, np.cumsum(inside) - 1, -1)
+        table = self.scatter(part, -1).reshape(20, self.nu + 2, self.nu + 1)
+        hit = table >= 0
+        cols = np.flatnonzero(hit.any(axis=(0, 1)))
+        blocks = []
+        for f in np.flatnonzero(hit.any(axis=(1, 2))):
+            rows = np.flatnonzero(hit[f].any(axis=1))
+            # row rows[-1] + 1 <= nu + 1 holds no vertex inside: the separator
+            blocks.append(table[f, rows[0] : rows[-1] + 2, cols[0] : cols[-1] + 1])
+        return TableRaster(np.concatenate(blocks) if blocks else np.full((1, 1), -1))
+
+
+class TableRaster:
+    """A raster given by its id table (-1 where no vertex is), as
+    SphereRaster.crop builds it; the same methods as SphereRaster."""
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        self.cells = np.flatnonzero(table >= 0)  # the flat cells that hold a vertex
+        self.ids = table.ravel()[self.cells]  # and their vertex ids
+        many = np.bincount(self.ids, minlength=1)[self.ids] > 1
+        self._seams = self.cells[many], self.ids[many]
+
+    @property
+    def shape(self) -> tuple:
+        return self.table.shape
+
+    def scatter(self, values, fill):
+        out = np.full(self.shape, fill, dtype=values.dtype)
+        out.ravel()[self.cells] = values[self.ids]
+        return out
+
+    def gather(self, a):
+        out = np.empty(self.ids.max(initial=-1) + 1, dtype=a.dtype)
+        out[self.ids] = a.ravel()[self.cells]
+        return out
+
+    def ids_at(self, cells):
+        return self.table.ravel()[cells]
+
+    def seams(self) -> tuple:
+        return self._seams
 
 
 def _triangle(m):
@@ -150,6 +287,16 @@ def _rim_ids(nu, i, j):
     return ids
 
 
+def _id_order(nu, i, j):
+    """(order, rim_ids): the local points (i, j) of _triangle(nu + 1) in id
+    order, the interior row by row and then the rim, and _rim_ids of the
+    rim."""
+    inner = (i > 0) & (j > 0) & (i + j < nu)
+    order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
+    rim = order[np.count_nonzero(inner) :]
+    return order, _rim_ids(nu, i[rim], j[rim])
+
+
 @lru_cache(maxsize=3)
 def icosphere(nu: int) -> IcoGrid:
     """Build (or fetch) the geodesic grid of frequency nu >= 1, rotated."""
@@ -168,13 +315,10 @@ def _lattice(nu: int) -> IcoGrid:
     n_int = (nu - 1) * (nu - 2) // 2  # interior points per face
     first = 12 + 30 * (nu - 1) + n_int * np.arange(20)  # each face's first interior id
 
-    # local points in id order: the interior row by row, then the rim
     i, j, point = _triangle(nu + 1)
-    inner = (i > 0) & (j > 0) & (i + j < nu)
-    order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
+    order, rim_ids = _id_order(nu, i, j)
     slot = np.empty_like(order)
     slot[order] = np.arange(len(order))
-    rim_ids = _rim_ids(nu, i[order[n_int:]], j[order[n_int:]])
 
     def ids(s):
         """(20, len(s)) global ids of the local points order[s]."""

@@ -10,6 +10,17 @@ the arcs its rim cuts are no walls, so the faces are the cap's minus its
 loops.  Rooted trees are compared through AHU canonical strings (balanced
 parentheses, children sorted), which are the stable cross-run identifier.
 
+The fill reads no edge list.  The grid's raster (icogrid: each face of
+the icosahedron one block of lattice rows, hexagonally connected through
++-(1, 0), +-(0, 1) and +-(1, -1)) is labelled by sign in one
+scipy.ndimage.label call, the two-pass labelling of Rosenfeld and Pfaltz
+(J. ACM 13, 1966); the faces are the components of a small graph of
+those labels, which joins the cells of one vertex in different blocks
+and the ends of each crossing edge that is no wall (_build_faces).  The
+whole sphere's raster is built from face-independent tables on each
+fill; a cap's is cropped once by tracer._cap_grid and kept with the cap
+grid.
+
 The local stage (local_arrangement_probability) traces each trial's cap
 at two resolutions in one tracer.trace_levels call, which refines both
 levels' crossings in one batch; each level agrees with its own trace up
@@ -23,8 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy import ndimage
 
 from .ensemble import RandomStream, sample_rational_pair
 from .icogrid import icosphere
@@ -42,6 +52,8 @@ from .tracer import (
 _DISK_CENTER = (0.0, 0.0, 1.0)  # local_disk's, as trace normalizes a cap's centre
 LOCAL_MIN_TRIALS = 100  # the fewest trials local_arrangement_probability takes
 LOCAL_MAX_RADIUS = math.pi / 2  # rho/sqrt(n) below it: the cap has a rim to root at
+# a raster cell's neighbourhood (icogrid): +-(1, 0), +-(0, 1), +-(1, -1)
+_HEX = np.array([[0, 1, 1], [1, 1, 1], [1, 1, 0]])
 
 
 class InconsistentTopology(RuntimeError):
@@ -143,15 +155,72 @@ class NestingTree:
 
 
 def _build_faces(t: TracedLemniscate):
-    keep = np.ones(len(t.grid.edges), dtype=bool)
-    for cids in t.loop_edges:
-        keep[cids] = False
-    e0, e1 = t.grid.edges[:, 0], t.grid.edges[:, 1]
+    """(face of each grid vertex, face count): the grid's vertices joined
+    by every edge but the crossing edges of t's loops.
+
+    One ndimage.label call labels the positive and the negative cells of
+    the grid's raster (icogrid), stacked: each block ends in a separator
+    row, so the halves do not touch.  A face is then a component of a
+    graph of those labels, which joins the cells of one vertex in
+    different blocks and the two ends of every crossing edge that is no
+    wall (a cap's rim arcs, the loops select dropped).
+    """
+    r = t.grid.raster()
+    s = r.scatter(t.vertex_signs.view(np.uint8) + np.uint8(1), np.uint8(0))  # 2 positive, 1 negative
+    cells, n = ndimage.label(np.concatenate([s == 2, s == 1]), _HEX)
+    cells = np.add(cells[: len(s)], cells[len(s) :], out=cells[: len(s)]).ravel()
+    lab = r.gather(cells)
+    seam_cells, seam_ids = r.seams()
+    c0, c1 = _open_crossings(t, r, s)
+    n_faces, face = _components(n + 1, np.concatenate([cells[seam_cells], cells[c0]]),
+                                np.concatenate([lab[seam_ids], cells[c1]]))
+    return face[lab] - 1, n_faces - 1  # label 0, off the grid, is a component alone
+
+
+def _open_crossings(t: TracedLemniscate, r, s) -> tuple:
+    """The two flat cells of every crossing edge that is no wall of t's
+    loops, once in each block that holds it: the neighbours in s, t's sign
+    raster on r, whose signs are 1 and 2."""
+    w = s.shape[1]
+    ends = []
+    for x, y, shift, step in ((s[:-1], s[1:], 0, w), (s[:, :-1], s[:, 1:], 0, 1),
+                              (s[:-1, 1:], s[1:, :-1], 1, w - 1)):
+        at = np.flatnonzero((x ^ y) == 3)
+        q = at // x.shape[1] * w + at % x.shape[1] + shift  # the cell of x
+        ends.append((q, q + step))
+    c0, c1 = (np.concatenate(e) for e in zip(*ends))
+    # a crossing is a wall when its vertex pair is a loop edge's; the
+    # sentinel nv^2, above every pair's key, keeps the search in range
     nv = t.grid.n_vertices
-    # gathered inline, so only coo_matrix's int32 copies outlive this line
-    m = coo_matrix((np.ones(keep.sum(), dtype=np.int8), (e0[keep], e1[keep])), shape=(nv, nv))
-    n_faces, labels = connected_components(m, directed=False)
-    return labels, n_faces
+    v0, v1 = r.ids_at(c0), r.ids_at(c1)
+    key = np.minimum(v0, v1) * nv + np.maximum(v0, v1)
+    walls = t.grid.edges[np.concatenate([np.zeros(0, dtype=np.int64)] + t.loop_edges)]
+    walls = np.sort(np.append(walls[:, 0] * nv + walls[:, 1], nv * nv))
+    open_ = walls[np.searchsorted(walls, key)] != key
+    return c0[open_], c1[open_]
+
+
+def _components(n: int, a, b) -> tuple:
+    """(count, component of each node) of the graph on nodes 0..n-1 with
+    edges a[k]-b[k], components numbered in the order of their least node.
+
+    Each round hooks the larger root of every edge whose ends have two
+    roots onto the smaller, the least hook winning where several meet,
+    then points every node at its root; roots only fall, so the rounds
+    end, each component rooted at its least node.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        two = ra != rb
+        if not two.any():
+            break
+        np.minimum.at(root, np.maximum(ra, rb)[two], np.minimum(ra, rb)[two])
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+    roots, comp = np.unique(root, return_inverse=True)
+    return len(roots), comp
 
 
 def _tree_edges(t: TracedLemniscate, labels):
@@ -187,11 +256,7 @@ def nesting_tree(t: TracedLemniscate) -> NestingTree:
         )
     edges = np.array(_tree_edges(t, labels), dtype=np.int64).reshape(-1, 2)
     # b0 + 1 nodes and b0 edges: connected if and only if acyclic
-    adj = coo_matrix(
-        (np.ones(b0, dtype=np.int8), (edges[:, 0], edges[:, 1])),
-        shape=(n_faces, n_faces),
-    )
-    if connected_components(adj, directed=False)[0] != 1:
+    if _components(n_faces, edges[:, 0], edges[:, 1])[0] != 1:
         raise InconsistentTopology("face adjacency is not a tree")
     return NestingTree(n_faces, edges, labels, t)
 

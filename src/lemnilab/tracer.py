@@ -452,7 +452,8 @@ def _retried(fieldobj, nu: int, cap) -> TracedLemniscate:
 def _cap_grid(nu: int, centre: tuple, radius: float) -> IcoGrid:
     """The part of icosphere(nu) whose vertices lie within radius of
     centre: those vertices, the edges and triangles between them, each
-    kept in the grid's order, and the whole grid's edge lengths."""
+    kept in the grid's order, the whole grid's edge lengths, and the
+    grid's raster cropped to the part (icogrid.SphereRaster.crop)."""
     grid = icosphere(nu)
     inside = np.clip(grid.verts @ np.array(centre), -1.0, 1.0) >= math.cos(radius)
     edge_in = inside[grid.edges[:, 0]] & inside[grid.edges[:, 1]]
@@ -460,7 +461,7 @@ def _cap_grid(nu: int, centre: tuple, radius: float) -> IcoGrid:
     tri_in = edge_in[te[:, 0]] & edge_in[te[:, 1]] & edge_in[te[:, 2]]
     return IcoGrid(nu, grid.verts[inside], (np.cumsum(inside) - 1)[grid.edges[edge_in]],
                    (np.cumsum(edge_in) - 1)[grid.tri_edges[tri_in]],
-                   grid.mean_edge_length, grid.max_edge_length)
+                   grid.mean_edge_length, grid.max_edge_length, grid.raster().crop(inside))
 
 
 def _trace_grid(nu: int, cap) -> IcoGrid:

@@ -224,6 +224,15 @@ def test_summary_metadata_is_the_run_manifest(tmp_path):
     commit = meta["git_commit"]
     assert commit is None or re.fullmatch("[0-9a-f]{40}", commit)
     assert {"seed", "experiment", "trials", "wall_time", "rejections"} < meta.keys()
+    assert (meta["n_values"], meta["rho"], meta["target"], meta["grid_resolution"]) \
+        == ([4], None, None, None)
+    out = str(tmp_path / "local")
+    run(ExperimentConfig("local-arrangement", [100], trials=100, seed=0, rho=3.0,
+                         target="(())", output_dir=out))
+    with open(os.path.join(out, "local-arrangement_summary.json")) as fh:
+        meta = json.load(fh)["metadata"]
+    assert (meta["n_values"], meta["rho"], meta["target"], meta["grid_resolution"]) \
+        == ([100], 3.0, "(())", None)
 
 
 def test_summary_keeps_rows_of_earlier_calls(tmp_path):
@@ -277,8 +286,10 @@ def test_committed_summaries_cover_their_trial_csvs():
     paths = glob.glob(os.path.join(results, "**", "*_n*_trials.csv"), recursive=True)
     assert paths
     for path in paths:
-        exp, n = re.fullmatch(r"(.+)_n(\d+)_trials\.csv", os.path.basename(path)).groups()
-        with open(os.path.join(os.path.dirname(path), exp + "_summary.json")) as fh:
+        # a grid run's trials, _n{n}_nu{grid}_trials.csv, have their own summary
+        exp, n, grid = re.fullmatch(r"(.+)_n(\d+)(_nu\d+)?_trials\.csv",
+                                    os.path.basename(path)).groups()
+        with open(os.path.join(os.path.dirname(path), exp + (grid or "") + "_summary.json")) as fh:
             ns = [r["n"] for r in json.load(fh)["rows"]]
         assert int(n) in ns, path
 
@@ -311,14 +322,22 @@ def test_resume_refuses_other_trials(tmp_path):
 def test_grid_run_resumes_from_its_own_trials(tmp_path):
     # a grid run into a directory that holds the default grid's trials
     # writes and summarizes its own; a fresh directory agrees with it
+    # and its own summary, leaving the default grid's summary as it was
     base = dict(experiment="length", n_values=[4], trials=20, seed=7)
     out = run_tiny(tmp_path, "a")
     default = open(os.path.join(out, "length_n4_trials.csv"), "rb").read()
+    summary = {ext: open(os.path.join(out, "length_summary." + ext), "rb").read()
+               for ext in ("csv", "json")}
     shared = run(ExperimentConfig(**base, grid_resolution=96, output_dir=out))
     fresh = run(ExperimentConfig(**base, grid_resolution=96,
                                  output_dir=str(tmp_path / "b")))
     assert shared == fresh and fresh[0]["flags"] == "grid_resolution=96"
     assert open(os.path.join(out, "length_n4_trials.csv"), "rb").read() == default
+    for ext, data in summary.items():
+        assert open(os.path.join(out, "length_summary." + ext), "rb").read() == data
+    with open(os.path.join(out, "length_nu96_summary.json")) as fh:
+        d = json.load(fh)
+    assert d["rows"] == shared and d["metadata"]["grid_resolution"] == 96
     grid = open(os.path.join(out, "length_n4_nu96_trials.csv"), "rb").read()
     assert grid == open(os.path.join(tmp_path, "b", "length_n4_nu96_trials.csv"), "rb").read()
 

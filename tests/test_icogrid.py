@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from lemnilab import icogrid
+from lemnilab.topology import local_disk
+from lemnilab.tracer import _cap_grid, default_options
 
 build = icogrid._lattice  # the unrotated grid; uncached, so the tests leave the cache alone
 
@@ -149,6 +152,56 @@ def test_icosphere_is_the_rotated_lattice(nu):
     assert np.array_equal(g.edges, lat.edges) and np.array_equal(g.tri_edges, lat.tri_edges)
     assert (g.nu, g.mean_edge_length, g.max_edge_length) == (
         lat.nu, lat.mean_edge_length, lat.max_edge_length)
+
+
+def _raster_pairs(grid):
+    """The sorted (lo, hi) vertex ids of every two neighbouring cells of
+    grid's raster, at +-(1, 0), +-(0, 1) and +-(1, -1), that hold one."""
+    r = grid.raster()
+    t = r.scatter(np.arange(grid.n_vertices), -1)
+    assert t.shape == r.shape
+    cells = np.flatnonzero(t >= 0)
+    # every vertex has a cell, and each method reads the same table
+    assert np.array_equal(r.gather(t), np.arange(grid.n_vertices))
+    assert np.array_equal(r.ids_at(cells), t.ravel()[cells])
+    many = np.bincount(t.ravel()[cells])[t.ravel()[cells]] > 1
+    seams = r.seams()
+    assert np.array_equal(np.sort(seams[0]), cells[many])
+    assert np.array_equal(seams[1], t.ravel()[seams[0]])
+    out = []
+    for a, b in ((t[:-1], t[1:]), (t[:, :-1], t[:, 1:]), (t[:-1, 1:], t[1:, :-1])):
+        both = (a >= 0) & (b >= 0)
+        out.append(np.stack([np.minimum(a[both], b[both]), np.maximum(a[both], b[both])], axis=1))
+    return np.unique(np.concatenate(out), axis=0)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4, 5, 64, 96])
+def test_raster_neighbours_are_the_edges(nu):
+    g = build(nu)
+    assert np.array_equal(_raster_pairs(g), g.edges)
+
+
+@pytest.mark.parametrize("rho, k", [(3.0, 1), (3.0, 2), (7.0, 1), (7.0, 2)])
+def test_cap_raster_neighbours_are_the_cap_edges(rho, k):
+    # the local stage's caps at nu and 2 nu
+    n = 100
+    g = _cap_grid(k * default_options(n).grid_resolution, *local_disk(n, rho)[0])
+    assert g.raster() is g.cap_raster is not None
+    assert np.array_equal(_raster_pairs(g), np.unique(g.edges, axis=0))
+
+
+def test_raster_of_a_cap_of_radius_near_pi():
+    # the crop keeps every block, with cells off the cap among them: a
+    # table read through their -1 would pair them with the last vertex
+    g = _cap_grid(96, (0.48, -0.6, 0.64), math.pi - 0.05)
+    t = g.raster().scatter(np.arange(g.n_vertices), -1)
+    assert 0 < np.count_nonzero(t < 0) and g.n_vertices < 10 * 96 * 96 + 2
+    assert np.array_equal(_raster_pairs(g), np.unique(g.edges, axis=0))
+
+
+def test_raster_of_an_empty_cap():
+    g = _cap_grid(64, (0.0, 0.0, 1.0), 1e-6)
+    assert g.n_vertices == 0 and len(_raster_pairs(g)) == 0
 
 
 _TRACE_FAULTS = """

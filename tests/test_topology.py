@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from lemnilab import topology
 from lemnilab.ensemble import (
@@ -27,7 +29,7 @@ from lemnilab.topology import (
 )
 from lemnilab.experiments import trial_stream
 from lemnilab.sphere import spherical_distance_many
-from lemnilab.tracer import TraceOptions, _cap_grid, default_options, trace
+from lemnilab.tracer import TraceOptions, _cap_grid, default_options, trace, trace_levels
 
 
 def _winding_tree(loops_xy: list) -> str:
@@ -184,6 +186,93 @@ def test_nesting_tree_rejects_a_repeated_loop_edge(monkeypatch):
     )
     with pytest.raises(InconsistentTopology):
         nesting_tree(t)
+
+
+def _edge_graph_faces(t):
+    """(face of each vertex, face count) of t's grid joined by every edge
+    but its loops' crossing edges: the reference fill, an edge graph."""
+    keep = np.ones(len(t.grid.edges), dtype=bool)
+    for cids in t.loop_edges:
+        keep[cids] = False
+    e, nv = t.grid.edges[keep], t.grid.n_vertices
+    n, labels = connected_components(
+        coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(nv, nv)), directed=False)
+    return labels, n
+
+
+def _assert_fill_matches_the_edge_graph(t):
+    labels, n = topology._build_faces(t)
+    want, m = _edge_graph_faces(t)
+    # the same partition, up to the faces' numbering
+    pairs = np.unique(np.stack([labels, want], axis=1), axis=0)
+    assert n == m == len(pairs)
+
+
+def _open_crossings(t) -> int:
+    """How many crossing edges of t's grid are no wall of its loops."""
+    e = t.grid.edges
+    cross = t.vertex_signs[e[:, 0]] != t.vertex_signs[e[:, 1]]
+    return int(np.count_nonzero(cross)) - sum(len(c) for c in t.loop_edges)
+
+
+@pytest.fixture(scope="module")
+def realized_six():
+    """The realized ((()()()())), verified at nu = 280: construct-6's
+    costliest fill."""
+    c = realize(Arrangement("((()()()()))"))
+    assert c.trace_resolution == 280
+    return c
+
+
+@pytest.mark.parametrize("n", [25, 200])
+def test_fill_of_the_sphere_matches_the_edge_graph(n):
+    t = trace(sample_rational_pair(n, trial_stream(202, n, 0)))
+    _assert_fill_matches_the_edge_graph(t)
+    # a loop that select drops is no wall: its crossings join its faces
+    dropped = t.select(np.arange(len(t.sizes)) != 0)
+    assert _open_crossings(dropped) > 0
+    _assert_fill_matches_the_edge_graph(dropped)
+    assert topology._build_faces(dropped)[1] == len(t.sizes)
+
+
+def test_fill_of_a_realized_form_matches_the_edge_graph(realized_six):
+    _assert_fill_matches_the_edge_graph(realized_six.tree.trace)
+
+
+def test_fill_of_local_caps_with_rim_arcs_matches_the_edge_graph():
+    n = 100
+    nu = default_options(n).grid_resolution
+    cap = local_disk(n, 7.0)[0]
+    seen = 0
+    for i in range(20):
+        fld = sample_rational_pair(n, RandomStream(606).substream(i))
+        for t in trace_levels(fld, (TraceOptions(nu), TraceOptions(2 * nu)), cap):
+            seen += _open_crossings(t) > 0
+            _assert_fill_matches_the_edge_graph(t)
+    assert seen >= 20
+
+
+def test_fill_of_a_cap_of_radius_near_pi_matches_the_edge_graph():
+    # the cap of test_cap_tree_about_the_outer_face_reads_the_spec: its
+    # cropped raster has cells off the cap next to its last vertex
+    c = realize(Arrangement("((())())"))
+    t = c.tree.trace
+    d = spherical_distance_many(t.vertices, np.broadcast_to(c.root_point, t.vertices.shape))
+    ct = trace(c.pair, TraceOptions(t.grid_resolution), (-c.root_point, math.pi - d.min() / 2))
+    _assert_fill_matches_the_edge_graph(ct)
+    assert topology._build_faces(ct)[1] == 4
+
+
+def test_components_number_as_the_sparse_graph_does():
+    rng = np.random.default_rng(3)
+    chain = np.arange(199)[::-1]  # hooked one link per round without pointer jumps
+    for n, a, b in [(1, [], []), (200, chain, chain + 1)] + [
+            (n, *rng.integers(0, n, (2, m))) for n, m in ((6, 3), (50, 40), (300, 900))]:
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        want = connected_components(
+            coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n)), directed=False)
+        got = topology._components(n, a, b)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
 def test_star_vs_path_distinct():
