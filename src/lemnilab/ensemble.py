@@ -78,10 +78,6 @@ class KostlanPolynomial:
             raise ValueError("coeffs must have exactly degree+1 entries")
         object.__setattr__(self, "coeffs", c)
 
-    def variance_profile(self) -> np.ndarray:
-        """E|a_k|^2 of the ensemble this degree belongs to: C(n, k)."""
-        return binomial_std(self.degree) ** 2
-
     def to_json(self) -> dict:
         return {
             "degree": self.degree,

@@ -30,14 +30,17 @@ column, with no vertex where i + j > nu and on one separator row after
 each block.  The hexagonal neighbourhood of a cell, its neighbours at
 +-(1, 0), +-(0, 1) and +-(1, -1), then pairs exactly the grid's edges
 (an edge on an icosahedron edge in both of its faces' blocks), and a
-vertex on an icosahedron edge has a cell in each face that holds it.  The
-whole sphere's raster (SphereRaster) stores no id table: each face's
-interior ids are contiguous, row by row, so one face-independent table
-of block positions places them, and the rim's 3 nu ids per face are
-_rim_ids'.  A cap's raster (TableRaster, SphereRaster.crop) is an
-explicit id table cropped to the face blocks, rows and columns that hold
-the cap's vertices; the tracer's _cap_grid crops it once, and the cap
-grid keeps it (IcoGrid.cap_raster).
+vertex on an icosahedron edge has a cell in each face that holds it.  A
+raster moves values from vertices to cells and back (scatter, gather)
+and names every cell of a vertex in more than one block (seams); it maps
+no cell to its vertex, as the flood fill takes its crossings from the
+trace as grid edges.  The whole sphere's raster (SphereRaster) places
+each face's interior ids, contiguous row by row, through one
+face-independent table of block positions, and the rim's 3 nu ids per
+face through _rim_ids.  A cap's raster (TableRaster, SphereRaster.crop)
+keeps the vertex cells of an id table cropped to the face blocks, rows
+and columns that hold the cap's vertices, and their ids; the tracer's
+_cap_grid crops it once, and the cap grid keeps it (IcoGrid.cap_raster).
 
 icosphere returns the grid turned by one fixed rotation, GRID_JITTER.  The
 unrotated lattice (_lattice, which also measures the edges) is symmetric
@@ -193,17 +196,6 @@ class SphereRaster:
         out[self.rim_ids] = self._blocks(a)[:, self.pos[k:]]
         return out
 
-    def ids_at(self, cells):
-        """The vertex ids at flat cells, each of which holds a vertex."""
-        f, q = np.divmod(cells, self.block)
-        rank = np.empty(self.block, dtype=np.int64)
-        rank[self.pos] = np.arange(len(self.pos))
-        r, k = rank[q], self.n_int
-        out = self.first + f * k + r
-        rim = r >= k
-        out[rim] = self.rim_ids[f[rim], r[rim] - k]
-        return out
-
     def seams(self) -> tuple:
         """(cells, ids): every cell of each vertex with cells in more than
         one block, the rim's, and its vertex id."""
@@ -228,18 +220,15 @@ class SphereRaster:
 
 class TableRaster:
     """A raster given by its id table (-1 where no vertex is), as
-    SphereRaster.crop builds it; the same methods as SphereRaster."""
+    SphereRaster.crop builds it, kept as the cells that hold a vertex and
+    their ids; the same methods as SphereRaster."""
 
     def __init__(self, table: np.ndarray):
-        self.table = table
+        self.shape = table.shape
         self.cells = np.flatnonzero(table >= 0)  # the flat cells that hold a vertex
         self.ids = table.ravel()[self.cells]  # and their vertex ids
         many = np.bincount(self.ids, minlength=1)[self.ids] > 1
         self._seams = self.cells[many], self.ids[many]
-
-    @property
-    def shape(self) -> tuple:
-        return self.table.shape
 
     def scatter(self, values, fill):
         out = np.full(self.shape, fill, dtype=values.dtype)
@@ -250,9 +239,6 @@ class TableRaster:
         out = np.empty(self.ids.max(initial=-1) + 1, dtype=a.dtype)
         out[self.ids] = a.ravel()[self.cells]
         return out
-
-    def ids_at(self, cells):
-        return self.table.ravel()[cells]
 
     def seams(self) -> tuple:
         return self._seams

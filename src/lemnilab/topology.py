@@ -10,16 +10,16 @@ the arcs its rim cuts are no walls, so the faces are the cap's minus its
 loops.  Rooted trees are compared through AHU canonical strings (balanced
 parentheses, children sorted), which are the stable cross-run identifier.
 
-The fill reads no edge list.  The grid's raster (icogrid: each face of
-the icosahedron one block of lattice rows, hexagonally connected through
-+-(1, 0), +-(0, 1) and +-(1, -1)) is labelled by sign in one
-scipy.ndimage.label call, the two-pass labelling of Rosenfeld and Pfaltz
-(J. ACM 13, 1966); the faces are the components of a small graph of
-those labels, which joins the cells of one vertex in different blocks
-and the ends of each crossing edge that is no wall (_build_faces).  The
-whole sphere's raster is built from face-independent tables on each
-fill; a cap's is cropped once by tracer._cap_grid and kept with the cap
-grid.
+The fill builds no graph of the grid's edges.  The grid's raster
+(icogrid: each face of the icosahedron one block of lattice rows,
+hexagonally connected through +-(1, 0), +-(0, 1) and +-(1, -1)) is
+labelled by sign in one scipy.ndimage.label call, the two-pass labelling
+of Rosenfeld and Pfaltz (J. ACM 13, 1966); the faces are the components
+of a small graph of those labels, which joins the cells of one vertex in
+different blocks and the ends of each crossing that is no wall
+(_build_faces).  The crossings are the trace's own (t.crossings, the
+tracer's sign changes), so the fill decides no crossing itself: those
+that are not its loops' edges are open.
 
 The local stage (local_arrangement_probability) traces each trial's cap
 at two resolutions in one tracer.trace_levels call, which refines both
@@ -162,8 +162,9 @@ def _build_faces(t: TracedLemniscate):
     the grid's raster (icogrid), stacked: each block ends in a separator
     row, so the halves do not touch.  A face is then a component of a
     graph of those labels, which joins the cells of one vertex in
-    different blocks and the two ends of every crossing edge that is no
-    wall (a cap's rim arcs, the loops select dropped).
+    different blocks and the two ends of every crossing that is no wall
+    (t.crossings less its loops': a cap's rim arcs, the loops select
+    dropped).
     """
     r = t.grid.raster()
     s = r.scatter(t.vertex_signs.view(np.uint8) + np.uint8(1), np.uint8(0))  # 2 positive, 1 negative
@@ -171,33 +172,12 @@ def _build_faces(t: TracedLemniscate):
     cells = np.add(cells[: len(s)], cells[len(s) :], out=cells[: len(s)]).ravel()
     lab = r.gather(cells)
     seam_cells, seam_ids = r.seams()
-    c0, c1 = _open_crossings(t, r, s)
-    n_faces, face = _components(n + 1, np.concatenate([cells[seam_cells], cells[c0]]),
-                                np.concatenate([lab[seam_ids], cells[c1]]))
+    # every loop edge is a crossing, found in the ascending t.crossings
+    walls = np.concatenate([np.zeros(0, dtype=np.int64)] + t.loop_edges)
+    ends = lab[t.grid.edges[np.delete(t.crossings, np.searchsorted(t.crossings, walls))]]
+    n_faces, face = _components(n + 1, np.concatenate([cells[seam_cells], ends[:, 0]]),
+                                np.concatenate([lab[seam_ids], ends[:, 1]]))
     return face[lab] - 1, n_faces - 1  # label 0, off the grid, is a component alone
-
-
-def _open_crossings(t: TracedLemniscate, r, s) -> tuple:
-    """The two flat cells of every crossing edge that is no wall of t's
-    loops, once in each block that holds it: the neighbours in s, t's sign
-    raster on r, whose signs are 1 and 2."""
-    w = s.shape[1]
-    ends = []
-    for x, y, shift, step in ((s[:-1], s[1:], 0, w), (s[:, :-1], s[:, 1:], 0, 1),
-                              (s[:-1, 1:], s[1:, :-1], 1, w - 1)):
-        at = np.flatnonzero((x ^ y) == 3)
-        q = at // x.shape[1] * w + at % x.shape[1] + shift  # the cell of x
-        ends.append((q, q + step))
-    c0, c1 = (np.concatenate(e) for e in zip(*ends))
-    # a crossing is a wall when its vertex pair is a loop edge's; the
-    # sentinel nv^2, above every pair's key, keeps the search in range
-    nv = t.grid.n_vertices
-    v0, v1 = r.ids_at(c0), r.ids_at(c1)
-    key = np.minimum(v0, v1) * nv + np.maximum(v0, v1)
-    walls = t.grid.edges[np.concatenate([np.zeros(0, dtype=np.int64)] + t.loop_edges)]
-    walls = np.sort(np.append(walls[:, 0] * nv + walls[:, 1], nv * nv))
-    open_ = walls[np.searchsorted(walls, key)] != key
-    return c0[open_], c1[open_]
 
 
 def _components(n: int, a, b) -> tuple:

@@ -103,7 +103,10 @@ class TracedLemniscate:
     projection that placed the vertex read it (fieldobj.newton).
 
     grid is the grid f was evaluated on (_trace_grid's, a cap's for a cap
-    trace), and vertex_signs and loop_edges index it.
+    trace), and vertex_signs, crossings and loop_edges index it: crossings
+    are the ascending ids of every sign-change edge, the loops' (one array
+    each in loop_edges) and, on a cap, those of the arcs its rim cuts;
+    select keeps them all, so a dropped loop's are in no loop_edges.
     """
 
     vertices: np.ndarray = field(repr=False)  # (sum(sizes), 3)
@@ -113,6 +116,7 @@ class TracedLemniscate:
     grid: IcoGrid = field(repr=False)
     # combinatorial payload consumed by the topology module
     vertex_signs: np.ndarray = field(default=None, repr=False)
+    crossings: np.ndarray = field(default=None, repr=False)
     loop_edges: list = field(default=None, repr=False)
     fieldobj: object = field(default=None, repr=False)  # as_field(curve)
 
@@ -541,7 +545,7 @@ def _trace_grids(fieldobj, nus, cap) -> list:
         if not cycles:
             out.append(TracedLemniscate(np.zeros((0, 3)), np.zeros((0, fieldobj.grad_width)),
                                         np.zeros(0, dtype=np.int64), np.zeros(0), grid, pos,
-                                        [], fieldobj))
+                                        cids, [], fieldobj))
             continue
         sizes = np.array([len(c) for c in cycles])
         P, R, sizes = _densify(fieldobj, X[first + at], G[first + at], sizes,
@@ -549,6 +553,6 @@ def _trace_grids(fieldobj, nus, cap) -> list:
         # one sum per loop slice: pairwise, like a sum over the loop alone
         seg = spherical_distance_many(P, P[ring(sizes)[1]])
         lengths = np.array([d.sum() for d in np.split(seg, np.cumsum(sizes)[:-1])])
-        out.append(TracedLemniscate(P, R, sizes, lengths, grid, pos,
+        out.append(TracedLemniscate(P, R, sizes, lengths, grid, pos, cids,
                                     [cids[c] for c in cycles], fieldobj))
     return out

@@ -1,7 +1,6 @@
 import numpy as np
 
 from lemnilab.ensemble import (
-    KostlanPolynomial,
     RandomStream,
     RationalPair,
     binomial_std,
@@ -96,11 +95,6 @@ def test_pair_json_round_trip():
     back = RationalPair.from_json(rp.to_json())
     assert np.array_equal(back.p.coeffs, rp.p.coeffs)
     assert np.array_equal(back.q.coeffs, rp.q.coeffs)
-
-
-def test_variance_profile_property():
-    kp = KostlanPolynomial(3, np.ones(4, dtype=complex))
-    assert np.allclose(kp.variance_profile(), [1, 3, 3, 1])
 
 
 def test_per_degree_tables_are_cached_read_only_and_unchanged():

@@ -161,9 +161,8 @@ def _raster_pairs(grid):
     t = r.scatter(np.arange(grid.n_vertices), -1)
     assert t.shape == r.shape
     cells = np.flatnonzero(t >= 0)
-    # every vertex has a cell, and each method reads the same table
+    # every vertex has a cell, and gather inverts scatter
     assert np.array_equal(r.gather(t), np.arange(grid.n_vertices))
-    assert np.array_equal(r.ids_at(cells), t.ravel()[cells])
     many = np.bincount(t.ravel()[cells])[t.ravel()[cells]] > 1
     seams = r.seams()
     assert np.array_equal(np.sort(seams[0]), cells[many])

@@ -337,6 +337,7 @@ def _identical(a, b):
     assert a.grid is b.grid and a.fieldobj is b.fieldobj
     _same_trace(a, b)
     assert a.grads.tobytes() == b.grads.tobytes()
+    assert a.crossings.tobytes() == b.crossings.tobytes()
     assert [e.tobytes() for e in a.loop_edges] == [e.tobytes() for e in b.loop_edges]
 
 
@@ -404,6 +405,34 @@ def test_select_keeps_the_chosen_loops_on_the_same_grid():
         s.loop_edges, [e for e, k in zip(t.loop_edges, keep) if k], strict=True))
     assert s.vertex_signs is t.vertex_signs and s.fieldobj is t.fieldobj
     assert s.grid is t.grid
+
+
+def _assert_carries_its_crossings(t):
+    e = t.grid.edges
+    want = np.flatnonzero(t.vertex_signs[e[:, 0]] != t.vertex_signs[e[:, 1]])
+    assert t.crossings.dtype == np.int64 and np.array_equal(t.crossings, want)
+
+
+def test_traces_carry_their_crossings():
+    # every sign-change edge of the trace's grid, ascending: on the whole
+    # sphere its loops' edges, on a cap also the rim arcs'
+    g = trace(sample_rational_pair(25, trial_stream(101, 25, 0)))
+    _assert_carries_its_crossings(g)
+    assert np.array_equal(g.crossings, np.sort(np.concatenate(g.loop_edges)))
+    _assert_carries_its_crossings(trace(sample_real_kostlan(50, trial_stream(404, 50, 0))))
+    # the local stage's rho=7 caps at n=100: seed 606's trial 1 has rim
+    # arcs beside its loops at both levels, trial 0 keeps no loop at nu
+    n = 100
+    nu, cap = default_options(n).grid_resolution, local_disk(n, 7.0)[0]
+    fld = as_field(sample_rational_pair(n, RandomStream(606).substream(1)))
+    for t in tracer.trace_levels(fld, (TraceOptions(nu), TraceOptions(2 * nu)), cap):
+        _assert_carries_its_crossings(t)
+        assert len(t.crossings) > sum(len(c) for c in t.loop_edges) > 0
+    t = trace(sample_rational_pair(n, RandomStream(606).substream(0)), cap=cap)
+    _assert_carries_its_crossings(t)
+    assert len(t.sizes) == 0 and len(t.crossings) > 0
+    # select keeps them all: a dropped loop's crossings are open
+    assert g.select(np.arange(len(g.sizes)) != 0).crossings is g.crossings
 
 
 def test_consumers_read_the_grid_the_trace_carries(monkeypatch):
