@@ -27,9 +27,9 @@ import pytest
 from lemnilab.ensemble import RandomStream, sample_rational_pair, sample_real_kostlan
 from lemnilab.experiments import trial_stream
 from lemnilab.field import PairField, RealField, eval_f_many, eval_real_many, pair_charts
-from lemnilab.icogrid import icosphere
+from lemnilab.icogrid import cap_grid, icosphere
 from lemnilab.topology import local_disk
-from lemnilab.tracer import _cap_grid, _kept_plan, default_options, trace
+from lemnilab.tracer import _kept_plan, default_options, trace
 
 
 def _grid(n):
@@ -79,7 +79,7 @@ def test_eval_f_many_cap_plan(benchmark):
     rp = sample_rational_pair(n, RandomStream(505).substream(n).substream(0))
     cap = local_disk(n, 3.0)[0]
     plan = _kept_plan(PairField, n, 2 * nu, cap)
-    benchmark(eval_f_many, PairField(rp), _cap_grid(2 * nu, *cap).verts, charts=plan)
+    benchmark(eval_f_many, PairField(rp), cap_grid(2 * nu, *cap).verts, charts=plan)
 
 
 def test_eval_real_many_kept_plan(benchmark):

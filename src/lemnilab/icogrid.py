@@ -2,8 +2,9 @@
 
 A grid of frequency nu subdivides each of the 20 icosahedron faces into
 nu^2 triangles and projects the lattice to the unit sphere, giving
-10 nu^2 + 2 vertices with no polar clustering.  Grids are cached since the
-tracer reuses the same frequency across Monte Carlo trials.
+10 nu^2 + 2 vertices with no polar clustering.  Grids (icosphere) and
+their caps (cap_grid) are cached since the tracer reuses the same
+frequency and cap across Monte Carlo trials.
 
 All 20 faces share one local lattice: points (i, j) with i + j <= nu, and
 up cells (i, j) with i + j <= nu - 1.  Each up cell owns three lattice
@@ -24,23 +25,25 @@ tracer and topology read; no vertex-triple table is stored.  Ids are
 int64, numpy's index type: a narrower id array is cast on every fancy
 index the tracer makes.
 
-A grid's raster lays its vertex ids out on the face lattice, face block
-after face block: lattice row i of face f is one raster row and j its
-column, with no vertex where i + j > nu and on one separator row after
-each block.  The hexagonal neighbourhood of a cell, its neighbours at
-+-(1, 0), +-(0, 1) and +-(1, -1), then pairs exactly the grid's edges
-(an edge on an icosahedron edge in both of its faces' blocks), and a
-vertex on an icosahedron edge has a cell in each face that holds it.  A
-raster moves values from vertices to cells and back (scatter, gather)
-and names every cell of a vertex in more than one block (seams); it maps
-no cell to its vertex, as the flood fill takes its crossings from the
-trace as grid edges.  The whole sphere's raster (SphereRaster) places
-each face's interior ids, contiguous row by row, through one
-face-independent table of block positions, and the rim's 3 nu ids per
-face through _rim_ids.  A cap's raster (TableRaster, SphereRaster.crop)
-keeps the vertex cells of an id table cropped to the face blocks, rows
-and columns that hold the cap's vertices, and their ids; the tracer's
-_cap_grid crops it once, and the cap grid keeps it (IcoGrid.cap_raster).
+A grid carries its raster (IcoGrid.raster), built with it, which lays
+its vertex ids out on the face lattice, face block after face block:
+lattice row i of face f is one raster row and j its column, with no
+vertex where i + j > nu and on one separator row after each block.  The
+hexagonal neighbourhood of a cell (HEX), its neighbours at +-(1, 0),
++-(0, 1) and +-(1, -1), then pairs exactly the grid's edges (an edge on
+an icosahedron edge in both of its faces' blocks), and a vertex on an
+icosahedron edge has a cell in each face that holds it.  A raster moves
+values from vertices to cells and back (scatter, gather) and names every
+cell of a vertex in more than one block (seams); it maps no cell to its
+vertex, as the flood fill takes its crossings from the trace as grid
+edges.  _lattice builds the whole sphere's raster (SphereRaster) from its
+own id order: each face's interior ids, contiguous row by row, through
+one face-independent table of block positions, and the rim's 3 nu ids
+per face through _rim_ids.  cap_grid, the part of a grid inside a
+spherical cap that a cap trace evaluates, crops that raster once
+(SphereRaster.crop) to a TableRaster: the vertex cells of an id table cut
+to the face blocks, rows and columns that hold the cap's vertices, and
+their ids.  No reader of a grid builds a raster.
 
 icosphere returns the grid turned by one fixed rotation, GRID_JITTER.  The
 unrotated lattice (_lattice, which also measures the edges) is symmetric
@@ -124,6 +127,9 @@ _CHUNK = 1 << 16  # edges per gather in the mean edge length
 # the rotation of every grid icosphere returns (tie-breaking, see the module doc)
 GRID_JITTER = Rotation.random(RandomStream(0x1CE5_9E0D, 0).generator())
 
+# a raster cell's neighbourhood: +-(1, 0), +-(0, 1), +-(1, -1)
+HEX = np.array([[0, 1, 1], [1, 1, 1], [1, 1, 0]])
+
 
 @dataclass(frozen=True, eq=False)
 class IcoGrid:
@@ -133,18 +139,11 @@ class IcoGrid:
     tri_edges: np.ndarray  # (T, 3) edge ids
     mean_edge_length: float
     max_edge_length: float
-    # a cap's raster, cropped once where the cap grid is built; None on the
-    # whole sphere, whose raster needs no id table
-    cap_raster: TableRaster | None = field(default=None, repr=False)
+    raster: SphereRaster | TableRaster = field(repr=False)  # see the module doc
 
     @property
     def n_vertices(self) -> int:
         return len(self.verts)
-
-    def raster(self):
-        """The grid's face raster (see the module doc): a cap's kept crop,
-        or the whole sphere's SphereRaster, built afresh in O(nu^2)."""
-        return SphereRaster(self.nu) if self.cap_raster is None else self.cap_raster
 
 
 class SphereRaster:
@@ -152,29 +151,16 @@ class SphereRaster:
     0..nu and a separator) by nu + 1 columns.
 
     pos holds the block position i (nu + 1) + j of each local point in id
-    order, every face's interior row by row and then its rim, whose
-    global ids are rim_ids, one row per face; face f's k-th interior point
-    has id first + f n_int + k.
+    order, every face's n_int interior points row by row and then its rim,
+    whose global ids are rim_ids, one row per face; face f's k-th interior
+    point has id first + f n_int + k.
     """
 
-    def __init__(self, nu: int):
-        i, j, _ = _triangle(nu + 1)
-        order, self.rim_ids = _id_order(nu, i, j)  # (20, 3 nu)
-        self.nu, self.pos = nu, (i * (nu + 1) + j)[order]
+    def __init__(self, nu: int, pos, rim_ids, first: int):
+        self.nu, self.pos, self.rim_ids, self.first = nu, pos, rim_ids, first
+        self.n_int = len(pos) - rim_ids.shape[1]
+        self.shape = 20 * (nu + 2), nu + 1
         self.block = (nu + 2) * (nu + 1)  # cells per block
-
-    @property
-    def shape(self) -> tuple:
-        return 20 * (self.nu + 2), self.nu + 1
-
-    @property
-    def n_int(self) -> int:
-        return len(self.pos) - self.rim_ids.shape[1]
-
-    @property
-    def first(self) -> int:
-        """The first interior id, past the rim's."""
-        return 12 + 30 * (self.nu - 1)
 
     def _blocks(self, a):
         return a.reshape(20, self.block)
@@ -273,21 +259,27 @@ def _rim_ids(nu, i, j):
     return ids
 
 
-def _id_order(nu, i, j):
-    """(order, rim_ids): the local points (i, j) of _triangle(nu + 1) in id
-    order, the interior row by row and then the rim, and _rim_ids of the
-    rim."""
-    inner = (i > 0) & (j > 0) & (i + j < nu)
-    order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
-    rim = order[np.count_nonzero(inner) :]
-    return order, _rim_ids(nu, i[rim], j[rim])
-
-
 @lru_cache(maxsize=3)
 def icosphere(nu: int) -> IcoGrid:
     """Build (or fetch) the geodesic grid of frequency nu >= 1, rotated."""
     g = _lattice(nu)
     return replace(g, verts=GRID_JITTER.apply(g.verts))
+
+
+@lru_cache(maxsize=4)
+def cap_grid(nu: int, centre: tuple, radius: float) -> IcoGrid:
+    """The part of icosphere(nu) whose vertices lie within radius of
+    centre: those vertices, the edges and triangles between them, each
+    kept in the grid's order, the whole grid's edge lengths, and the
+    grid's raster cropped to the part (SphereRaster.crop)."""
+    grid = icosphere(nu)
+    inside = np.clip(grid.verts @ np.array(centre), -1.0, 1.0) >= math.cos(radius)
+    edge_in = inside[grid.edges[:, 0]] & inside[grid.edges[:, 1]]
+    te = grid.tri_edges
+    tri_in = edge_in[te[:, 0]] & edge_in[te[:, 1]] & edge_in[te[:, 2]]
+    return IcoGrid(nu, grid.verts[inside], (np.cumsum(inside) - 1)[grid.edges[edge_in]],
+                   (np.cumsum(edge_in) - 1)[te[tri_in]],
+                   grid.mean_edge_length, grid.max_edge_length, grid.raster.crop(inside))
 
 
 def _lattice(nu: int) -> IcoGrid:
@@ -301,8 +293,12 @@ def _lattice(nu: int) -> IcoGrid:
     n_int = (nu - 1) * (nu - 2) // 2  # interior points per face
     first = 12 + 30 * (nu - 1) + n_int * np.arange(20)  # each face's first interior id
 
+    # the local points (i, j) in id order, the interior row by row and then
+    # the rim
     i, j, point = _triangle(nu + 1)
-    order, rim_ids = _id_order(nu, i, j)
+    inner = (i > 0) & (j > 0) & (i + j < nu)
+    order = np.concatenate([np.flatnonzero(inner), np.flatnonzero(~inner)])
+    rim_ids = _rim_ids(nu, i[order[n_int:]], j[order[n_int:]])  # (20, 3 nu)
     slot = np.empty_like(order)
     slot[order] = np.arange(len(order))
 
@@ -370,4 +366,6 @@ def _lattice(nu: int) -> IcoGrid:
         d[lo : lo + _CHUNK] = np.einsum("ij,ij->i", np.take(verts, e[:, 0], axis=0),
                                         np.take(verts, e[:, 1], axis=0))
     np.arccos(np.clip(d, -1, 1, out=d), out=d)
-    return IcoGrid(nu, verts, edges, tri_edges.reshape(-1, 3), float(np.mean(d)), float(d.max()))
+    raster = SphereRaster(nu, (i * (nu + 1) + j)[order], rim_ids, int(first[0]))
+    return IcoGrid(nu, verts, edges, tri_edges.reshape(-1, 3), float(np.mean(d)), float(d.max()),
+                   raster)

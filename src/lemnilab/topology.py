@@ -10,9 +10,10 @@ the arcs its rim cuts are no walls, so the faces are the cap's minus its
 loops.  Rooted trees are compared through AHU canonical strings (balanced
 parentheses, children sorted), which are the stable cross-run identifier.
 
-The fill builds no graph of the grid's edges.  The grid's raster
-(icogrid: each face of the icosahedron one block of lattice rows,
-hexagonally connected through +-(1, 0), +-(0, 1) and +-(1, -1)) is
+The fill builds no graph of the grid's edges, and no raster: the grid
+carries its own (t.grid.raster, built with the grid by icogrid: each
+face of the icosahedron one block of lattice rows, hexagonally connected
+through icogrid.HEX, +-(1, 0), +-(0, 1) and +-(1, -1)), which is
 labelled by sign in one scipy.ndimage.label call, the two-pass labelling
 of Rosenfeld and Pfaltz (J. ACM 13, 1966); the faces are the components
 of a small graph of those labels, which joins the cells of one vertex in
@@ -37,7 +38,7 @@ import numpy as np
 from scipy import ndimage
 
 from .ensemble import RandomStream, sample_rational_pair
-from .icogrid import icosphere
+from .icogrid import HEX, icosphere
 from .sphere import unit_vector
 from .tracer import (
     _ARC_STEP,
@@ -52,8 +53,6 @@ from .tracer import (
 _DISK_CENTER = (0.0, 0.0, 1.0)  # local_disk's, as trace normalizes a cap's centre
 LOCAL_MIN_TRIALS = 100  # the fewest trials local_arrangement_probability takes
 LOCAL_MAX_RADIUS = math.pi / 2  # rho/sqrt(n) below it: the cap has a rim to root at
-# a raster cell's neighbourhood (icogrid): +-(1, 0), +-(0, 1), +-(1, -1)
-_HEX = np.array([[0, 1, 1], [1, 1, 1], [1, 1, 0]])
 
 
 class InconsistentTopology(RuntimeError):
@@ -159,16 +158,16 @@ def _build_faces(t: TracedLemniscate):
     by every edge but the crossing edges of t's loops.
 
     One ndimage.label call labels the positive and the negative cells of
-    the grid's raster (icogrid), stacked: each block ends in a separator
+    the grid's raster (t.grid.raster), stacked: each block ends in a separator
     row, so the halves do not touch.  A face is then a component of a
     graph of those labels, which joins the cells of one vertex in
     different blocks and the two ends of every crossing that is no wall
     (t.crossings less its loops': a cap's rim arcs, the loops select
     dropped).
     """
-    r = t.grid.raster()
+    r = t.grid.raster
     s = r.scatter(t.vertex_signs.view(np.uint8) + np.uint8(1), np.uint8(0))  # 2 positive, 1 negative
-    cells, n = ndimage.label(np.concatenate([s == 2, s == 1]), _HEX)
+    cells, n = ndimage.label(np.concatenate([s == 2, s == 1]), HEX)
     cells = np.add(cells[: len(s)], cells[len(s) :], out=cells[: len(s)]).ravel()
     lab = r.gather(cells)
     seam_cells, seam_ids = r.seams()

@@ -7,8 +7,9 @@ refines every crossing by bisection plus Newton and densifies to an
 arc-step of 0.6 grid edges.  The grid's own rotation (see icogrid) keeps
 its vertices off the curve.  A trace carries the field object it was
 traced with (fieldobj, built once by as_field in trace_levels; a re-trace
-takes it) and the grid it evaluated (grid, from _trace_grid); every
-consumer of the curve takes both from it.
+takes it) and the grid it evaluated (grid, from _trace_grid), which
+icogrid built with its raster; every consumer of the curve takes both
+from it, and the tracer builds no grid itself.
 
 Each curve point comes with the gradient row the Newton projection that
 placed it read there (fieldobj.newton's fifth item).  The crossings,
@@ -18,9 +19,10 @@ along a walk and in the tangent counter are formed from them, so no curve
 point is evaluated twice.
 
 A cap trace evaluates f only on the part of the same grid that lies in a
-spherical cap and returns the loops whose grid triangles all lie inside
-it; the arcs cut by the cap's rim are dropped.  Its loops are the whole
-sphere's loops there, up to the last bits of the field's batched values.
+spherical cap (icogrid.cap_grid) and returns the loops whose grid
+triangles all lie inside it; the arcs cut by the cap's rim are dropped.
+Its loops are the whole sphere's loops there, up to the last bits of the
+field's batched values.
 
 trace_levels traces one curve at several resolutions (the local stage's
 nu and 2nu) and refines the kept crossings of all levels in one Newton
@@ -58,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import as_field
-from .icogrid import IcoGrid, icosphere
+from .icogrid import IcoGrid, cap_grid, icosphere
 from .sphere import spherical_distance_many, unit_vector
 
 # polyline arc-step, as a share of the mean grid edge
@@ -102,8 +104,9 @@ class TracedLemniscate:
     holds one row per vertex: the field's gradient there, as the Newton
     projection that placed the vertex read it (fieldobj.newton).
 
-    grid is the grid f was evaluated on (_trace_grid's, a cap's for a cap
-    trace), and vertex_signs, crossings and loop_edges index it: crossings
+    grid is the grid f was evaluated on (_trace_grid's: icosphere's, or
+    cap_grid's for a cap trace), with the raster icogrid built for it, and
+    vertex_signs, crossings and loop_edges index it: crossings
     are the ascending ids of every sign-change edge, the loops' (one array
     each in loop_edges) and, on a cap, those of the arcs its rim cuts;
     select keeps them all, so a dropped loop's are in no loop_edges.
@@ -446,31 +449,16 @@ def _retried(fieldobj, nu: int, cap) -> TracedLemniscate:
     """One level alone at nu, retried on close strands at 2 and 4 nu."""
     for nu in [nu] + [k * nu for k in (2, 4) if k * nu <= _MAX_RESOLUTION]:
         try:
-            return _trace_once(fieldobj, nu, cap)
+            return _trace_grids(fieldobj, (nu,), cap)[0]
         except _StubbornSegment:
             pass
     raise DegenerateLemniscate("close strands unresolved after resolution doubling")
 
 
-@lru_cache(maxsize=4)
-def _cap_grid(nu: int, centre: tuple, radius: float) -> IcoGrid:
-    """The part of icosphere(nu) whose vertices lie within radius of
-    centre: those vertices, the edges and triangles between them, each
-    kept in the grid's order, the whole grid's edge lengths, and the
-    grid's raster cropped to the part (icogrid.SphereRaster.crop)."""
-    grid = icosphere(nu)
-    inside = np.clip(grid.verts @ np.array(centre), -1.0, 1.0) >= math.cos(radius)
-    edge_in = inside[grid.edges[:, 0]] & inside[grid.edges[:, 1]]
-    te = grid.tri_edges
-    tri_in = edge_in[te[:, 0]] & edge_in[te[:, 1]] & edge_in[te[:, 2]]
-    return IcoGrid(nu, grid.verts[inside], (np.cumsum(inside) - 1)[grid.edges[edge_in]],
-                   (np.cumsum(edge_in) - 1)[grid.tri_edges[tri_in]],
-                   grid.mean_edge_length, grid.max_edge_length, grid.raster().crop(inside))
-
-
 def _trace_grid(nu: int, cap) -> IcoGrid:
-    """The grid a trace at (nu, cap) evaluates: icosphere(nu), or its cap."""
-    return icosphere(nu) if cap is None else _cap_grid(nu, *cap)
+    """The grid a trace at (nu, cap) evaluates, as icogrid builds it:
+    icosphere(nu), or its cap (cap_grid)."""
+    return icosphere(nu) if cap is None else cap_grid(nu, *cap)
 
 
 @lru_cache(maxsize=4)
@@ -484,10 +472,6 @@ def _kept_plan(kind, n: int, nu: int, cap):
     the noise of a trial, and at n = 200 they would take 28 + 7 MB.
     """
     return kind.charts(_trace_grid(nu, cap).verts, n, tables=cap is not None)
-
-
-def _trace_once(fieldobj, nu: int, cap) -> TracedLemniscate:
-    return _trace_grids(fieldobj, (nu,), cap)[0]
 
 
 def _trace_grids(fieldobj, nus, cap) -> list:

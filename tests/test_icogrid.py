@@ -10,7 +10,7 @@ import pytest
 
 from lemnilab import icogrid
 from lemnilab.topology import local_disk
-from lemnilab.tracer import _cap_grid, default_options
+from lemnilab.tracer import default_options
 
 build = icogrid._lattice  # the unrotated grid; uncached, so the tests leave the cache alone
 
@@ -157,7 +157,7 @@ def test_icosphere_is_the_rotated_lattice(nu):
 def _raster_pairs(grid):
     """The sorted (lo, hi) vertex ids of every two neighbouring cells of
     grid's raster, at +-(1, 0), +-(0, 1) and +-(1, -1), that hold one."""
-    r = grid.raster()
+    r = grid.raster
     t = r.scatter(np.arange(grid.n_vertices), -1)
     assert t.shape == r.shape
     cells = np.flatnonzero(t >= 0)
@@ -184,22 +184,22 @@ def test_raster_neighbours_are_the_edges(nu):
 def test_cap_raster_neighbours_are_the_cap_edges(rho, k):
     # the local stage's caps at nu and 2 nu
     n = 100
-    g = _cap_grid(k * default_options(n).grid_resolution, *local_disk(n, rho)[0])
-    assert g.raster() is g.cap_raster is not None
+    g = icogrid.cap_grid(k * default_options(n).grid_resolution, *local_disk(n, rho)[0])
+    assert isinstance(g.raster, icogrid.TableRaster)
     assert np.array_equal(_raster_pairs(g), np.unique(g.edges, axis=0))
 
 
 def test_raster_of_a_cap_of_radius_near_pi():
     # the crop keeps every block, with cells off the cap among them: a
     # table read through their -1 would pair them with the last vertex
-    g = _cap_grid(96, (0.48, -0.6, 0.64), math.pi - 0.05)
-    t = g.raster().scatter(np.arange(g.n_vertices), -1)
+    g = icogrid.cap_grid(96, (0.48, -0.6, 0.64), math.pi - 0.05)
+    t = g.raster.scatter(np.arange(g.n_vertices), -1)
     assert 0 < np.count_nonzero(t < 0) and g.n_vertices < 10 * 96 * 96 + 2
     assert np.array_equal(_raster_pairs(g), np.unique(g.edges, axis=0))
 
 
 def test_raster_of_an_empty_cap():
-    g = _cap_grid(64, (0.0, 0.0, 1.0), 1e-6)
+    g = icogrid.cap_grid(64, (0.0, 0.0, 1.0), 1e-6)
     assert g.n_vertices == 0 and len(_raster_pairs(g)) == 0
 
 

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every private module-level name is used somewhere in the package, only
-a curve's field owners build a field object, and only a stage's module
-states its input rules (local_disk alone the local disk's)."""
+a curve's field owners build a field object, only icogrid builds a grid
+or a raster, and only a stage's module states its input rules
+(local_disk alone the local disk's)."""
 
 import ast
 import glob
@@ -93,9 +94,9 @@ FIELD_BUILDERS = {"PairField", "RealField", "as_field"}
 FIELD_OWNERS = {("field", "as_field"), ("tracer", "trace_levels"), ("constructor", "_add_circle")}
 
 
-def _field_builds(sources: dict) -> list:
-    """(module, top-level def or None, line) of each call of a field
-    builder in the modules, a call in a method or nested function counted
+def _builds(sources: dict, builders=FIELD_BUILDERS) -> list:
+    """(module, top-level def or None, line) of each call of one of the
+    builders in the modules, a call in a method or nested function counted
     under its outermost def."""
     out = []
     for mod, src in sources.items():
@@ -106,13 +107,13 @@ def _field_builds(sources: dict) -> list:
                 if isinstance(n, ast.Call):
                     f = n.func
                     name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                    if name in FIELD_BUILDERS:
+                    if name in builders:
                         out.append((mod, owner, n.lineno))
     return sorted(out)
 
 
 def test_only_the_field_owners_build_a_field():
-    builds = _field_builds(_sources("src/lemnilab"))
+    builds = _builds(_sources("src/lemnilab"))
     assert builds and [b for b in builds if b[:2] not in FIELD_OWNERS] == []
 
 
@@ -122,18 +123,37 @@ def test_second_field_build_is_caught():
         "geomstats": "def count(rp):\n    return field.PairField(rp).values(0)\n",
         "topology": "class Tree:\n    def f(self, rp):\n        return RealField(rp)\n",
     }
-    assert _field_builds(sources) == [
+    assert _builds(sources) == [
         ("geomstats", "count", 2), ("topology", "Tree", 3), ("tracer", "trace", 2)]
 
 
+# every grid a trace evaluates, and its raster, is built by icogrid: the
+# whole sphere by icosphere, a cap by cap_grid
+GRID_BUILDERS = {"IcoGrid", "SphereRaster", "TableRaster"}
+
+
+def test_only_icogrid_builds_a_grid():
+    builds = _builds(_sources("src/lemnilab", "tests", "bench"), GRID_BUILDERS)
+    assert builds and [b for b in builds if b[0] != "icogrid"] == []
+
+
+def test_second_grid_builder_is_caught():
+    sources = {
+        "icogrid": "def cap_grid(nu, c, r):\n    return IcoGrid(nu, g.raster.crop(c))\n",
+        "tracer": "def _cap_grid(nu, c, r):\n    return icogrid.IcoGrid(nu, TableRaster(c))\n",
+        "topology": "def _build_faces(t):\n    return SphereRaster(t.grid.nu)\n",
+    }
+    assert [b for b in _builds(sources, GRID_BUILDERS) if b[0] != "icogrid"] == [
+        ("topology", "_build_faces", 2), ("tracer", "_cap_grid", 2), ("tracer", "_cap_grid", 2)]
+
+
 # a stage's input rule is stated by its own module, the others call it; a
-# grid's longest edge is read where icogrid measures it, where _cap_grid
-# passes it on and by local_disk, the local cap's one owner.  An owner is
+# grid's longest edge is read where icogrid measures it and passes it on
+# to a cap, and by local_disk, the local cap's one owner.  An owner is
 # a file of src, tests or bench, or one of its top-level defs
 RULE_OWNERS = {"LOCAL_MIN_TRIALS": {"topology"}, "LOCAL_MAX_RADIUS": {"topology"},
                "_MAX_CIRCLES": {"constructor"},
-               "max_edge_length": {"icogrid", "tracer._cap_grid", "topology.local_disk",
-                                   "test_icogrid"}}
+               "max_edge_length": {"icogrid", "topology.local_disk", "test_icogrid"}}
 
 
 def _rule_uses(sources: dict) -> list:

@@ -8,7 +8,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from lemnilab import topology
+from lemnilab import icogrid, topology
 from lemnilab.ensemble import (
     KostlanPolynomial,
     RandomStream,
@@ -29,7 +29,7 @@ from lemnilab.topology import (
 )
 from lemnilab.experiments import trial_stream
 from lemnilab.sphere import spherical_distance_many
-from lemnilab.tracer import TraceOptions, _cap_grid, default_options, trace, trace_levels
+from lemnilab.tracer import TraceOptions, default_options, trace, trace_levels
 
 
 def _winding_tree(loops_xy: list) -> str:
@@ -144,6 +144,27 @@ def test_nesting_tree_is_the_tree_of_the_given_trace(monkeypatch):
     assert tree.n_faces == 53
 
 
+def test_a_fill_builds_no_raster(monkeypatch):
+    # every grid carries the raster icogrid built with it: once the whole
+    # sphere and the local cap are cached, neither a trace nor a fill
+    # builds one
+    n = 100
+    rp = sample_rational_pair(n, RandomStream(505).substream(n).substream(0))
+    nu, cap = default_options(n).grid_resolution, local_disk(n, 3.0)[0]
+    icogrid.icosphere(nu), icogrid.cap_grid(nu, *cap)
+
+    def no_raster(*args, **kwargs):
+        raise AssertionError("a fill must build no raster")
+
+    monkeypatch.setattr(icogrid, "SphereRaster", no_raster)
+    monkeypatch.setattr(icogrid, "TableRaster", no_raster)
+    g, c = trace(rp), trace(rp, cap=cap)
+    assert g.grid.raster is icogrid.icosphere(nu).raster
+    assert c.grid is icogrid.cap_grid(nu, *cap)
+    assert nesting_tree(g).n_faces == len(g.sizes) + 1 > 2
+    assert nesting_tree(c).n_faces == len(c.sizes) + 1
+
+
 def test_nesting_tree_of_a_cap_trace():
     # the cap holds the whole equator: the cap minus it is two faces
     t = trace(circle_pair(), cap=((0.0, 0.0, 1.0), 2.0))
@@ -156,7 +177,7 @@ def test_nesting_tree_of_a_cap_trace():
 def test_nesting_tree_of_a_cap_of_radius_pi_is_the_global_tree():
     rp = sample_rational_pair(10, RandomStream(83).substream(0))
     g, c = nesting_tree(trace(rp)), nesting_tree(trace(rp, cap=((0.0, 0.0, 1.0), math.pi)))
-    assert c.trace.grid is _cap_grid(64, (0.0, 0.0, 1.0), math.pi) and c.n_faces == g.n_faces > 2
+    assert c.trace.grid is icogrid.cap_grid(64, (0.0, 0.0, 1.0), math.pi) and c.n_faces == g.n_faces > 2
     assert np.array_equal(c.edges, g.edges)
     assert np.array_equal(c.face_of_vertex, g.face_of_vertex)
 

@@ -17,7 +17,7 @@ from lemnilab.ensemble import (
 from lemnilab.experiments import TRIAL_COLUMNS, run_trial, trial_stream, write_csv
 from lemnilab.field import _CHUNK, PairField, RealField, as_field
 from lemnilab.geomstats import meridian_stats
-from lemnilab.icogrid import icosphere
+from lemnilab.icogrid import cap_grid, icosphere
 from lemnilab.sphere import homogeneous_coords, spherical_distance_many
 from lemnilab.topology import local_disk, nesting_tree, rooted_canonical_form
 from lemnilab import tracer
@@ -26,7 +26,6 @@ from lemnilab.tracer import (
     DegenerateLemniscate,
     TraceOptions,
     _StubbornSegment,
-    _cap_grid,
     _link_cycles,
     default_options,
     ray_solve,
@@ -148,7 +147,7 @@ def test_trace_carries_the_field_it_traced():
     cases = [(rp, None, None), (poly, None, None), (rp, None, (NORTH, 1.0)), (empty, None, None),
              (local, None, _local_cap(3)), (local, TraceOptions(128), _local_cap(3))]
     traces = [trace(curve, opts, c) for curve, opts, c in cases]
-    assert traces[2].grid is _cap_grid(64, NORTH, 1.0)
+    assert traces[2].grid is cap_grid(64, NORTH, 1.0)
     assert len(traces[3].sizes) == 0 < len(traces[4].sizes)
     pts = np.concatenate([traces[0].vertices, traces[1].vertices])
     for (curve, opts, c), t in zip(cases, traces):
@@ -319,11 +318,11 @@ def _loops_within(t, radius):
 def test_stubborn_segment_retries_stop_at_the_resolution_cap(monkeypatch):
     tried = []
 
-    def stubborn(fieldobj, nu, cap):
-        tried.append(nu)
+    def stubborn(fieldobj, nus, cap):
+        tried.extend(nus)
         raise _StubbornSegment
 
-    monkeypatch.setattr(tracer, "_trace_once", stubborn)
+    monkeypatch.setattr(tracer, "_trace_grids", stubborn)
     for nu, want in ((78, [78, 156, 312]), (384, [384, 768]), (768, [768]),
                      (1000, [1000])):
         tried.clear()
@@ -451,24 +450,24 @@ def test_consumers_read_the_grid_the_trace_carries(monkeypatch):
     c = trace(sample_rational_pair(100, RandomStream(505).substream(100).substream(0)),
               cap=(NORTH, 0.5))
     assert g.grid is icosphere(g.grid_resolution)
-    assert c.grid is _cap_grid(c.grid_resolution, NORTH, 0.5)
+    assert c.grid is cap_grid(c.grid_resolution, NORTH, 0.5)
     assert c.grid.n_vertices < g.grid.n_vertices == 10 * g.grid_resolution ** 2 + 2
     for t in (g, c):
         assert any(pts is t.grid.verts for pts in evaluated)
     icosphere.cache_clear()
-    tracer._cap_grid.cache_clear()
+    cap_grid.cache_clear()
     assert meridian_stats(g, NORTH)[0] > 0
     tree = nesting_tree(g)
     assert rooted_canonical_form(tree, (0.6, 0.0, 0.8)).n_nodes == len(g.sizes) + 1
     assert nesting_tree(c).n_faces == len(c.sizes) + 1 >= 2
     assert icosphere.cache_info().misses == 0
-    assert tracer._cap_grid.cache_info().misses == 0
+    assert cap_grid.cache_info().misses == 0
 
 
 def test_cap_of_radius_pi_is_the_global_trace():
     rp = sample_rational_pair(50, RandomStream(7))
     g, c = trace(rp), trace(rp, cap=(NORTH, math.pi))
-    assert c.grid is _cap_grid(64, NORTH, math.pi) and g.grid is icosphere(64)
+    assert c.grid is cap_grid(64, NORTH, math.pi) and g.grid is icosphere(64)
     _same_trace(g, c)
     assert all(np.array_equal(a, b) for a, b in zip(g.loop_edges, c.loop_edges, strict=True))
 
@@ -534,7 +533,7 @@ def test_cap_grid_selects_the_rotated_grid():
         radius = _local_cap(rho)[1]
         verts = icosphere(k * nu).verts
         inside = np.clip(verts @ np.array(NORTH), -1.0, 1.0) >= math.cos(radius)
-        assert np.array_equal(_cap_grid(k * nu, NORTH, radius).verts, verts[inside])
+        assert np.array_equal(cap_grid(k * nu, NORTH, radius).verts, verts[inside])
 
 
 def _same_trace(a, b):
